@@ -6,6 +6,7 @@ the modular lambda function), locates and classifies the singularities
 of the image front, and exports tiled surface meshes.
 """
 
+from .cases import Case, resolve_case
 from .equation import (ExponentData, exponents_from_abc, exponents_from_mu,
                        eval_q, eval_q_derivatives, is_standard)
 from .front import (eval_front_closed_form, eval_front_matrix,

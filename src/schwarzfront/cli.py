@@ -12,37 +12,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import singular as sg
-from .equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
-                       TAG_OCTAHEDRAL, TAG_TETRAHEDRAL, eval_q,
-                       eval_q_derivatives)
-from .mesh import JobConfig, build_mesh, export_mesh, _exponents
+from .cases import resolve_case
+# eval_q and eval_q_derivatives are unused here; bench/spans.py wraps
+# them under these names
+from .equation import eval_q, eval_q_derivatives  # noqa: F401
+from .mesh import JobConfig, build_mesh, export_mesh
 from .tiling import tile_parameter_domain
-
-_CASE_ALIASES = {"tetra": TAG_TETRAHEDRAL, "octa": TAG_OCTAHEDRAL,
-                 "icosa": TAG_ICOSAHEDRAL, "fuchsian": TAG_FUCHSIAN_INF,
-                 TAG_TETRAHEDRAL: TAG_TETRAHEDRAL,
-                 TAG_OCTAHEDRAL: TAG_OCTAHEDRAL,
-                 TAG_ICOSAHEDRAL: TAG_ICOSAHEDRAL,
-                 TAG_FUCHSIAN_INF: TAG_FUCHSIAN_INF}
 
 
 def parse_case(text: str):
     """'dihedral:n' | 'tetra' | 'octa' | 'icosa' | 'fuchsian' -> (tag, n)."""
-    text = text.strip().lower()
-    if text.startswith("dihedral"):
-        parts = text.split(":")
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
-            raise argparse.ArgumentTypeError(
-                "dihedral case must be written dihedral:n with n >= 1")
-        return TAG_DIHEDRAL, int(parts[1])
-    if text in _CASE_ALIASES:
-        return _CASE_ALIASES[text], None
-    raise argparse.ArgumentTypeError(
-        f"unknown case {text!r}; expected dihedral:n, tetra, octa, "
-        f"icosa or fuchsian")
+    try:
+        case = resolve_case(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return case.tag, case.n
 
 
 def read_config(path: str) -> dict:
@@ -82,8 +67,7 @@ def _build_parser():
                    help="comma-separated tile words, e.g. ',21,31'")
     s.add_argument("--resolution", type=int, default=None)
     s.add_argument("--chart", choices=("ball", "uhs"), default=None)
-    s.add_argument("--format", dest="fmt", choices=("obj", "ply"),
-                   default=None)
+    s.add_argument("--format", choices=("obj", "ply"), default=None)
     s.add_argument("--tol-ramification-margin", type=float, default=None)
     s.add_argument("--tol-boundary-margin", type=float, default=None)
     s.add_argument("--no-singular", action="store_true",
@@ -107,42 +91,61 @@ def _build_parser():
     return p
 
 
-def _merged(args, key, cfg_file, default, cast=str):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if cfg_file and key in cfg_file:
-        return cast(cfg_file[key])
-    return default
+class _Options:
+    """Flag values, falling back to the --config file; flags win.
+
+    Config keys are the long flag names without the dashes ("format",
+    "tol-classify"); an underscore may stand for a dash.  check() rejects
+    any key the command did not ask for.
+    """
+
+    def __init__(self, args):
+        self.args, self.asked = args, set()
+        raw = read_config(args.config) if args.config else {}
+        self.file = {k.replace("_", "-"): v for k, v in raw.items()}
+
+    def get(self, key, default=None, cast=str):
+        self.asked.add(key)
+        val = getattr(self.args, key.replace("-", "_"))
+        if val is None and key in self.file:
+            val = cast(self.file[key])
+        return default if val is None else val
+
+    def case(self):
+        text = self.get("case")
+        if text is None:
+            raise SystemExit("error: --case is required (or put case= in "
+                             "the config file)")
+        return text
+
+    def check(self):
+        unknown = sorted(set(self.file) - self.asked)
+        if unknown:
+            raise SystemExit(f"error: unknown key {unknown[0]!r} in "
+                             f"{self.args.config}; expected one of "
+                             f"{', '.join(sorted(self.asked))}")
 
 
 def _job_config(args) -> JobConfig:
-    cfg_file = read_config(args.config) if args.config else {}
-    case_text = _merged(args, "case", cfg_file, None)
-    if case_text is None:
-        raise SystemExit("error: --case is required (or put case= in "
-                         "the config file)")
-    tag, n = parse_case(case_text)
-    words = _merged(args, "words", cfg_file, None)
+    opts = _Options(args)
+    words = opts.get("words")
     if isinstance(words, str):
         words = [w.strip() for w in words.split(",")]
     kwargs = dict(
-        case=tag, n=n or 3,
-        tiles=_merged(args, "tiles", cfg_file, None, int),
+        case=opts.case(),
+        tiles=opts.get("tiles", None, int),
         words=words,
-        resolution=_merged(args, "resolution", cfg_file, 16, int),
-        chart=_merged(args, "chart", cfg_file, "ball"),
-        fmt=_merged(args, "fmt", cfg_file, "obj"),
-        out=_merged(args, "out", cfg_file, None) or "front.obj",
+        resolution=opts.get("resolution", 16, int),
+        chart=opts.get("chart", "ball"),
+        fmt=opts.get("format", "obj"),
+        out=opts.get("out") or "front.obj",
+        ramification_margin=opts.get("tol-ramification-margin",
+                                     JobConfig.ramification_margin, float),
+        boundary_margin=opts.get("tol-boundary-margin",
+                                 JobConfig.boundary_margin, float),
+        with_singular=not args.no_singular,
     )
-    rm = _merged(args, "tol_ramification_margin", cfg_file, None, float)
-    bm = _merged(args, "tol_boundary_margin", cfg_file, None, float)
-    if rm is not None:
-        kwargs["ramification_margin"] = rm
-    if bm is not None:
-        kwargs["boundary_margin"] = bm
-    if getattr(args, "no_singular", False):
-        kwargs["with_singular"] = False
+    opts.check()
     return JobConfig(**kwargs)
 
 
@@ -157,13 +160,12 @@ def cmd_surface(args) -> int:
 
 
 def cmd_singular_locus(args) -> int:
-    cfg_file = read_config(args.config) if args.config else {}
-    case_text = _merged(args, "case", cfg_file, None)
-    if case_text is None:
-        raise SystemExit("error: --case is required")
-    tag, n = parse_case(case_text)
-    e = _exponents(tag, n or 3)
-    tol = _merged(args, "tol_classify", cfg_file, 1e-8, float)
+    opts = _Options(args)
+    case = resolve_case(opts.case())
+    tol = opts.get("tol-classify", 1e-8, float)
+    out = opts.get("out")
+    opts.check()
+    e = case.exponents
     curve = sg.trace_singular_curve(e)
     if not len(curve.samples):
         print("no singular curve found in the default search box")
@@ -175,7 +177,6 @@ def cmd_singular_locus(args) -> int:
                     f"{spc.abs_q:.12g}\t{spc.QRbar2.real:.12g}\t"
                     f"{spc.QRbar2.imag:.12g}")
     text = "\n".join(rows) + "\n"
-    out = _merged(args, "out", cfg_file, None)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -201,12 +202,11 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_tiles(args) -> int:
-    cfg_file = read_config(args.config) if args.config else {}
-    case_text = _merged(args, "case", cfg_file, None)
-    if case_text is None:
-        raise SystemExit("error: --case is required")
-    tag, n = parse_case(case_text)
-    ts = tile_parameter_domain(tag, n, max_count=args.tiles)
+    opts = _Options(args)
+    case = resolve_case(opts.case())
+    max_count = opts.get("tiles", None, int)
+    opts.check()
+    ts = tile_parameter_domain(case.tag, case.n, max_count=max_count)
     print(f"{len(ts.elements)} elements (complete={ts.complete})")
     for g, word in ts.elements:
         label = word if word else "(identity)"

@@ -96,12 +96,14 @@ def exponents_from_mu(mu0, mu1, muInf) -> ExponentData:
 
 @dataclass(frozen=True)
 class CoefficientValue:
-    """q, Q, R of the SL-form coefficient at a point x."""
+    """q, Q, R of the SL-form coefficient at a point x, with Q' and R'."""
 
     q: complex
     Q: complex
     R: complex
     x: complex
+    Qp: complex
+    Rp: complex
 
 
 def q_poly_coeffs(e: ExponentData):
@@ -110,31 +112,34 @@ def q_poly_coeffs(e: ExponentData):
     return (1.0 - mi, mi + m0 - m1 - 1.0, 1.0 - m0)
 
 
-def eval_q(e: ExponentData, x: complex) -> CoefficientValue:
-    """Evaluate q, Q and R at x (x must avoid 0 and 1)."""
-    x = complex(x)
-    if abs(x) < _SING_TOL or abs(x - 1.0) < _SING_TOL:
-        raise SingularPointError(f"x={x} is a singular point of the equation")
+def q_terms(e: ExponentData, x: complex):
+    """(Q, Q', R, R', w, w') at x, with w = x(1-x).
+
+    The one evaluation of the polynomial arithmetic behind eval_q,
+    eval_q_derivatives and the singular-locus function.
+    """
     c2, c1, c0 = q_poly_coeffs(e)
     Q = c0 + c1 * x + c2 * x * x
     Qp = c1 + 2.0 * c2 * x
     w = x * (1.0 - x)
-    R = Qp * w - 2.0 * Q * (1.0 - 2.0 * x)
-    q = -Q / (4.0 * w * w)
-    return CoefficientValue(q, Q, R, x)
+    wp = 1.0 - 2.0 * x
+    R = Qp * w - 2.0 * Q * wp
+    Rp = 2.0 * c2 * w - Qp * wp + 4.0 * Q
+    return Q, Qp, R, Rp, w, wp
+
+
+def eval_q(e: ExponentData, x: complex) -> CoefficientValue:
+    """Evaluate q, Q and R (and Q', R') at x (x must avoid 0 and 1)."""
+    x = complex(x)
+    if abs(x) < _SING_TOL or abs(x - 1.0) < _SING_TOL:
+        raise SingularPointError(f"x={x} is a singular point of the equation")
+    Q, Qp, R, Rp, w, _ = q_terms(e, x)
+    return CoefficientValue(-Q / (4.0 * w * w), Q, R, x, Qp, Rp)
 
 
 def eval_q_derivatives(e: ExponentData, x: complex):
     """Return (Q, Q', R, R') at x; used by the swallowtail criterion."""
-    x = complex(x)
-    c2, c1, c0 = q_poly_coeffs(e)
-    Q = c0 + c1 * x + c2 * x * x
-    Qp = c1 + 2.0 * c2 * x
-    Qpp = 2.0 * c2
-    w = x * (1.0 - x)
-    R = Qp * w - 2.0 * Q * (1.0 - 2.0 * x)
-    Rp = Qpp * w - Qp * (1.0 - 2.0 * x) + 4.0 * Q
-    return Q, Qp, R, Rp
+    return q_terms(e, complex(x))[:4]
 
 
 # --- standardness classification -------------------------------------------

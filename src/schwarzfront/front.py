@@ -22,8 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .equation import ExponentData, eval_q
-from .h3 import (H3Point, HermitianForm, Isometry, hermitian_to_ball,
-                 hyperbolic_distance)
+from .h3 import H3Point, HermitianForm, Isometry, hermitian_to_ball
 
 # evaluation is refused where |dx/dz| is below this (ramification points)
 RAMIFICATION_TOL = 1e-12
@@ -144,11 +143,6 @@ def hermitian_of_solution(U: np.ndarray) -> HermitianForm:
 
 
 # --- isometry matching ------------------------------------------------------
-
-def _rel_residual(Ha: HermitianForm, Hb: HermitianForm) -> float:
-    a, b = Ha.matrix(), Hb.matrix()
-    return float(np.linalg.norm(a - b) / np.linalg.norm(a))
-
 
 def match_isometry(grid_a, grid_b):
     """Find P with H_a ~ P H_b conj(P)^t over two matched H-grids.

@@ -8,7 +8,6 @@ positive-definite 2x2 Hermitian matrices; GL(2,C) acts by H -> P H P*.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,10 +78,6 @@ class HermitianForm:
         if c <= 0:
             raise ValueError("scale must be positive")
         return HermitianForm(c * self.h, c * self.k, c * self.w)
-
-    def transposed(self) -> "HermitianForm":
-        """Orientation-reversing involution H -> H^t."""
-        return HermitianForm(self.h, self.k, self.w.conjugate())
 
 
 @dataclass(frozen=True)

@@ -15,27 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# called through their modules, where bench/spans.py wraps them
+from . import equation as eq
 from . import singular as sg
-from .equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
-                       TAG_OCTAHEDRAL, TAG_TETRAHEDRAL, exponents_from_mu)
+from .cases import resolve_case
+from .equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, SingularPointError
 from .front import RamificationError, eval_front_closed_form
 from .h3 import hermitian_to_ball, hermitian_to_upper_half_space
-from .modular import LambdaInverse, fuchsian_z_from_x
-from .polyhedral import PoleError, PolyhedralInverse, dihedral_z_from_x
+# unused here; kept because bench/spans.py wraps mesh.fuchsian_z_from_x
+from .modular import fuchsian_z_from_x  # noqa: F401
+from .polyhedral import PoleError
 from .tiling import base_triangle, tile_parameter_domain
 
 FLAG_NEAR_SINGULAR = 1
 FLAG_CLIPPED = 2
 
-_MAX_TILES = {TAG_DIHEDRAL: None, TAG_TETRAHEDRAL: 12, TAG_OCTAHEDRAL: 24,
-              TAG_ICOSAHEDRAL: 60, TAG_FUCHSIAN_INF: None}
-
-_FRACTIONS = {"1/2": 0.5}
-
 
 @dataclass
 class JobConfig:
-    case: str = TAG_DIHEDRAL          # tag; dihedral also needs n
+    case: str = TAG_DIHEDRAL          # see cases.resolve_case
     n: int = 3
     tiles: int | None = None          # tile count; None = all enumerable
     words: list | None = None         # explicit word list overrides tiles
@@ -57,7 +55,7 @@ class JobConfig:
             raise ValueError(f"unknown chart {self.chart!r}")
         if self.fmt not in ("obj", "ply"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        cap = _MAX_TILES.get(self.case, None)
+        cap = resolve_case(self.case, self.n).max_tiles
         if self.tiles is not None and cap is not None and self.tiles > cap:
             raise ValueError(f"case {self.case} has at most {cap} tiles")
 
@@ -145,21 +143,6 @@ def sample_triangle(case: str, tile, resolution: int, n: int = 3,
     return zs, np.array(tris, dtype=int)
 
 
-def _inverse_map(case: str, n: int):
-    if case == TAG_FUCHSIAN_INF:
-        return LambdaInverse()
-    return PolyhedralInverse(case, n)
-
-
-def _exponents(case: str, n: int):
-    if case == TAG_FUCHSIAN_INF:
-        return exponents_from_mu(0, 0, 0)
-    from fractions import Fraction as Fr
-    k = {TAG_DIHEDRAL: (2, 2, n), TAG_TETRAHEDRAL: (2, 3, 3),
-         TAG_OCTAHEDRAL: (3, 2, 4), TAG_ICOSAHEDRAL: (3, 2, 5)}[case]
-    return exponents_from_mu(Fr(1, k[0]), Fr(1, k[1]), Fr(1, k[2]))
-
-
 def _chart_point(H, chart: str):
     if chart == "ball":
         return np.asarray(hermitian_to_ball(H).coords, dtype=float)
@@ -168,18 +151,9 @@ def _chart_point(H, chart: str):
     return np.array([z.real, z.imag, t])
 
 
-def _z_from_x(case: str, n: int, x: complex) -> complex:
-    if case == TAG_DIHEDRAL:
-        return dihedral_z_from_x(n, x)
-    if case == TAG_FUCHSIAN_INF:
-        return fuchsian_z_from_x(x)
-    raise ValueError(f"no parameter inverse for case {case}")
-
-
 def build_mesh(cfg: JobConfig) -> SurfaceMesh:
-    inv = _inverse_map(cfg.case, cfg.n)
-    e = _exponents(cfg.case, cfg.n)
-    tiles = tile_parameter_domain(cfg.case, cfg.n,
+    case = resolve_case(cfg.case, cfg.n)
+    tiles = tile_parameter_domain(case.tag, case.n,
                                   max_count=cfg.tiles,
                                   max_word_length=cfg.max_word_length)
     chosen = tiles.elements
@@ -193,7 +167,7 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
 
     verts, zsrc, xsrc, flags, faces = [], [], [], [], []
     for g, word in chosen:
-        zs, tris = sample_triangle(cfg.case, g, cfg.resolution, cfg.n,
+        zs, tris = sample_triangle(case.tag, g, cfg.resolution, case.n,
                                    cfg.ramification_margin,
                                    cfg.boundary_margin, cfg.fuchsian_height)
         base = len(verts)
@@ -201,7 +175,7 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
         for idx, z in enumerate(zs):
             flag = 0
             try:
-                fv = eval_front_closed_form(inv, z)
+                fv = eval_front_closed_form(case.inverse, z)
                 p = _chart_point(fv.H, cfg.chart)
             except (PoleError, RamificationError, ValueError):
                 ok[idx] = False
@@ -210,11 +184,10 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
                 flag = FLAG_CLIPPED
             if fv is not None:
                 try:
-                    from .equation import eval_q
-                    if abs(abs(eval_q(e, fv.x).q) - 1.0) \
+                    if abs(abs(eq.eval_q(case.exponents, fv.x).q) - 1.0) \
                        < cfg.near_singular_tol:
                         flag |= FLAG_NEAR_SINGULAR
-                except Exception:
+                except SingularPointError:
                     pass
             verts.append(p)
             zsrc.append(complex(z))
@@ -231,31 +204,29 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
                        flags=np.array(flags, dtype=int),
                        chart=cfg.chart)
 
-    if cfg.with_singular and cfg.case in (TAG_DIHEDRAL, TAG_FUCHSIAN_INF):
-        _attach_singular_overlay(mesh, cfg, inv, e)
+    if cfg.with_singular and case.z_from_x is not None:
+        _attach_singular_overlay(mesh, cfg.chart, case)
     return mesh
 
 
-def _attach_singular_overlay(mesh: SurfaceMesh, cfg: JobConfig, inv, e):
+def _attach_singular_overlay(mesh: SurfaceMesh, chart: str, case):
+    e = case.exponents
     curve = sg.trace_singular_curve(e)
     if not len(curve.samples):
         return
     pts = []
     for x in curve.samples[::5]:
         try:
-            z = _z_from_x(cfg.case, cfg.n, x)
-            fv = eval_front_closed_form(inv, z)
-            pts.append(_chart_point(fv.H, cfg.chart))
+            fv = eval_front_closed_form(case.inverse, case.z_from_x(x))
+            pts.append(_chart_point(fv.H, chart))
         except (ValueError, PoleError, RamificationError):
             continue
     if pts:
         mesh.polylines.append(("cuspidal-edge", np.array(pts)))
     for spc in sg.find_swallowtails(e, curve):
         try:
-            z = _z_from_x(cfg.case, cfg.n, spc.x)
-            fv = eval_front_closed_form(inv, z)
-            mesh.markers.append(("swallowtail",
-                                 _chart_point(fv.H, cfg.chart)))
+            fv = eval_front_closed_form(case.inverse, case.z_from_x(spc.x))
+            mesh.markers.append(("swallowtail", _chart_point(fv.H, chart)))
         except (ValueError, PoleError, RamificationError):
             continue
 

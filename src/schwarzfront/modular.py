@@ -59,52 +59,49 @@ class ThetaValues:
     order: int
 
 
-class ThetaEngine:
-    """Truncated q-series evaluator for the theta constants and E2."""
+def _truncation_order(z: complex) -> int:
+    # first omitted theta term has exponent ~ 2 M^2; require
+    # |q|^(2 M^2) < _TAIL
+    t = math.pi * z.imag / 2.0  # -log|q|
+    m = math.sqrt(-math.log(_TAIL) / (2.0 * t))
+    return max(4, int(math.ceil(m)) + 2)
 
-    def __init__(self, tail: float = _TAIL, min_im: float = MIN_IM):
-        self.tail = tail
-        self.min_im = min_im
 
-    def truncation_order(self, z: complex) -> int:
-        # first omitted theta term has exponent ~ 2 M^2; require
-        # |q|^(2 M^2) < tail
-        t = math.pi * z.imag / 2.0  # -log|q|
-        m = math.sqrt(-math.log(self.tail) / (2.0 * t))
-        return max(4, int(math.ceil(m)) + 2)
+def theta_values(z: complex, order: int | None = None) -> ThetaValues:
+    """Truncated q-series for the theta constants and their q d/dq."""
+    z = _require_upper(z)
+    if z.imag < MIN_IM:
+        raise DomainError(
+            f"Im z = {z.imag} below series floor {MIN_IM}; "
+            "reduce to the fundamental domain first")
+    m = order if order is not None else _truncation_order(z)
+    q = cmath.exp(0.5j * math.pi * z)
+    n = np.arange(-m, m + 1)
+    e2 = (2 * n - 1) ** 2 / 2.0
+    e3 = 2.0 * n ** 2
+    q2 = q ** e2
+    q3 = q ** e3
+    sgn = np.where(n % 2 == 0, 1.0, -1.0)
+    return ThetaValues(
+        theta2=np.sum(q2), theta3=np.sum(q3), theta0=np.sum(sgn * q3),
+        theta2p=np.sum(e2 * q2), theta3p=np.sum(e3 * q3),
+        theta0p=np.sum(sgn * e3 * q3), order=m)
 
-    def theta_values(self, z: complex, order: int | None = None) -> ThetaValues:
-        z = _require_upper(z)
-        if z.imag < self.min_im:
-            raise DomainError(
-                f"Im z = {z.imag} below series floor {self.min_im}; "
-                "reduce to the fundamental domain first")
-        m = order if order is not None else self.truncation_order(z)
-        q = cmath.exp(0.5j * math.pi * z)
-        n = np.arange(-m, m + 1)
-        e2 = (2 * n - 1) ** 2 / 2.0
-        e3 = 2.0 * n ** 2
-        q2 = q ** e2
-        q3 = q ** e3
-        sgn = np.where(n % 2 == 0, 1.0, -1.0)
-        return ThetaValues(
-            theta2=np.sum(q2), theta3=np.sum(q3), theta0=np.sum(sgn * q3),
-            theta2p=np.sum(e2 * q2), theta3p=np.sum(e3 * q3),
-            theta0p=np.sum(sgn * e3 * q3), order=m)
 
-    def e2(self, z: complex) -> complex:
-        z = _require_upper(z)
-        if z.imag < self.min_im:
-            raise DomainError(f"Im z = {z.imag} below series floor")
-        q4 = cmath.exp(2j * math.pi * z)
-        if abs(q4) == 0.0:
-            return 1.0 + 0.0j
-        t = -math.log(abs(q4))
-        nmax = max(4, int(math.ceil(-math.log(self.tail) / t)) + 2)
-        total = 0.0 + 0.0j
-        for n in range(1, nmax + 1):
-            total += _sigma1(n) * q4 ** n
-        return 1.0 - 24.0 * total
+def eisenstein_e2(z: complex) -> complex:
+    """Truncated q-series for E2."""
+    z = _require_upper(z)
+    if z.imag < MIN_IM:
+        raise DomainError(f"Im z = {z.imag} below series floor")
+    q4 = cmath.exp(2j * math.pi * z)
+    if abs(q4) == 0.0:
+        return 1.0 + 0.0j
+    t = -math.log(abs(q4))
+    nmax = max(4, int(math.ceil(-math.log(_TAIL) / t)) + 2)
+    total = 0.0 + 0.0j
+    for n in range(1, nmax + 1):
+        total += _sigma1(n) * q4 ** n
+    return 1.0 - 24.0 * total
 
 
 def _sigma1(n: int) -> int:
@@ -117,17 +114,6 @@ def _sigma1(n: int) -> int:
                 s += n // d
         d += 1
     return s
-
-
-_DEFAULT_ENGINE = ThetaEngine()
-
-
-def theta_values(z: complex, order: int | None = None) -> ThetaValues:
-    return _DEFAULT_ENGINE.theta_values(z, order)
-
-
-def eisenstein_e2(z: complex) -> complex:
-    return _DEFAULT_ENGINE.e2(z)
 
 
 # --- reduction to the fundamental domain -----------------------------------
@@ -170,18 +156,13 @@ def _mobius(mat, t: complex) -> complex:
 class LambdaInverse:
     """Inverse Schwarz map x = lambda(z) with first two z-derivatives."""
 
-    def __init__(self, engine: ThetaEngine | None = None):
-        self.engine = engine or _DEFAULT_ENGINE
-        self.tag = "fuchsian-inf-inf-inf"
-        self.case_name = "fuchsian"
-
     def eval(self, z: complex):
         z = _require_upper(z)
         w, m, phi = _reduce_to_fundamental(z)
-        tv = self.engine.theta_values(w)
+        tv = theta_values(w)
         lam = (tv.theta0 / tv.theta3) ** 4
         t2_4 = tv.theta2 ** 4
-        e2 = self.engine.e2(w)
+        e2 = eisenstein_e2(w)
         lam_p = -2.0 * t2_4 * lam
         ratio = (2.0 / 3.0) * e2 + (2.0 / 3.0) * (tv.theta0 ** 4
                                                   + tv.theta3 ** 4) - 2.0 * t2_4

@@ -41,12 +41,9 @@ class PolyhedralData:
     f0, f1, fInf are coefficient arrays, highest degree first.
     """
 
-    tag: str
-    n: int | None
     k0: int
     k1: int
     kInf: int
-    N: int
     A0: float
     A1: float
     A: float
@@ -54,7 +51,6 @@ class PolyhedralData:
     f1: np.ndarray
     fInf: np.ndarray
     pole_roots: np.ndarray = field(repr=False, default=None)
-    branch_roots: np.ndarray = field(repr=False, default=None)
 
 
 def _expand(factors) -> np.ndarray:
@@ -72,7 +68,7 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
         f0 = np.array([1.0] + [0.0] * (n - 1) + [1.0])
         f1 = np.array([1.0] + [0.0] * (n - 1) + [-1.0])
         fi = np.array([1.0, 0.0])
-        data = dict(k0=2, k1=2, kInf=n, N=2 * n,
+        data = dict(k0=2, k1=2, kInf=n,
                     A0=0.25, A1=-0.25, A=n / 4.0, f0=f0, f1=f1, fInf=fi)
     elif tag == TAG_TETRAHEDRAL:
         f0 = np.array([1.0, 0, 0, 0, 1.0, 0])      # z (z^4 + 1)
@@ -82,7 +78,7 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
                                         [1, 0, 2 + _SQRT3]]))
         assert np.allclose(fi, _expand([[1, 0, -2 - _SQRT3],
                                         [1, 0, 2 - _SQRT3]]))
-        data = dict(k0=2, k1=3, kInf=3, N=12,
+        data = dict(k0=2, k1=3, kInf=3,
                     A0=-12 * _SQRT3, A1=1.0, A=24 * _SQRT3,
                     f0=f0, f1=f1, fInf=fi)
     elif tag == TAG_OCTAHEDRAL:
@@ -93,7 +89,7 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
         assert np.allclose(f1, _expand([[1, 0, 0, 0, 1], [1, 2, -1],
                                         [1, -2, -1], [1, 0, 6, 0, 1]]))
         assert np.allclose(fi, _expand([[1, 0], [1, 0, 1], [1, 0, -1]]))
-        data = dict(k0=3, k1=2, kInf=4, N=24,
+        data = dict(k0=3, k1=2, kInf=4,
                     A0=1.0 / 108, A1=-1.0 / 108, A=1.0 / 27,
                     f0=f0, f1=f1, fInf=fi)
     elif tag == TAG_ICOSAHEDRAL:
@@ -115,17 +111,13 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
         fi_exp[[0, 5, 10]] = [1, 11, -1]
         assert np.allclose(f0, f0_exp) and np.allclose(f1, f1_exp)
         assert np.allclose(fi, fi_exp)
-        data = dict(k0=3, k1=2, kInf=5, N=60,
+        data = dict(k0=3, k1=2, kInf=5,
                     A0=-1.0 / 1728, A1=1.0 / 1728, A=-5.0 / 1728,
                     f0=f0, f1=f1, fInf=fi)
     else:
         raise ValueError(f"not a polyhedral tag: {tag!r}")
 
-    pole_roots = np.roots(data["fInf"])
-    branch_roots = np.concatenate([np.roots(data["f0"]), np.roots(data["f1"])])
-    return PolyhedralData(tag=tag, n=n if tag == TAG_DIHEDRAL else None,
-                          pole_roots=pole_roots, branch_roots=branch_roots,
-                          **data)
+    return PolyhedralData(pole_roots=np.roots(data["fInf"]), **data)
 
 
 def eval_polyhedral_x(d: PolyhedralData, z: complex):
@@ -159,8 +151,6 @@ class PolyhedralInverse:
 
     def __init__(self, tag: str, n: int | None = None):
         self.data = build_polyhedral(tag, n)
-        self.tag = tag
-        self.case_name = tag if n is None else f"{tag}:{n}"
 
     def eval(self, z: complex):
         return eval_polyhedral_x(self.data, z)

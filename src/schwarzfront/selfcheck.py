@@ -12,7 +12,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction as Fr
 
 import numpy as np
 import sympy as sp
@@ -20,17 +19,16 @@ import sympy as sp
 from . import front as fr
 from . import mesh as ms
 from . import singular as sg
+from .cases import resolve_case
 from .elimination import S, V, fuchsian_elimination, swallowtail_t_exact
-from .equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
-                       TAG_OCTAHEDRAL, TAG_TETRAHEDRAL, eval_q,
-                       eval_q_derivatives, exponents_from_mu)
+from .equation import eval_q, eval_q_derivatives
 from .h3 import (H3Point, ball_to_lorentz, hermitian_to_ball,
                  hermitian_to_lorentz, hermitian_to_upper_half_space,
                  lorentz_to_ball, lorentz_to_hermitian,
                  upper_half_space_to_hermitian)
-from .modular import (LambdaInverse, eval_lambda, fuchsian_z_from_x,
+# fuchsian_z_from_x is unused here; bench/spans.py wraps it under this name
+from .modular import (eval_lambda, fuchsian_z_from_x,  # noqa: F401
                       lambda_series_coeffs, theta_values)
-from .polyhedral import PolyhedralInverse, build_polyhedral, dihedral_z_from_x
 from .tiling import tile_parameter_domain
 
 
@@ -50,20 +48,10 @@ class CheckResult:
                 + (f" | {self.detail}" if self.detail else ""))
 
 
-_POLY_CASES = [(TAG_DIHEDRAL, 1), (TAG_DIHEDRAL, 2), (TAG_DIHEDRAL, 3),
-               (TAG_DIHEDRAL, 4), (TAG_DIHEDRAL, 5), (TAG_DIHEDRAL, 6),
-               (TAG_TETRAHEDRAL, None), (TAG_OCTAHEDRAL, None),
-               (TAG_ICOSAHEDRAL, None)]
-
-_K_OF = {TAG_DIHEDRAL: None, TAG_TETRAHEDRAL: (2, 3, 3),
-         TAG_OCTAHEDRAL: (3, 2, 4), TAG_ICOSAHEDRAL: (3, 2, 5)}
-
-
-def _exponents(tag, n):
-    if tag == TAG_FUCHSIAN_INF:
-        return exponents_from_mu(0, 0, 0)
-    k = (2, 2, n) if tag == TAG_DIHEDRAL else _K_OF[tag]
-    return exponents_from_mu(Fr(1, k[0]), Fr(1, k[1]), Fr(1, k[2]))
+_POLY_CASES = ([f"dihedral:{n}" for n in range(1, 7)]
+               + ["tetra", "octa", "icosa"])
+# one case per family, for the checks of the front itself
+_FRONT_CASES = ["dihedral:3", "tetra", "octa", "icosa", "fuchsian"]
 
 
 def check_theta_identity() -> CheckResult:
@@ -104,8 +92,8 @@ def check_lambda_derivatives() -> CheckResult:
 def check_partition_of_unity() -> CheckResult:
     rng = np.random.default_rng(7)
     worst = 0.0
-    for tag, n in _POLY_CASES:
-        d = build_polyhedral(tag, n)
+    for name in _POLY_CASES:
+        d = resolve_case(name).inverse.data
         for _ in range(100):
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             t0 = d.A0 * np.polyval(d.f0, z) ** d.k0
@@ -120,9 +108,9 @@ def check_partition_of_unity() -> CheckResult:
 def check_dx_dz() -> CheckResult:
     rng = np.random.default_rng(13)
     worst = 0.0
-    for tag, n in _POLY_CASES:
-        d = build_polyhedral(tag, n)
-        inv = PolyhedralInverse(tag, n)
+    for name in _POLY_CASES:
+        inv = resolve_case(name).inverse
+        d = inv.data
         num = d.A0 * np.poly1d(d.f0) ** d.k0
         den = np.poly1d(d.fInf) ** d.kInf
         dnum, dden = np.polyder(num), np.polyder(den)
@@ -139,25 +127,16 @@ def check_dx_dz() -> CheckResult:
                        worst, 1e-10, worst < 1e-10)
 
 
-def _inverse_of(tag, n):
-    if tag == TAG_FUCHSIAN_INF:
-        return LambdaInverse()
-    return PolyhedralInverse(tag, n)
-
-
 def check_representation_formula() -> CheckResult:
     rng = np.random.default_rng(17)
     h = 1e-6
     worst_det, worst_ode = 0.0, 0.0
-    cases = [(TAG_DIHEDRAL, 3), (TAG_TETRAHEDRAL, None),
-             (TAG_OCTAHEDRAL, None), (TAG_ICOSAHEDRAL, None),
-             (TAG_FUCHSIAN_INF, None)]
-    for tag, n in cases:
-        inv = _inverse_of(tag, n)
-        e = _exponents(tag, n)
+    for name in _FRONT_CASES:
+        case = resolve_case(name)
+        inv, e = case.inverse, case.exponents
         count = 0
         while count < 100:
-            if tag == TAG_FUCHSIAN_INF:
+            if case.max_tiles is None:  # infinite group: upper half-plane
                 z = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.5, 1.5))
             else:
                 z = rng.uniform(0.2, 0.9) * cmath.exp(
@@ -183,10 +162,8 @@ def check_representation_formula() -> CheckResult:
                        detail=f"det={worst_det:.3g} ode={worst_ode:.3g}")
 
 
-def _oracle_grid(tag, n, count):
+def _oracle_grid(case, count):
     """x targets in a disk star-shaped around the basepoint, away from 0, 1."""
-    e = _exponents(tag, n)
-    inv = _inverse_of(tag, n)
     center = 0.5 + 0.45j
     radius = 0.3
     xs = [center]
@@ -199,15 +176,12 @@ def _oracle_grid(tag, n, count):
     Ha, Hb = [], []
     x0 = xs[0]
     for x in xs:
-        if tag == TAG_DIHEDRAL:
-            z = dihedral_z_from_x(n, x)
-        else:
-            z = fuchsian_z_from_x(x)
-        Ha.append(fr.eval_front_closed_form(inv, z).H)
+        z = case.z_from_x(x)
+        Ha.append(fr.eval_front_closed_form(case.inverse, z).H)
         if abs(x - x0) < 1e-12:
             U = np.eye(2, dtype=complex)
         else:
-            U = fr.integrate_sl_form(e, [x0, x]).U
+            U = fr.integrate_sl_form(case.exponents, [x0, x]).U
         Hb.append(fr.hermitian_of_solution(U))
     return Ha, Hb
 
@@ -215,17 +189,20 @@ def _oracle_grid(tag, n, count):
 def check_oracle_equivalence(count: int = 200) -> CheckResult:
     worst = 0.0
     details = []
-    for tag, n in ((TAG_DIHEDRAL, 3), (TAG_FUCHSIAN_INF, None)):
-        Ha, Hb = _oracle_grid(tag, n, count)
+    for name in _FRONT_CASES:
+        case = resolve_case(name)
+        if case.z_from_x is None:       # no x -> z preimage to compare
+            continue
+        Ha, Hb = _oracle_grid(case, count)
         _, resid = fr.match_isometry(Ha, Hb)
-        details.append(f"{tag}:{resid:.3g}")
+        details.append(f"{case.tag}:{resid:.3g}")
         worst = max(worst, resid)
     return CheckResult(7, "closed form vs ODE oracle", worst, 1e-6,
                        worst < 1e-6, detail=" ".join(details))
 
 
 def check_fuchsian_swallowtail() -> CheckResult:
-    e = exponents_from_mu(0, 0, 0)
+    e = resolve_case("fuchsian").exponents
     t_star = swallowtail_t_exact()
     x_newton = sg.swallowtail_by_newton(e, 0.5 + 0.35j)
     gap = abs(x_newton - complex(0.5, t_star))
@@ -258,7 +235,7 @@ def check_elimination() -> CheckResult:
 
 
 def check_dihedral_curve() -> CheckResult:
-    e = _exponents(TAG_DIHEDRAL, 3)
+    e = resolve_case("dihedral:3").exponents
     curve = sg.trace_singular_curve(e)
     asym = 0.0
     for x in curve.samples[::3]:
@@ -293,7 +270,7 @@ def check_local_models() -> CheckResult:
 
 def check_end_behavior() -> CheckResult:
     from .h3 import NotPositiveDefiniteError
-    inv = PolyhedralInverse(TAG_DIHEDRAL, 3)
+    inv = resolve_case("dihedral:3").inverse
     rays = [
         [0.02 * cmath.exp(0.3j) * (0.82 ** k) for k in range(60)],
         [1.0 + 0.05 * cmath.exp(2.0j) * (0.82 ** k) for k in range(60)],
@@ -339,8 +316,9 @@ def check_geometry_roundtrips() -> CheckResult:
                 hermitian_to_lorentz(H)))))
         worst = max(worst, abs(q.coords[0] - z), abs(q.coords[1] - t))
     # monodromy equivariance per tile
-    inv = PolyhedralInverse(TAG_DIHEDRAL, 3)
-    tiles = tile_parameter_domain(TAG_DIHEDRAL, 3)
+    case = resolve_case("dihedral:3")
+    inv = case.inverse
+    tiles = tile_parameter_domain(case.tag, case.n)
     zs = [0.55 * cmath.exp(1j * (0.15 + 0.1 * k)) for k in range(8)]
     Ha = [fr.eval_front_closed_form(inv, z).H for z in zs]
     worst_tile = 0.0
@@ -357,7 +335,7 @@ def check_geometry_roundtrips() -> CheckResult:
 
 
 def check_export_roundtrip() -> CheckResult:
-    cfg = ms.JobConfig(case=TAG_DIHEDRAL, n=3, tiles=2, resolution=8,
+    cfg = ms.JobConfig(case="dihedral:3", tiles=2, resolution=8,
                        with_singular=False)
     mesh = ms.build_mesh(cfg)
     ok = True

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .equation import ExponentData, eval_q, eval_q_derivatives, q_poly_coeffs
+from .equation import ExponentData, eval_q, eval_q_derivatives, q_terms
 from .h3 import hyperbolic_distance, hermitian_to_lorentz
 
 CURVE_TOL = 1e-10          # |f| on every accepted curve sample
@@ -51,11 +51,7 @@ class TracedCurve:
 
 def _f_and_grad(e: ExponentData, x: complex):
     """f = |Q|^2 - 16|x(1-x)|^4 and its gradient in (Re x, Im x)."""
-    c2, c1, c0 = q_poly_coeffs(e)
-    Q = c0 + c1 * x + c2 * x * x
-    Qp = c1 + 2.0 * c2 * x
-    g = x * (1.0 - x)
-    gp = 1.0 - 2.0 * x
+    Q, Qp, _, _, g, gp = q_terms(e, x)
     f = abs(Q) ** 2 - 16.0 * abs(g) ** 4
     a = Q.conjugate() * Qp
     b = g.conjugate() * gp
@@ -72,9 +68,8 @@ def _is_nonpositive_real(z: complex, tol: float = NONPOS_REAL_TOL) -> bool:
 def classify_point(e: ExponentData, x: complex,
                    tol: float = 1e-8) -> SingularPointClass:
     """Classify x against the front singularity criteria."""
-    x = complex(x)
     cv = eval_q(e, x)
-    Q, Qp, R, Rp = eval_q_derivatives(e, x)
+    x, Q, Qp, R, Rp = cv.x, cv.Q, cv.Qp, cv.R, cv.Rp
     zeta = Q ** 3 * R.conjugate() ** 2
     g = x * (1.0 - x)
     sw = (2.0 * abs(R) ** 4

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,7 @@ def reflection_triple(tag: str, n: int | None = None):
 @dataclass
 class TileSet:
     elements: list  # list of (Mobius, label)
-    complete: bool  # False when the depth limit cut enumeration short
+    complete: bool  # False when a limit cut enumeration short
 
 
 def _probe_points(tag: str):
@@ -179,24 +179,21 @@ def tile_parameter_domain(tag: str, n: int | None = None,
     out.append((ident, ""))
     queue = deque([(ident, "", 0)])
     complete = True
-    while queue:
+    while queue and complete:
         g, word, depth = queue.popleft()
-        if max_count is not None and len(out) >= max_count:
-            break
-        if depth >= max_word_length:
-            complete = False
-            continue
         for h, hw in gens:
             gh = h.compose(g)
-            if not known(gh):
-                out.append((gh, word + hw))
-                queue.append((gh, word + hw, depth + 1))
-                if max_count is not None and len(out) >= max_count:
-                    break
-    if max_count is not None:
-        out = out[:max_count]
-        if len(out) < max_count:
-            complete = False
+            if known(gh):
+                continue
+            if depth >= max_word_length or \
+               (max_count is not None and len(out) >= max_count):
+                # a new element exists beyond a limit: enumeration is cut
+                complete = False
+                break
+            out.append((gh, word + hw))
+            queue.append((gh, word + hw, depth + 1))
+    if max_count is not None and len(out) > max_count:
+        out, complete = out[:max_count], False
     return TileSet(elements=out, complete=complete)
 
 

@@ -78,6 +78,11 @@ def test_job_config_validation():
         mesh.JobConfig(fmt="stl")
     with pytest.raises(ValueError):
         mesh.JobConfig(case="tetrahedral", tiles=100)
+    with pytest.raises(ValueError, match="unknown case"):
+        mesh.JobConfig(case="cube")
+    with pytest.raises(ValueError, match="at most 6 tiles"):
+        mesh.JobConfig(case=TAG_DIHEDRAL, n=3, tiles=7)
+    assert mesh.JobConfig(case="dihedral:3", tiles=6).tiles == 6
 
 
 # --- mesh construction ---------------------------------------------------
@@ -172,10 +177,10 @@ def test_parse_case():
     assert cli.parse_case("dihedral:5") == (TAG_DIHEDRAL, 5)
     assert cli.parse_case("fuchsian")[0] == TAG_FUCHSIAN_INF
     import argparse
-    with pytest.raises(argparse.ArgumentTypeError):
-        cli.parse_case("dihedral")
-    with pytest.raises(argparse.ArgumentTypeError):
-        cli.parse_case("cube")
+    for bad in ("dihedral", "cube", "dihedral:0", "dihedral:x", "tetra:3",
+                ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_case(bad)
 
 
 def test_cli_tiles(capsys):
@@ -219,3 +224,22 @@ def test_read_config_rejects_malformed(tmp_path):
     bad.write_text("resolution\n")
     with pytest.raises(ValueError):
         cli.read_config(str(bad))
+
+
+def test_cli_config_file_format_key(tmp_path):
+    # the README's job.cfg, with no --format flag on the command line
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("# job.cfg\ncase=dihedral:3\nresolution=8\ntiles=1\n"
+                   "format=ply\n")
+    out = tmp_path / "front.ply"
+    assert cli.main(["surface", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().startswith("ply\n")
+
+
+def test_cli_config_file_rejects_unknown_key(tmp_path):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("case=dihedral:3\nresolutoin=8\n")
+    out = tmp_path / "front.obj"
+    with pytest.raises(SystemExit, match="unknown key 'resolutoin'"):
+        cli.main(["surface", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()

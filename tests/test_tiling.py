@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from schwarzfront import cli
 from schwarzfront.modular import eval_lambda
 from schwarzfront.polyhedral import PolyhedralInverse
 from schwarzfront.tiling import (BaseTriangle, Mobius, Reflection,
@@ -99,3 +100,22 @@ def test_reflection_circle_fixes_its_circle():
     for th in (0.2, 1.1, 2.5):
         z = -0.5 + 1.25 * cmath.exp(1j * th)
         assert abs(refl(z) - z) < 1e-12
+
+
+def test_complete_only_when_no_limit_cut_enumeration():
+    # a count above the group order lists the whole group
+    ts = tile_parameter_domain("dihedral", 3, max_count=100)
+    assert len(ts.elements) == 6 and ts.complete
+    assert tile_parameter_domain("icosahedral", max_count=60).complete
+    # a count or a depth below what the group needs cuts it short
+    assert not tile_parameter_domain("icosahedral", max_count=40).complete
+    assert not tile_parameter_domain("icosahedral",
+                                     max_word_length=1).complete
+    assert not tile_parameter_domain("fuchsian-inf-inf-inf",
+                                     max_count=25).complete
+
+
+def test_cli_tiles_reports_complete_group(capsys):
+    assert cli.main(["tiles", "--case", "dihedral:3", "--tiles", "100"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "6 elements (complete=True)"
