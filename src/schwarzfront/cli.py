@@ -62,7 +62,7 @@ def _build_parser():
     s = sub.add_parser("surface", help="build and export a surface mesh")
     common(s)
     s.add_argument("--tiles", type=int, default=None,
-                   help="number of tiles (default: all enumerable)")
+                   help="number of tiles (default: all of a finite group)")
     s.add_argument("--words", default=None,
                    help="comma-separated tile words, e.g. ',21,31'")
     s.add_argument("--resolution", type=int, default=None)
@@ -87,7 +87,7 @@ def _build_parser():
     t = sub.add_parser("tiles", help="list group elements for a case")
     common(t)
     t.add_argument("--tiles", type=int, default=None,
-                   help="stop after this many elements")
+                   help="stop after this many elements (fuchsian needs it)")
     return p
 
 
@@ -146,7 +146,10 @@ def _job_config(args) -> JobConfig:
         with_singular=not args.no_singular,
     )
     opts.check()
-    return JobConfig(**kwargs)
+    try:
+        return JobConfig(**kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def cmd_surface(args) -> int:
@@ -206,6 +209,11 @@ def cmd_tiles(args) -> int:
     case = resolve_case(opts.case())
     max_count = opts.get("tiles", None, int)
     opts.check()
+    if max_count is not None and max_count < 1:
+        raise SystemExit(f"error: --tiles must be >= 1, got {max_count}")
+    if max_count is None and case.max_tiles is None:
+        raise SystemExit(f"error: case {opts.case()} has infinitely many "
+                         f"tiles; give --tiles N")
     ts = tile_parameter_domain(case.tag, case.n, max_count=max_count)
     print(f"{len(ts.elements)} elements (complete={ts.complete})")
     for g, word in ts.elements:

@@ -15,6 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .arrays import clip
+
 INF = math.inf
 
 # tolerance on 1/|mu| for recognizing an integer order from floats
@@ -128,18 +132,21 @@ def q_terms(e: ExponentData, x: complex):
     return Q, Qp, R, Rp, w, wp
 
 
-def eval_q(e: ExponentData, x: complex) -> CoefficientValue:
-    """Evaluate q, Q and R (and Q', R') at x (x must avoid 0 and 1)."""
-    x = complex(x)
-    if abs(x) < _SING_TOL or abs(x - 1.0) < _SING_TOL:
-        raise SingularPointError(f"x={x} is a singular point of the equation")
+@np.errstate(invalid="ignore")    # NaN marks clipped points
+def eval_q(e: ExponentData, x) -> CoefficientValue:
+    """q, Q, R, Q', R' at x (scalar or array); within _SING_TOL of 0 or 1,
+    SingularPointError or NaN (see arrays.clip)."""
+    x = np.asarray(x, complex) if isinstance(x, np.ndarray) else complex(x)
+    x, = clip((abs(x) < _SING_TOL) | (abs(x - 1.0) < _SING_TOL),
+              getattr(x, "shape", ()), SingularPointError,
+              lambda: f"x={x} is a singular point of the equation", x)
     Q, Qp, R, Rp, w, _ = q_terms(e, x)
     return CoefficientValue(-Q / (4.0 * w * w), Q, R, x, Qp, Rp)
 
 
-def eval_q_derivatives(e: ExponentData, x: complex):
-    """Return (Q, Q', R, R') at x; used by the swallowtail criterion."""
-    return q_terms(e, complex(x))[:4]
+def eval_q_derivatives(e: ExponentData, x):
+    """(Q, Q', R, R') at x (scalar or array), for the swallowtail test."""
+    return q_terms(e, x if isinstance(x, np.ndarray) else complex(x))[:4]
 
 
 # --- standardness classification -------------------------------------------

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .arrays import clip, flat, unflat
 from .equation import ExponentData, eval_q
 from .h3 import H3Point, HermitianForm, Isometry, hermitian_to_ball
 
@@ -46,10 +46,13 @@ class FrontValue:
     x: complex
 
 
-def front_hermitian(z: complex, xd: complex, xdd: complex) -> HermitianForm:
-    """H of the front from z, x' and x'' (branch-free closed form)."""
-    if abs(xd) < RAMIFICATION_TOL:
-        raise RamificationError(f"dx/dz vanishes at z={z}")
+@np.errstate(invalid="ignore")    # NaN marks clipped points
+def front_hermitian(z, xd, xdd) -> HermitianForm:
+    """H of the front from z, x', x'' (branch-free closed form), scalars or
+    arrays; where |x'| < RAMIFICATION_TOL, RamificationError or NaN."""
+    shape, z, xd, xdd = np.shape(z), flat(z), flat(xd), flat(xdd)
+    xd, = clip(abs(xd) < RAMIFICATION_TOL, shape, RamificationError,
+               lambda: f"dx/dz vanishes at z={z[0]}", xd)
     r = xdd / xd
     ax = abs(xd)
     a = 1.0 + 0.5 * z * r
@@ -57,12 +60,12 @@ def front_hermitian(z: complex, xd: complex, xdd: complex) -> HermitianForm:
     k = (ax ** 2 + 0.25 * abs(r) ** 2) / ax
     w = (z.conjugate() * ax ** 2
          + 0.5 * (1.0 + 0.5 * z.conjugate() * r.conjugate()) * r) / ax
-    return HermitianForm(h, k, w)
+    return HermitianForm(*unflat(shape, h, k, w))
 
 
-def eval_front_closed_form(inv, z: complex) -> FrontValue:
-    """Front value at z for an inverse-map evaluator `inv`."""
-    z = complex(z)
+def eval_front_closed_form(inv, z) -> FrontValue:
+    """Front value at z (a point or an array) for an inverse-map evaluator
+    `inv`; points where inv or the front fails are NaN in an array."""
     x, xd, xdd = inv.eval(z)
     return FrontValue(front_hermitian(z, xd, xdd), z, x)
 
@@ -99,6 +102,10 @@ def integrate_sl_form(e: ExponentData, path, U0=None) -> FundamentalSolution:
     U0 defaults to the identity; det U0 must be 1.  The path must keep
     distance >= PATH_MARGIN from x = 0 and x = 1.
     """
+    # imported here: scipy.integrate takes most of the package's import
+    # time, and only this oracle needs it
+    from scipy.integrate import solve_ivp
+
     path = [complex(p) for p in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
@@ -220,8 +227,7 @@ def match_isometry(grid_a, grid_b):
 
 @dataclass
 class EndProbe:
-    points: list           # ball-chart H3Point along the ray
-    norms: np.ndarray
+    norms: np.ndarray      # of the ball-chart points along the ray
     monotone_tail: bool
     limit: np.ndarray | None   # Cauchy limit estimate, None if not converged
 
@@ -234,11 +240,8 @@ def end_behavior_probe(inv, zs, tail_fraction: float = 0.5,
     increase monotonically on the tail and that the boundary point
     converges (Cauchy within cauchy_tol).
     """
-    pts = []
-    for z in zs:
-        fv = eval_front_closed_form(inv, z)
-        pts.append(hermitian_to_ball(fv.H))
-    coords = np.array([p.coords for p in pts])
+    H = eval_front_closed_form(inv, np.asarray(zs, dtype=complex)).H
+    coords = np.stack(hermitian_to_ball(H).coords, axis=-1)
     norms = np.linalg.norm(coords, axis=1)
     k = max(2, int(len(zs) * tail_fraction))
     tail = norms[-k:]
@@ -247,5 +250,4 @@ def end_behavior_probe(inv, zs, tail_fraction: float = 0.5,
     dirs = coords[-k:] / norms[-k:, None]
     steps = np.linalg.norm(np.diff(dirs, axis=0), axis=1)
     limit = dirs[-1] if steps.size and steps[-1] < cauchy_tol else None
-    return EndProbe(points=pts, norms=norms, monotone_tail=monotone,
-                    limit=limit)
+    return EndProbe(norms=norms, monotone_tail=monotone, limit=limit)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import clip, flat, unflat
+
 # Determinant tolerance (relative to h*k) below which a form is rejected
 # as degenerate rather than clamped.  det is computed as h*k - |w|^2, so
 # cancellation noise is of order eps * h*k; forms from the front keep
@@ -35,7 +37,9 @@ class NotPositiveDefiniteError(ValueError):
 class HermitianForm:
     """Positive-definite 2x2 Hermitian matrix [[h, conj(w)], [w, k]].
 
-    h and k are the real diagonal entries, w the bottom-left entry.
+    h and k are the real diagonal entries, w the bottom-left entry; as
+    arrays, one form per point, NaN where not positive-definite (see
+    arrays.clip).  matrix() and from_matrix() take one form.
     """
 
     h: float
@@ -43,16 +47,24 @@ class HermitianForm:
     w: complex
 
     def __post_init__(self):
-        h, k, w = float(self.h), float(self.k), complex(self.w)
+        shape, h, k, w = self.flat()
+        det = h * k - abs(w) ** 2
+        h, k, w = clip(~((h > 0.0) & (k > 0.0) & (det > _PD_RTOL * h * k)),
+                       shape, NotPositiveDefiniteError, lambda: (
+                           f"not positive-definite: h={h[0]}, k={k[0]}, "
+                           f"det={det[0]} (tolerance {_PD_RTOL} h k)"),
+                       h, k, w)
+        h, k, w = unflat(shape, h, k, w)
+        if shape == ():
+            h, k, w = float(h), float(k), complex(w)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "w", w)
-        if not (h > 0.0 and k > 0.0):
-            raise NotPositiveDefiniteError(
-                f"diagonal not positive: h={h}, k={k}")
-        if self.det() <= _PD_RTOL * h * k:
-            raise NotPositiveDefiniteError(
-                f"determinant {self.det()} below tolerance for h*k={h * k}")
+
+    def flat(self):
+        """(shape, h, k, w) with h, k, w as 1-D arrays (see arrays.flat)."""
+        return (np.shape(self.h), flat(self.h, float), flat(self.k, float),
+                flat(self.w))
 
     def det(self) -> float:
         return self.h * self.k - abs(self.w) ** 2
@@ -85,7 +97,8 @@ class H3Point:
     """A point of H^3 in exactly one chart.
 
     chart is one of "uhs" (z, t), "lorentz" (x0, x1, x2, x3) on L1,
-    or "ball" (x1, x2, x3) with norm < 1.
+    or "ball" (x1, x2, x3) with norm < 1; arrays of coordinates (NaN
+    where clipped) when made from an array HermitianForm.
     """
 
     chart: str
@@ -93,9 +106,11 @@ class H3Point:
 
     @classmethod
     def upper_half_space(cls, z: complex, t: float) -> "H3Point":
-        if not t > 0:
-            raise ValueError(f"height must be positive, got {t}")
-        return cls("uhs", (complex(z), float(t)))
+        z, t = clip(~(np.asarray(t) > 0), np.shape(t), ValueError,
+                    lambda: f"height must be positive, got {t}", z, t)
+        if np.ndim(t) == 0:
+            z, t = complex(z), float(t)
+        return cls("uhs", (z, t))
 
     @classmethod
     def lorentz(cls, x0: float, x1: float, x2: float, x3: float) -> "H3Point":
@@ -107,9 +122,10 @@ class H3Point:
 
     @classmethod
     def ball(cls, x1: float, x2: float, x3: float) -> "H3Point":
-        if x1 * x1 + x2 * x2 + x3 * x3 >= 1.0:
-            raise ValueError("ball point must have norm < 1")
-        return cls("ball", (float(x1), float(x2), float(x3)))
+        x = clip(x1 * x1 + x2 * x2 + x3 * x3 >= 1.0, np.shape(x1),
+                 ValueError, lambda: "ball point must have norm < 1",
+                 x1, x2, x3)
+        return cls("ball", tuple(map(float, x)) if np.ndim(x1) == 0 else x)
 
 
 @dataclass(frozen=True)
@@ -134,9 +150,12 @@ class Isometry:
         return cls(np.eye(2, dtype=complex))
 
 
+@np.errstate(invalid="ignore")    # NaN marks clipped points
 def hermitian_to_upper_half_space(H: HermitianForm) -> H3Point:
     """(z, t) = (w/k, sqrt(h k - |w|^2)/k)."""
-    return H3Point.upper_half_space(H.w / H.k, math.sqrt(H.det()) / H.k)
+    shape, h, k, w = H.flat()
+    return H3Point.upper_half_space(
+        *unflat(shape, w / k, np.sqrt(h * k - abs(w) ** 2) / k))
 
 
 def upper_half_space_to_hermitian(p: H3Point) -> HermitianForm:
@@ -154,9 +173,11 @@ def hermitian_to_lorentz(H: HermitianForm) -> H3Point:
     is built pre-normalized; recomputing the quadratic form from the
     scaled coordinates would lose it to cancellation near the boundary.
     """
-    r = 0.5 / math.sqrt(H.det())
-    return H3Point("lorentz", (r * (H.h + H.k), r * 2.0 * H.w.real,
-                               r * 2.0 * H.w.imag, r * (H.h - H.k)))
+    shape, h, k, w = H.flat()
+    r = 0.5 / np.sqrt(h * k - abs(w) ** 2)
+    x = unflat(shape, r * (h + k), r * 2.0 * w.real, r * 2.0 * w.imag,
+               r * (h - k))
+    return H3Point("lorentz", tuple(map(float, x)) if shape == () else x)
 
 
 def lorentz_to_hermitian(p: H3Point) -> HermitianForm:

@@ -9,7 +9,6 @@ triangulation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -19,12 +18,11 @@ import numpy as np
 from . import equation as eq
 from . import singular as sg
 from .cases import resolve_case
-from .equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, SingularPointError
-from .front import RamificationError, eval_front_closed_form
+from .equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF
+from .front import eval_front_closed_form
 from .h3 import hermitian_to_ball, hermitian_to_upper_half_space
 # unused here; kept because bench/spans.py wraps mesh.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
-from .polyhedral import PoleError
 from .tiling import base_triangle, tile_parameter_domain
 
 FLAG_NEAR_SINGULAR = 1
@@ -35,7 +33,7 @@ FLAG_CLIPPED = 2
 class JobConfig:
     case: str = TAG_DIHEDRAL          # see cases.resolve_case
     n: int = 3
-    tiles: int | None = None          # tile count; None = all enumerable
+    tiles: int | None = None          # tile count; None = the whole group
     words: list | None = None         # explicit word list overrides tiles
     resolution: int = 16
     chart: str = "ball"               # "ball" | "uhs"
@@ -55,9 +53,19 @@ class JobConfig:
             raise ValueError(f"unknown chart {self.chart!r}")
         if self.fmt not in ("obj", "ply"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        for name in ("ramification_margin", "boundary_margin"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.words is not None and not self.words:
+            raise ValueError("words must name at least one tile")
         cap = resolve_case(self.case, self.n).max_tiles
+        if self.tiles is not None and self.tiles < 1:
+            raise ValueError(f"tiles must be >= 1, got {self.tiles}")
         if self.tiles is not None and cap is not None and self.tiles > cap:
             raise ValueError(f"case {self.case} has at most {cap} tiles")
+        if cap is None and self.tiles is None:
+            raise ValueError(f"case {self.case} has infinitely many tiles; "
+                             f"set a tile count (--tiles N)")
 
 
 @dataclass
@@ -72,22 +80,16 @@ class SurfaceMesh:
     markers: list = field(default_factory=list)     # (name, 3-vector)
 
 
-def _grid_triangles(mask_rows):
-    """Index triples for a structured grid given per-row column counts."""
-    tris = []
-    offset = [0]
-    for m in mask_rows:
-        offset.append(offset[-1] + len(m))
-    for r in range(len(mask_rows) - 1):
-        cols = min(len(mask_rows[r]), len(mask_rows[r + 1]))
-        for c in range(cols - 1):
-            a = offset[r] + c
-            b = offset[r] + c + 1
-            d = offset[r + 1] + c
-            e = offset[r + 1] + c + 1
-            tris.append((a, b, d))
-            tris.append((b, e, d))
-    return tris
+def _grid_triangles(rows) -> np.ndarray:
+    """Index triples for a structured grid given its rows: two triangles
+    (a, a+1, d) and (a+1, d+1, d) per cell, cell by cell."""
+    start = np.cumsum([0] + [len(row) for row in rows])
+    tris = [np.zeros((0, 6), dtype=int)]
+    for r in range(len(rows) - 1):
+        a = start[r] + np.arange(min(len(rows[r]), len(rows[r + 1])) - 1)
+        d = a - start[r] + start[r + 1]
+        tris.append(np.stack([a, a + 1, d, a + 1, d + 1, d], axis=1))
+    return np.concatenate(tris).reshape(-1, 3)
 
 
 def sample_triangle(case: str, tile, resolution: int, n: int = 3,
@@ -100,55 +102,40 @@ def sample_triangle(case: str, tile, resolution: int, n: int = 3,
     base triangle).  Returns (z array, triangle index array).
     """
     R = int(resolution)
-    rows = []
     if case == TAG_DIHEDRAL:
         # fan bounded by the rays of argument 0 and pi/n and the unit circle
-        radii = np.linspace(ramification_margin, 1.0, R)
-        angs = np.linspace(0.0, math.pi / n, R)
-        for r in radii:
-            rows.append([r * cmath.exp(1j * a) for a in angs])
+        rows = (np.linspace(ramification_margin, 1.0, R)[:, None]
+                * np.exp(1j * np.linspace(0.0, math.pi / n, R)))
+        # the arc's ends z = 1 and z = exp(i pi/n) are ramification points
+        # (dx/dz = 0 at the roots of z^2n = 1): move both in by the margin
+        rows[-1, [0, -1]] *= 1.0 - ramification_margin
     elif case == TAG_FUCHSIAN_INF:
         # ideal triangle {0 < Re z < 1, |z - 1/2| > 1/2} clipped at cusps
         m = boundary_margin
-        res = np.linspace(m, 1.0 - m, R)
-        hts = np.geomspace(m, fuchsian_height, R)
-        for t in hts:
-            row = []
-            for s in res:
-                z = complex(s, t)
-                if abs(z - 0.5) > 0.5 + m:
-                    row.append(z)
-            if len(row) >= 2:
-                rows.append(row)
+        grid = (np.linspace(m, 1.0 - m, R)
+                + 1j * np.geomspace(m, fuchsian_height, R)[:, None])
+        rows = [row[np.abs(row - 0.5) > 0.5 + m] for row in grid]
+        rows = [row for row in rows if len(row) >= 2]
     else:
         tri = base_triangle(case, n)
-        v0, v1, v2 = tri.v_inf, tri.v_zero, tri.v_one
         eps = max(ramification_margin, 1.0 / (4.0 * R))
-        for i in range(R):
-            a = eps + (1.0 - 3.0 * eps) * i / (R - 1)
-            row = []
-            for j in range(R):
-                b = eps + (1.0 - 3.0 * eps) * j / (R - 1) * (1.0 - a - eps) \
-                    / max(1.0 - 2.0 * eps, 1e-12)
-                c = 1.0 - a - b
-                row.append(v0 * c + v1 * a + v2 * b)
-            rows.append(row)
-    tris = _grid_triangles(rows)
-    zs = np.array([z for row in rows for z in row])
-    if tile is not None:
-        zs = np.array([tile(z) for z in zs])
-    if len(zs) == 0:
+        a = eps + (1.0 - 3.0 * eps) * np.arange(R)[:, None] / (R - 1)
+        b = eps + (1.0 - 3.0 * eps) * np.arange(R) / (R - 1) \
+            * (1.0 - a - eps) / max(1.0 - 2.0 * eps, 1e-12)
+        rows = tri.v_inf * (1.0 - a - b) + tri.v_zero * a + tri.v_one * b
+    if not len(rows):
         raise ValueError("tile sampling is empty after clipping; "
                          "reduce the margins or raise the resolution")
-    return zs, np.array(tris, dtype=int)
+    zs = np.concatenate(list(rows))
+    return (zs if tile is None else tile(zs)), _grid_triangles(rows)
 
 
-def _chart_point(H, chart: str):
+def _chart_coords(H, chart: str) -> np.ndarray:
+    """(N, 3) chart coordinates of an array HermitianForm, NaN if clipped."""
     if chart == "ball":
-        return np.asarray(hermitian_to_ball(H).coords, dtype=float)
-    p = hermitian_to_upper_half_space(H)
-    z, t = p.coords
-    return np.array([z.real, z.imag, t])
+        return np.stack(hermitian_to_ball(H).coords, axis=-1)
+    z, t = hermitian_to_upper_half_space(H).coords
+    return np.stack([z.real, z.imag, t], axis=-1)
 
 
 def build_mesh(cfg: JobConfig) -> SurfaceMesh:
@@ -166,42 +153,29 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
         chosen = [(by_word[w], w) for w in cfg.words]
 
     verts, zsrc, xsrc, flags, faces = [], [], [], [], []
+    base = 0
     for g, word in chosen:
         zs, tris = sample_triangle(case.tag, g, cfg.resolution, case.n,
                                    cfg.ramification_margin,
                                    cfg.boundary_margin, cfg.fuchsian_height)
-        base = len(verts)
-        ok = np.ones(len(zs), dtype=bool)
-        for idx, z in enumerate(zs):
-            flag = 0
-            try:
-                fv = eval_front_closed_form(case.inverse, z)
-                p = _chart_point(fv.H, cfg.chart)
-            except (PoleError, RamificationError, ValueError):
-                ok[idx] = False
-                p = np.zeros(3)
-                fv = None
-                flag = FLAG_CLIPPED
-            if fv is not None:
-                try:
-                    if abs(abs(eq.eval_q(case.exponents, fv.x).q) - 1.0) \
-                       < cfg.near_singular_tol:
-                        flag |= FLAG_NEAR_SINGULAR
-                except SingularPointError:
-                    pass
-            verts.append(p)
-            zsrc.append(complex(z))
-            xsrc.append(fv.x if fv is not None else complex("nan"))
-            flags.append(flag)
-        for a, b, c in tris:
-            if ok[a] and ok[b] and ok[c]:
-                faces.append((base + a, base + b, base + c))
+        # one array call per layer; a point that fails anywhere is NaN
+        fv = eval_front_closed_form(case.inverse, zs)
+        p = _chart_coords(fv.H, cfg.chart)
+        q = eq.eval_q(case.exponents, fv.x).q
+        ok = np.isfinite(p).all(axis=1)
+        near = np.abs(np.abs(q) - 1.0) < cfg.near_singular_tol
+        verts.append(np.where(ok[:, None], p, 0.0))
+        zsrc.append(zs)
+        xsrc.append(np.where(ok, fv.x, np.nan))
+        flags.append(np.where(ok, near * FLAG_NEAR_SINGULAR, FLAG_CLIPPED))
+        faces.append(tris[ok[tris].all(axis=1)] + base)
+        base += len(zs)
 
-    mesh = SurfaceMesh(vertices=np.array(verts, dtype=float),
-                       source_z=np.array(zsrc),
-                       source_x=np.array(xsrc),
-                       triangles=np.array(faces, dtype=int),
-                       flags=np.array(flags, dtype=int),
+    mesh = SurfaceMesh(vertices=np.concatenate(verts),
+                       source_z=np.concatenate(zsrc),
+                       source_x=np.concatenate(xsrc),
+                       triangles=np.concatenate(faces),
+                       flags=np.concatenate(flags).astype(int),
                        chart=cfg.chart)
 
     if cfg.with_singular and case.z_from_x is not None:
@@ -209,26 +183,30 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     return mesh
 
 
+def _front_points(case, xs, chart: str) -> np.ndarray:
+    """Chart points of the front over xs, leaving out clipped points."""
+    zs = []
+    for x in xs:
+        try:
+            zs.append(case.z_from_x(x))
+        except ValueError:
+            continue
+    fv = eval_front_closed_form(case.inverse, np.array(zs, dtype=complex))
+    p = _chart_coords(fv.H, chart)
+    return p[np.isfinite(p).all(axis=1)]
+
+
 def _attach_singular_overlay(mesh: SurfaceMesh, chart: str, case):
     e = case.exponents
     curve = sg.trace_singular_curve(e)
     if not len(curve.samples):
         return
-    pts = []
-    for x in curve.samples[::5]:
-        try:
-            fv = eval_front_closed_form(case.inverse, case.z_from_x(x))
-            pts.append(_chart_point(fv.H, chart))
-        except (ValueError, PoleError, RamificationError):
-            continue
-    if pts:
-        mesh.polylines.append(("cuspidal-edge", np.array(pts)))
-    for spc in sg.find_swallowtails(e, curve):
-        try:
-            fv = eval_front_closed_form(case.inverse, case.z_from_x(spc.x))
-            mesh.markers.append(("swallowtail", _chart_point(fv.H, chart)))
-        except (ValueError, PoleError, RamificationError):
-            continue
+    pts = _front_points(case, curve.samples[::5], chart)
+    if len(pts):
+        mesh.polylines.append(("cuspidal-edge", pts))
+    tails = [spc.x for spc in sg.find_swallowtails(e, curve)]
+    mesh.markers += [("swallowtail", p)
+                     for p in _front_points(case, tails, chart)]
 
 
 # --- export -----------------------------------------------------------------

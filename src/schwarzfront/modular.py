@@ -1,4 +1,4 @@
-"""Theta constants, Eisenstein series E2, and the lambda function.
+"""Theta constants and the lambda function.
 
 Conventions (all centralized here):
 
@@ -8,9 +8,8 @@ Conventions (all centralized here):
 * lambda = (theta0/theta3)^4 = 1 - 16 q^2 + 128 q^4 - ...,
   normalized so lambda: infinity -> 1, 0 -> 0, 1 -> infinity;
 * ' = q d/dq = (2 / pi i) d/dz, hence d/dz = (pi i / 2) ';
-* E2 = 1 - 24 sum sigma_1(n) q^(4n);
-* lambda' = -2 theta2^4 lambda and
-  lambda''/lambda' = (4/6) E2 + (4/6)(theta0^4 + theta3^4) - 2 theta2^4.
+* lambda' = -2 theta2^4 lambda, so
+  lambda'' = -2 (4 theta2^3 theta2' lambda + theta2^4 lambda').
 
 Evaluation anywhere in the upper half-plane first moves z to the classical
 fundamental domain (where the q-series converge fast) by generators
@@ -27,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arrays import clip, flat, unflat
+
 # d/dz = DZ_FROM_PRIME * (q d/dq)
 DZ_FROM_PRIME = 0.5j * math.pi
 
@@ -34,6 +35,9 @@ DZ_FROM_PRIME = 0.5j * math.pi
 MIN_IM = 0.05
 
 _TAIL = 1e-16
+
+# fundamental-domain reduction steps before a point is given up
+_MAX_REDUCTIONS = 200
 
 
 class DomainError(ValueError):
@@ -52,144 +56,126 @@ class ThetaValues:
     theta2: complex
     theta3: complex
     theta0: complex
-    # ' = q d/dq
-    theta2p: complex
-    theta3p: complex
-    theta0p: complex
-    order: int
+    theta2p: complex        # q d/dq theta2
 
 
-def _truncation_order(z: complex) -> int:
+def _truncation_order(im: float) -> int:
     # first omitted theta term has exponent ~ 2 M^2; require
-    # |q|^(2 M^2) < _TAIL
-    t = math.pi * z.imag / 2.0  # -log|q|
-    m = math.sqrt(-math.log(_TAIL) / (2.0 * t))
+    # |q|^(2 M^2) < _TAIL, with -log|q| = pi Im z / 2
+    m = math.sqrt(-math.log(_TAIL) / (math.pi * im))
     return max(4, int(math.ceil(m)) + 2)
 
 
+# the order the lowest points of the fundamental domain (Im = sqrt(3)/2)
+# need; every reduced point is summed to it
+_DOMAIN_ORDER = _truncation_order(math.sqrt(3.0) / 2.0)
+
+
+def _theta_sums(q, m: int):
+    """theta2, theta3, theta0 and q d/dq theta2, each summed over |n| <= m,
+    for every nome in the array q."""
+    n = np.arange(-m, m + 1)
+    e2 = (2 * n - 1) ** 2 / 2.0
+    q = np.asarray(q)[..., None]
+    q2 = q ** e2
+    q3 = q ** (2.0 * n ** 2)
+    s3 = np.where(n % 2, -1.0, 1.0) * q3
+    return np.stack([q2, q3, s3, e2 * q2]).sum(axis=-1)
+
+
 def theta_values(z: complex, order: int | None = None) -> ThetaValues:
-    """Truncated q-series for the theta constants and their q d/dq."""
+    """Truncated q-series for the theta constants and q d/dq theta2."""
     z = _require_upper(z)
     if z.imag < MIN_IM:
         raise DomainError(
             f"Im z = {z.imag} below series floor {MIN_IM}; "
             "reduce to the fundamental domain first")
-    m = order if order is not None else _truncation_order(z)
-    q = cmath.exp(0.5j * math.pi * z)
-    n = np.arange(-m, m + 1)
-    e2 = (2 * n - 1) ** 2 / 2.0
-    e3 = 2.0 * n ** 2
-    q2 = q ** e2
-    q3 = q ** e3
-    sgn = np.where(n % 2 == 0, 1.0, -1.0)
-    return ThetaValues(
-        theta2=np.sum(q2), theta3=np.sum(q3), theta0=np.sum(sgn * q3),
-        theta2p=np.sum(e2 * q2), theta3p=np.sum(e3 * q3),
-        theta0p=np.sum(sgn * e3 * q3), order=m)
+    m = order if order is not None else _truncation_order(z.imag)
+    return ThetaValues(*_theta_sums(cmath.exp(0.5j * math.pi * z), m))
 
 
-def eisenstein_e2(z: complex) -> complex:
-    """Truncated q-series for E2."""
-    z = _require_upper(z)
-    if z.imag < MIN_IM:
-        raise DomainError(f"Im z = {z.imag} below series floor")
-    q4 = cmath.exp(2j * math.pi * z)
-    if abs(q4) == 0.0:
-        return 1.0 + 0.0j
-    t = -math.log(abs(q4))
-    nmax = max(4, int(math.ceil(-math.log(_TAIL) / t)) + 2)
-    total = 0.0 + 0.0j
-    for n in range(1, nmax + 1):
-        total += _sigma1(n) * q4 ** n
-    return 1.0 - 24.0 * total
-
-
-def _sigma1(n: int) -> int:
-    s = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            s += d
-            if d != n // d:
-                s += n // d
-        d += 1
-    return s
+def _lambda_series(w: np.ndarray):
+    """lambda, lambda', lambda'' (' = q d/dq) on the fundamental domain."""
+    t2, t3, t0, t2p = _theta_sums(np.exp(DZ_FROM_PRIME * w), _DOMAIN_ORDER)
+    lam = (t0 / t3) ** 4
+    t2_4 = t2 ** 4
+    lam_p = -2.0 * t2_4 * lam
+    return lam, lam_p, -2.0 * (4.0 * t2 ** 3 * t2p * lam + t2_4 * lam_p)
 
 
 # --- reduction to the fundamental domain -----------------------------------
 
-def _reduce_to_fundamental(z: complex):
-    """Move z to |Re| <= 1/2, |z| >= 1 by T and S.
+# z -> -1/z on the stacked entries (a, b, c, d) of m and (p0..p3) of phi:
+# m <- [[0, -1], [1, 0]] m and phi <- phi [[-1, 1], [0, 1]]
+_S_STEP = np.zeros((8, 8), dtype=np.int64)
+_S_STEP[:4, :4] = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+_S_STEP[4:, 4:] = [[-1, 0, 0, 0], [1, 1, 0, 0], [0, 0, -1, 0], [0, 0, 1, 1]]
+# an odd translation swaps the columns of phi: phi <- phi [[0, 1], [1, 0]]
+_SWAP_PHI = [0, 1, 2, 3, 5, 4, 7, 6]
 
-    Returns (w, m, phi) with w = m(z) for m = [[a,b],[c,d]] integer and
-    lambda(z) = phi(lambda(w)) for the integer Moebius matrix phi.
+
+def _reduce_to_fundamental(z: np.ndarray):
+    """Move each point of the 1-D array z to |Re| <= 1/2, |z| >= 1.
+
+    Returns (w, c, d, phi, failed): w = m(z) for m = [[a, b], [c, d]] in
+    SL(2, Z), lambda(z) = phi(lambda(w)) for phi given by its entries row
+    by row, and the points still outside after _MAX_REDUCTIONS steps.
     """
-    w = complex(z)
-    m = np.eye(2, dtype=np.int64)
-    phi = np.eye(2, dtype=np.int64)
-    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)           # 1/lambda
-    onemin = np.array([[-1, 1], [0, 1]], dtype=np.int64)        # 1 - lambda
-    for _ in range(200):
-        k = int(round(w.real))
-        if k != 0:
-            w -= k
-            m = np.array([[1, -k], [0, 1]], dtype=np.int64) @ m
-            if k % 2:
-                # lambda(w_old) = lambda(w_new + k) = lambda(w_new)^(+-1)
-                phi = phi @ swap
-        if abs(w) >= 1.0 - 1e-15:
+    finite = np.isfinite(z)
+    w = np.where(finite, z, 1j)
+    mp = np.zeros((8, w.size), dtype=np.int64)     # rows a..d, p0..p3
+    mp[[0, 3, 4, 7]] = 1
+    for _ in range(_MAX_REDUCTIONS):
+        # T^-k; a point already in the domain has k = 0 and stays put
+        k = np.rint(w.real)
+        w = w - k
+        k = k.astype(np.int64)
+        mp[:2] -= k * mp[2:4]
+        # odd k: lambda(w_old) = 1 / lambda(w_new)
+        mp = np.where(k & 1, mp[_SWAP_PHI], mp)
+        s = np.abs(w) < 1.0 - 1e-15
+        if not s.any():
             break
-        w = -1.0 / w
-        m = np.array([[0, -1], [1, 0]], dtype=np.int64) @ m
-        phi = phi @ onemin
-    else:
-        raise RuntimeError(f"fundamental-domain reduction failed for z={z}")
-    return w, m, phi
-
-
-def _mobius(mat, t: complex) -> complex:
-    a, b = mat[0]
-    c, d = mat[1]
-    return (a * t + b) / (c * t + d)
+        w = np.where(s, -1.0 / w, w)
+        mp = np.where(s, _S_STEP @ mp, mp)
+    return np.where(finite, w, np.nan), mp[2], mp[3], mp[4:], s & finite
 
 
 class LambdaInverse:
     """Inverse Schwarz map x = lambda(z) with first two z-derivatives."""
 
-    def eval(self, z: complex):
-        z = _require_upper(z)
-        w, m, phi = _reduce_to_fundamental(z)
-        tv = theta_values(w)
-        lam = (tv.theta0 / tv.theta3) ** 4
-        t2_4 = tv.theta2 ** 4
-        e2 = eisenstein_e2(w)
-        lam_p = -2.0 * t2_4 * lam
-        ratio = (2.0 / 3.0) * e2 + (2.0 / 3.0) * (tv.theta0 ** 4
-                                                  + tv.theta3 ** 4) - 2.0 * t2_4
-        lam_pp = ratio * lam_p
+    @np.errstate(invalid="ignore")    # NaN marks clipped points
+    def eval(self, z):
+        """(x, dx/dz, d2x/dz2) at z (scalar or array); off the upper
+        half-plane, DomainError or NaN (see arrays.clip)."""
+        shape, z = np.shape(z), flat(z)
+        z, = clip(~(z.imag > 0), shape, DomainError,
+                  lambda: f"Im z must be positive, got {z[0]}", z)
+        w, c, d, phi, failed = _reduce_to_fundamental(z)
+        w, = clip(failed, shape, RuntimeError, lambda: (
+            f"fundamental-domain reduction failed for z={z[0]}"), w)
+        lam, lam_p, lam_pp = _lambda_series(w)
         # z-derivatives of lambda at w
         lw = DZ_FROM_PRIME * lam_p
         lww = DZ_FROM_PRIME ** 2 * lam_pp
-        # chain rule through w = m(z)
-        c, d = m[1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        # chain rule through w = m(z), det m = 1
         den = c * z + d
-        mp = det / den ** 2
-        mpp = -2.0 * c * det / den ** 3
+        mp = 1.0 / den ** 2
+        mpp = -2.0 * c / den ** 3
         lz = lw * mp
         lzz = lww * mp * mp + lw * mpp
         # value map x = phi(lambda(w))
-        g, h = phi[1]
+        pa, pb, g, h = phi
         pden = g * lam + h
-        if abs(pden) < 1e-100:
-            raise DomainError(f"value map has a pole at lambda={lam}")
-        pdet = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
-        x = _mobius(phi, lam)
+        pden, = clip(abs(pden) < 1e-100, shape, DomainError,
+                     lambda: f"value map has a pole at lambda={lam[0]}", pden)
+        pdet = pa * h - pb * g
+        x = (pa * lam + pb) / pden
         php = pdet / pden ** 2
         phpp = -2.0 * g * pdet / pden ** 3
         xd = php * lz
         xdd = phpp * lz * lz + php * lzz
-        return x, xd, xdd
+        return unflat(shape, x, xd, xdd)
 
 
 def eval_lambda(z: complex):
@@ -235,11 +221,6 @@ def lambda_series_coeffs(count: int):
     return mul(r2, r2)
 
 
-def e2_series_coeffs(count: int):
-    """Coefficients of E2 = 1 - 24 sum sigma_1(n) q^(4n) in powers of q^4."""
-    return [1] + [-24 * _sigma1(n) for n in range(1, count)]
-
-
 def reduce_level_two(z: complex, max_iter: int = 200) -> complex:
     """Move z into the fundamental domain of the level-2 principal group.
 
@@ -279,7 +260,7 @@ def fuchsian_z_from_x(x: complex, inv: LambdaInverse | None = None,
         for _ in range(max_iter):
             try:
                 val, der, _ = inv.eval(z)
-            except (DomainError, ZeroDivisionError):
+            except DomainError:
                 break
             err = val - x
             if abs(err) < tol * max(1.0, abs(x)):

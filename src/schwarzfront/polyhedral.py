@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import clip, flat, unflat
 from .equation import (TAG_DIHEDRAL, TAG_ICOSAHEDRAL, TAG_OCTAHEDRAL,
                        TAG_TETRAHEDRAL)
 
@@ -38,7 +39,10 @@ class PoleError(ValueError):
 class PolyhedralData:
     """Table data for one polyhedral case.
 
-    f0, f1, fInf are coefficient arrays, highest degree first.
+    f0, f1, fInf are coefficient arrays, highest degree first.  Derived
+    once: the roots of fInf (the poles of x), and a table whose columns
+    are f0, f1, fInf, f0', f1', fInf', zero-padded to one degree, so one
+    np.polyval evaluates all six.
     """
 
     k0: int
@@ -50,7 +54,16 @@ class PolyhedralData:
     f0: np.ndarray
     f1: np.ndarray
     fInf: np.ndarray
-    pole_roots: np.ndarray = field(repr=False, default=None)
+    pole_roots: np.ndarray = field(init=False, repr=False)
+    table: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        polys = [self.f0, self.f1, self.fInf]
+        polys += [np.polyder(f) for f in polys]
+        top = max(map(len, polys))
+        table = [np.pad(f, (top - len(f), 0)) for f in polys]
+        object.__setattr__(self, "pole_roots", np.roots(self.fInf))
+        object.__setattr__(self, "table", np.array(table).T[:, :, None])
 
 
 def _expand(factors) -> np.ndarray:
@@ -117,33 +130,7 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
     else:
         raise ValueError(f"not a polyhedral tag: {tag!r}")
 
-    return PolyhedralData(pole_roots=np.roots(data["fInf"]), **data)
-
-
-def eval_polyhedral_x(d: PolyhedralData, z: complex):
-    """Evaluate (x, dx/dz, d2x/dz2) at z.
-
-    Raises PoleError within POLE_MARGIN of a root of fInf.
-    """
-    z = complex(z)
-    if d.pole_roots.size and np.min(np.abs(d.pole_roots - z)) < POLE_MARGIN:
-        root = d.pole_roots[np.argmin(np.abs(d.pole_roots - z))]
-        raise PoleError(f"z={z} is within {POLE_MARGIN} of the pole at {root}")
-    f0 = np.polyval(d.f0, z)
-    f1 = np.polyval(d.f1, z)
-    fi = np.polyval(d.fInf, z)
-    f0p = np.polyval(np.polyder(d.f0), z)
-    f1p = np.polyval(np.polyder(d.f1), z)
-    fip = np.polyval(np.polyder(d.fInf), z)
-
-    x = d.A0 * f0 ** d.k0 / fi ** d.kInf
-    a, b, c = d.k0 - 1, d.k1 - 1, d.kInf + 1
-    xd = d.A * f0 ** a * f1 ** b / fi ** c
-    # product/quotient rule on the closed form of dx/dz
-    xdd = d.A * (a * f0 ** (a - 1) * f0p * f1 ** b * fi ** (-c)
-                 + b * f0 ** a * f1 ** (b - 1) * f1p * fi ** (-c)
-                 - c * f0 ** a * f1 ** b * fi ** (-c - 1) * fip)
-    return x, xd, xdd
+    return PolyhedralData(**data)
 
 
 class PolyhedralInverse:
@@ -152,8 +139,27 @@ class PolyhedralInverse:
     def __init__(self, tag: str, n: int | None = None):
         self.data = build_polyhedral(tag, n)
 
-    def eval(self, z: complex):
-        return eval_polyhedral_x(self.data, z)
+    @np.errstate(invalid="ignore")    # NaN marks clipped points
+    def eval(self, z):
+        """(x, dx/dz, d2x/dz2) at z (scalar or array); within POLE_MARGIN
+        of a pole, PoleError or NaN (see arrays.clip)."""
+        d = self.data
+        shape, z = np.shape(z), flat(z)
+        dist = np.abs(np.subtract.outer(z, d.pole_roots))
+        z, = clip(dist.min(axis=-1) < POLE_MARGIN, shape, PoleError,
+                  lambda: (f"z={z[0]} is within {POLE_MARGIN} of the pole "
+                           f"at {d.pole_roots[np.argmin(dist)]}"), z)
+        # leading zeros leave each Horner value as np.polyval(f, z) has it
+        f0, f1, fi, f0p, f1p, fip = np.polyval(d.table, z)
+
+        x = d.A0 * f0 ** d.k0 / fi ** d.kInf
+        a, b, c = d.k0 - 1, d.k1 - 1, d.kInf + 1
+        xd = d.A * f0 ** a * f1 ** b / fi ** c
+        # product/quotient rule on the closed form of dx/dz
+        xdd = d.A * (a * f0 ** (a - 1) * f0p * f1 ** b * fi ** (-c)
+                     + b * f0 ** a * f1 ** (b - 1) * f1p * fi ** (-c)
+                     - c * f0 ** a * f1 ** b * fi ** (-c - 1) * fip)
+        return unflat(shape, x, xd, xdd)
 
 
 def dihedral_z_from_x(n: int, x: complex) -> complex:

@@ -78,13 +78,13 @@ def check_lambda_series() -> CheckResult:
 def check_lambda_derivatives() -> CheckResult:
     rng = np.random.default_rng(5)
     h = 1e-5
-    worst = 0.0
-    for _ in range(50):
-        z = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.8))
-        x, xd, xdd = eval_lambda(z)
-        fd1 = (eval_lambda(z + h)[0] - eval_lambda(z - h)[0]) / (2 * h)
-        fd2 = (eval_lambda(z + h)[1] - eval_lambda(z - h)[1]) / (2 * h)
-        worst = max(worst, abs(xd - fd1) / abs(xd), abs(xdd - fd2) / abs(xdd))
+    u = rng.uniform([-0.8, 0.6], [0.8, 1.8], (50, 2))
+    z = u[:, 0] + 1j * u[:, 1]
+    _, xd, xdd = eval_lambda(z)
+    xp, dp, _ = eval_lambda(z + h)
+    xm, dm, _ = eval_lambda(z - h)
+    worst = max(np.max(abs(xd - (xp - xm) / (2 * h)) / abs(xd)),
+                np.max(abs(xdd - (dp - dm) / (2 * h)) / abs(xdd)))
     return CheckResult(3, "lambda derivative closed forms vs FD", worst,
                        1e-8, worst < 1e-8)
 
@@ -94,13 +94,13 @@ def check_partition_of_unity() -> CheckResult:
     worst = 0.0
     for name in _POLY_CASES:
         d = resolve_case(name).inverse.data
-        for _ in range(100):
-            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            t0 = d.A0 * np.polyval(d.f0, z) ** d.k0
-            t1 = d.A1 * np.polyval(d.f1, z) ** d.k1
-            ti = np.polyval(d.fInf, z) ** d.kInf
-            scale = max(abs(t0), abs(t1), abs(ti), 1e-30)
-            worst = max(worst, abs(t0 + t1 - ti) / scale)
+        u = rng.uniform(-1.5, 1.5, (100, 2))
+        z = u[:, 0] + 1j * u[:, 1]
+        t0 = d.A0 * np.polyval(d.f0, z) ** d.k0
+        t1 = d.A1 * np.polyval(d.f1, z) ** d.k1
+        ti = np.polyval(d.fInf, z) ** d.kInf
+        scale = np.abs([t0, t1, ti]).max(axis=0).clip(min=1e-30)
+        worst = max(worst, np.max(abs(t0 + t1 - ti) / scale))
     return CheckResult(4, "polyhedral partition of unity", worst, 1e-10,
                        worst < 1e-10)
 
@@ -114,15 +114,11 @@ def check_dx_dz() -> CheckResult:
         num = d.A0 * np.poly1d(d.f0) ** d.k0
         den = np.poly1d(d.fInf) ** d.kInf
         dnum, dden = np.polyder(num), np.polyder(den)
-        for _ in range(40):
-            z = complex(rng.uniform(0.15, 1.2) * cmath.exp(
-                1j * rng.uniform(0.05, 3.0)))
-            try:
-                _, xd, _ = inv.eval(z)
-            except Exception:
-                continue
-            exact = (dnum(z) * den(z) - num(z) * dden(z)) / den(z) ** 2
-            worst = max(worst, abs(xd - exact) / abs(exact))
+        u = rng.uniform([0.15, 0.05], [1.2, 3.0], (40, 2))
+        z = u[:, 0] * np.exp(1j * u[:, 1])
+        _, xd, _ = inv.eval(z)          # NaN within POLE_MARGIN of a pole
+        exact = (dnum(z) * den(z) - num(z) * dden(z)) / den(z) ** 2
+        worst = max(worst, np.nanmax(abs(xd - exact) / abs(exact)))
     return CheckResult(5, "closed-form dx/dz vs polynomial derivative",
                        worst, 1e-10, worst < 1e-10)
 
@@ -269,7 +265,6 @@ def check_local_models() -> CheckResult:
 
 
 def check_end_behavior() -> CheckResult:
-    from .h3 import NotPositiveDefiniteError
     inv = resolve_case("dihedral:3").inverse
     rays = [
         [0.02 * cmath.exp(0.3j) * (0.82 ** k) for k in range(60)],
@@ -284,18 +279,12 @@ def check_end_behavior() -> CheckResult:
     all_monotone = True
     for zs in rays:
         # march toward the end until the target norm is cleared (or the
-        # Hermitian form degenerates numerically at the very boundary)
-        usable = []
-        for z in zs:
-            try:
-                fv = fr.eval_front_closed_form(inv, z)
-                p = hermitian_to_ball(fv.H)
-            except (NotPositiveDefiniteError, ValueError):
-                break
-            usable.append(z)
-            if np.linalg.norm(p.coords) > 1.0 - 2e-4:
-                break
-        probe = fr.end_behavior_probe(inv, usable)
+        # Hermitian form degenerates numerically, NaN, at the boundary)
+        H = fr.eval_front_closed_form(inv, np.array(zs)).H
+        norms = np.linalg.norm(np.stack(hermitian_to_ball(H).coords), axis=0)
+        stop = np.flatnonzero(~(norms <= 1.0 - 2e-4))
+        n = stop[0] + (norms[stop[0]] > 1.0 - 2e-4) if stop.size else len(zs)
+        probe = fr.end_behavior_probe(inv, zs[:n])
         all_monotone = all_monotone and probe.monotone_tail
         worst_norm = min(worst_norm, probe.norms[-1])
     ok = all_monotone and worst_norm > 1.0 - 1e-3

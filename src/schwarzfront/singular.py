@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .equation import ExponentData, eval_q, eval_q_derivatives, q_terms
 from .h3 import hyperbolic_distance, hermitian_to_lorentz
@@ -112,7 +111,7 @@ def _find_seed(e: ExponentData, box) -> complex | None:
     s0, s1, t0, t1 = box
     for t in np.linspace(t0, t1, 41):
         ss = np.linspace(s0, s1, 201)
-        vals = [_f_and_grad(e, complex(s, t))[0] for s in ss]
+        vals = _f_and_grad(e, ss + 1j * t)[0]
         for k in range(len(ss) - 1):
             if vals[k] == 0.0:
                 return _newton_to_curve(e, complex(ss[k], t))
@@ -191,7 +190,7 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve,
     xs = curve.samples
     if len(xs) < 3:
         return []
-    vals = np.array([_im_zeta(e, x) for x in xs])
+    vals = _im_zeta(e, xs)
     found = []
     n = len(xs)
     rng = range(n) if curve.closed else range(n - 1)
@@ -287,6 +286,9 @@ def _pair_points(front_of_x, t, d):
 def _coincidence_offset(e, front_of_x, t, d_max, coincide_tol):
     # signed separation: component of the Lorentz difference along a fixed
     # probe direction; it flips sign when the two image curves cross.
+    # scipy.optimize is imported here, off the package's import path
+    from scipy.optimize import minimize_scalar
+
     ds = np.linspace(1e-3, d_max, 61)
 
     def delta(d):

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import schwarzfront
 from schwarzfront import cli, mesh
+from schwarzfront.cases import resolve_case
 from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF
+from schwarzfront.tiling import tile_parameter_domain
 
 
 # --- minimal ASCII parsers used to round-trip the exports ---------------
@@ -67,6 +75,75 @@ def test_fuchsian_sampling_avoids_boundary_circle():
     zs, _ = mesh.sample_triangle(TAG_FUCHSIAN_INF, None, 12)
     assert np.all(np.abs(zs - 0.5) > 0.5)
     assert np.all(zs.imag > 0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dihedral_sampling_avoids_ramification_points(n):
+    # dx/dz vanishes at the roots of z^2n = 1, two of which are corners
+    # of every dihedral tile
+    margin = mesh.JobConfig.ramification_margin
+    roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    for g, _ in tile_parameter_domain(TAG_DIHEDRAL, n).elements:
+        zs, _ = mesh.sample_triangle(TAG_DIHEDRAL, g, 16, n=n,
+                                     ramification_margin=margin)
+        dist = np.abs(zs[:, None] - roots[None, :]).min()
+        assert dist >= margin * (1.0 - 1e-9)
+
+
+def test_dihedral_mesh_has_no_ramification_clips():
+    # the only dihedral clips left are at the pole end |z| = margin and
+    # where det H loses to cancellation (h k > 1e13)
+    m = mesh.build_mesh(mesh.JobConfig(case="dihedral:6", resolution=16,
+                                       with_singular=False))
+    case = resolve_case("dihedral:6")
+    _, xd, _ = case.inverse.eval(m.source_z)
+    assert np.abs(xd).min() >= 1e-3
+
+
+def test_job_config_rejects_bad_input():
+    for tiles in (0, -3):
+        with pytest.raises(ValueError, match="tiles must be >= 1"):
+            mesh.JobConfig(case="dihedral:3", tiles=tiles)
+    for key in ("ramification_margin", "boundary_margin"):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+            mesh.JobConfig(case="dihedral:3", **{key: -1e-3})
+    for words in (None, ["", "21"]):
+        with pytest.raises(ValueError, match="infinitely many tiles"):
+            mesh.JobConfig(case="fuchsian", words=words)
+    with pytest.raises(ValueError, match="at least one tile"):
+        mesh.JobConfig(case="fuchsian", words=[])
+    assert mesh.JobConfig(case="fuchsian", tiles=3).tiles == 3
+
+
+@pytest.mark.parametrize("argv", [["surface", "--case", "fuchsian"],
+                                  ["tiles", "--case", "fuchsian"]])
+def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
+    # without a tile count these used to enumerate without end; the time
+    # budget turns a hang into a failure
+    src = str(Path(schwarzfront.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "schwarzfront.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "infinitely many tiles" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["surface", "--case", "dihedral:3", "--tiles", "0"], "tiles must be"),
+    (["surface", "--case", "dihedral:3", "--tol-boundary-margin", "-0.1"],
+     "boundary_margin must be >= 0"),
+    (["tiles", "--case", "dihedral:3", "--tiles", "-3"], "tiles must be"),
+])
+def test_cli_rejects_bad_input(tmp_path, argv, message):
+    out = tmp_path / "out.obj"
+    if argv[0] == "surface":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit, match=message):
+        cli.main(argv)
+    assert not out.exists()
 
 
 def test_job_config_validation():

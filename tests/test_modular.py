@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from schwarzfront.modular import (DomainError, LambdaInverse, eval_lambda,
-                                  e2_series_coeffs, eisenstein_e2,
                                   fuchsian_z_from_x, lambda_series_coeffs,
                                   reduce_level_two, theta_values)
 
@@ -30,10 +29,6 @@ def test_lambda_at_i_is_one_half():
 def test_lambda_series_coefficients():
     assert [int(c) for c in lambda_series_coeffs(7)] == \
         [1, -16, 128, -704, 3072, -11488, 38400]
-
-
-def test_e2_series_head():
-    assert e2_series_coeffs(4) == [1, -24, -72, -96]
 
 
 def test_modular_translation_and_inversion():
