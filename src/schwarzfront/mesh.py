@@ -152,30 +152,27 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
                              f"available: {sorted(by_word)}")
         chosen = [(by_word[w], w) for w in cfg.words]
 
-    verts, zsrc, xsrc, flags, faces = [], [], [], [], []
-    base = 0
-    for g, word in chosen:
-        zs, tris = sample_triangle(case.tag, g, cfg.resolution, case.n,
-                                   cfg.ramification_margin,
-                                   cfg.boundary_margin, cfg.fuchsian_height)
-        # one array call per layer; a point that fails anywhere is NaN
-        fv = eval_front_closed_form(case.inverse, zs)
-        p = _chart_coords(fv.H, cfg.chart)
-        q = eq.eval_q(case.exponents, fv.x).q
-        ok = np.isfinite(p).all(axis=1)
-        near = np.abs(np.abs(q) - 1.0) < cfg.near_singular_tol
-        verts.append(np.where(ok[:, None], p, 0.0))
-        zsrc.append(zs)
-        xsrc.append(np.where(ok, fv.x, np.nan))
-        flags.append(np.where(ok, near * FLAG_NEAR_SINGULAR, FLAG_CLIPPED))
-        faces.append(tris[ok[tris].all(axis=1)] + base)
-        base += len(zs)
-
-    mesh = SurfaceMesh(vertices=np.concatenate(verts),
-                       source_z=np.concatenate(zsrc),
-                       source_x=np.concatenate(xsrc),
-                       triangles=np.concatenate(faces),
-                       flags=np.concatenate(flags).astype(int),
+    # every tile of the job in one call per layer: the base triangle's
+    # grid under each tile's matrix, one triangulation offset per tile
+    z0, tris = sample_triangle(case.tag, None, cfg.resolution, case.n,
+                               cfg.ramification_margin, cfg.boundary_margin,
+                               cfg.fuchsian_height)
+    (a, b), (c, d) = np.moveaxis([g.matrix for g, _ in chosen], 0, -1)
+    zs = (a[:, None] * z0 + b[:, None]) / (c[:, None] * z0 + d[:, None])
+    tris = tris + len(z0) * np.arange(len(chosen))[:, None, None]
+    zs, tris = zs.ravel(), tris.reshape(-1, 3)
+    # a point that fails in any layer is NaN
+    fv = eval_front_closed_form(case.inverse, zs)
+    p = _chart_coords(fv.H, cfg.chart)
+    q = eq.eval_q(case.exponents, fv.x).q
+    ok = np.isfinite(p).all(axis=1)
+    near = np.abs(np.abs(q) - 1.0) < cfg.near_singular_tol
+    mesh = SurfaceMesh(vertices=np.where(ok[:, None], p, 0.0),
+                       source_z=zs,
+                       source_x=np.where(ok, fv.x, np.nan),
+                       triangles=tris[ok[tris].all(axis=1)],
+                       flags=np.where(ok, near * FLAG_NEAR_SINGULAR,
+                                      FLAG_CLIPPED),
                        chart=cfg.chart)
 
     if cfg.with_singular and case.z_from_x is not None:
@@ -184,15 +181,10 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
 
 
 def _front_points(case, xs, chart: str) -> np.ndarray:
-    """Chart points of the front over xs, leaving out clipped points."""
-    zs = []
-    for x in xs:
-        try:
-            zs.append(case.z_from_x(x))
-        except ValueError:
-            continue
-    fv = eval_front_closed_form(case.inverse, np.array(zs, dtype=complex))
-    p = _chart_coords(fv.H, chart)
+    """Chart points of the front over xs, leaving out the points with no
+    preimage or a clipped front."""
+    zs = case.z_from_x(np.asarray(xs, dtype=complex))
+    p = _chart_coords(eval_front_closed_form(case.inverse, zs).H, chart)
     return p[np.isfinite(p).all(axis=1)]
 
 

@@ -71,12 +71,21 @@ def _truncation_order(im: float) -> int:
 _DOMAIN_ORDER = _truncation_order(math.sqrt(3.0) / 2.0)
 
 
+# points per block of _theta_sums: bounds its (4, block, 2m + 1) tables
+_BLOCK = 512
+
+
 def _theta_sums(q, m: int):
     """theta2, theta3, theta0 and q d/dq theta2, each summed over |n| <= m,
     for every nome in the array q."""
+    q = np.asarray(q)
+    if q.size > _BLOCK:     # a block at a time keeps the tables small
+        blocks = np.array_split(q.ravel(), -(-q.size // _BLOCK))
+        sums = zip(*(_theta_sums(b, m) for b in blocks))
+        return tuple(np.concatenate(s).reshape(q.shape) for s in sums)
     n = np.arange(-m, m + 1)
     e2 = (2 * n - 1) ** 2 / 2.0
-    q = np.asarray(q)[..., None]
+    q = q[..., None]
     q2 = q ** e2
     q3 = q ** (2.0 * n ** 2)
     s3 = np.where(n % 2, -1.0, 1.0) * q3
@@ -221,59 +230,79 @@ def lambda_series_coeffs(count: int):
     return mul(r2, r2)
 
 
-def reduce_level_two(z: complex, max_iter: int = 200) -> complex:
-    """Move z into the fundamental domain of the level-2 principal group.
+def reduce_level_two(z, max_iter: int = 200):
+    """Move z (scalar or array) into the fundamental domain of the level-2
+    principal group.
 
     The domain is {|Re z| <= 1, |2z - 1| >= 1, |2z + 1| >= 1}; lambda
-    takes every value of C - {0, 1} exactly once on it.
+    takes every value of C - {0, 1} exactly once on it.  Off the upper
+    half-plane, DomainError or NaN (see arrays.clip).
     """
-    z = _require_upper(z)
+    shape, z = np.shape(z), flat(z)
+    z, = clip(~(z.imag > 0), shape, DomainError,
+              lambda: f"Im z must be positive, got {z[0]}", z)
     for _ in range(max_iter):
-        shift = -math.floor((z.real + 1.0) / 2.0) * 2
-        z += shift
-        if abs(2.0 * z + 1.0) < 1.0 - 1e-15:
-            z = z / (2.0 * z + 1.0)
-        elif abs(2.0 * z - 1.0) < 1.0 - 1e-15:
-            z = z / (-2.0 * z + 1.0)
-        else:
-            return z
-    return z
+        z = z - np.floor((z.real + 1.0) / 2.0) * 2
+        left = np.abs(2.0 * z + 1.0) < 1.0 - 1e-15
+        right = ~left & (np.abs(2.0 * z - 1.0) < 1.0 - 1e-15)
+        if not (left | right).any():
+            break
+        z = np.where(left, z / (2.0 * z + 1.0),
+                     np.where(right, z / (-2.0 * z + 1.0), z))
+    return unflat(shape, z)[0]
 
 
-def fuchsian_z_from_x(x: complex, inv: LambdaInverse | None = None,
-                      tol: float = 1e-12, max_iter: int = 60) -> complex:
-    """Canonical preimage of x under lambda.
+# Newton starts, tried in this order until one converges
+_GUESSES = [complex(s, t)
+            for t in (0.4, 0.7, 1.1, 1.8, 0.25, 0.15)
+            for s in (0.5, 0.25, 0.75, 0.1, 0.9)]
+
+
+def _newton(inv: LambdaInverse, x: np.ndarray, z0: complex, tol: float,
+            max_iter: int) -> np.ndarray:
+    """Damped Newton on lambda(z) = x from z0 for every point of x at
+    once; NaN where it stops without converging."""
+    z = np.full(x.shape, z0)
+    out = np.full(x.shape, np.nan, dtype=complex)
+    active = np.arange(x.size)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        val, der, _ = inv.eval(z)
+        err = val - x[active]
+        done = np.abs(err) < tol * np.maximum(1.0, np.abs(x[active]))
+        out[active[done]] = z[done]
+        step = err / der
+        size = np.abs(step)
+        z = z - np.where(size > 0.5, step * (0.5 / size), step)
+        # a point leaves when it converged, its value is not finite, its
+        # derivative vanished or its step left the upper half-plane
+        keep = ~done & np.isfinite(val) & (der != 0.0) & (z.imag > 1e-6)
+        active, z = active[keep], z[keep]
+    return out
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def fuchsian_z_from_x(x, inv: LambdaInverse | None = None,
+                      tol: float = 1e-12, max_iter: int = 60):
+    """Canonical preimage of x (scalar or array) under lambda.
 
     Newton on lambda(z) - x with the closed-form derivative, started from
     a coarse grid; the result is reduced into the level-2 fundamental
     domain, where the preimage is unique, so curves of x map to
-    continuous curves of z (one branch per half-plane of x).
+    continuous curves of z (one branch per half-plane of x).  A point no
+    start solves is NaN in an array call; a scalar call raises ValueError.
     """
-    x = complex(x)
+    shape, x = np.shape(x), flat(x)
     inv = inv or LambdaInverse()
-    guesses = [complex(s, t)
-               for t in (0.4, 0.7, 1.1, 1.8, 0.25, 0.15)
-               for s in (0.5, 0.25, 0.75, 0.1, 0.9)]
-    for z0 in guesses:
-        z = z0
-        ok = False
-        for _ in range(max_iter):
-            try:
-                val, der, _ = inv.eval(z)
-            except DomainError:
-                break
-            err = val - x
-            if abs(err) < tol * max(1.0, abs(x)):
-                ok = True
-                break
-            if der == 0.0:
-                break
-            step = err / der
-            if abs(step) > 0.5:
-                step *= 0.5 / abs(step)
-            z = z - step
-            if z.imag <= 1e-6:
-                break
-        if ok:
-            return reduce_level_two(z)
-    raise ValueError(f"no lambda preimage found for x={x}")
+    z = np.full(x.shape, np.nan, dtype=complex)
+    for z0 in _GUESSES:
+        todo = np.flatnonzero(np.isnan(z))
+        if not todo.size:
+            break
+        z[todo] = _newton(inv, x[todo], z0, tol, max_iter)
+    z, = clip(np.isnan(z), shape, ValueError,
+              lambda: f"no lambda preimage found for x={x[0]}", z)
+    ok = ~np.isnan(z)
+    z[ok] = reduce_level_two(z[ok])
+    return complex(z[0]) if shape == () else z.reshape(shape)

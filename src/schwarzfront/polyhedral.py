@@ -162,25 +162,32 @@ class PolyhedralInverse:
         return unflat(shape, x, xd, xdd)
 
 
-def dihedral_z_from_x(n: int, x: complex) -> complex:
-    """Invert x = (z^n + 1)^2 / (4 z^n) on the base fan.
+@np.errstate(invalid="ignore", divide="ignore")
+def dihedral_z_from_x(n: int, x):
+    """Invert x = (z^n + 1)^2 / (4 z^n) on the base fan, for x scalar or
+    array.
 
     Returns the preimage with |z| <= 1 and |arg(z)| <= pi/n; x in the
     upper half-plane lands in the lower half of the fan and vice versa.
+    Where no root lies in the fan, NaN in an array call; a scalar call
+    raises ValueError.
     """
-    x = complex(x)
-    disc = np.sqrt(complex(x * x - x))
+    shape, x = np.shape(x), flat(x)
+    disc = np.sqrt(x * x - x)
+    z = np.full(x.shape, np.nan, dtype=complex)
     for y in (2.0 * x - 1.0 + 2.0 * disc, 2.0 * x - 1.0 - 2.0 * disc):
-        if abs(y) > 1.0 + 1e-12:
-            continue
-        # n-th roots of y; pick the one inside the (two-sided) fan
-        r, phi = abs(y), math.atan2(y.imag, y.real)
+        # n-th roots of y; take the first inside the (two-sided) fan
+        r, phi = np.abs(y), np.arctan2(y.imag, y.real)
+        size = r ** (1.0 / n)
         for k in range(-n, n + 1):
             ang = (phi + 2.0 * math.pi * k) / n
-            if abs(ang) <= math.pi / n + 1e-9:
-                z = r ** (1.0 / n) * complex(math.cos(ang), math.sin(ang))
-                zn = z ** n
-                if abs((zn + 1.0) ** 2 / (4.0 * zn) - x) <= \
-                   1e-8 * max(1.0, abs(x)):
-                    return z
-    raise ValueError(f"no fan preimage found for x={x}")
+            root = size * (np.cos(ang) + 1j * np.sin(ang))
+            rn = root ** n
+            z = np.where(np.isnan(z) & (r <= 1.0 + 1e-12)
+                         & (np.abs(ang) <= math.pi / n + 1e-9)
+                         & (np.abs((rn + 1.0) ** 2 / (4.0 * rn) - x)
+                            <= 1e-8 * np.maximum(1.0, np.abs(x))),
+                         root, z)
+    z, = clip(np.isnan(z), shape, ValueError,
+              lambda: f"no fan preimage found for x={x[0]}", z)
+    return complex(z[0]) if shape == () else z.reshape(shape)

@@ -169,11 +169,13 @@ def _oracle_grid(case, count):
         r = radius * math.sqrt((k % 37) / 37.0 + 0.02)
         th = 2.399963229728653 * k      # golden-angle spiral
         xs.append(center + r * cmath.exp(1j * th))
-    Ha, Hb = [], []
+    # one preimage call for the grid; a point without one is NaN and
+    # raises in the scalar front evaluation below
+    Ha = [fr.eval_front_closed_form(case.inverse, z).H
+          for z in case.z_from_x(np.array(xs))]
+    Hb = []
     x0 = xs[0]
     for x in xs:
-        z = case.z_from_x(x)
-        Ha.append(fr.eval_front_closed_form(case.inverse, z).H)
         if abs(x - x0) < 1e-12:
             U = np.eye(2, dtype=complex)
         else:

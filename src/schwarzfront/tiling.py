@@ -3,7 +3,8 @@
 Each standard case comes with three anti-holomorphic reflections whose
 mirrors bound a Schwarz triangle; the projective monodromy group is the
 group of even words in them.  Group elements are enumerated breadth-first
-by word length and deduplicated by their action on three probe points.
+by word length and deduplicated by their action on three probe points,
+looked up in a hash of the first probe's image, so enumeration is O(n).
 
 A reflection z -> (a conj(z) + b) / (c conj(z) + d) is stored by its matrix;
 composing two reflections gives the Moebius map with matrix M1 @ conj(M2).
@@ -147,6 +148,27 @@ def _signature(g: Mobius, probes):
     return tuple(g(p) for p in probes)
 
 
+def _cell(a: complex):
+    """Hash cell of a probe image.  Images that match within _DEDUP_TOL
+    differ by less than 0.02 in u = a / (100 _DEDUP_TOL (1 + |a|)), so
+    they lie in the same or neighbouring cells of the unit grid in u."""
+    u = a / (100.0 * _DEDUP_TOL * (1.0 + abs(a)))
+    return math.floor(u.real), math.floor(u.imag)
+
+
+def _known(buckets: dict, sig) -> bool:
+    """True if a signature matching sig is in buckets (cell of its first
+    probe image -> signatures); otherwise add sig and return False."""
+    cx, cy = _cell(sig[0])
+    for key in [(cx + i, cy + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]:
+        for s in buckets.get(key, ()):
+            if all(abs(a - b) <= _DEDUP_TOL * (1.0 + abs(a))
+                   for a, b in zip(sig, s)):
+                return True
+    buckets.setdefault((cx, cy), []).append(sig)
+    return False
+
+
 def tile_parameter_domain(tag: str, n: int | None = None,
                           max_count: int | None = None,
                           max_word_length: int = 12) -> TileSet:
@@ -162,17 +184,11 @@ def tile_parameter_domain(tag: str, n: int | None = None,
             if i != j:
                 gens.append((refl[j].then(refl[i]), f"{j + 1}{i + 1}"))
     probes = _probe_points(tag)
-    seen = []
+    buckets = {}
     out = []
 
     def known(g):
-        sig = _signature(g, probes)
-        for s in seen:
-            if all(abs(a - b) <= _DEDUP_TOL * (1.0 + abs(a))
-                   for a, b in zip(sig, s)):
-                return True
-        seen.append(sig)
-        return False
+        return _known(buckets, _signature(g, probes))
 
     ident = Mobius.identity()
     known(ident)

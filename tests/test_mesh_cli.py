@@ -9,7 +9,9 @@ import pytest
 import schwarzfront
 from schwarzfront import cli, mesh
 from schwarzfront.cases import resolve_case
-from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF
+from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, eval_q
+from schwarzfront.front import eval_front_closed_form
+from schwarzfront.h3 import hermitian_to_ball, hermitian_to_upper_half_space
 from schwarzfront.tiling import tile_parameter_domain
 
 
@@ -200,6 +202,43 @@ def test_upper_half_space_chart():
     m = mesh.build_mesh(cfg)
     good = m.flags & mesh.FLAG_CLIPPED == 0
     assert np.all(m.vertices[good][:, 2] > 0.0)
+
+
+def _per_tile_mesh(text, tiles, chart, resolution):
+    """Reference mesh built one tile at a time: vertices, flags, faces."""
+    case = resolve_case(text)
+    tol = mesh.JobConfig.near_singular_tol
+    verts, flags, faces, base = [], [], [], 0
+    for g, _ in tile_parameter_domain(case.tag, case.n,
+                                      max_count=tiles).elements:
+        zs, tris = mesh.sample_triangle(case.tag, g, resolution, case.n)
+        fv = eval_front_closed_form(case.inverse, zs)
+        if chart == "ball":
+            p = np.stack(hermitian_to_ball(fv.H).coords, axis=-1)
+        else:
+            w, t = hermitian_to_upper_half_space(fv.H).coords
+            p = np.stack([w.real, w.imag, t], axis=-1)
+        ok = np.isfinite(p).all(axis=1)
+        near = np.abs(np.abs(eval_q(case.exponents, fv.x).q) - 1.0) < tol
+        verts.append(np.where(ok[:, None], p, 0.0))
+        flags.append(np.where(ok, near * mesh.FLAG_NEAR_SINGULAR,
+                              mesh.FLAG_CLIPPED))
+        faces.append(tris[ok[tris].all(axis=1)] + base)
+        base += len(zs)
+    return np.concatenate(verts), np.concatenate(flags), np.concatenate(faces)
+
+
+@pytest.mark.parametrize("chart", ["ball", "uhs"])
+@pytest.mark.parametrize("text, tiles", [("dihedral:3", 6), ("icosa", 60),
+                                         ("fuchsian", 40)])
+def test_one_call_mesh_matches_per_tile_evaluation(text, tiles, chart):
+    m = mesh.build_mesh(mesh.JobConfig(case=text, tiles=tiles, resolution=8,
+                                       chart=chart, with_singular=False))
+    verts, flags, faces = _per_tile_mesh(text, tiles, chart, 8)
+    assert np.array_equal(m.flags, flags)
+    assert np.array_equal(m.triangles, faces)
+    scale = np.maximum(1.0, np.linalg.norm(verts, axis=1))
+    assert (np.linalg.norm(m.vertices - verts, axis=1) <= 1e-9 * scale).all()
 
 
 # --- export round trips --------------------------------------------------

@@ -95,3 +95,23 @@ def test_z_from_x_roundtrip_and_branch_continuity():
     zs = [fuchsian_z_from_x(0.5 + d + 0.3j)
           for d in np.linspace(-0.4, 0.4, 17)]
     assert np.abs(np.diff(zs)).max() < 0.1
+
+
+def test_z_from_x_array_matches_scalar_calls():
+    rng = np.random.default_rng(37)
+    xs = (rng.uniform(-1.0, 2.0, 24)
+          + 1j * rng.uniform(-1.0, 1.0, 24)).reshape(4, 6)
+    zs = fuchsian_z_from_x(xs)
+    assert zs.shape == xs.shape
+    for x, z in zip(xs.ravel(), zs.ravel()):
+        want = fuchsian_z_from_x(x)
+        assert type(want) is complex
+        assert abs(z - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("x", [1e200 + 0j, complex("nan"), complex("inf")])
+def test_z_from_x_unsolvable_point(x):
+    with pytest.raises(ValueError):
+        fuchsian_z_from_x(x)
+    zs = fuchsian_z_from_x(np.array([0.3 + 0.4j, x]))
+    assert np.isfinite(zs[0]) and np.isnan(zs[1])

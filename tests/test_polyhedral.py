@@ -100,3 +100,24 @@ def test_icosahedral_invariant_expansions():
     want_inf = np.zeros(12)
     want_inf[[0, 5, 10]] = [1, 11, -1]
     assert np.allclose(d.fInf, want_inf, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_dihedral_z_from_x_array_matches_scalar_calls(n):
+    rng = np.random.default_rng(11)
+    xs = (rng.uniform(-1.0, 2.0, 40)
+          + 1j * rng.uniform(-1.0, 1.0, 40)).reshape(5, 8)
+    zs = dihedral_z_from_x(n, xs)
+    assert zs.shape == xs.shape
+    for x, z in zip(xs.ravel(), zs.ravel()):
+        want = dihedral_z_from_x(n, x)
+        assert type(want) is complex
+        assert abs(z - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("x", [complex("nan"), complex("inf")])
+def test_dihedral_z_from_x_unsolvable_point(x):
+    with pytest.raises(ValueError):
+        dihedral_z_from_x(3, x)
+    zs = dihedral_z_from_x(3, np.array([0.3 + 0.4j, x]))
+    assert np.isfinite(zs[0]) and np.isnan(zs[1])

@@ -7,8 +7,9 @@ import pytest
 from schwarzfront import cli
 from schwarzfront.modular import eval_lambda
 from schwarzfront.polyhedral import PolyhedralInverse
-from schwarzfront.tiling import (BaseTriangle, Mobius, Reflection,
-                                 base_triangle, reflection_triple,
+from schwarzfront.tiling import (_DEDUP_TOL, BaseTriangle, Mobius,
+                                 Reflection, _cell, _known, _probe_points,
+                                 _signature, base_triangle, reflection_triple,
                                  tile_parameter_domain)
 
 INVARIANCE_TOL = 1e-9
@@ -119,3 +120,73 @@ def test_cli_tiles_reports_complete_group(capsys):
     assert cli.main(["tiles", "--case", "dihedral:3", "--tiles", "100"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == \
         "6 elements (complete=True)"
+
+
+# --- hashed dedup against a linear scan -----------------------------------
+
+def _linear_scan(tag, n=None, max_count=None, max_word_length=12):
+    """Reference enumeration: the same breadth-first walk, each new
+    signature compared with every earlier one."""
+    refl = reflection_triple(tag, n)
+    gens = [(refl[j].then(refl[i]), f"{j + 1}{i + 1}")
+            for i in range(3) for j in range(3) if i != j]
+    probes = _probe_points(tag)
+    seen = np.empty((0, 3), dtype=complex)
+
+    def known(g):
+        nonlocal seen
+        sig = np.array(_signature(g, probes))
+        close = np.abs(seen - sig) <= _DEDUP_TOL * (1.0 + np.abs(sig))
+        if close.all(axis=1).any():
+            return True
+        seen = np.vstack([seen, sig])
+        return False
+
+    ident = Mobius.identity()
+    known(ident)
+    out, queue, complete = [(ident, "")], [(ident, "", 0)], True
+    while queue and complete:
+        g, word, depth = queue.pop(0)
+        for h, hw in gens:
+            gh = h.compose(g)
+            if known(gh):
+                continue
+            if depth >= max_word_length or \
+               (max_count is not None and len(out) >= max_count):
+                complete = False
+                break
+            out.append((gh, word + hw))
+            queue.append((gh, word + hw, depth + 1))
+    if max_count is not None and len(out) > max_count:
+        out, complete = out[:max_count], False
+    return out, complete
+
+
+@pytest.mark.parametrize("tag, n, max_count", [
+    ("dihedral", 1, None), ("dihedral", 3, None), ("dihedral", 8, None),
+    ("tetrahedral", None, None), ("octahedral", None, None),
+    ("icosahedral", None, None), ("icosahedral", None, 40),
+    ("fuchsian-inf-inf-inf", None, 2000)])
+def test_hashed_dedup_matches_linear_scan(tag, n, max_count):
+    ts = tile_parameter_domain(tag, n, max_count=max_count)
+    want, complete = _linear_scan(tag, n, max_count=max_count)
+    assert ts.complete == complete
+    assert [w for _, w in ts.elements] == [w for _, w in want]
+    for (g, _), (h, _) in zip(ts.elements, want):
+        assert np.array_equal(g.matrix, h.matrix)
+
+
+def test_hashed_dedup_merges_across_a_cell_edge():
+    # a real image whose hash coordinate u sits 1e-3 below an integer, and
+    # a match half a tolerance away, which lands in the next cell
+    scale = 100.0 * _DEDUP_TOL
+    u = 3_000_000 - 1e-3
+    a = u * scale / (1.0 - u * scale) + 0j
+    b = a + 0.5 * _DEDUP_TOL * (1.0 + abs(a))
+    assert _cell(a) != _cell(b)
+    rest = (0.4 + 0.7j, -1.3 + 0.2j)
+    buckets = {}
+    assert not _known(buckets, (a,) + rest)
+    assert _known(buckets, (b,) + rest)
+    # outside the tolerance in another probe it stays distinct
+    assert not _known(buckets, (b, rest[0] + 1e-6, rest[1]))
