@@ -173,12 +173,12 @@ def cmd_singular_locus(args) -> int:
     if not len(curve.samples):
         print("no singular curve found in the default search box")
         return 1
+    spc = sg.classify_point(e, curve.samples, tol=tol)
     rows = ["x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)"]
-    for x in curve.samples:
-        spc = sg.classify_point(e, x, tol=tol)
-        rows.append(f"{x.real:.12g}\t{x.imag:.12g}\t{spc.cls}\t"
-                    f"{spc.abs_q:.12g}\t{spc.QRbar2.real:.12g}\t"
-                    f"{spc.QRbar2.imag:.12g}")
+    for x, cls, absq, zeta in zip(curve.samples.tolist(), spc.cls.tolist(),
+                                  spc.abs_q.tolist(), spc.QRbar2.tolist()):
+        rows.append(f"{x.real:.12g}\t{x.imag:.12g}\t{cls}\t{absq:.12g}\t"
+                    f"{zeta.real:.12g}\t{zeta.imag:.12g}")
     text = "\n".join(rows) + "\n"
     if out:
         with open(out, "w") as fh:

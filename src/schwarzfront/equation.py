@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,16 @@ class ExponentData:
     @property
     def orders(self):
         return (self.k0, self.k1, self.kInf)
+
+    @cached_property
+    def q_coeffs(self):
+        """Coefficients (c2, c1, c0) of Q = c0 + c1 x + c2 x^2, as floats.
+
+        Computed once: the exponents may be Fractions, and converting them
+        on every evaluation of Q dominated the scalar tracer and oracle.
+        """
+        m0, m1, mi = (float(m) ** 2 for m in self.mus)
+        return (1.0 - mi, mi + m0 - m1 - 1.0, 1.0 - m0)
 
 
 def _order_from_mu(mu):
@@ -112,8 +123,7 @@ class CoefficientValue:
 
 def q_poly_coeffs(e: ExponentData):
     """Coefficients (c2, c1, c0) of Q = c0 + c1 x + c2 x^2."""
-    m0, m1, mi = (float(m) ** 2 for m in e.mus)
-    return (1.0 - mi, mi + m0 - m1 - 1.0, 1.0 - m0)
+    return e.q_coeffs
 
 
 def q_terms(e: ExponentData, x: complex):
@@ -122,7 +132,7 @@ def q_terms(e: ExponentData, x: complex):
     The one evaluation of the polynomial arithmetic behind eval_q,
     eval_q_derivatives and the singular-locus function.
     """
-    c2, c1, c0 = q_poly_coeffs(e)
+    c2, c1, c0 = e.q_coeffs
     Q = c0 + c1 * x + c2 * x * x
     Qp = c1 + 2.0 * c2 * x
     w = x * (1.0 - x)

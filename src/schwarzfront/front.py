@@ -14,7 +14,6 @@ recovered by match_isometry, so the H-grids agree up to one isometry.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,22 +69,30 @@ def eval_front_closed_form(inv, z) -> FrontValue:
     return FrontValue(front_hermitian(z, xd, xdd), z, x)
 
 
-def eval_front_matrix(inv, z: complex, sqrt_prev: complex | None = None):
-    """The matrix U at z, with the sqrt branch continued from sqrt_prev.
+@np.errstate(invalid="ignore")    # NaN marks clipped points
+def eval_front_matrix(inv, z, sqrt_prev=None):
+    """The matrix U at z (a point or an array), with the sqrt branch chosen
+    per point as the one nearer sqrt_prev.
 
-    Returns (U, sqrt_xd).  H = U conj(U)^t equals eval_front_closed_form.
+    Returns (U, sqrt_xd), U of shape z.shape + (2, 2).  H = U conj(U)^t
+    equals eval_front_closed_form.  Where inv fails or |x'| <
+    RAMIFICATION_TOL, the error or NaN (see arrays.clip).
     """
-    z = complex(z)
-    x, xd, xdd = inv.eval(z)
-    if abs(xd) < RAMIFICATION_TOL:
-        raise RamificationError(f"dx/dz vanishes at z={z}")
-    s = cmath.sqrt(xd)
-    if sqrt_prev is not None and abs(s - sqrt_prev) > abs(-s - sqrt_prev):
-        s = -s
+    _, xd, xdd = inv.eval(z)
+    shape, z, xd, xdd = np.shape(z), flat(z), flat(xd), flat(xdd)
+    xd, = clip(abs(xd) < RAMIFICATION_TOL, shape, RamificationError,
+               lambda: f"dx/dz vanishes at z={z[0]}", xd)
+    s = np.sqrt(xd)
+    if sqrt_prev is not None:
+        prev = flat(sqrt_prev)
+        s = np.where(abs(s - prev) > abs(-s - prev), -s, s)
     r = xdd / xd
-    U = (1j / s) * np.array([[z * xd, 1.0 + 0.5 * z * r],
-                             [xd, 0.5 * r]], dtype=complex)
-    return U, s
+    U = (1j / s)[:, None, None] * np.stack(
+        [np.stack([z * xd, 1.0 + 0.5 * z * r], axis=-1),
+         np.stack([xd, 0.5 * r], axis=-1)], axis=-2)
+    if shape == ():
+        return U[0], complex(s[0])
+    return U.reshape(shape + (2, 2)), s.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from . import singular as sg
 from .cases import resolve_case
 from .elimination import S, V, fuchsian_elimination, swallowtail_t_exact
 from .equation import eval_q, eval_q_derivatives
-from .h3 import (H3Point, ball_to_lorentz, hermitian_to_ball,
-                 hermitian_to_lorentz, hermitian_to_upper_half_space,
-                 lorentz_to_ball, lorentz_to_hermitian,
-                 upper_half_space_to_hermitian)
+from .h3 import (H3Point, HermitianForm, ball_to_lorentz,
+                 hermitian_to_ball, hermitian_to_lorentz,
+                 hermitian_to_upper_half_space, lorentz_to_ball,
+                 lorentz_to_hermitian, upper_half_space_to_hermitian)
 # fuchsian_z_from_x is unused here; bench/spans.py wraps it under this name
 from .modular import (eval_lambda, fuchsian_z_from_x,  # noqa: F401
                       lambda_series_coeffs, theta_values)
@@ -123,35 +123,53 @@ def check_dx_dz() -> CheckResult:
                        worst, 1e-10, worst < 1e-10)
 
 
+def _representation_points(case, rng, count: int = 100, h: float = 1e-6):
+    """The first `count` drawn points z where U(z), U(z +- h), x'(z) and
+    q(x(z)) are all finite, with those values.
+
+    Candidates are drawn in batches of the number still needed, so the
+    points and the generator's state are those of drawing one point at a
+    time and skipping the ones that fail.
+    """
+    inv, e = case.inverse, case.exponents
+    if case.max_tiles is None:          # infinite group: upper half-plane
+        low, high = [-0.8, 0.5], [0.8, 1.5]
+    else:
+        low, high = [0.2, 0.05], [0.9, 1.0]
+    parts, need = [], count
+    while need > 0:
+        u = rng.uniform(low, high, (need, 2))
+        if case.max_tiles is None:
+            z = u[:, 0] + 1j * u[:, 1]
+        else:
+            z = u[:, 0] * np.exp(1j * u[:, 1])
+        U, s = fr.eval_front_matrix(inv, z)
+        Up, _ = fr.eval_front_matrix(inv, z + h, sqrt_prev=s)
+        Um, _ = fr.eval_front_matrix(inv, z - h, sqrt_prev=s)
+        x, xd, _ = inv.eval(z)
+        q = eval_q(e, x).q
+        ok = (np.isfinite(np.stack([U, Up, Um], axis=1)).all(axis=(1, 2, 3))
+              & np.isfinite(xd) & np.isfinite(q))
+        parts.append((z[ok], U[ok], Up[ok], Um[ok], xd[ok], q[ok]))
+        need -= int(ok.sum())
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def check_representation_formula() -> CheckResult:
     rng = np.random.default_rng(17)
     h = 1e-6
     worst_det, worst_ode = 0.0, 0.0
     for name in _FRONT_CASES:
-        case = resolve_case(name)
-        inv, e = case.inverse, case.exponents
-        count = 0
-        while count < 100:
-            if case.max_tiles is None:  # infinite group: upper half-plane
-                z = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.5, 1.5))
-            else:
-                z = rng.uniform(0.2, 0.9) * cmath.exp(
-                    1j * rng.uniform(0.05, 1.0))
-            try:
-                U, s = fr.eval_front_matrix(inv, z)
-                Up, sp_ = fr.eval_front_matrix(inv, z + h, sqrt_prev=s)
-                Um, _ = fr.eval_front_matrix(inv, z - h, sqrt_prev=s)
-                x, xd, _ = inv.eval(z)
-                qv = eval_q(e, x).q
-            except Exception:
-                continue
-            count += 1
-            worst_det = max(worst_det, abs(np.linalg.det(U) - 1.0))
-            dU = (Up - Um) / (2 * h)
-            rhs = U @ np.array([[0.0, qv * xd], [xd, 0.0]])
-            worst_ode = max(worst_ode,
-                            float(np.linalg.norm(dU - rhs)
-                                  / max(1.0, np.linalg.norm(rhs))))
+        _, U, Up, Um, xd, q = _representation_points(resolve_case(name), rng,
+                                                     h=h)
+        worst_det = max(worst_det, np.max(abs(np.linalg.det(U) - 1.0)))
+        dU = (Up - Um) / (2 * h)
+        zero = np.zeros_like(xd)
+        rhs = U @ np.stack([np.stack([zero, q * xd], axis=-1),
+                            np.stack([xd, zero], axis=-1)], axis=-2)
+        norm = np.linalg.norm(rhs, axis=(1, 2))
+        worst_ode = max(worst_ode, np.max(np.linalg.norm(dU - rhs, axis=(1, 2))
+                                          / np.maximum(1.0, norm)))
     worst = max(worst_det / 1e-10, worst_ode / 1e-7)
     return CheckResult(6, "representation formula det/ODE residual",
                        worst, 1.0, worst < 1.0,
@@ -169,10 +187,13 @@ def _oracle_grid(case, count):
         r = radius * math.sqrt((k % 37) / 37.0 + 0.02)
         th = 2.399963229728653 * k      # golden-angle spiral
         xs.append(center + r * cmath.exp(1j * th))
-    # one preimage call for the grid; a point without one is NaN and
-    # raises in the scalar front evaluation below
-    Ha = [fr.eval_front_closed_form(case.inverse, z).H
-          for z in case.z_from_x(np.array(xs))]
+    # one preimage and one front call for the grid; a point without a
+    # preimage, or where the front fails, is NaN
+    H = fr.eval_front_closed_form(case.inverse, case.z_from_x(np.array(xs))).H
+    bad = ~np.isfinite(H.h)
+    if bad.any():
+        raise ValueError(f"closed form failed at x={np.array(xs)[bad][0]}")
+    Ha = [HermitianForm(h, k, w) for h, k, w in zip(H.h, H.k, H.w)]
     Hb = []
     x0 = xs[0]
     for x in xs:

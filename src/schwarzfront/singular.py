@@ -59,14 +59,20 @@ def _f_and_grad(e: ExponentData, x: complex):
     return f, gs, gt
 
 
-def _is_nonpositive_real(z: complex, tol: float = NONPOS_REAL_TOL) -> bool:
-    m = abs(z)
-    return m == 0.0 or (abs(z.imag) <= tol * m and z.real <= tol * m)
+def _is_nonpositive_real(z, tol: float = NONPOS_REAL_TOL):
+    m = np.abs(z)
+    return (m == 0.0) | ((np.abs(z.imag) <= tol * m) & (z.real <= tol * m))
 
 
-def classify_point(e: ExponentData, x: complex,
+@np.errstate(invalid="ignore")    # NaN marks clipped points
+def classify_point(e: ExponentData, x,
                    tol: float = 1e-8) -> SingularPointClass:
-    """Classify x against the front singularity criteria."""
+    """Classify x (scalar or array) against the front singularity criteria.
+
+    An array call returns arrays in every field; a point at x = 0 or 1 is
+    NaN (see arrays.clip) and classed NotSingular.  A scalar call raises
+    SingularPointError there and returns Python scalars.
+    """
     cv = eval_q(e, x)
     x, Q, Qp, R, Rp = cv.x, cv.Q, cv.Qp, cv.R, cv.Rp
     zeta = Q ** 3 * R.conjugate() ** 2
@@ -77,14 +83,13 @@ def classify_point(e: ExponentData, x: complex,
                 + abs(g) * (2.0 * abs(Rp) * abs(Q) + abs(R) * abs(Qp))
                 * abs(R) ** 2)
     absq = abs(cv.q)
-    if abs(absq - 1.0) > tol:
-        cls = NOT_SINGULAR
-    elif abs(R) > 0.0 and not _is_nonpositive_real(zeta):
-        cls = CUSPIDAL_EDGE
-    elif abs(sw) > NONPOS_REAL_TOL * max(sw_scale, 1.0):
-        cls = SWALLOWTAIL
-    else:
-        cls = HIGHER_DEGENERATE
+    cls = np.select(
+        [~(np.abs(absq - 1.0) <= tol),
+         (np.abs(R) > 0.0) & ~_is_nonpositive_real(zeta),
+         np.abs(sw) > NONPOS_REAL_TOL * np.maximum(sw_scale, 1.0)],
+        [NOT_SINGULAR, CUSPIDAL_EDGE, SWALLOWTAIL], HIGHER_DEGENERATE)
+    if not isinstance(x, np.ndarray):
+        cls = str(cls)
     return SingularPointClass(x=x, cls=cls, abs_q=absq, QRbar2=zeta,
                               swallowtail_re=sw)
 
@@ -92,29 +97,36 @@ def classify_point(e: ExponentData, x: complex,
 def _newton_to_curve(e: ExponentData, x: complex,
                      max_iter: int = 40) -> complex:
     """Correct x onto f = 0 by Newton steps along grad f."""
+    return _newton_with_grad(e, x, max_iter)[0]
+
+
+def _newton_with_grad(e: ExponentData, x: complex, max_iter: int = 40):
+    """(x, gs, gt): x corrected onto f = 0 and grad f there, from the
+    evaluation that accepted it."""
     for _ in range(max_iter):
         f, gs, gt = _f_and_grad(e, x)
         if abs(f) < CURVE_TOL:
-            return x
+            return x, gs, gt
         n2 = gs * gs + gt * gt
         if n2 == 0.0:
             break
         x -= f * complex(gs, gt) / n2
-    f, _, _ = _f_and_grad(e, x)
+    f, gs, gt = _f_and_grad(e, x)
     if abs(f) >= CURVE_TOL:
         raise ValueError(f"Newton correction failed near x={x}")
-    return x
+    return x, gs, gt
 
 
-def _find_seed(e: ExponentData, box) -> complex | None:
-    """Scan the box for a sign change of f and bisect to the curve."""
+def _find_seed(e: ExponentData, box):
+    """Scan the box for a sign change of f and bisect to the curve;
+    (x, gs, gt) as _newton_with_grad, or None."""
     s0, s1, t0, t1 = box
     for t in np.linspace(t0, t1, 41):
         ss = np.linspace(s0, s1, 201)
         vals = _f_and_grad(e, ss + 1j * t)[0]
         for k in range(len(ss) - 1):
             if vals[k] == 0.0:
-                return _newton_to_curve(e, complex(ss[k], t))
+                return _newton_with_grad(e, complex(ss[k], t))
             if vals[k] * vals[k + 1] < 0.0:
                 a, b = ss[k], ss[k + 1]
                 fa = vals[k]
@@ -125,7 +137,7 @@ def _find_seed(e: ExponentData, box) -> complex | None:
                         b = m
                     else:
                         a, fa = m, fm
-                return _newton_to_curve(e, complex(0.5 * (a + b), t))
+                return _newton_with_grad(e, complex(0.5 * (a + b), t))
     return None
 
 
@@ -136,17 +148,17 @@ def trace_singular_curve(e: ExponentData, box=( -1.0, 2.0, 1e-4, 1.5),
     box = (s_min, s_max, t_min, t_max) in x = s + it.  Returns an empty
     curve when no sign change is found.
     """
-    seed = _find_seed(e, box)
-    if seed is None:
+    found = _find_seed(e, box)
+    if found is None:
         return TracedCurve(samples=np.empty(0, complex),
                            arclength=np.empty(0), closed=False)
+    seed, gs, gt = found
     pts = [seed]
     x = seed
     step = STEP_MAX
     prev_tan = None
     closed = False
     for k in range(max_steps):
-        _, gs, gt = _f_and_grad(e, x)
         gn = math.hypot(gs, gt)
         if gn == 0.0:
             break
@@ -159,7 +171,7 @@ def trace_singular_curve(e: ExponentData, box=( -1.0, 2.0, 1e-4, 1.5),
                 step = max(STEP_MIN, step * 0.5)
             elif turn < 0.01 and step < STEP_MAX:
                 step = min(STEP_MAX, step * 1.5)
-        x_new = _newton_to_curve(e, x + step * tan)
+        x_new, gs, gt = _newton_with_grad(e, x + step * tan)
         pts.append(x_new)
         prev_tan = tan
         x = x_new
@@ -191,15 +203,17 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve,
     if len(xs) < 3:
         return []
     vals = _im_zeta(e, xs)
+    hits = (vals == 0.0) | (vals * np.roll(vals, -1) < 0.0)
+    if not curve.closed:        # no segment from the last sample back
+        hits[-1] = False
     found = []
     n = len(xs)
-    rng = range(n) if curve.closed else range(n - 1)
-    for k in rng:
+    for k in np.flatnonzero(hits):
         a, b = xs[k], xs[(k + 1) % n]
-        fa, fb = vals[k], vals[(k + 1) % n]
+        fa = vals[k]
         if fa == 0.0:
             cand = a
-        elif fa * fb < 0.0:
+        else:
             lo, hi, flo = a, b, fa
             while abs(hi - lo) > tol:
                 mid = _newton_to_curve(e, 0.5 * (lo + hi))
@@ -209,8 +223,6 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve,
                 else:
                     lo, flo = mid, fm
             cand = 0.5 * (lo + hi)
-        else:
-            continue
         spc = classify_point(e, cand)
         if spc.cls == SWALLOWTAIL and \
            all(abs(cand - p.x) > 1e-6 for p in found):
@@ -297,7 +309,7 @@ def _coincidence_offset(e, front_of_x, t, d_max, coincide_tol):
 
     try:
         deltas = [delta(d) for d in ds]
-    except Exception:
+    except ValueError:      # every evaluation error of the package
         return None
     ref = None
     for v in deltas:

@@ -5,9 +5,18 @@ prints the standard one-line PASS/FAIL record so the criterion status
 is visible in the pytest -s output.
 """
 
+import cmath
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from schwarzfront import front as fr
 from schwarzfront import selfcheck as sc
+from schwarzfront.arrays import clip, flat, unflat
+from schwarzfront.cases import resolve_case
+from schwarzfront.equation import eval_q
+from schwarzfront.modular import DomainError, LambdaInverse
 
 
 def _run(check):
@@ -76,3 +85,50 @@ def test_full_battery_reports_no_failures():
     results = sc.run_all(quick=True)
     assert len(results) == 14
     assert all(r.passed for r in results), sc.report(results)
+
+
+# --- criterion 6 draws its points in batches ------------------------------
+
+def _scalar_representation_points(case, rng, count=100, h=1e-6):
+    """Reference for criterion 6's draw: one point at a time, skipping a
+    point where any scalar evaluation raises."""
+    zs = []
+    while len(zs) < count:
+        if case.max_tiles is None:
+            z = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.5, 1.5))
+        else:
+            z = rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0.05, 1.0))
+        try:
+            _, s = fr.eval_front_matrix(case.inverse, z)
+            fr.eval_front_matrix(case.inverse, z + h, sqrt_prev=s)
+            fr.eval_front_matrix(case.inverse, z - h, sqrt_prev=s)
+            x, _, _ = case.inverse.eval(z)
+            eval_q(case.exponents, x)
+        except (ValueError, RuntimeError):
+            continue
+        zs.append(z)
+    return np.array(zs)
+
+
+class _RefusingInverse:
+    """The lambda inverse, refusing Re z > 0.2 (about 40% of the draws)."""
+
+    def eval(self, z):
+        shape, zf = np.shape(z), flat(z)
+        values = LambdaInverse().eval(zf)
+        values = clip(zf.real > 0.2, shape, DomainError,
+                      lambda: "refused", *values)
+        return unflat(shape, *(flat(v) for v in values))
+
+
+def test_criterion_06_points_equal_scalar_draw_and_skip():
+    fuchsian = resolve_case("fuchsian")
+    refusing = SimpleNamespace(inverse=_RefusingInverse(),
+                               exponents=fuchsian.exponents, max_tiles=None)
+    cases = [resolve_case(n) for n in sc._FRONT_CASES] + [refusing]
+    rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+    for case in cases:
+        z = sc._representation_points(case, rng_a)[0]
+        assert np.array_equal(z, _scalar_representation_points(case, rng_b))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert len(z) == 100 and (z.real <= 0.2).all()

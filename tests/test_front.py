@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schwarzfront import front as fr
+from schwarzfront.cases import resolve_case
 from schwarzfront.equation import eval_q, exponents_from_mu
 from schwarzfront.h3 import Isometry, apply_isometry, hermitian_to_ball
 from schwarzfront.modular import LambdaInverse, fuchsian_z_from_x
@@ -141,3 +142,41 @@ def test_end_probe_reaches_boundary(dihedral3):
     assert probe.monotone_tail
     assert probe.norms[-1] > 1.0 - 1e-3
     assert probe.limit is not None
+
+
+def _close(a, b, rel=1e-13):
+    return np.all(np.abs(a - b) <= rel * np.maximum(np.abs(b), 1e-300))
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "icosa", "fuchsian"])
+def test_array_front_matrix_matches_scalar_calls(name):
+    case = resolve_case(name)
+    rng = np.random.default_rng(41)
+    u = rng.uniform([0.2, 0.05], [0.9, 1.0], (40, 2))
+    if case.max_tiles is None:
+        z = u[:, 0] - 0.5 + 1j * u[:, 1]
+        bad = [-0.2 - 0.1j, 0.3 + 0j]            # off the upper half-plane
+    else:
+        z = u[:, 0] * np.exp(1j * u[:, 1])
+        pole = case.inverse.data.pole_roots[0]
+        bad = [pole, cmath.exp(1j * math.pi / case.n) if case.n else pole]
+    z = np.concatenate([z, bad]).reshape(6, 7)
+    U, s = fr.eval_front_matrix(case.inverse, z)
+    assert U.shape == (6, 7, 2, 2) and s.shape == (6, 7)
+    # continue from the other branch at every other point
+    flip = np.where(np.arange(z.size).reshape(z.shape) % 2 == 0, 1.0, -1.0)
+    Up, sp = fr.eval_front_matrix(case.inverse, z + 1e-6, sqrt_prev=flip * s)
+    for idx in np.ndindex(z.shape):
+        if z[idx] in bad:
+            with pytest.raises(ValueError):
+                fr.eval_front_matrix(case.inverse, z[idx])
+            assert np.isnan(U[idx]).all() and np.isnan(s[idx])
+            continue
+        U1, s1 = fr.eval_front_matrix(case.inverse, z[idx])
+        Up1, sp1 = fr.eval_front_matrix(case.inverse, z[idx] + 1e-6,
+                                        sqrt_prev=flip[idx] * s1)
+        assert type(s1) is complex and U1.shape == (2, 2)
+        assert _close(U[idx], U1) and _close(s[idx], s1)
+        assert _close(Up[idx], Up1) and _close(sp[idx], sp1)
+        # the branch nearer sqrt_prev was taken, per point
+        assert abs(sp1 - flip[idx] * s1) < abs(sp1 + flip[idx] * s1)

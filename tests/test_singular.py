@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction as Fr
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from schwarzfront import singular as sg
+from schwarzfront.cases import resolve_case
 from schwarzfront.elimination import swallowtail_t_exact
 from schwarzfront.equation import (SingularPointError, eval_q,
                                    exponents_from_mu)
@@ -165,3 +167,102 @@ def test_swallowtail_chart_conjugation():
         st = sg.swallowtail_chart_source(u, v)
         rhs = sg.swallowtail_chart_target(*sg.local_model_swallowtail(*st))
         assert max(abs(a - b) for a, b in zip(lhs, rhs)) < 1e-12
+
+
+# --- array classification and the tracer ----------------------------------
+
+_CURVE_CASES = ([f"dihedral:{n}" for n in range(2, 9)]
+                + ["tetra", "octa", "icosa", "fuchsian"])
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """{case: (exponents, traced singular curve)} for every family."""
+    out = {}
+    for name in _CURVE_CASES:
+        e = resolve_case(name).exponents
+        out[name] = (e, sg.trace_singular_curve(e))
+    return out
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_array_classify_matches_scalar_calls(traced, name):
+    e, curve = traced[name]
+    xs = curve.samples
+    assert len(xs) > 100
+    got = sg.classify_point(e, xs)
+    assert got.cls.shape == got.abs_q.shape == got.QRbar2.shape == xs.shape
+    for k, x in enumerate(xs):
+        want = sg.classify_point(e, complex(x))
+        assert got.cls[k] == want.cls
+        assert abs(got.abs_q[k] - want.abs_q) <= 1e-14
+        assert abs(got.QRbar2[k] - want.QRbar2) <= 1e-12 * abs(want.QRbar2)
+        assert got.x[k] == want.x
+
+
+def test_array_classify_marks_equation_singularities(fuchsian):
+    xs = np.array([0.0, 0.5 + 0.3j, 1.0])
+    got = sg.classify_point(fuchsian, xs)
+    assert np.isnan(got.abs_q[[0, 2]]).all()
+    assert list(got.cls[[0, 2]]) == [sg.NOT_SINGULAR] * 2
+    want = sg.classify_point(fuchsian, xs[1])
+    assert got.cls[1] == want.cls
+    assert got.abs_q[1] == pytest.approx(want.abs_q, rel=1e-14)
+
+
+def test_scalar_classify_returns_python_types(fuchsian):
+    p = sg.classify_point(fuchsian, complex(0.5, swallowtail_t_exact()))
+    assert type(p.x) is complex and type(p.QRbar2) is complex
+    assert type(p.cls) is str
+    assert type(p.abs_q) is float and type(p.swallowtail_re) is float
+
+
+def _reference_trace(e, box=(-1.0, 2.0, 1e-4, 1.5), max_steps=200000):
+    """The tracer with the gradient evaluated again at every accepted
+    point, as it was before it took the Newton corrector's gradient."""
+    seed = sg._find_seed(e, box)[0]
+    pts, x, step, prev_tan, closed = [seed], seed, sg.STEP_MAX, None, False
+    for k in range(max_steps):
+        _, gs, gt = sg._f_and_grad(e, x)
+        gn = math.hypot(gs, gt)
+        if gn == 0.0:
+            break
+        tan = complex(-gt, gs) / gn
+        if prev_tan is not None:
+            if (tan.real * prev_tan.real + tan.imag * prev_tan.imag) < 0.0:
+                tan = -tan
+            turn = abs(cmath.phase(tan / prev_tan))
+            if turn > 0.05 and step > sg.STEP_MIN:
+                step = max(sg.STEP_MIN, step * 0.5)
+            elif turn < 0.01 and step < sg.STEP_MAX:
+                step = min(sg.STEP_MAX, step * 1.5)
+        x = sg._newton_to_curve(e, x + step * tan)
+        pts.append(x)
+        prev_tan = tan
+        if k > 10 and abs(x - seed) < sg.CLOSURE_TOL:
+            closed = True
+            break
+        if k > 10 and abs(x - seed) < step:
+            step = max(sg.STEP_MIN, abs(x - seed) * 0.5)
+    return np.array(pts), closed
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "icosa", "fuchsian"])
+def test_tracer_matches_reference_bit_for_bit(traced, name):
+    e, curve = traced[name]
+    samples, closed = _reference_trace(e)
+    assert curve.closed == closed
+    assert np.array_equal(curve.samples, samples)
+
+
+def test_self_intersection_skips_only_evaluation_errors(fuchsian):
+    def raises(exc):
+        def front_of_x(x):
+            raise exc("no front here")
+        return front_of_x
+
+    curve = sg.find_self_intersection(fuchsian, raises(SingularPointError),
+                                      [0.1, 0.2])
+    assert len(curve.samples) == 0
+    with pytest.raises(TypeError):
+        sg.find_self_intersection(fuchsian, raises(TypeError), [0.1])
