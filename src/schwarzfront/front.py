@@ -103,77 +103,122 @@ class FundamentalSolution:
     path: tuple
 
 
+def _segment_distance(p, d, c):
+    """Distance from the point c to the segments p -> p + d (arrays)."""
+    dd = (d * d.conjugate()).real
+    t = ((c - p) * d.conjugate()).real / np.where(dd > 0.0, dd, 1.0)
+    return abs(p + np.clip(t, 0.0, 1.0) * d - c)
+
+
 def integrate_sl_form(e: ExponentData, path, U0=None) -> FundamentalSolution:
     """Integrate dU/dx = U [[0, q],[1, 0]] along a polyline of x values.
 
-    U0 defaults to the identity; det U0 must be 1.  The path must keep
-    distance >= PATH_MARGIN from x = 0 and x = 1.
+    The vertices of `path` are points or arrays of one common shape (a
+    point broadcasts); each element is its own polyline, and U has shape
+    shape + (2, 2).  U0 (2x2, or one per path) defaults to the identity;
+    det U0 must be 1.  Every segment must keep distance >= PATH_MARGIN
+    from x = 0 and x = 1.
+
+    Each segment is one solve_ivp in s in [0, 1] for all N paths at once,
+    8 real components per path.  Its error norm is the RMS over all 8 N
+    components, so rtol and atol are divided by sqrt(N): RMS <= 1 over the
+    whole state then implies RMS <= 1 over each path's 8, the bound a
+    solve of that path alone keeps at the undivided tolerances.  That
+    needs rtol / sqrt(N) above solve_ivp's floor of 100 eps, so one call
+    takes at most about 2e5 paths.
     """
     # imported here: scipy.integrate takes most of the package's import
     # time, and only this oracle needs it
     from scipy.integrate import solve_ivp
 
-    path = [complex(p) for p in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
-    for p, q in zip(path, path[1:]):
-        for s in np.linspace(0.0, 1.0, 33):
-            xt = p + s * (q - p)
-            if abs(xt) < PATH_MARGIN or abs(xt - 1.0) < PATH_MARGIN:
-                raise PathError(
-                    f"path point {xt} within {PATH_MARGIN} of a singularity")
-    if U0 is None:
-        U0 = np.eye(2, dtype=complex)
-    U0 = np.asarray(U0, dtype=complex)
-    if abs(np.linalg.det(U0) - 1.0) > 1e-9:
+    shape = np.broadcast_shapes(*(np.shape(p) for p in path))
+    pts = [np.broadcast_to(np.asarray(p, complex), shape).ravel()
+           for p in path]
+    n = pts[0].size
+    for i, (p, q) in enumerate(zip(pts, pts[1:])):
+        for c in (0.0, 1.0):
+            bad = _segment_distance(p, q - p, c) < PATH_MARGIN
+            if bad.any():
+                j = np.flatnonzero(bad)[0]
+                raise PathError(f"segment {i}, {p[j]} -> {q[j]}, passes "
+                                f"within {PATH_MARGIN} of x = {c:g}")
+    U0 = np.eye(2) if U0 is None else U0
+    U = np.ascontiguousarray(
+        np.broadcast_to(np.asarray(U0, complex), shape + (2, 2)))
+    if (abs(np.linalg.det(U) - 1.0) > 1e-9).any():
         raise ValueError("U0 must have determinant 1")
+    root_n = math.sqrt(max(n, 1))
+    rtol, atol = 1e-11 / root_n, 1e-13 / root_n
+    if rtol < 100 * np.finfo(float).eps:   # solve_ivp would raise rtol
+        raise ValueError(f"{n} paths are too many for one solve")
 
-    U = U0
-    for p, pq in zip(path, path[1:]):
+    U = U.reshape(n, 2, 2)
+    for i, (p, pq) in enumerate(zip(pts, pts[1:])):
         dx = pq - p
+        A = np.zeros((n, 2, 2), complex)    # [[0, q], [1, 0]] dx
+        A[:, 1, 0] = dx
 
         def rhs(s, y):
-            x = p + s * dx
-            qv = eval_q(e, x).q
-            u = y[:4].reshape(2, 2) + 1j * y[4:].reshape(2, 2)
-            du = (u @ np.array([[0.0, qv], [1.0, 0.0]])) * dx
-            return np.concatenate([du.real.ravel(), du.imag.ravel()])
+            A[:, 0, 1] = eval_q(e, p + s * dx).q * dx
+            return (y.view(complex).reshape(n, 2, 2) @ A).view(float).ravel()
 
-        y0 = np.concatenate([U.real.ravel(), U.imag.ravel()])
-        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                        rtol=1e-11, atol=1e-13, dense_output=False)
+        sol = solve_ivp(rhs, (0.0, 1.0), U.view(float).ravel(),
+                        method="DOP853", rtol=rtol, atol=atol)
         if not sol.success:
-            raise PathError(f"integration failed on segment {p} -> {pq}: "
+            raise PathError(f"integration failed on segment {i}, "
+                            f"{p[0]} -> {pq[0]} (first of {n} paths): "
                             f"{sol.message}")
-        yf = sol.y[:, -1]
-        U = yf[:4].reshape(2, 2) + 1j * yf[4:].reshape(2, 2)
-    return FundamentalSolution(U=U, basepoint=path[0], endpoint=path[-1],
-                               path=tuple(path))
+        U = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(n, 2, 2)
+    if shape == ():
+        return FundamentalSolution(U=U[0], basepoint=complex(pts[0][0]),
+                                   endpoint=complex(pts[-1][0]),
+                                   path=tuple(complex(p[0]) for p in pts))
+    return FundamentalSolution(
+        U=U.reshape(shape + (2, 2)), basepoint=pts[0].reshape(shape),
+        endpoint=pts[-1].reshape(shape),
+        path=tuple(p.reshape(shape) for p in pts))
 
 
-def hermitian_of_solution(U: np.ndarray) -> HermitianForm:
-    m = U @ U.conj().T
-    return HermitianForm(m[0, 0].real, m[1, 1].real, m[1, 0])
+def hermitian_of_solution(U) -> HermitianForm:
+    """H = U conj(U)^t for U of shape (..., 2, 2), one form per matrix."""
+    U = np.asarray(U)
+    m = U @ U.conj().swapaxes(-1, -2)
+    return HermitianForm(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0])
 
 
 # --- isometry matching ------------------------------------------------------
 
+def _matrices(grid) -> np.ndarray:
+    """The (n, 2, 2) matrices of a grid: one array HermitianForm, or a
+    sequence of HermitianForm (or FrontValue)."""
+    if isinstance(grid, HermitianForm):
+        _, h, k, w = grid.flat()
+    else:
+        forms = [g.H if isinstance(g, FrontValue) else g for g in grid]
+        h, k, w = (np.array([getattr(f, a) for f in forms], dtype=complex)
+                   for a in "hkw")
+    return np.stack([np.stack([h, w.conjugate()], axis=-1),
+                     np.stack([w, k], axis=-1)], axis=-2)
+
+
 def match_isometry(grid_a, grid_b):
     """Find P with H_a ~ P H_b conj(P)^t over two matched H-grids.
 
-    grid_a, grid_b: sequences of HermitianForm (or FrontValue) sampling the
-    same parameter points.  Returns (Isometry, residual) with residual the
-    max relative Frobenius distance over the grid.
+    grid_a, grid_b: one array HermitianForm each, or sequences of
+    HermitianForm (or FrontValue), sampling the same parameter points.
+    Returns (Isometry, residual) with residual the max relative Frobenius
+    distance over the grid.
     """
-    Ha = [g.H if isinstance(g, FrontValue) else g for g in grid_a]
-    Hb = [g.H if isinstance(g, FrontValue) else g for g in grid_b]
-    if len(Ha) != len(Hb) or len(Ha) < 3:
+    Ma, Mb = _matrices(grid_a), _matrices(grid_b)
+    if len(Ma) != len(Mb) or len(Ma) < 3:
         raise ValueError("need two grids of equal length >= 3")
-    n = len(Ha)
+    n = len(Ma)
 
     def solve_triple(i, j, k):
-        M1, M2 = Hb[i].matrix(), Hb[j].matrix()
-        N1, N2 = Ha[i].matrix(), Ha[j].matrix()
+        M1, M2 = Mb[i], Mb[j]
+        N1, N2 = Ma[i], Ma[j]
         A = M1 @ np.linalg.inv(M2)
         B = N1 @ np.linalg.inv(N2)
         wa, va = np.linalg.eig(A)
@@ -197,8 +242,8 @@ def match_isometry(grid_a, grid_b):
             return None
         c1 = math.sqrt(Gn[0, 0].real / G[0, 0].real)
         c2m = math.sqrt(Gn[1, 1].real / G[1, 1].real)
-        G3 = va_inv @ Hb[k].matrix() @ va_inv.conj().T
-        Gn3 = vb_inv @ Ha[k].matrix() @ vb_inv.conj().T
+        G3 = va_inv @ Mb[k] @ va_inv.conj().T
+        Gn3 = vb_inv @ Ma[k] @ vb_inv.conj().T
         scale = abs(G3[0, 0]) + abs(G3[1, 1])
         if abs(G3[0, 1]) < 1e-9 * scale:
             return None  # third point on the same axis, phase still free
@@ -221,13 +266,10 @@ def match_isometry(grid_a, grid_b):
             break
     if P is None:
         raise ValueError("could not solve for an isometry from the grids")
-    iso = Isometry(P)
-    resid = 0.0
-    for a, b in zip(Ha, Hb):
-        t = P @ b.matrix() @ P.conj().T
-        resid = max(resid, float(np.linalg.norm(a.matrix() - t)
-                                 / np.linalg.norm(a.matrix())))
-    return iso, resid
+    T = P @ Mb @ P.conj().T
+    resid = float(np.max(np.linalg.norm(Ma - T, axis=(1, 2))
+                         / np.linalg.norm(Ma, axis=(1, 2))))
+    return Isometry(P), resid
 
 
 # --- end behavior -----------------------------------------------------------

@@ -22,7 +22,7 @@ from . import singular as sg
 from .cases import resolve_case
 from .elimination import S, V, fuchsian_elimination, swallowtail_t_exact
 from .equation import eval_q, eval_q_derivatives
-from .h3 import (H3Point, HermitianForm, ball_to_lorentz,
+from .h3 import (H3Point, ball_to_lorentz,
                  hermitian_to_ball, hermitian_to_lorentz,
                  hermitian_to_upper_half_space, lorentz_to_ball,
                  lorentz_to_hermitian, upper_half_space_to_hermitian)
@@ -176,8 +176,9 @@ def check_representation_formula() -> CheckResult:
                        detail=f"det={worst_det:.3g} ode={worst_ode:.3g}")
 
 
-def _oracle_grid(case, count):
-    """x targets in a disk star-shaped around the basepoint, away from 0, 1."""
+def _oracle_points(count):
+    """x targets in a disk star-shaped around the basepoint, away from 0, 1;
+    the basepoint first."""
     center = 0.5 + 0.45j
     radius = 0.3
     xs = [center]
@@ -187,22 +188,23 @@ def _oracle_grid(case, count):
         r = radius * math.sqrt((k % 37) / 37.0 + 0.02)
         th = 2.399963229728653 * k      # golden-angle spiral
         xs.append(center + r * cmath.exp(1j * th))
+    return np.array(xs)
+
+
+def _oracle_grid(case, count):
+    """(Ha, Hb): the closed-form and the ODE-transported H over the grid,
+    each one array HermitianForm."""
+    xs = _oracle_points(count)
     # one preimage and one front call for the grid; a point without a
     # preimage, or where the front fails, is NaN
-    H = fr.eval_front_closed_form(case.inverse, case.z_from_x(np.array(xs))).H
-    bad = ~np.isfinite(H.h)
+    Ha = fr.eval_front_closed_form(case.inverse, case.z_from_x(xs)).H
+    bad = ~np.isfinite(Ha.h)
     if bad.any():
-        raise ValueError(f"closed form failed at x={np.array(xs)[bad][0]}")
-    Ha = [HermitianForm(h, k, w) for h, k, w in zip(H.h, H.k, H.w)]
-    Hb = []
-    x0 = xs[0]
-    for x in xs:
-        if abs(x - x0) < 1e-12:
-            U = np.eye(2, dtype=complex)
-        else:
-            U = fr.integrate_sl_form(case.exponents, [x0, x]).U
-        Hb.append(fr.hermitian_of_solution(U))
-    return Ha, Hb
+        raise ValueError(f"closed form failed at x={xs[bad][0]}")
+    # one solve for every segment x0 -> x; the basepoint's own segment
+    # has length 0, so its U stays the identity
+    U = fr.integrate_sl_form(case.exponents, [xs[0], xs]).U
+    return Ha, fr.hermitian_of_solution(U)
 
 
 def check_oracle_equivalence(count: int = 200) -> CheckResult:

@@ -8,9 +8,11 @@ import pytest
 from schwarzfront import front as fr
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import eval_q, exponents_from_mu
-from schwarzfront.h3 import Isometry, apply_isometry, hermitian_to_ball
+from schwarzfront.h3 import (HermitianForm, Isometry, apply_isometry,
+                             hermitian_to_ball)
 from schwarzfront.modular import LambdaInverse, fuchsian_z_from_x
 from schwarzfront.polyhedral import PolyhedralInverse, dihedral_z_from_x
+from schwarzfront.selfcheck import _oracle_points
 
 DET_TOL = 1e-10
 ORACLE_TOL = 1e-6
@@ -90,17 +92,130 @@ def test_wronskian_is_preserved():
     assert abs(np.linalg.det(U) - 1.0) < 1e-10
 
 
-def test_match_isometry_recovers_known_transform(dihedral3):
+def _known_transform_grids(inv):
+    """(Ha, Hb, P0) with Ha = P0 Hb conj(P0)^t, lists of forms."""
     zs = [r * cmath.exp(1j * t) for r in (0.35, 0.5, 0.65)
           for t in (0.15, 0.45, 0.75)]
-    Ha = [fr.eval_front_closed_form(dihedral3, z).H for z in zs]
+    Ha = [fr.eval_front_closed_form(inv, z).H for z in zs]
     P0 = np.array([[1.2 + 0.3j, 0.4 - 0.1j], [0.2j, 0.8]])
     P0 /= np.sqrt(np.linalg.det(P0))
     Hb = [apply_isometry(Isometry(np.linalg.inv(P0)), H) for H in Ha]
+    return Ha, Hb, P0
+
+
+def test_match_isometry_recovers_known_transform(dihedral3):
+    Ha, Hb, P0 = _known_transform_grids(dihedral3)
     iso, resid = fr.match_isometry(Ha, Hb)
     assert resid < 1e-10
     rel = iso.matrix / P0
     assert np.allclose(rel, rel[0, 0] * np.ones((2, 2)), atol=1e-8)
+
+
+def test_match_isometry_residual_equals_the_loop(dihedral3):
+    Ha, Hb, _ = _known_transform_grids(dihedral3)
+    iso, resid = fr.match_isometry(Ha, Hb)
+    P = iso.matrix
+    loop = max(float(np.linalg.norm(a.matrix() - P @ b.matrix() @ P.conj().T)
+                     / np.linalg.norm(a.matrix())) for a, b in zip(Ha, Hb))
+    assert abs(resid - loop) <= 1e-15 * loop
+
+    def as_array(forms):
+        return HermitianForm(*(np.array([getattr(f, a) for f in forms])
+                               for a in "hkw"))
+
+    iso2, resid2 = fr.match_isometry(as_array(Ha), as_array(Hb))
+    assert np.array_equal(iso2.matrix, P) and resid2 == resid
+
+
+def _integrate_per_segment(e, path):
+    """The oracle as one solve per segment and path: a scalar eval_q per
+    right-hand side, at the per-path tolerances."""
+    from scipy.integrate import solve_ivp
+
+    U = np.eye(2, dtype=complex)
+    for p, pq in zip(path, path[1:]):
+        dx = pq - p
+
+        def rhs(s, y):
+            qv = eval_q(e, p + s * dx).q
+            u = y[:4].reshape(2, 2) + 1j * y[4:].reshape(2, 2)
+            du = (u @ np.array([[0.0, qv], [1.0, 0.0]])) * dx
+            return np.concatenate([du.real.ravel(), du.imag.ravel()])
+
+        y0 = np.concatenate([U.real.ravel(), U.imag.ravel()])
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
+                        rtol=1e-11, atol=1e-13)
+        assert sol.success
+        yf = sol.y[:, -1]
+        U = yf[:4].reshape(2, 2) + 1j * yf[4:].reshape(2, 2)
+    return U
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "fuchsian"])
+def test_array_oracle_matches_per_segment_solves(name):
+    # the criterion-7 grid: every path shares one step control, each stays
+    # as accurate as its own solve
+    e = resolve_case(name).exponents
+    xs = _oracle_points(200)
+    U = fr.integrate_sl_form(e, [xs[0], xs[1:]]).U
+    assert U.shape == (199, 2, 2)
+    for x, Ux in zip(xs[1:], U):
+        ref = _integrate_per_segment(e, [complex(xs[0]), complex(x)])
+        assert np.linalg.norm(Ux - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_scalar_oracle_call_keeps_its_types():
+    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
+    sol = fr.integrate_sl_form(e, [0.4 + 0.5j, 0.7 + 0.3j])
+    assert isinstance(sol, fr.FundamentalSolution)
+    assert type(sol.U) is np.ndarray and sol.U.shape == (2, 2)
+    assert type(sol.basepoint) is complex and type(sol.endpoint) is complex
+    assert sol.path == (0.4 + 0.5j, 0.7 + 0.3j)
+    H = fr.hermitian_of_solution(sol.U)
+    assert type(H.h) is float and type(H.w) is complex
+
+
+def test_array_integration_is_path_independent():
+    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
+    a = 0.4 + 0.5j
+    b = np.array([[0.7 + 0.3j, 0.6 + 0.2j], [0.3 + 0.3j, 0.8 + 0.6j]])
+    direct = fr.integrate_sl_form(e, [a, b])
+    detour = fr.integrate_sl_form(e, [a, 0.5 + 0.8j, b]).U
+    assert direct.U.shape == detour.shape == (2, 2, 2, 2)
+    assert direct.endpoint.shape == (2, 2)
+    err = np.linalg.norm(direct.U - detour, axis=(-2, -1))
+    assert np.all(err < 1e-9 * np.linalg.norm(direct.U, axis=(-2, -1)))
+    # one form per path, each the scalar call's
+    H = fr.hermitian_of_solution(direct.U)
+    assert H.h.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        Hi = fr.hermitian_of_solution(direct.U[idx])
+        assert (H.h[idx], H.k[idx], H.w[idx]) == (Hi.h, Hi.k, Hi.w)
+
+
+def test_array_integration_requires_unimodular_start():
+    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
+    ends = np.array([0.5 + 0.4j, 0.6 + 0.4j])
+    with pytest.raises(ValueError, match="determinant 1"):
+        fr.integrate_sl_form(e, [0.4 + 0.4j, ends],
+                             U0=np.array([np.eye(2), 2.0 * np.eye(2)]))
+
+
+def test_one_bad_path_in_an_array_raises():
+    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
+    ends = np.array([0.5 + 0.4j, -0.4 - 0.4j, 0.6 + 0.4j])   # through x = 0
+    with pytest.raises(fr.PathError, match="segment 0"):
+        fr.integrate_sl_form(e, [0.4 + 0.4j, ends])
+
+
+def test_integrate_measures_segment_distance_to_singularities():
+    # segment 1 passes 5e-4 from x = 0, between the points a scan at 33
+    # points per segment would test
+    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
+    with pytest.raises(fr.PathError, match="segment 1.*x = 0"):
+        fr.integrate_sl_form(e, [0.4 + 0.4j, -0.5 + 5e-4j, 0.52 + 5e-4j])
+    with pytest.raises(fr.PathError, match="segment 0.*x = 0"):
+        fr.integrate_sl_form(e, [-0.5 + 5e-4j, 0.52 + 5e-4j])
 
 
 def test_closed_form_agrees_with_ode_oracle_dihedral(dihedral3):

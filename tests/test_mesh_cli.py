@@ -117,17 +117,31 @@ def test_job_config_rejects_bad_input():
     assert mesh.JobConfig(case="fuchsian", tiles=3).tiles == 3
 
 
+def _fresh_python(args, cwd):
+    """Run `python args` in a new interpreter that imports this package."""
+    src = str(Path(schwarzfront.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_leaves_scipy_and_sympy_unloaded(tmp_path):
+    # both are imported where they are used (the ODE oracle, the
+    # elimination), so the surface commands do not pay for them at start
+    code = ("import sys, schwarzfront.cli; "
+            "print([m for m in ('scipy', 'sympy') if m in sys.modules])")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [["surface", "--case", "fuchsian"],
                                   ["tiles", "--case", "fuchsian"]])
 def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
     # without a tile count these used to enumerate without end; the time
     # budget turns a hang into a failure
-    src = str(Path(schwarzfront.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "schwarzfront.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = _fresh_python(["-m", "schwarzfront.cli", *argv], tmp_path)
     assert proc.returncode != 0
     assert "infinitely many tiles" in proc.stderr
     assert not list(tmp_path.iterdir())
