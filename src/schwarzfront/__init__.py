@@ -18,6 +18,6 @@ from .modular import eval_lambda, fuchsian_z_from_x, theta_values
 from .polyhedral import PolyhedralInverse, build_polyhedral
 from .singular import (classify_point, find_swallowtails,
                        trace_singular_curve)
-from .tiling import base_triangle, reflection_triple, tile_parameter_domain
+from .tiling import tile_parameter_domain
 
 __version__ = "1.0.0"

@@ -214,7 +214,7 @@ def cmd_tiles(args) -> int:
     if max_count is None and case.max_tiles is None:
         raise SystemExit(f"error: case {opts.case()} has infinitely many "
                          f"tiles; give --tiles N")
-    ts = tile_parameter_domain(case.tag, case.n, max_count=max_count)
+    ts = tile_parameter_domain(case, max_count=max_count)
     print(f"{len(ts.elements)} elements (complete={ts.complete})")
     for g, word in ts.elements:
         label = word if word else "(identity)"

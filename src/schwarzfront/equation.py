@@ -121,11 +121,6 @@ class CoefficientValue:
     Rp: complex
 
 
-def q_poly_coeffs(e: ExponentData):
-    """Coefficients (c2, c1, c0) of Q = c0 + c1 x + c2 x^2."""
-    return e.q_coeffs
-
-
 def q_terms(e: ExponentData, x: complex):
     """(Q, Q', R, R', w, w') at x, with w = x(1-x).
 
@@ -208,16 +203,9 @@ def is_standard(e: ExponentData) -> StandardCase:
     return StandardCase(False, TAG_NONSTANDARD)
 
 
-def group_order(case: StandardCase):
-    """Projective monodromy order N with 2/N = 1/k0 + 1/k1 + 1/kInf - 1."""
-    if case.tag == TAG_DIHEDRAL:
-        return 2 * case.n
-    if case.tag == TAG_TETRAHEDRAL:
-        return 12
-    if case.tag == TAG_OCTAHEDRAL:
-        return 24
-    if case.tag == TAG_ICOSAHEDRAL:
-        return 60
-    if case.tag in (TAG_FUCHSIAN, TAG_FUCHSIAN_INF):
-        return INF
-    raise ValueError(f"no group order for tag {case.tag!r}")
+def group_order(orders):
+    """Projective monodromy order N of a standard triple of orders
+    (k0, k1, kInf): 2/N = 1/k0 + 1/k1 + 1/kInf - 1, and N = INF when
+    1/k0 + 1/k1 + 1/kInf <= 1."""
+    excess = sum(Fraction(1, k) for k in orders if k is not INF) - 1
+    return int(2 / excess) if excess > 0 else INF

@@ -2,9 +2,10 @@
 
 The front is evaluated on structured grids over copies of the base
 triangle, converted to the requested chart of H^3, and written as ASCII
-OBJ or PLY.  Singular curves and self-intersection points are attached
-as polyline records so viewers can overlay them without slivering the
-triangulation.
+OBJ or PLY.  For the families with a known x -> z preimage, the
+cuspidal edge is attached as a polyline record and the swallowtails as
+point records, so viewers can overlay them without slivering the
+triangulation.  Self-intersection points are not exported.
 """
 
 from __future__ import annotations
@@ -18,20 +19,24 @@ import numpy as np
 from . import equation as eq
 from . import singular as sg
 from .cases import resolve_case
-from .equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF
 from .front import eval_front_closed_form
 from .h3 import hermitian_to_ball, hermitian_to_upper_half_space
 # unused here; kept because bench/spans.py wraps mesh.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
-from .tiling import base_triangle, tile_parameter_domain
+from .tiling import tile_parameter_domain
 
 FLAG_NEAR_SINGULAR = 1
 FLAG_CLIPPED = 2
 
+# cap on Im z when sampling the cusp of the ideal triangle at infinity
+FUCHSIAN_HEIGHT = 2.0
+# a vertex with ||q| - 1| below this is flagged near the singular locus
+NEAR_SINGULAR_TOL = 1e-2
+
 
 @dataclass
 class JobConfig:
-    case: str = TAG_DIHEDRAL          # see cases.resolve_case
+    case: str = "dihedral"            # see cases.resolve_case
     n: int = 3
     tiles: int | None = None          # tile count; None = the whole group
     words: list | None = None         # explicit word list overrides tiles
@@ -41,10 +46,7 @@ class JobConfig:
     out: str = "front.obj"
     ramification_margin: float = 1e-3
     boundary_margin: float = 1e-3
-    fuchsian_height: float = 2.0      # cap on Im z when sampling cusps
     with_singular: bool = True
-    near_singular_tol: float = 1e-2
-    max_word_length: int = 12
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -92,32 +94,33 @@ def _grid_triangles(rows) -> np.ndarray:
     return np.concatenate(tris).reshape(-1, 3)
 
 
-def sample_triangle(case: str, tile, resolution: int, n: int = 3,
+def sample_triangle(case, resolution: int,
                     ramification_margin: float = 1e-3,
-                    boundary_margin: float = 1e-3,
-                    fuchsian_height: float = 2.0):
-    """z grid plus triangulation for one tile.
+                    boundary_margin: float = 1e-3):
+    """z grid plus triangulation of the base triangle of a cases.Case.
 
-    tile is a Mobius element from tile_parameter_domain (identity for the
-    base triangle).  Returns (z array, triangle index array).
+    Returns (z array, triangle index array); a tile's grid is the image
+    of this one under the tile's Moebius map.
     """
     R = int(resolution)
-    if case == TAG_DIHEDRAL:
-        # fan bounded by the rays of argument 0 and pi/n and the unit circle
+    tri = case.base
+    if tri is None:
+        # ideal triangle {0 < Re z < 1, |z - 1/2| > 1/2} clipped at cusps
+        m = boundary_margin
+        grid = (np.linspace(m, 1.0 - m, R)
+                + 1j * np.geomspace(m, FUCHSIAN_HEIGHT, R)[:, None])
+        rows = [row[np.abs(row - 0.5) > 0.5 + m] for row in grid]
+        rows = [row for row in rows if len(row) >= 2]
+    elif case.n is not None:
+        # dihedral: fan bounded by the rays of argument 0 and pi/n and
+        # the unit circle
+        n = case.n
         rows = (np.linspace(ramification_margin, 1.0, R)[:, None]
                 * np.exp(1j * np.linspace(0.0, math.pi / n, R)))
         # the arc's ends z = 1 and z = exp(i pi/n) are ramification points
         # (dx/dz = 0 at the roots of z^2n = 1): move both in by the margin
         rows[-1, [0, -1]] *= 1.0 - ramification_margin
-    elif case == TAG_FUCHSIAN_INF:
-        # ideal triangle {0 < Re z < 1, |z - 1/2| > 1/2} clipped at cusps
-        m = boundary_margin
-        grid = (np.linspace(m, 1.0 - m, R)
-                + 1j * np.geomspace(m, fuchsian_height, R)[:, None])
-        rows = [row[np.abs(row - 0.5) > 0.5 + m] for row in grid]
-        rows = [row for row in rows if len(row) >= 2]
     else:
-        tri = base_triangle(case, n)
         eps = max(ramification_margin, 1.0 / (4.0 * R))
         a = eps + (1.0 - 3.0 * eps) * np.arange(R)[:, None] / (R - 1)
         b = eps + (1.0 - 3.0 * eps) * np.arange(R) / (R - 1) \
@@ -126,8 +129,7 @@ def sample_triangle(case: str, tile, resolution: int, n: int = 3,
     if not len(rows):
         raise ValueError("tile sampling is empty after clipping; "
                          "reduce the margins or raise the resolution")
-    zs = np.concatenate(list(rows))
-    return (zs if tile is None else tile(zs)), _grid_triangles(rows)
+    return np.concatenate(list(rows)), _grid_triangles(rows)
 
 
 def _chart_coords(H, chart: str) -> np.ndarray:
@@ -140,9 +142,7 @@ def _chart_coords(H, chart: str) -> np.ndarray:
 
 def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     case = resolve_case(cfg.case, cfg.n)
-    tiles = tile_parameter_domain(case.tag, case.n,
-                                  max_count=cfg.tiles,
-                                  max_word_length=cfg.max_word_length)
+    tiles = tile_parameter_domain(case, max_count=cfg.tiles)
     chosen = tiles.elements
     if cfg.words is not None:
         by_word = {w: g for g, w in tiles.elements}
@@ -154,9 +154,8 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
 
     # every tile of the job in one call per layer: the base triangle's
     # grid under each tile's matrix, one triangulation offset per tile
-    z0, tris = sample_triangle(case.tag, None, cfg.resolution, case.n,
-                               cfg.ramification_margin, cfg.boundary_margin,
-                               cfg.fuchsian_height)
+    z0, tris = sample_triangle(case, cfg.resolution,
+                               cfg.ramification_margin, cfg.boundary_margin)
     (a, b), (c, d) = np.moveaxis([g.matrix for g, _ in chosen], 0, -1)
     zs = (a[:, None] * z0 + b[:, None]) / (c[:, None] * z0 + d[:, None])
     tris = tris + len(z0) * np.arange(len(chosen))[:, None, None]
@@ -166,7 +165,7 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     p = _chart_coords(fv.H, cfg.chart)
     q = eq.eval_q(case.exponents, fv.x).q
     ok = np.isfinite(p).all(axis=1)
-    near = np.abs(np.abs(q) - 1.0) < cfg.near_singular_tol
+    near = np.abs(np.abs(q) - 1.0) < NEAR_SINGULAR_TOL
     mesh = SurfaceMesh(vertices=np.where(ok[:, None], p, 0.0),
                        source_z=zs,
                        source_x=np.where(ok, fv.x, np.nan),
@@ -224,58 +223,54 @@ def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
     return path
 
 
+def _rows(pts) -> list:
+    """'x y z' text of each row of a (K, 3) array, every coordinate as
+    _fmt writes it (adding 0.0 turns -0.0 into 0.0)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3) + 0.0
+    return ["%.12g %.12g %.12g" % tuple(row) for row in pts.tolist()]
+
+
 def _to_obj(mesh: SurfaceMesh) -> str:
     lines = [f"# front surface, chart={mesh.chart}",
              f"# vertices={len(mesh.vertices)} faces={len(mesh.triangles)}"]
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(_fmt(c) for c in v))
-    for f in mesh.triangles:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    lines += ["v " + r for r in _rows(mesh.vertices)]
+    lines += ["f %d %d %d" % tuple(f) for f in (mesh.triangles + 1).tolist()]
     nv = len(mesh.vertices)
     for name, pts in mesh.polylines:
         lines.append(f"# polyline {name}")
-        for p in pts:
-            lines.append("v " + " ".join(_fmt(c) for c in p))
+        lines += ["v " + r for r in _rows(pts)]
         lines.append("l " + " ".join(str(nv + i + 1)
                                      for i in range(len(pts))))
         nv += len(pts)
     for name, p in mesh.markers:
-        lines.append(f"# marker {name}")
-        lines.append("v " + " ".join(_fmt(c) for c in p))
         nv += 1
-        lines.append(f"p {nv}")
+        lines += [f"# marker {name}", "v " + _rows(p)[0], f"p {nv}"]
     return "\n".join(lines) + "\n"
 
 
 def _to_ply(mesh: SurfaceMesh) -> str:
-    poly_pts = [p for _, pts in mesh.polylines for p in pts]
     poly_edges = []
     off = len(mesh.vertices)
     for _, pts in mesh.polylines:
         for i in range(len(pts) - 1):
             poly_edges.append((off + i, off + i + 1))
         off += len(pts)
-    marker_pts = [p for _, p in mesh.markers]
-    nv = len(mesh.vertices) + len(poly_pts) + len(marker_pts)
-    header = ["ply", "format ascii 1.0",
-              f"comment front surface, chart={mesh.chart}",
-              f"element vertex {nv}",
-              "property float64 x", "property float64 y",
-              "property float64 z", "property int flags",
-              f"element face {len(mesh.triangles)}",
-              "property list uchar int vertex_indices",
-              f"element edge {len(poly_edges)}",
-              "property int vertex1", "property int vertex2",
-              "end_header"]
-    lines = list(header)
-    for v, fl in zip(mesh.vertices, mesh.flags):
-        lines.append(" ".join(_fmt(c) for c in v) + f" {int(fl)}")
-    for p in poly_pts:
-        lines.append(" ".join(_fmt(c) for c in p) + " 4")
-    for p in marker_pts:
-        lines.append(" ".join(_fmt(c) for c in p) + " 8")
-    for f in mesh.triangles:
-        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
-    for a, b in poly_edges:
-        lines.append(f"{a} {b}")
+    poly_rows = [r for _, pts in mesh.polylines for r in _rows(pts)]
+    nv = len(mesh.vertices) + len(poly_rows) + len(mesh.markers)
+    lines = ["ply", "format ascii 1.0",
+             f"comment front surface, chart={mesh.chart}",
+             f"element vertex {nv}",
+             "property float64 x", "property float64 y",
+             "property float64 z", "property int flags",
+             f"element face {len(mesh.triangles)}",
+             "property list uchar int vertex_indices",
+             f"element edge {len(poly_edges)}",
+             "property int vertex1", "property int vertex2",
+             "end_header"]
+    lines += [f"{r} {fl}"
+              for r, fl in zip(_rows(mesh.vertices), mesh.flags.tolist())]
+    lines += [r + " 4" for r in poly_rows]
+    lines += [_rows(p)[0] + " 8" for _, p in mesh.markers]
+    lines += ["3 %d %d %d" % tuple(f) for f in mesh.triangles.tolist()]
+    lines += [f"{a} {b}" for a, b in poly_edges]
     return "\n".join(lines) + "\n"

@@ -76,8 +76,6 @@ def _expand(factors) -> np.ndarray:
 def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
     """Build the exact table data for a polyhedral tag."""
     if tag == TAG_DIHEDRAL:
-        if n is None or n < 1:
-            raise ValueError("dihedral case needs n >= 1")
         f0 = np.array([1.0] + [0.0] * (n - 1) + [1.0])
         f1 = np.array([1.0] + [0.0] * (n - 1) + [-1.0])
         fi = np.array([1.0, 0.0])

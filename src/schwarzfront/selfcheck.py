@@ -332,7 +332,7 @@ def check_geometry_roundtrips() -> CheckResult:
     # monodromy equivariance per tile
     case = resolve_case("dihedral:3")
     inv = case.inverse
-    tiles = tile_parameter_domain(case.tag, case.n)
+    tiles = tile_parameter_domain(case)
     zs = [0.55 * cmath.exp(1j * (0.15 + 0.1 * k)) for k in range(8)]
     Ha = [fr.eval_front_closed_form(inv, z).H for z in zs]
     worst_tile = 0.0

@@ -9,7 +9,7 @@ from schwarzfront.equation import (SingularPointError, TAG_DIHEDRAL,
                                    TAG_TETRAHEDRAL, eval_q,
                                    eval_q_derivatives, exponents_from_abc,
                                    exponents_from_mu, group_order,
-                                   is_standard, q_poly_coeffs)
+                                   is_standard)
 
 FD_TOL = 1e-6
 
@@ -76,14 +76,15 @@ def test_standard_case_recognition(mus, tag, order):
     case = is_standard(e)
     assert case.standard
     assert case.tag == tag
-    assert group_order(case) == order
+    assert group_order(e.orders) == order
 
 
 def test_fuchsian_infinite_case():
-    case = is_standard(exponents_from_mu(0, 0, 0))
+    e = exponents_from_mu(0, 0, 0)
+    case = is_standard(e)
     assert case.standard
     assert case.tag == TAG_FUCHSIAN_INF
-    assert group_order(case) == float("inf")
+    assert group_order(e.orders) == float("inf")
 
 
 def test_nonstandard_case():
@@ -94,5 +95,5 @@ def test_nonstandard_case():
 
 def test_q_poly_matches_mu_data():
     e = exponents_from_mu(0, 0, 0)
-    c2, c1, c0 = q_poly_coeffs(e)
+    c2, c1, c0 = e.q_coeffs
     assert (c2, c1, c0) == (1.0, -1.0, 1.0)

@@ -67,14 +67,14 @@ def parse_ply(text: str):
 # --- sampling and configuration -----------------------------------------
 
 def test_dihedral_sampling_grid_size():
-    zs, tris = mesh.sample_triangle(TAG_DIHEDRAL, None, 8, n=3)
+    zs, tris = mesh.sample_triangle(resolve_case("dihedral:3"), 8)
     assert len(zs) == 64
     assert len(tris) == 2 * 7 * 7
     assert np.all(np.abs(zs) <= 1.0 + 1e-12)
 
 
 def test_fuchsian_sampling_avoids_boundary_circle():
-    zs, _ = mesh.sample_triangle(TAG_FUCHSIAN_INF, None, 12)
+    zs, _ = mesh.sample_triangle(resolve_case(TAG_FUCHSIAN_INF), 12)
     assert np.all(np.abs(zs - 0.5) > 0.5)
     assert np.all(zs.imag > 0)
 
@@ -85,9 +85,10 @@ def test_dihedral_sampling_avoids_ramification_points(n):
     # of every dihedral tile
     margin = mesh.JobConfig.ramification_margin
     roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
-    for g, _ in tile_parameter_domain(TAG_DIHEDRAL, n).elements:
-        zs, _ = mesh.sample_triangle(TAG_DIHEDRAL, g, 16, n=n,
-                                     ramification_margin=margin)
+    case = resolve_case(TAG_DIHEDRAL, n)
+    for g, _ in tile_parameter_domain(case).elements:
+        zs, _ = mesh.sample_triangle(case, 16, ramification_margin=margin)
+        zs = g(zs)
         dist = np.abs(zs[:, None] - roots[None, :]).min()
         assert dist >= margin * (1.0 - 1e-9)
 
@@ -221,11 +222,11 @@ def test_upper_half_space_chart():
 def _per_tile_mesh(text, tiles, chart, resolution):
     """Reference mesh built one tile at a time: vertices, flags, faces."""
     case = resolve_case(text)
-    tol = mesh.JobConfig.near_singular_tol
+    tol = mesh.NEAR_SINGULAR_TOL
     verts, flags, faces, base = [], [], [], 0
-    for g, _ in tile_parameter_domain(case.tag, case.n,
-                                      max_count=tiles).elements:
-        zs, tris = mesh.sample_triangle(case.tag, g, resolution, case.n)
+    for g, _ in tile_parameter_domain(case, max_count=tiles).elements:
+        zs, tris = mesh.sample_triangle(case, resolution)
+        zs = g(zs)
         fv = eval_front_closed_form(case.inverse, zs)
         if chart == "ball":
             p = np.stack(hermitian_to_ball(fv.H).coords, axis=-1)

@@ -6,11 +6,10 @@ import pytest
 
 from schwarzfront import cli
 from schwarzfront.modular import eval_lambda
+from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
-from schwarzfront.tiling import (_DEDUP_TOL, BaseTriangle, Mobius,
-                                 Reflection, _cell, _known, _probe_points,
-                                 _signature, base_triangle, reflection_triple,
-                                 tile_parameter_domain)
+from schwarzfront.tiling import (_DEDUP_TOL, Mobius, Reflection, _cell,
+                                 _known, _signature, tile_parameter_domain)
 
 INVARIANCE_TOL = 1e-9
 
@@ -20,14 +19,14 @@ ORDERS = [("dihedral", 3, 6), ("dihedral", 5, 10), ("tetrahedral", None, 12),
 
 @pytest.mark.parametrize("tag, n, order", ORDERS)
 def test_group_orders(tag, n, order):
-    ts = tile_parameter_domain(tag, n)
+    ts = tile_parameter_domain(resolve_case(tag, n))
     assert len(ts.elements) == order
     assert ts.complete
 
 
 @pytest.mark.parametrize("tag, n", [(t, n) for t, n, _ in ORDERS])
 def test_reflections_are_involutions(tag, n):
-    for refl in reflection_triple(tag, n):
+    for refl in resolve_case(tag, n).mirrors:
         for z in (0.3 + 0.2j, -0.7 + 0.4j, 0.1 - 0.6j):
             assert abs(refl(refl(z)) - z) < 1e-10 * (1 + abs(z))
 
@@ -37,7 +36,7 @@ def test_reflections_are_involutions(tag, n):
                                     ("icosahedral", None)])
 def test_inverse_map_invariance_under_tiles(tag, n):
     inv = PolyhedralInverse(tag, n)
-    ts = tile_parameter_domain(tag, n)
+    ts = tile_parameter_domain(resolve_case(tag, n))
     zs = (0.37 * cmath.exp(0.4j), 0.52 * cmath.exp(1.1j))
     for g, _ in ts.elements:
         for z in zs:
@@ -47,7 +46,8 @@ def test_inverse_map_invariance_under_tiles(tag, n):
 
 
 def test_fuchsian_tiles_preserve_lambda():
-    ts = tile_parameter_domain("fuchsian-inf-inf-inf", max_count=8)
+    ts = tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
+                               max_count=8)
     for g, _ in ts.elements:
         for z in (0.3 + 0.8j, -0.2 + 1.3j):
             x0 = eval_lambda(z)[0]
@@ -56,15 +56,17 @@ def test_fuchsian_tiles_preserve_lambda():
 
 
 def test_fuchsian_enumeration_grows_without_repetition():
-    ts = tile_parameter_domain("fuchsian-inf-inf-inf", max_count=25)
+    ts = tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
+                               max_count=25)
     assert len(ts.elements) == 25
     words = [w for _, w in ts.elements]
     assert len(set(words)) == 25
 
 
 def test_tile_words_compose_left_to_right():
-    refl = reflection_triple("dihedral", 3)
-    ts = tile_parameter_domain("dihedral", 3)
+    case = resolve_case("dihedral", 3)
+    refl = case.mirrors
+    ts = tile_parameter_domain(case)
     by_word = {w: g for g, w in ts.elements}
     g = by_word["21"]
     z = 0.4 + 0.3j
@@ -75,7 +77,7 @@ def test_tile_words_compose_left_to_right():
                                     ("octahedral", None),
                                     ("icosahedral", None)])
 def test_base_triangle_vertices_hit_ramification_values(tag, n):
-    tri = base_triangle(tag, n)
+    tri = resolve_case(tag, n).base
     inv = PolyhedralInverse(tag, n)
     # vertices map (in the limit) to x = 0, 1, infinity
     eps = 1e-5
@@ -105,14 +107,14 @@ def test_reflection_circle_fixes_its_circle():
 
 def test_complete_only_when_no_limit_cut_enumeration():
     # a count above the group order lists the whole group
-    ts = tile_parameter_domain("dihedral", 3, max_count=100)
+    ts = tile_parameter_domain(resolve_case("dihedral", 3), max_count=100)
     assert len(ts.elements) == 6 and ts.complete
-    assert tile_parameter_domain("icosahedral", max_count=60).complete
+    icosa = resolve_case("icosahedral")
+    assert tile_parameter_domain(icosa, max_count=60).complete
     # a count or a depth below what the group needs cuts it short
-    assert not tile_parameter_domain("icosahedral", max_count=40).complete
-    assert not tile_parameter_domain("icosahedral",
-                                     max_word_length=1).complete
-    assert not tile_parameter_domain("fuchsian-inf-inf-inf",
+    assert not tile_parameter_domain(icosa, max_count=40).complete
+    assert not tile_parameter_domain(icosa, max_word_length=1).complete
+    assert not tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
                                      max_count=25).complete
 
 
@@ -124,13 +126,13 @@ def test_cli_tiles_reports_complete_group(capsys):
 
 # --- hashed dedup against a linear scan -----------------------------------
 
-def _linear_scan(tag, n=None, max_count=None, max_word_length=12):
+def _linear_scan(case, max_count=None, max_word_length=12):
     """Reference enumeration: the same breadth-first walk, each new
     signature compared with every earlier one."""
-    refl = reflection_triple(tag, n)
+    refl = case.mirrors
     gens = [(refl[j].then(refl[i]), f"{j + 1}{i + 1}")
             for i in range(3) for j in range(3) if i != j]
-    probes = _probe_points(tag)
+    probes = case.probes
     seen = np.empty((0, 3), dtype=complex)
 
     def known(g):
@@ -168,8 +170,9 @@ def _linear_scan(tag, n=None, max_count=None, max_word_length=12):
     ("icosahedral", None, None), ("icosahedral", None, 40),
     ("fuchsian-inf-inf-inf", None, 2000)])
 def test_hashed_dedup_matches_linear_scan(tag, n, max_count):
-    ts = tile_parameter_domain(tag, n, max_count=max_count)
-    want, complete = _linear_scan(tag, n, max_count=max_count)
+    case = resolve_case(tag, n)
+    ts = tile_parameter_domain(case, max_count=max_count)
+    want, complete = _linear_scan(case, max_count=max_count)
     assert ts.complete == complete
     assert [w for _, w in ts.elements] == [w for _, w in want]
     for (g, _), (h, _) in zip(ts.elements, want):
