@@ -18,7 +18,7 @@ import numpy as np
 # called through their modules, where bench/spans.py wraps them
 from . import equation as eq
 from . import singular as sg
-from .cases import resolve_case
+from .cases import Case, resolve_case
 from .front import eval_front_closed_form
 from .h3 import hermitian_to_ball, hermitian_to_upper_half_space
 # unused here; kept because bench/spans.py wraps mesh.fuchsian_z_from_x
@@ -47,6 +47,7 @@ class JobConfig:
     ramification_margin: float = 1e-3
     boundary_margin: float = 1e-3
     with_singular: bool = True
+    resolved: Case = field(init=False, repr=False)   # resolve_case(case, n)
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -60,7 +61,8 @@ class JobConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
-        cap = resolve_case(self.case, self.n).max_tiles
+        self.resolved = resolve_case(self.case, self.n)
+        cap = self.resolved.max_tiles
         if self.tiles is not None and self.tiles < 1:
             raise ValueError(f"tiles must be >= 1, got {self.tiles}")
         if self.tiles is not None and cap is not None and self.tiles > cap:
@@ -141,7 +143,7 @@ def _chart_coords(H, chart: str) -> np.ndarray:
 
 
 def build_mesh(cfg: JobConfig) -> SurfaceMesh:
-    case = resolve_case(cfg.case, cfg.n)
+    case = cfg.resolved
     tiles = tile_parameter_domain(case, max_count=cfg.tiles)
     chosen = tiles.elements
     if cfg.words is not None:

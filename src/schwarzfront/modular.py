@@ -252,17 +252,31 @@ def reduce_level_two(z, max_iter: int = 200):
     return unflat(shape, z)[0]
 
 
-# Newton starts, tried in this order until one converges
-_GUESSES = [complex(s, t)
-            for t in (0.4, 0.7, 1.1, 1.8, 0.25, 0.15)
-            for s in (0.5, 0.25, 0.75, 0.1, 0.9)]
+# AGM steps: sqrt x of a finite double lies within 1e+-155 of 1, the
+# exponent of b / a halves each step and then the AGM converges
+# quadratically, so 12 steps reach full precision from the extremes
+_AGM_STEPS = 16
 
 
-def _newton(inv: LambdaInverse, x: np.ndarray, z0: complex, tol: float,
+def _agm(a, b) -> np.ndarray:
+    """Arithmetic-geometric mean M(a, b) of arrays, keeping at each step
+    the square root nearer the arithmetic mean (|a - b| <= |a + b|)."""
+    for _ in range(_AGM_STEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        b = np.where(np.abs(a - b) <= np.abs(a + b), b, -b)
+    return a
+
+
+def _schwarz_agm(x: np.ndarray) -> np.ndarray:
+    """z = i K(x) / K(1 - x) = i M(1, sqrt x) / M(1, sqrt(1 - x)), the
+    ratio of two solutions of E(1/2, 1/2, 1), for every point of x."""
+    return 1j * _agm(1.0, np.sqrt(x)) / _agm(1.0, np.sqrt(1.0 - x))
+
+
+def _newton(inv: LambdaInverse, x: np.ndarray, z: np.ndarray, tol: float,
             max_iter: int) -> np.ndarray:
-    """Damped Newton on lambda(z) = x from z0 for every point of x at
-    once; NaN where it stops without converging."""
-    z = np.full(x.shape, z0)
+    """Damped Newton on lambda(z) = x from the starts z for every point of
+    x at once; NaN where it stops without converging."""
     out = np.full(x.shape, np.nan, dtype=complex)
     active = np.arange(x.size)
     for _ in range(max_iter):
@@ -283,24 +297,25 @@ def _newton(inv: LambdaInverse, x: np.ndarray, z0: complex, tol: float,
 
 
 @np.errstate(invalid="ignore", divide="ignore")
-def fuchsian_z_from_x(x, inv: LambdaInverse | None = None,
-                      tol: float = 1e-12, max_iter: int = 60):
+def fuchsian_z_from_x(x, tol: float = 1e-12, max_iter: int = 4):
     """Canonical preimage of x (scalar or array) under lambda.
 
-    Newton on lambda(z) - x with the closed-form derivative, started from
-    a coarse grid; the result is reduced into the level-2 fundamental
-    domain, where the preimage is unique, so curves of x map to
-    continuous curves of z (one branch per half-plane of x).  A point no
-    start solves is NaN in an array call; a scalar call raises ValueError.
+    lambda = (theta0/theta3)^4 is 1 minus the classical lambda, with the
+    classical nome q^2 = exp(pi i z), so its inverse is the Schwarz map of
+    E(1/2, 1/2, 1) with x and 1 - x swapped from the classical formula:
+
+        z = i K(x) / K(1 - x) = i M(1, sqrt x) / M(1, sqrt(1 - x)),
+
+    with K(m) = pi / (2 M(1, sqrt(1 - m))) and M the arithmetic-geometric
+    mean.  Damped Newton from that z, at most max_iter lambda evaluations,
+    accepts a point once |lambda(z) - x| < tol max(1, |x|); the result is
+    reduced into the level-2 fundamental domain, where the preimage is
+    unique, so curves of x map to continuous curves of z (one branch per
+    half-plane of x).  A point that fails the check is NaN in an array
+    call; a scalar call raises ValueError.
     """
     shape, x = np.shape(x), flat(x)
-    inv = inv or LambdaInverse()
-    z = np.full(x.shape, np.nan, dtype=complex)
-    for z0 in _GUESSES:
-        todo = np.flatnonzero(np.isnan(z))
-        if not todo.size:
-            break
-        z[todo] = _newton(inv, x[todo], z0, tol, max_iter)
+    z = _newton(LambdaInverse(), x, _schwarz_agm(x), tol, max_iter)
     z, = clip(np.isnan(z), shape, ValueError,
               lambda: f"no lambda preimage found for x={x[0]}", z)
     ok = ~np.isnan(z)

@@ -67,10 +67,12 @@ class PolyhedralData:
 
 
 def _expand(factors) -> np.ndarray:
-    p = np.poly1d([1.0])
+    """Product of the factors' coefficient arrays (highest degree first):
+    np.convolve, the product np.poly1d forms, without its wrapping."""
+    p = np.ones(1)
     for f in factors:
-        p = p * np.poly1d(np.asarray(f, dtype=float))
-    return p.coeffs
+        p = np.convolve(p, np.asarray(f, dtype=float))
+    return p
 
 
 def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:

@@ -329,6 +329,20 @@ def test_cli_surface(tmp_path):
     assert len(verts) > 0 and len(faces) > 0
 
 
+def test_surface_job_resolves_its_case_once(tmp_path, monkeypatch):
+    calls = []
+    resolve = mesh.resolve_case
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(mesh, "resolve_case", counting)
+    rc = cli.main(["surface", "--case", "fuchsian", "--tiles", "3",
+                   "--resolution", "8", "--out", str(tmp_path / "f.obj")])
+    assert rc == 0 and calls == [("fuchsian", 3)]
+
+
 def test_cli_singular_locus(tmp_path):
     out = tmp_path / "locus.tsv"
     rc = cli.main(["singular-locus", "--case", "fuchsian",

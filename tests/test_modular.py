@@ -1,12 +1,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from schwarzfront import modular
+from schwarzfront.cases import resolve_case
 from schwarzfront.modular import (DomainError, LambdaInverse, eval_lambda,
                                   fuchsian_z_from_x, lambda_series_coeffs,
                                   reduce_level_two, theta_values)
+from schwarzfront.singular import trace_singular_curve
 
 IDENT_TOL = 1e-12
 FD_TOL = 1e-8
@@ -115,3 +119,110 @@ def test_z_from_x_unsolvable_point(x):
         fuchsian_z_from_x(x)
     zs = fuchsian_z_from_x(np.array([0.3 + 0.4j, x]))
     assert np.isfinite(zs[0]) and np.isnan(zs[1])
+
+
+# --- the closed-form preimage against independent references ---------------
+
+def _lambda_mp(z):
+    """lambda(z) = (theta4 / theta3)^4 at nome exp(pi i z), 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(mpmath.pi * 1j * mpmath.mpc(z))
+        return complex((mpmath.jtheta(4, 0, q) / mpmath.jtheta(3, 0, q)) ** 4)
+
+
+_RING = np.exp(1j * np.linspace(-math.pi, math.pi, 8, endpoint=False) + 0.1j)
+# near-cusp points, the lower half-plane, the three real cuts (x < 0,
+# 0 < x < 1, x > 1) and |x| up to 1e2
+_X_GRID = np.concatenate([
+    [1e-8 + 1e-8j, 1e-8 - 1e-8j, 1.0 - 1e-8 + 1e-9j, 1.0 - 1e-8 - 1e-9j],
+    [0.3 - 0.4j, -1.0 - 2.0j, 2.0 - 0.5j, 0.5 - 1e-6j, -7.0 - 0.01j],
+    [-50.0, -3.0, -0.5, -1e-6, 1e-6, 0.2, 0.5, 0.9, 1.0 + 1e-6, 1.5, 4.0,
+     80.0],
+    10.0 * _RING, 100.0 * _RING])
+# far out, LambdaInverse.eval forms 1 / (1 - lambda(w)) by subtraction and
+# loses about log10 |x| digits, so the tol = 1e-12 check of
+# fuchsian_z_from_x rejects many of these points
+_X_FAR = np.concatenate([1e3 * _RING, 1e4 * _RING])
+
+
+def _maps_back(z, x, tol=1e-11):
+    return abs(_lambda_mp(z) - x) < tol * max(1.0, abs(x))
+
+
+def test_closed_form_lies_upstairs_and_maps_back():
+    xs = np.concatenate([_X_GRID, _X_FAR])
+    zs = modular._schwarz_agm(xs)
+    assert np.all(zs.imag > 0)
+    for x, z in zip(xs, zs):
+        assert _maps_back(z, x), (x, z)
+
+
+def test_preimage_maps_back_into_the_level_two_domain():
+    zs = fuchsian_z_from_x(_X_GRID)
+    assert np.all(np.isfinite(zs))
+    assert np.all(np.abs(zs.real) <= 1.0 + 1e-12)
+    assert np.all(np.abs(2.0 * zs - 1.0) >= 1.0 - 1e-12)
+    assert np.all(np.abs(2.0 * zs + 1.0) >= 1.0 - 1e-12)
+    for x, z in zip(_X_GRID, zs):
+        assert _maps_back(z, x), (x, z)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "LambdaInverse.eval loses about log10|x| digits near the cusp z = 1, "
+    "so the check at tol = 1e-12 rejects the accurate closed-form z"))
+def test_preimage_solves_far_points():
+    zs = fuchsian_z_from_x(_X_FAR)
+    assert np.all(np.isfinite(zs))
+
+
+def _multistart_newton(xs, tol=1e-12, max_iter=60):
+    """The preimage before the closed form: damped Newton on
+    lambda(z) = x from 30 fixed starts, the first that converges wins,
+    reduced into the level-2 domain."""
+    inv = LambdaInverse()
+    out = np.full(xs.shape, np.nan, dtype=complex)
+    for t in (0.4, 0.7, 1.1, 1.8, 0.25, 0.15):
+        for s in (0.5, 0.25, 0.75, 0.1, 0.9):
+            todo = np.flatnonzero(np.isnan(out))
+            z, x = np.full(todo.size, complex(s, t)), xs[todo]
+            for _ in range(max_iter):
+                if not todo.size:
+                    break
+                val, der, _ = inv.eval(z)
+                err = val - x
+                done = np.abs(err) < tol * np.maximum(1.0, np.abs(x))
+                out[todo[done]] = z[done]
+                step = err / der
+                size = np.abs(step)
+                z = z - np.where(size > 0.5, step * (0.5 / size), step)
+                keep = (~done & np.isfinite(val) & (der != 0.0)
+                        & (z.imag > 1e-6))
+                todo, z, x = todo[keep], z[keep], x[keep]
+    ok = ~np.isnan(out)
+    out[ok] = reduce_level_two(out[ok])
+    return out
+
+
+def test_preimage_on_the_singular_curve_matches_multistart_newton():
+    e = resolve_case("fuchsian").exponents
+    xs = trace_singular_curve(e).samples
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = _multistart_newton(xs)
+    got = fuchsian_z_from_x(xs)
+    assert np.all(np.isfinite(want))
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("bad", [1e200 + 0j, complex("nan"), complex("inf")])
+def test_unsolvable_point_costs_at_most_the_polish(bad, monkeypatch):
+    calls = []
+    evaluate = LambdaInverse.eval
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(LambdaInverse, "eval", counting)
+    zs = fuchsian_z_from_x(np.array([0.3 + 0.4j, bad]))
+    assert np.isfinite(zs[0]) and np.isnan(zs[1])
+    assert len(calls) <= 4          # the polish cap, max_iter

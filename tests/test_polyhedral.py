@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from schwarzfront import polyhedral
 from schwarzfront.polyhedral import (PoleError, PolyhedralInverse,
                                      build_polyhedral, dihedral_z_from_x)
 
@@ -100,6 +101,28 @@ def test_icosahedral_invariant_expansions():
     want_inf = np.zeros(12)
     want_inf[[0, 5, 10]] = [1, 11, -1]
     assert np.allclose(d.fInf, want_inf, rtol=0, atol=1e-8)
+
+
+def test_expanded_tables_equal_the_poly1d_product(monkeypatch):
+    # every factored table the builder expands is bit for bit the product
+    # np.poly1d forms
+    seen = []
+    expand = polyhedral._expand
+
+    def record(factors):
+        seen.append((factors, expand(factors)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(polyhedral, "_expand", record)
+    for tag, n in CASES:
+        build_polyhedral(tag, n)
+    assert len(seen) == 8           # tetra 2, octa 3, icosa 3
+    for factors, got in seen:
+        want = np.poly1d([1.0])
+        for f in factors:
+            want = want * np.poly1d(np.asarray(f, dtype=float))
+        assert got.dtype == want.coeffs.dtype
+        assert np.array_equal(got, want.coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
