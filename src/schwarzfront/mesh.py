@@ -5,7 +5,7 @@ triangle, converted to the requested chart of H^3, and written as ASCII
 OBJ or PLY.  For the families with a known x -> z preimage, the
 cuspidal edge is attached as a polyline record and the swallowtails as
 point records, so viewers can overlay them without slivering the
-triangulation.  Self-intersection points are not exported.
+triangulation.
 """
 
 from __future__ import annotations

@@ -311,12 +311,13 @@ def fuchsian_z_from_x(x, tol: float = 1e-12, max_iter: int = 4):
     accepts a point once |lambda(z) - x| < tol max(1, |x|); the result is
     reduced into the level-2 fundamental domain, where the preimage is
     unique, so curves of x map to continuous curves of z (one branch per
-    half-plane of x).  A point that fails the check is NaN in an array
-    call; a scalar call raises ValueError.
+    half-plane of x).  A point that fails the check, and x = 0 or 1,
+    which lambda omits but reaches within tol near the cusps, is NaN in
+    an array call; a scalar call raises ValueError.
     """
     shape, x = np.shape(x), flat(x)
     z = _newton(LambdaInverse(), x, _schwarz_agm(x), tol, max_iter)
-    z, = clip(np.isnan(z), shape, ValueError,
+    z, = clip(np.isnan(z) | (x == 0.0) | (x == 1.0), shape, ValueError,
               lambda: f"no lambda preimage found for x={x[0]}", z)
     ok = ~np.isnan(z)
     z[ok] = reduce_level_two(z[ok])

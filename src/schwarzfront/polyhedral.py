@@ -162,32 +162,27 @@ class PolyhedralInverse:
         return unflat(shape, x, xd, xdd)
 
 
-@np.errstate(invalid="ignore", divide="ignore")
+@np.errstate(invalid="ignore")    # NaN marks clipped points
 def dihedral_z_from_x(n: int, x):
     """Invert x = (z^n + 1)^2 / (4 z^n) on the base fan, for x scalar or
     array.
 
-    Returns the preimage with |z| <= 1 and |arg(z)| <= pi/n; x in the
-    upper half-plane lands in the lower half of the fan and vice versa.
-    Where no root lies in the fan, NaN in an array call; a scalar call
-    raises ValueError.
+    w = z^n solves w^2 - 2yw + 1 = 0 with y = 2x - 1; its roots y +- d,
+    d = 2 sqrt(x^2 - x), multiply to 1, so w is 1 over the root of larger
+    modulus, free of the cancellation in the smaller one, and z is its
+    principal n-th root: |z| <= 1 and |arg(z)| <= pi/n.  x in the upper
+    half-plane lands in the lower half of the fan and vice versa; on a
+    tie (real x in [0, 1], |w| = 1) w = y + d, in the upper half.  y and
+    d are computed divided by s = max(1, |Re x|, |Im x|), so x^2 stays
+    finite.  Non-finite x is NaN in an array call; a scalar call raises
+    ValueError.
     """
     shape, x = np.shape(x), flat(x)
-    disc = np.sqrt(x * x - x)
-    z = np.full(x.shape, np.nan, dtype=complex)
-    for y in (2.0 * x - 1.0 + 2.0 * disc, 2.0 * x - 1.0 - 2.0 * disc):
-        # n-th roots of y; take the first inside the (two-sided) fan
-        r, phi = np.abs(y), np.arctan2(y.imag, y.real)
-        size = r ** (1.0 / n)
-        for k in range(-n, n + 1):
-            ang = (phi + 2.0 * math.pi * k) / n
-            root = size * (np.cos(ang) + 1j * np.sin(ang))
-            rn = root ** n
-            z = np.where(np.isnan(z) & (r <= 1.0 + 1e-12)
-                         & (np.abs(ang) <= math.pi / n + 1e-9)
-                         & (np.abs((rn + 1.0) ** 2 / (4.0 * rn) - x)
-                            <= 1e-8 * np.maximum(1.0, np.abs(x))),
-                         root, z)
-    z, = clip(np.isnan(z), shape, ValueError,
-              lambda: f"no fan preimage found for x={x[0]}", z)
+    s = np.maximum(1.0, np.maximum(np.abs(x.real), np.abs(x.imag)))
+    xs = x / s
+    y, d = 2.0 * xs - 1.0 / s, 2.0 * np.sqrt(xs * xs - xs / s)
+    big = np.where(np.abs(y - d) >= np.abs(y + d), y - d, y + d)
+    z = (1.0 / s / big) ** (1.0 / n)
+    z, = clip(~np.isfinite(x), shape, ValueError,
+              lambda: f"x={x[0]} is not finite", z)
     return complex(z[0]) if shape == () else z.reshape(shape)

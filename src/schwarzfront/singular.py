@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .equation import ExponentData, eval_q, eval_q_derivatives, q_terms
-from .h3 import hyperbolic_distance, hermitian_to_lorentz
+# unused here; kept because bench/spans.py wraps singular.hermitian_to_lorentz
+from .h3 import hermitian_to_lorentz  # noqa: F401
 
 CURVE_TOL = 1e-10          # |f| on every accepted curve sample
 CLOSURE_TOL = 1e-6         # curve closes when it returns this near the start
@@ -42,10 +43,7 @@ class SingularPointClass:
 @dataclass
 class TracedCurve:
     samples: np.ndarray          # complex x values in order
-    arclength: np.ndarray
     closed: bool
-    kind: str = "singular"       # "singular" or "self-intersection"
-    pairs: list = field(default_factory=list)   # used by the dotted curve
 
 
 def _f_and_grad(e: ExponentData, x: complex):
@@ -150,8 +148,7 @@ def trace_singular_curve(e: ExponentData, box=( -1.0, 2.0, 1e-4, 1.5),
     """
     found = _find_seed(e, box)
     if found is None:
-        return TracedCurve(samples=np.empty(0, complex),
-                           arclength=np.empty(0), closed=False)
+        return TracedCurve(samples=np.empty(0, complex), closed=False)
     seed, gs, gt = found
     pts = [seed]
     x = seed
@@ -181,9 +178,7 @@ def trace_singular_curve(e: ExponentData, box=( -1.0, 2.0, 1e-4, 1.5),
         if k > 10 and abs(x - seed) < step:
             # land exactly on the start to close the polygon
             step = max(STEP_MIN, abs(x - seed) * 0.5)
-    samples = np.array(pts)
-    d = np.abs(np.diff(samples, prepend=samples[:1]))
-    return TracedCurve(samples=samples, arclength=np.cumsum(d), closed=closed)
+    return TracedCurve(samples=np.array(pts), closed=closed)
 
 
 def _im_zeta(e: ExponentData, x: complex) -> float:
@@ -256,99 +251,6 @@ def swallowtail_by_newton(e: ExponentData, x0: complex,
     if abs(f) > 1e-10:
         raise ValueError(f"Newton search did not converge from x0={x0}")
     return x
-
-
-# --- self-intersection ------------------------------------------------------
-
-def find_self_intersection(e: ExponentData, front_of_x, levels,
-                           d_max: float = 0.6,
-                           coincide_tol: float = 1e-6) -> TracedCurve:
-    """Self-intersection curve for cases symmetric about Re x = 1/2.
-
-    front_of_x maps x (upper half-plane, one branch) to a HermitianForm.
-    For each level t the image points of x = 1/2 -+ d + it coincide at
-    the self-intersection; the offset d is found by bisection on the
-    signed separation of the two images, then polished by minimizing the
-    hyperbolic distance.  Levels with no coincidence are skipped.
-    """
-    pts = []
-    pairs = []
-    for t in levels:
-        d = _coincidence_offset(e, front_of_x, float(t), d_max, coincide_tol)
-        if d is None:
-            continue
-        pts.append(complex(0.5 + d, t))
-        pairs.append((complex(0.5 - d, t), complex(0.5 + d, t)))
-    samples = np.array(pts)
-    if len(samples):
-        dists = np.abs(np.diff(samples, prepend=samples[:1]))
-        arc = np.cumsum(dists)
-    else:
-        arc = np.empty(0)
-    return TracedCurve(samples=samples, arclength=arc, closed=False,
-                       kind="self-intersection", pairs=pairs)
-
-
-def _pair_points(front_of_x, t, d):
-    Ha = front_of_x(complex(0.5 - d, t))
-    Hb = front_of_x(complex(0.5 + d, t))
-    return hermitian_to_lorentz(Ha), hermitian_to_lorentz(Hb)
-
-
-def _coincidence_offset(e, front_of_x, t, d_max, coincide_tol):
-    # signed separation: component of the Lorentz difference along a fixed
-    # probe direction; it flips sign when the two image curves cross.
-    # scipy.optimize is imported here, off the package's import path
-    from scipy.optimize import minimize_scalar
-
-    ds = np.linspace(1e-3, d_max, 61)
-
-    def delta(d):
-        pa, pb = _pair_points(front_of_x, t, d)
-        return np.asarray(pa.coords) - np.asarray(pb.coords)
-
-    try:
-        deltas = [delta(d) for d in ds]
-    except ValueError:      # every evaluation error of the package
-        return None
-    ref = None
-    for v in deltas:
-        if np.linalg.norm(v) > 1e-8:
-            ref = v / np.linalg.norm(v)
-            break
-    if ref is None:
-        return None
-    sig = np.array([v @ ref for v in deltas])
-    bracket = None
-    for k in range(len(ds) - 1):
-        if sig[k] * sig[k + 1] < 0.0:
-            bracket = (ds[k], ds[k + 1])
-            break
-    if bracket is None:
-        return None
-    a, b = bracket
-    fa = sig[np.searchsorted(ds, a)]
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        fm = delta(m) @ ref
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    d0 = 0.5 * (a + b)
-
-    def dist(d):
-        pa, pb = _pair_points(front_of_x, t, d)
-        return hyperbolic_distance(pa, pb)
-
-    res = minimize_scalar(dist, bracket=None,
-                          bounds=(max(1e-6, d0 - 1e-3), d0 + 1e-3),
-                          method="bounded",
-                          options={"xatol": 1e-14})
-    d_best = float(res.x) if res.fun < dist(d0) else d0
-    if dist(d_best) > coincide_tol:
-        return None
-    return d_best
 
 
 # --- local models -----------------------------------------------------------

@@ -213,7 +213,8 @@ def test_preimage_on_the_singular_curve_matches_multistart_newton():
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("bad", [1e200 + 0j, complex("nan"), complex("inf")])
+@pytest.mark.parametrize("bad", [1e200 + 0j, complex("nan"), complex("inf"),
+                                 0j, 1 + 0j])
 def test_unsolvable_point_costs_at_most_the_polish(bad, monkeypatch):
     calls = []
     evaluate = LambdaInverse.eval

@@ -90,6 +90,21 @@ def test_dihedral_z_from_x_roundtrip(n):
         z = dihedral_z_from_x(n, x)
         assert abs(z) <= 1.0 + 1e-9
         assert abs(inv.eval(z)[0] - x) < 1e-8 * max(1.0, abs(x))
+    # far points: the small root of w^2 - 2yw + 1 without cancellation
+    for r in (1e4, 1e6):
+        for x in r * np.exp(1j * rng.uniform(-math.pi, math.pi, 20)):
+            z = dihedral_z_from_x(n, x)
+            assert abs(z) <= 1.0 and abs(cmath.phase(z)) <= math.pi / n
+            assert abs(inv.eval(z)[0] - x) < 1e-12 * max(1.0, abs(x))
+    # x^2 would overflow here: z near the pole, but finite and in the fan
+    for x in (1e200, -1e300j, 1e308 + 1e308j):
+        z = dihedral_z_from_x(n, x)
+        assert 0.0 < abs(z) < 1e-30 and abs(cmath.phase(z)) <= math.pi / n
+    # real x in (0, 1) has |z^n| = 1 for both roots: the upper one is kept
+    for x in np.linspace(0.0, 1.0, 23)[1:-1]:
+        z = dihedral_z_from_x(n, x)
+        assert 0.0 <= cmath.phase(z) <= math.pi / n
+        assert abs(inv.eval(z)[0] - x) < 1e-12
 
 
 def test_icosahedral_invariant_expansions():

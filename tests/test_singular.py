@@ -10,9 +10,6 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.elimination import swallowtail_t_exact
 from schwarzfront.equation import (SingularPointError, eval_q,
                                    exponents_from_mu)
-from schwarzfront.front import eval_front_closed_form
-from schwarzfront.h3 import hyperbolic_distance, hermitian_to_lorentz
-from schwarzfront.modular import LambdaInverse, fuchsian_z_from_x
 
 
 @pytest.fixture(scope="module")
@@ -102,52 +99,6 @@ def test_curve_is_cuspidal_away_from_swallowtails(fuchsian, fuchsian_curve):
             kept += 1
     assert checked > 50
     assert kept >= 0.99 * checked
-
-
-@pytest.fixture(scope="module")
-def fuchsian_front():
-    inv = LambdaInverse()
-
-    def front_of_x(x):
-        return eval_front_closed_form(inv, fuchsian_z_from_x(x)).H
-
-    return front_of_x
-
-
-@pytest.fixture(scope="module")
-def self_intersection(fuchsian, fuchsian_front):
-    t_star = swallowtail_t_exact()
-    levels = [0.015, 0.03, t_star - 1e-4]
-    return sg.find_self_intersection(fuchsian, fuchsian_front, levels)
-
-
-def test_self_intersection_images_coincide(self_intersection, fuchsian_front):
-    assert len(self_intersection.pairs) == 3
-    for xa, xb in self_intersection.pairs:
-        assert abs(xa.real + xb.real - 1.0) < 1e-14
-        pa = hermitian_to_lorentz(fuchsian_front(xa))
-        pb = hermitian_to_lorentz(fuchsian_front(xb))
-        assert hyperbolic_distance(pa, pb) < 1e-6
-
-
-def test_self_intersection_ends_at_swallowtail(self_intersection):
-    t_star = swallowtail_t_exact()
-    last = self_intersection.samples[-1]
-    assert last.imag == pytest.approx(t_star - 1e-4)
-    # the offset from the symmetry line shrinks to zero at the swallowtail
-    offsets = self_intersection.samples.real - 0.5
-    assert offsets[-1] < offsets[0]
-    assert offsets[-1] < 2e-2
-
-
-def test_self_intersection_meets_real_axis_perpendicularly(
-        fuchsian, fuchsian_front):
-    levels = [0.004, 0.008]
-    curve = sg.find_self_intersection(fuchsian, fuchsian_front, levels)
-    assert len(curve.samples) == 2
-    dx = curve.samples[1] - curve.samples[0]
-    angle = abs(math.degrees(math.atan2(dx.imag, dx.real)))
-    assert abs(angle - 90.0) < 2.0
 
 
 def test_cusp_model_discriminant():
@@ -253,16 +204,3 @@ def test_tracer_matches_reference_bit_for_bit(traced, name):
     samples, closed = _reference_trace(e)
     assert curve.closed == closed
     assert np.array_equal(curve.samples, samples)
-
-
-def test_self_intersection_skips_only_evaluation_errors(fuchsian):
-    def raises(exc):
-        def front_of_x(x):
-            raise exc("no front here")
-        return front_of_x
-
-    curve = sg.find_self_intersection(fuchsian, raises(SingularPointError),
-                                      [0.1, 0.2])
-    assert len(curve.samples) == 0
-    with pytest.raises(TypeError):
-        sg.find_self_intersection(fuchsian, raises(TypeError), [0.1])
