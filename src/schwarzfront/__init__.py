@@ -11,8 +11,7 @@ from .equation import (ExponentData, exponents_from_abc, exponents_from_mu,
                        eval_q, eval_q_derivatives, is_standard)
 from .front import (eval_front_closed_form, eval_front_matrix,
                     integrate_sl_form, match_isometry)
-from .h3 import (H3Point, HermitianForm, Isometry, apply_isometry,
-                 hyperbolic_distance)
+from .h3 import H3Point, HermitianForm
 from .mesh import JobConfig, SurfaceMesh, build_mesh, export_mesh
 from .modular import eval_lambda, fuchsian_z_from_x, theta_values
 from .polyhedral import PolyhedralInverse, build_polyhedral

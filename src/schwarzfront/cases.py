@@ -125,7 +125,7 @@ def _icosahedral(n):
     return _polyhedral(
         TAG_ICOSAHEDRAL, n,
         (Reflection.conjugation_times(1.0),
-         Reflection.conjugation_times(eps ** 2),
+         Reflection.conjugation_times(eps),
          ref),
         BaseTriangle(v_inf=0.0, v_one=r - c,
                      v_zero=t0 * cmath.exp(1j * math.pi / 5.0)))

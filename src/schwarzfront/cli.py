@@ -57,7 +57,8 @@ def _build_parser():
                         help="dihedral:n | tetra | octa | icosa | fuchsian")
         sp.add_argument("--config", default=None,
                         help="key=value config file; flags override it")
-        sp.add_argument("--out", default=None, help="output path")
+        sp.add_argument("--out", default=None,
+                        help="output path (surface default: front.<format>)")
 
     s = sub.add_parser("surface", help="build and export a surface mesh")
     common(s)
@@ -131,14 +132,15 @@ def _job_config(args) -> JobConfig:
     words = opts.get("words")
     if isinstance(words, str):
         words = [w.strip() for w in words.split(",")]
+    fmt = opts.get("format", "obj")
     kwargs = dict(
         case=opts.case(),
         tiles=opts.get("tiles", None, int),
         words=words,
         resolution=opts.get("resolution", 16, int),
         chart=opts.get("chart", "ball"),
-        fmt=opts.get("format", "obj"),
-        out=opts.get("out") or "front.obj",
+        fmt=fmt,
+        out=opts.get("out") or f"front.{fmt}",
         ramification_margin=opts.get("tol-ramification-margin",
                                      JobConfig.ramification_margin, float),
         boundary_margin=opts.get("tol-boundary-margin",

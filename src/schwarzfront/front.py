@@ -21,7 +21,9 @@ import numpy as np
 
 from .arrays import clip, flat, unflat
 from .equation import ExponentData, eval_q
-from .h3 import H3Point, HermitianForm, Isometry, hermitian_to_ball
+from .h3 import HermitianForm
+# unused here; kept because bench/spans.py wraps front.hermitian_to_ball
+from .h3 import hermitian_to_ball  # noqa: F401
 
 # evaluation is refused where |dx/dz| is below this (ramification points)
 RAMIFICATION_TOL = 1e-12
@@ -95,14 +97,6 @@ def eval_front_matrix(inv, z, sqrt_prev=None):
     return U.reshape(shape + (2, 2)), s.reshape(shape)
 
 
-@dataclass(frozen=True)
-class FundamentalSolution:
-    U: np.ndarray
-    basepoint: complex
-    endpoint: complex
-    path: tuple
-
-
 def _segment_distance(p, d, c):
     """Distance from the point c to the segments p -> p + d (arrays)."""
     dd = (d * d.conjugate()).real
@@ -110,13 +104,13 @@ def _segment_distance(p, d, c):
     return abs(p + np.clip(t, 0.0, 1.0) * d - c)
 
 
-def integrate_sl_form(e: ExponentData, path, U0=None) -> FundamentalSolution:
-    """Integrate dU/dx = U [[0, q],[1, 0]] along a polyline of x values.
+def integrate_sl_form(e: ExponentData, path) -> np.ndarray:
+    """Integrate dU/dx = U [[0, q],[1, 0]] along a polyline of x values,
+    from U = 1 at the first vertex; returns U at the last.
 
     The vertices of `path` are points or arrays of one common shape (a
     point broadcasts); each element is its own polyline, and U has shape
-    shape + (2, 2).  U0 (2x2, or one per path) defaults to the identity;
-    det U0 must be 1.  Every segment must keep distance >= PATH_MARGIN
+    shape + (2, 2).  Every segment must keep distance >= PATH_MARGIN
     from x = 0 and x = 1.
 
     Each segment is one solve_ivp in s in [0, 1] for all N paths at once,
@@ -144,17 +138,12 @@ def integrate_sl_form(e: ExponentData, path, U0=None) -> FundamentalSolution:
                 j = np.flatnonzero(bad)[0]
                 raise PathError(f"segment {i}, {p[j]} -> {q[j]}, passes "
                                 f"within {PATH_MARGIN} of x = {c:g}")
-    U0 = np.eye(2) if U0 is None else U0
-    U = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(U0, complex), shape + (2, 2)))
-    if (abs(np.linalg.det(U) - 1.0) > 1e-9).any():
-        raise ValueError("U0 must have determinant 1")
     root_n = math.sqrt(max(n, 1))
     rtol, atol = 1e-11 / root_n, 1e-13 / root_n
     if rtol < 100 * np.finfo(float).eps:   # solve_ivp would raise rtol
         raise ValueError(f"{n} paths are too many for one solve")
 
-    U = U.reshape(n, 2, 2)
+    U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
     for i, (p, pq) in enumerate(zip(pts, pts[1:])):
         dx = pq - p
         A = np.zeros((n, 2, 2), complex)    # [[0, q], [1, 0]] dx
@@ -171,14 +160,7 @@ def integrate_sl_form(e: ExponentData, path, U0=None) -> FundamentalSolution:
                             f"{p[0]} -> {pq[0]} (first of {n} paths): "
                             f"{sol.message}")
         U = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(n, 2, 2)
-    if shape == ():
-        return FundamentalSolution(U=U[0], basepoint=complex(pts[0][0]),
-                                   endpoint=complex(pts[-1][0]),
-                                   path=tuple(complex(p[0]) for p in pts))
-    return FundamentalSolution(
-        U=U.reshape(shape + (2, 2)), basepoint=pts[0].reshape(shape),
-        endpoint=pts[-1].reshape(shape),
-        path=tuple(p.reshape(shape) for p in pts))
+    return U.reshape(shape + (2, 2))
 
 
 def hermitian_of_solution(U) -> HermitianForm:
@@ -190,15 +172,9 @@ def hermitian_of_solution(U) -> HermitianForm:
 
 # --- isometry matching ------------------------------------------------------
 
-def _matrices(grid) -> np.ndarray:
-    """The (n, 2, 2) matrices of a grid: one array HermitianForm, or a
-    sequence of HermitianForm (or FrontValue)."""
-    if isinstance(grid, HermitianForm):
-        _, h, k, w = grid.flat()
-    else:
-        forms = [g.H if isinstance(g, FrontValue) else g for g in grid]
-        h, k, w = (np.array([getattr(f, a) for f in forms], dtype=complex)
-                   for a in "hkw")
+def _matrices(H: HermitianForm) -> np.ndarray:
+    """The (n, 2, 2) matrices of an array HermitianForm."""
+    _, h, k, w = H.flat()
     return np.stack([np.stack([h, w.conjugate()], axis=-1),
                      np.stack([w, k], axis=-1)], axis=-2)
 
@@ -206,10 +182,9 @@ def _matrices(grid) -> np.ndarray:
 def match_isometry(grid_a, grid_b):
     """Find P with H_a ~ P H_b conj(P)^t over two matched H-grids.
 
-    grid_a, grid_b: one array HermitianForm each, or sequences of
-    HermitianForm (or FrontValue), sampling the same parameter points.
-    Returns (Isometry, residual) with residual the max relative Frobenius
-    distance over the grid.
+    grid_a, grid_b: one array HermitianForm each, sampling the same
+    parameter points.  Returns (P, residual) with residual the max
+    relative Frobenius distance over the grid.
     """
     Ma, Mb = _matrices(grid_a), _matrices(grid_b)
     if len(Ma) != len(Mb) or len(Ma) < 3:
@@ -269,34 +244,4 @@ def match_isometry(grid_a, grid_b):
     T = P @ Mb @ P.conj().T
     resid = float(np.max(np.linalg.norm(Ma - T, axis=(1, 2))
                          / np.linalg.norm(Ma, axis=(1, 2))))
-    return Isometry(P), resid
-
-
-# --- end behavior -----------------------------------------------------------
-
-@dataclass
-class EndProbe:
-    norms: np.ndarray      # of the ball-chart points along the ray
-    monotone_tail: bool
-    limit: np.ndarray | None   # Cauchy limit estimate, None if not converged
-
-
-def end_behavior_probe(inv, zs, tail_fraction: float = 0.5,
-                       cauchy_tol: float = 1e-6) -> EndProbe:
-    """Evaluate the front along a ray of z approaching an end.
-
-    zs must be ordered toward the end.  Checks that the ball-chart norms
-    increase monotonically on the tail and that the boundary point
-    converges (Cauchy within cauchy_tol).
-    """
-    H = eval_front_closed_form(inv, np.asarray(zs, dtype=complex)).H
-    coords = np.stack(hermitian_to_ball(H).coords, axis=-1)
-    norms = np.linalg.norm(coords, axis=1)
-    k = max(2, int(len(zs) * tail_fraction))
-    tail = norms[-k:]
-    monotone = bool(np.all(np.diff(tail) > 0))
-    # Cauchy test on the direction of approach
-    dirs = coords[-k:] / norms[-k:, None]
-    steps = np.linalg.norm(np.diff(dirs, axis=0), axis=1)
-    limit = dirs[-1] if steps.size and steps[-1] < cauchy_tol else None
-    return EndProbe(norms=norms, monotone_tail=monotone, limit=limit)
+    return P, resid

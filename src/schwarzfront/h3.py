@@ -21,9 +21,6 @@ from .arrays import clip, flat, unflat
 # det = 1 while h*k grows near the ends, hence the small relative bound.
 _PD_RTOL = 1e-14
 
-# Allowed undershoot of the Lorentz pairing below 1 before raising.
-_DIST_CLAMP = 1e-10
-
 
 class ChartError(ValueError):
     """Operation applied to a point in the wrong chart."""
@@ -39,7 +36,7 @@ class HermitianForm:
 
     h and k are the real diagonal entries, w the bottom-left entry; as
     arrays, one form per point, NaN where not positive-definite (see
-    arrays.clip).  matrix() and from_matrix() take one form.
+    arrays.clip).
     """
 
     h: float
@@ -65,31 +62,6 @@ class HermitianForm:
         """(shape, h, k, w) with h, k, w as 1-D arrays (see arrays.flat)."""
         return (np.shape(self.h), flat(self.h, float), flat(self.k, float),
                 flat(self.w))
-
-    def det(self) -> float:
-        return self.h * self.k - abs(self.w) ** 2
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.h, self.w.conjugate()], [self.w, self.k]],
-                        dtype=complex)
-
-    @classmethod
-    def from_matrix(cls, m) -> "HermitianForm":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if abs(m[0, 1] - m[1, 0].conjugate()) > 1e-9 * (1.0 + np.abs(m).max()):
-            raise ValueError("matrix is not Hermitian")
-        if abs(m[0, 0].imag) > 1e-9 * abs(m[0, 0]) or \
-           abs(m[1, 1].imag) > 1e-9 * abs(m[1, 1]):
-            raise ValueError("diagonal is not real")
-        return cls(m[0, 0].real, m[1, 1].real, m[1, 0])
-
-    def scaled(self, c: float) -> "HermitianForm":
-        """Projective rescaling H -> c*H, c > 0."""
-        if c <= 0:
-            raise ValueError("scale must be positive")
-        return HermitianForm(c * self.h, c * self.k, c * self.w)
 
 
 @dataclass(frozen=True)
@@ -126,28 +98,6 @@ class H3Point:
                  ValueError, lambda: "ball point must have norm < 1",
                  x1, x2, x3)
         return cls("ball", tuple(map(float, x)) if np.ndim(x1) == 0 else x)
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """Orientation-preserving isometry of H^3 given by P in GL(2,C)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if abs(np.linalg.det(m)) < 1e-14:
-            raise ValueError("isometry matrix must be invertible")
-        object.__setattr__(self, "matrix", m)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls) -> "Isometry":
-        return cls(np.eye(2, dtype=complex))
 
 
 @np.errstate(invalid="ignore")    # NaN marks clipped points
@@ -206,49 +156,5 @@ def ball_to_lorentz(p: H3Point) -> H3Point:
                            2.0 * r * x3)
 
 
-def convert(p: H3Point, chart: str) -> H3Point:
-    """Convert a point to the requested chart ("uhs", "lorentz", "ball")."""
-    if p.chart == chart:
-        return p
-    if p.chart == "uhs":
-        lor = hermitian_to_lorentz(upper_half_space_to_hermitian(p))
-    elif p.chart == "ball":
-        lor = ball_to_lorentz(p)
-    else:
-        lor = p
-    if chart == "lorentz":
-        return lor
-    if chart == "ball":
-        return lorentz_to_ball(lor)
-    if chart == "uhs":
-        return hermitian_to_upper_half_space(lorentz_to_hermitian(lor))
-    raise ChartError(f"unknown chart {chart!r}")
-
-
 def hermitian_to_ball(H: HermitianForm) -> H3Point:
     return lorentz_to_ball(hermitian_to_lorentz(H))
-
-
-def apply_isometry(P: Isometry, H: HermitianForm) -> HermitianForm:
-    """Group action H -> P H conj(P)^t."""
-    m = P.matrix @ H.matrix() @ P.matrix.conj().T
-    # Symmetrize tiny Hermitian defects from roundoff.
-    m = 0.5 * (m + m.conj().T)
-    return HermitianForm(m[0, 0].real, m[1, 1].real, m[1, 0])
-
-
-def lorentz_inner(p: H3Point, q: H3Point) -> float:
-    """Pairing <p, q> with signature (+,-,-,-)."""
-    a = convert(p, "lorentz").coords
-    b = convert(q, "lorentz").coords
-    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-
-
-def hyperbolic_distance(p: H3Point, q: H3Point) -> float:
-    """d(p, q) = arccosh(<p, q>) with the Lorentz pairing."""
-    ip = lorentz_inner(p, q)
-    if ip < 1.0:
-        if ip < 1.0 - _DIST_CLAMP:
-            raise ValueError(f"Lorentz pairing {ip} < 1 beyond tolerance")
-        ip = 1.0
-    return math.acosh(ip)

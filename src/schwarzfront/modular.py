@@ -19,7 +19,6 @@ lambda(z + 1) = 1 / lambda(z) and lambda(-1/z) = 1 - lambda(z).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,19 +35,18 @@ MIN_IM = 0.05
 
 _TAIL = 1e-16
 
-# fundamental-domain reduction steps before a point is given up
+# steps of a fundamental-domain reduction (of SL(2, Z) or of level 2)
+# before a point is given up
 _MAX_REDUCTIONS = 200
+
+# fuchsian_z_from_x accepts z once |lambda(z) - x| < _PREIMAGE_TOL
+# max(1, |x|), after at most _PREIMAGE_EVALS lambda evaluations
+_PREIMAGE_TOL = 1e-12
+_PREIMAGE_EVALS = 4
 
 
 class DomainError(ValueError):
     """z outside the upper half-plane."""
-
-
-def _require_upper(z: complex) -> complex:
-    z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"Im z must be positive, got {z}")
-    return z
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,18 @@ def _theta_sums(q, m: int):
     return np.stack([q2, q3, s3, e2 * q2]).sum(axis=-1)
 
 
-def theta_values(z: complex, order: int | None = None) -> ThetaValues:
-    """Truncated q-series for the theta constants and q d/dq theta2."""
-    z = _require_upper(z)
-    if z.imag < MIN_IM:
-        raise DomainError(
-            f"Im z = {z.imag} below series floor {MIN_IM}; "
-            "reduce to the fundamental domain first")
-    m = order if order is not None else _truncation_order(z.imag)
-    return ThetaValues(*_theta_sums(cmath.exp(0.5j * math.pi * z), m))
+def theta_values(z) -> ThetaValues:
+    """Truncated q-series for the theta constants and q d/dq theta2 at z
+    (scalar or array), every point summed to the order its lowest point
+    needs.  Below Im z = MIN_IM, DomainError or NaN (see arrays.clip)."""
+    shape, z = np.shape(z), flat(z)
+    ok = z.imag >= MIN_IM
+    z, = clip(~ok, shape, DomainError, lambda: (
+        f"Im z = {z.imag[0]} below series floor {MIN_IM}; "
+        "reduce to the fundamental domain first"), z)
+    m = _truncation_order(z.imag[ok].min(initial=math.inf))
+    return ThetaValues(*unflat(shape, *_theta_sums(
+        np.exp(0.5j * math.pi * z), m)))
 
 
 def _lambda_series(w: np.ndarray):
@@ -230,7 +231,7 @@ def lambda_series_coeffs(count: int):
     return mul(r2, r2)
 
 
-def reduce_level_two(z, max_iter: int = 200):
+def reduce_level_two(z):
     """Move z (scalar or array) into the fundamental domain of the level-2
     principal group.
 
@@ -241,7 +242,7 @@ def reduce_level_two(z, max_iter: int = 200):
     shape, z = np.shape(z), flat(z)
     z, = clip(~(z.imag > 0), shape, DomainError,
               lambda: f"Im z must be positive, got {z[0]}", z)
-    for _ in range(max_iter):
+    for _ in range(_MAX_REDUCTIONS):
         z = z - np.floor((z.real + 1.0) / 2.0) * 2
         left = np.abs(2.0 * z + 1.0) < 1.0 - 1e-15
         right = ~left & (np.abs(2.0 * z - 1.0) < 1.0 - 1e-15)
@@ -273,18 +274,17 @@ def _schwarz_agm(x: np.ndarray) -> np.ndarray:
     return 1j * _agm(1.0, np.sqrt(x)) / _agm(1.0, np.sqrt(1.0 - x))
 
 
-def _newton(inv: LambdaInverse, x: np.ndarray, z: np.ndarray, tol: float,
-            max_iter: int) -> np.ndarray:
+def _newton(inv: LambdaInverse, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Damped Newton on lambda(z) = x from the starts z for every point of
     x at once; NaN where it stops without converging."""
     out = np.full(x.shape, np.nan, dtype=complex)
     active = np.arange(x.size)
-    for _ in range(max_iter):
+    for _ in range(_PREIMAGE_EVALS):
         if not active.size:
             break
         val, der, _ = inv.eval(z)
         err = val - x[active]
-        done = np.abs(err) < tol * np.maximum(1.0, np.abs(x[active]))
+        done = np.abs(err) < _PREIMAGE_TOL * np.maximum(1.0, np.abs(x[active]))
         out[active[done]] = z[done]
         step = err / der
         size = np.abs(step)
@@ -297,7 +297,7 @@ def _newton(inv: LambdaInverse, x: np.ndarray, z: np.ndarray, tol: float,
 
 
 @np.errstate(invalid="ignore", divide="ignore")
-def fuchsian_z_from_x(x, tol: float = 1e-12, max_iter: int = 4):
+def fuchsian_z_from_x(x):
     """Canonical preimage of x (scalar or array) under lambda.
 
     lambda = (theta0/theta3)^4 is 1 minus the classical lambda, with the
@@ -307,16 +307,17 @@ def fuchsian_z_from_x(x, tol: float = 1e-12, max_iter: int = 4):
         z = i K(x) / K(1 - x) = i M(1, sqrt x) / M(1, sqrt(1 - x)),
 
     with K(m) = pi / (2 M(1, sqrt(1 - m))) and M the arithmetic-geometric
-    mean.  Damped Newton from that z, at most max_iter lambda evaluations,
-    accepts a point once |lambda(z) - x| < tol max(1, |x|); the result is
-    reduced into the level-2 fundamental domain, where the preimage is
-    unique, so curves of x map to continuous curves of z (one branch per
-    half-plane of x).  A point that fails the check, and x = 0 or 1,
-    which lambda omits but reaches within tol near the cusps, is NaN in
-    an array call; a scalar call raises ValueError.
+    mean.  Damped Newton from that z, at most _PREIMAGE_EVALS lambda
+    evaluations, accepts a point once |lambda(z) - x| < _PREIMAGE_TOL
+    max(1, |x|); the result is reduced into the level-2 fundamental
+    domain, where the preimage is unique, so curves of x map to
+    continuous curves of z (one branch per half-plane of x).  A point
+    that fails the check, and x = 0 or 1, which lambda omits but reaches
+    within _PREIMAGE_TOL near the cusps, is NaN in an array call; a
+    scalar call raises ValueError.
     """
     shape, x = np.shape(x), flat(x)
-    z = _newton(LambdaInverse(), x, _schwarz_agm(x), tol, max_iter)
+    z = _newton(LambdaInverse(), x, _schwarz_agm(x))
     z, = clip(np.isnan(z) | (x == 0.0) | (x == 1.0), shape, ValueError,
               lambda: f"no lambda preimage found for x={x[0]}", z)
     ok = ~np.isnan(z)

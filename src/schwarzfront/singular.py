@@ -24,6 +24,14 @@ CLOSURE_TOL = 1e-6         # curve closes when it returns this near the start
 NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
 STEP_MIN = 1e-4
 STEP_MAX = 1e-2
+# (s_min, s_max, t_min, t_max) in x = s + it: where the tracer seeks a seed
+SEED_BOX = (-1.0, 2.0, 1e-4, 1.5)
+MAX_TRACE_STEPS = 200000
+NEWTON_MAX_ITER = 40       # Newton steps onto the curve f = 0
+BISECT_TOL = 1e-12         # swallowtail bracket width along the curve
+# 2-D Newton of swallowtail_by_newton
+SWALLOWTAIL_TOL = 1e-13
+SWALLOWTAIL_MAX_ITER = 60
 
 NOT_SINGULAR = "NotSingular"
 CUSPIDAL_EDGE = "CuspidalEdge"
@@ -92,16 +100,15 @@ def classify_point(e: ExponentData, x,
                               swallowtail_re=sw)
 
 
-def _newton_to_curve(e: ExponentData, x: complex,
-                     max_iter: int = 40) -> complex:
+def _newton_to_curve(e: ExponentData, x: complex) -> complex:
     """Correct x onto f = 0 by Newton steps along grad f."""
-    return _newton_with_grad(e, x, max_iter)[0]
+    return _newton_with_grad(e, x)[0]
 
 
-def _newton_with_grad(e: ExponentData, x: complex, max_iter: int = 40):
+def _newton_with_grad(e: ExponentData, x: complex):
     """(x, gs, gt): x corrected onto f = 0 and grad f there, from the
     evaluation that accepted it."""
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, gs, gt = _f_and_grad(e, x)
         if abs(f) < CURVE_TOL:
             return x, gs, gt
@@ -115,10 +122,10 @@ def _newton_with_grad(e: ExponentData, x: complex, max_iter: int = 40):
     return x, gs, gt
 
 
-def _find_seed(e: ExponentData, box):
-    """Scan the box for a sign change of f and bisect to the curve;
+def _find_seed(e: ExponentData):
+    """Scan SEED_BOX for a sign change of f and bisect to the curve;
     (x, gs, gt) as _newton_with_grad, or None."""
-    s0, s1, t0, t1 = box
+    s0, s1, t0, t1 = SEED_BOX
     for t in np.linspace(t0, t1, 41):
         ss = np.linspace(s0, s1, 201)
         vals = _f_and_grad(e, ss + 1j * t)[0]
@@ -139,14 +146,12 @@ def _find_seed(e: ExponentData, box):
     return None
 
 
-def trace_singular_curve(e: ExponentData, box=( -1.0, 2.0, 1e-4, 1.5),
-                         max_steps: int = 200000) -> TracedCurve:
-    """March along f = 0 starting from a seed found in the box.
+def trace_singular_curve(e: ExponentData) -> TracedCurve:
+    """March along f = 0 starting from a seed found in SEED_BOX.
 
-    box = (s_min, s_max, t_min, t_max) in x = s + it.  Returns an empty
-    curve when no sign change is found.
+    Returns an empty curve when no sign change is found.
     """
-    found = _find_seed(e, box)
+    found = _find_seed(e)
     if found is None:
         return TracedCurve(samples=np.empty(0, complex), closed=False)
     seed, gs, gt = found
@@ -155,7 +160,7 @@ def trace_singular_curve(e: ExponentData, box=( -1.0, 2.0, 1e-4, 1.5),
     step = STEP_MAX
     prev_tan = None
     closed = False
-    for k in range(max_steps):
+    for k in range(MAX_TRACE_STEPS):
         gn = math.hypot(gs, gt)
         if gn == 0.0:
             break
@@ -186,8 +191,7 @@ def _im_zeta(e: ExponentData, x: complex) -> float:
     return (Q ** 3 * R.conjugate() ** 2).imag
 
 
-def find_swallowtails(e: ExponentData, curve: TracedCurve,
-                      tol: float = 1e-12) -> list:
+def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     """Swallowtail points on a traced singular curve.
 
     Scans for sign changes of Im(Q^3 conj(R)^2) along the curve, refines
@@ -210,7 +214,7 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve,
             cand = a
         else:
             lo, hi, flo = a, b, fa
-            while abs(hi - lo) > tol:
+            while abs(hi - lo) > BISECT_TOL:
                 mid = _newton_to_curve(e, 0.5 * (lo + hi))
                 fm = _im_zeta(e, mid)
                 if flo * fm <= 0.0:
@@ -225,8 +229,7 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve,
     return found
 
 
-def swallowtail_by_newton(e: ExponentData, x0: complex,
-                          tol: float = 1e-13, max_iter: int = 60) -> complex:
+def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
     """Locate a swallowtail by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0.
 
     Independent of the curve tracer and of the polynomial elimination;
@@ -234,10 +237,11 @@ def swallowtail_by_newton(e: ExponentData, x0: complex,
     """
     x = complex(x0)
     h = 1e-7
-    for _ in range(max_iter):
+    for _ in range(SWALLOWTAIL_MAX_ITER):
         f, gs, gt = _f_and_grad(e, x)
         g2 = _im_zeta(e, x)
-        if abs(f) < tol and abs(g2) < tol * max(1.0, abs(x) ** 10):
+        if abs(f) < SWALLOWTAIL_TOL and \
+           abs(g2) < SWALLOWTAIL_TOL * max(1.0, abs(x) ** 10):
             break
         d2s = (_im_zeta(e, x + h) - _im_zeta(e, x - h)) / (2 * h)
         d2t = (_im_zeta(e, x + 1j * h) - _im_zeta(e, x - 1j * h)) / (2 * h)

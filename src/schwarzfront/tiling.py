@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _DEDUP_TOL = 1e-9
-# default cap on the word length of an enumerated element
+# cap on the word length of an enumerated element
 MAX_WORD_LENGTH = 12
 
 
@@ -122,8 +122,7 @@ def _known(buckets: dict, sig) -> bool:
     return False
 
 
-def tile_parameter_domain(case, max_count: int | None = None,
-                          max_word_length: int = MAX_WORD_LENGTH) -> TileSet:
+def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     """Enumerate distinct even-word group elements breadth-first.
 
     Labels are the generating words, e.g. "" (identity), "12" (R1 then R2).
@@ -155,13 +154,11 @@ def tile_parameter_domain(case, max_count: int | None = None,
             gh = h.compose(g)
             if known(gh):
                 continue
-            if depth >= max_word_length or \
+            if depth >= MAX_WORD_LENGTH or \
                (max_count is not None and len(out) >= max_count):
                 # a new element exists beyond a limit: enumeration is cut
                 complete = False
                 break
             out.append((gh, word + hw))
             queue.append((gh, word + hw, depth + 1))
-    if max_count is not None and len(out) > max_count:
-        out, complete = out[:max_count], False
     return TileSet(elements=out, complete=complete)

@@ -57,14 +57,7 @@ def _vertex_params():
         if tag == TAG_FUCHSIAN_INF:
             continue
         for vertex in ("v_inf", "v_zero", "v_one"):
-            marks = ()
-            if (text, vertex) == ("icosa", "v_zero"):
-                # mirror 2 is z -> exp(4 pi i/5) conj(z), the line at angle
-                # 2 pi/5, while the triangle's edge runs at pi/5: the group
-                # is the same, but mirrors 1 and 2 move v_zero by 0.40
-                marks = pytest.mark.xfail(strict=True, reason=(
-                    "icosahedral mirror 2 does not bound the base triangle"))
-            yield pytest.param(text, vertex, marks=marks)
+            yield text, vertex
 
 
 @pytest.mark.parametrize("text, vertex", list(_vertex_params()))

@@ -8,8 +8,7 @@ import pytest
 from schwarzfront import front as fr
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import eval_q, exponents_from_mu
-from schwarzfront.h3 import (HermitianForm, Isometry, apply_isometry,
-                             hermitian_to_ball)
+from schwarzfront.h3 import HermitianForm
 from schwarzfront.modular import LambdaInverse, fuchsian_z_from_x
 from schwarzfront.polyhedral import PolyhedralInverse, dihedral_z_from_x
 from schwarzfront.selfcheck import _oracle_points
@@ -21,6 +20,17 @@ ORACLE_TOL = 1e-6
 @pytest.fixture(scope="module")
 def dihedral3():
     return PolyhedralInverse("dihedral", 3)
+
+
+def _matrix(H):
+    """The 2x2 matrix of a scalar HermitianForm."""
+    return np.array([[H.h, H.w.conjugate()], [H.w, H.k]])
+
+
+def _stack(forms):
+    """One array HermitianForm from a list of scalar forms."""
+    return HermitianForm(*(np.array([getattr(f, a) for f in forms])
+                           for a in "hkw"))
 
 
 def test_front_matrix_is_unimodular(dihedral3):
@@ -38,13 +48,13 @@ def test_hermitian_matches_matrix_square(dihedral3):
         U, _ = fr.eval_front_matrix(dihedral3, z)
         H = fr.eval_front_closed_form(dihedral3, z).H
         m = U @ U.conj().T
-        assert np.linalg.norm(H.matrix() - m) < 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(_matrix(H) - m) < 1e-10 * np.linalg.norm(m)
 
 
 def test_front_hermitian_det_is_one(dihedral3):
     for z in (0.3 + 0.2j, 0.55 * cmath.exp(0.8j)):
         H = fr.eval_front_closed_form(dihedral3, z).H
-        assert abs(H.det() - 1.0) < 1e-9
+        assert abs(H.h * H.k - abs(H.w) ** 2 - 1.0) < 1e-9
 
 
 def test_ramification_point_rejected(dihedral3):
@@ -65,13 +75,6 @@ def test_sqrt_branch_continuation(dihedral3):
     assert abs(s_prev + first) < 1e-3 * abs(first)
 
 
-def test_integrate_requires_unimodular_start():
-    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
-    with pytest.raises(ValueError):
-        fr.integrate_sl_form(e, [0.4 + 0.4j, 0.5 + 0.4j],
-                             U0=2.0 * np.eye(2))
-
-
 def test_integrate_rejects_paths_near_singularities():
     e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
     with pytest.raises(fr.PathError):
@@ -81,50 +84,46 @@ def test_integrate_rejects_paths_near_singularities():
 def test_integration_is_path_independent():
     e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
     a, b = 0.4 + 0.5j, 0.7 + 0.3j
-    direct = fr.integrate_sl_form(e, [a, b]).U
-    detour = fr.integrate_sl_form(e, [a, 0.5 + 0.8j, b]).U
+    direct = fr.integrate_sl_form(e, [a, b])
+    detour = fr.integrate_sl_form(e, [a, 0.5 + 0.8j, b])
     assert np.linalg.norm(direct - detour) < 1e-9 * np.linalg.norm(direct)
 
 
 def test_wronskian_is_preserved():
     e = exponents_from_mu(0, 0, 0)
-    U = fr.integrate_sl_form(e, [0.5 + 0.4j, 0.3 + 0.6j]).U
+    U = fr.integrate_sl_form(e, [0.5 + 0.4j, 0.3 + 0.6j])
     assert abs(np.linalg.det(U) - 1.0) < 1e-10
 
 
 def _known_transform_grids(inv):
-    """(Ha, Hb, P0) with Ha = P0 Hb conj(P0)^t, lists of forms."""
+    """(Ha, Hb, P0) with Ha = P0 Hb conj(P0)^t, lists of scalar forms."""
     zs = [r * cmath.exp(1j * t) for r in (0.35, 0.5, 0.65)
           for t in (0.15, 0.45, 0.75)]
     Ha = [fr.eval_front_closed_form(inv, z).H for z in zs]
     P0 = np.array([[1.2 + 0.3j, 0.4 - 0.1j], [0.2j, 0.8]])
     P0 /= np.sqrt(np.linalg.det(P0))
-    Hb = [apply_isometry(Isometry(np.linalg.inv(P0)), H) for H in Ha]
+    Q = np.linalg.inv(P0)
+    Hb = []
+    for H in Ha:
+        m = Q @ _matrix(H) @ Q.conj().T
+        Hb.append(HermitianForm(m[0, 0].real, m[1, 1].real, m[1, 0]))
     return Ha, Hb, P0
 
 
 def test_match_isometry_recovers_known_transform(dihedral3):
     Ha, Hb, P0 = _known_transform_grids(dihedral3)
-    iso, resid = fr.match_isometry(Ha, Hb)
+    P, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
     assert resid < 1e-10
-    rel = iso.matrix / P0
+    rel = P / P0
     assert np.allclose(rel, rel[0, 0] * np.ones((2, 2)), atol=1e-8)
 
 
 def test_match_isometry_residual_equals_the_loop(dihedral3):
     Ha, Hb, _ = _known_transform_grids(dihedral3)
-    iso, resid = fr.match_isometry(Ha, Hb)
-    P = iso.matrix
-    loop = max(float(np.linalg.norm(a.matrix() - P @ b.matrix() @ P.conj().T)
-                     / np.linalg.norm(a.matrix())) for a, b in zip(Ha, Hb))
+    P, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
+    loop = max(float(np.linalg.norm(_matrix(a) - P @ _matrix(b) @ P.conj().T)
+                     / np.linalg.norm(_matrix(a))) for a, b in zip(Ha, Hb))
     assert abs(resid - loop) <= 1e-15 * loop
-
-    def as_array(forms):
-        return HermitianForm(*(np.array([getattr(f, a) for f in forms])
-                               for a in "hkw"))
-
-    iso2, resid2 = fr.match_isometry(as_array(Ha), as_array(Hb))
-    assert np.array_equal(iso2.matrix, P) and resid2 == resid
 
 
 def _integrate_per_segment(e, path):
@@ -157,7 +156,7 @@ def test_array_oracle_matches_per_segment_solves(name):
     # as accurate as its own solve
     e = resolve_case(name).exponents
     xs = _oracle_points(200)
-    U = fr.integrate_sl_form(e, [xs[0], xs[1:]]).U
+    U = fr.integrate_sl_form(e, [xs[0], xs[1:]])
     assert U.shape == (199, 2, 2)
     for x, Ux in zip(xs[1:], U):
         ref = _integrate_per_segment(e, [complex(xs[0]), complex(x)])
@@ -166,12 +165,9 @@ def test_array_oracle_matches_per_segment_solves(name):
 
 def test_scalar_oracle_call_keeps_its_types():
     e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
-    sol = fr.integrate_sl_form(e, [0.4 + 0.5j, 0.7 + 0.3j])
-    assert isinstance(sol, fr.FundamentalSolution)
-    assert type(sol.U) is np.ndarray and sol.U.shape == (2, 2)
-    assert type(sol.basepoint) is complex and type(sol.endpoint) is complex
-    assert sol.path == (0.4 + 0.5j, 0.7 + 0.3j)
-    H = fr.hermitian_of_solution(sol.U)
+    U = fr.integrate_sl_form(e, [0.4 + 0.5j, 0.7 + 0.3j])
+    assert type(U) is np.ndarray and U.shape == (2, 2)
+    H = fr.hermitian_of_solution(U)
     assert type(H.h) is float and type(H.w) is complex
 
 
@@ -180,25 +176,16 @@ def test_array_integration_is_path_independent():
     a = 0.4 + 0.5j
     b = np.array([[0.7 + 0.3j, 0.6 + 0.2j], [0.3 + 0.3j, 0.8 + 0.6j]])
     direct = fr.integrate_sl_form(e, [a, b])
-    detour = fr.integrate_sl_form(e, [a, 0.5 + 0.8j, b]).U
-    assert direct.U.shape == detour.shape == (2, 2, 2, 2)
-    assert direct.endpoint.shape == (2, 2)
-    err = np.linalg.norm(direct.U - detour, axis=(-2, -1))
-    assert np.all(err < 1e-9 * np.linalg.norm(direct.U, axis=(-2, -1)))
+    detour = fr.integrate_sl_form(e, [a, 0.5 + 0.8j, b])
+    assert direct.shape == detour.shape == (2, 2, 2, 2)
+    err = np.linalg.norm(direct - detour, axis=(-2, -1))
+    assert np.all(err < 1e-9 * np.linalg.norm(direct, axis=(-2, -1)))
     # one form per path, each the scalar call's
-    H = fr.hermitian_of_solution(direct.U)
+    H = fr.hermitian_of_solution(direct)
     assert H.h.shape == (2, 2)
     for idx in np.ndindex(2, 2):
-        Hi = fr.hermitian_of_solution(direct.U[idx])
+        Hi = fr.hermitian_of_solution(direct[idx])
         assert (H.h[idx], H.k[idx], H.w[idx]) == (Hi.h, Hi.k, Hi.w)
-
-
-def test_array_integration_requires_unimodular_start():
-    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
-    ends = np.array([0.5 + 0.4j, 0.6 + 0.4j])
-    with pytest.raises(ValueError, match="determinant 1"):
-        fr.integrate_sl_form(e, [0.4 + 0.4j, ends],
-                             U0=np.array([np.eye(2), 2.0 * np.eye(2)]))
 
 
 def test_one_bad_path_in_an_array_raises():
@@ -228,9 +215,9 @@ def test_closed_form_agrees_with_ode_oracle_dihedral(dihedral3):
         z = dihedral_z_from_x(3, x)
         Ha.append(fr.eval_front_closed_form(dihedral3, z).H)
         U = np.eye(2, dtype=complex) if x == xs[0] else \
-            fr.integrate_sl_form(e, [xs[0], x]).U
+            fr.integrate_sl_form(e, [xs[0], x])
         Hb.append(fr.hermitian_of_solution(U))
-    _, resid = fr.match_isometry(Ha, Hb)
+    _, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
     assert resid < ORACLE_TOL
 
 
@@ -245,18 +232,10 @@ def test_closed_form_agrees_with_ode_oracle_fuchsian():
         z = fuchsian_z_from_x(x)
         Ha.append(fr.eval_front_closed_form(inv, z).H)
         U = np.eye(2, dtype=complex) if x == xs[0] else \
-            fr.integrate_sl_form(e, [xs[0], x]).U
+            fr.integrate_sl_form(e, [xs[0], x])
         Hb.append(fr.hermitian_of_solution(U))
-    _, resid = fr.match_isometry(Ha, Hb)
+    _, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
     assert resid < ORACLE_TOL
-
-
-def test_end_probe_reaches_boundary(dihedral3):
-    zs = [0.02 * cmath.exp(0.3j) * (0.85 ** k) for k in range(10)]
-    probe = fr.end_behavior_probe(dihedral3, zs, cauchy_tol=5e-3)
-    assert probe.monotone_tail
-    assert probe.norms[-1] > 1.0 - 1e-3
-    assert probe.limit is not None
 
 
 def _close(a, b, rel=1e-13):

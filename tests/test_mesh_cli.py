@@ -329,6 +329,15 @@ def test_cli_surface(tmp_path):
     assert len(verts) > 0 and len(faces) > 0
 
 
+def test_cli_surface_default_out_follows_format(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["surface", "--case", "dihedral:3", "--tiles", "1",
+                   "--resolution", "8", "--format", "ply"])
+    assert rc == 0
+    assert (tmp_path / "front.ply").read_text().startswith("ply\n")
+    assert not (tmp_path / "front.obj").exists()
+
+
 def test_surface_job_resolves_its_case_once(tmp_path, monkeypatch):
     calls = []
     resolve = mesh.resolve_case

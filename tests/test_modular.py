@@ -25,6 +25,22 @@ def test_theta_quartic_identity():
         assert abs(lhs) < IDENT_TOL * abs(tv.theta3) ** 4
 
 
+def test_theta_array_matches_scalar_calls():
+    # an array call sums every point to the order of its lowest point
+    z = np.array([0.3 + 0.9j, -0.2 + 0.6j, 0.1 + 2.0j, 0.5 + 0.01j])
+    tv = theta_values(z)
+    assert np.isnan(tv.theta3[3])
+    with pytest.raises(DomainError):
+        theta_values(z[3])
+    for k in range(3):
+        want = theta_values(z[k])
+        for a in ("theta2", "theta3", "theta0", "theta2p"):
+            got, ref = getattr(tv, a)[k], getattr(want, a)
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+    one = theta_values(z[:1])
+    assert one.theta0[0] == theta_values(z[0]).theta0
+
+
 def test_lambda_at_i_is_one_half():
     x, _, _ = eval_lambda(1j)
     assert abs(x - 0.5) < 1e-14
@@ -226,4 +242,4 @@ def test_unsolvable_point_costs_at_most_the_polish(bad, monkeypatch):
     monkeypatch.setattr(LambdaInverse, "eval", counting)
     zs = fuchsian_z_from_x(np.array([0.3 + 0.4j, bad]))
     assert np.isfinite(zs[0]) and np.isnan(zs[1])
-    assert len(calls) <= 4          # the polish cap, max_iter
+    assert len(calls) <= modular._PREIMAGE_EVALS == 4     # the polish cap

@@ -168,12 +168,12 @@ def test_scalar_classify_returns_python_types(fuchsian):
     assert type(p.abs_q) is float and type(p.swallowtail_re) is float
 
 
-def _reference_trace(e, box=(-1.0, 2.0, 1e-4, 1.5), max_steps=200000):
+def _reference_trace(e):
     """The tracer with the gradient evaluated again at every accepted
     point, as it was before it took the Newton corrector's gradient."""
-    seed = sg._find_seed(e, box)[0]
+    seed = sg._find_seed(e)[0]
     pts, x, step, prev_tan, closed = [seed], seed, sg.STEP_MAX, None, False
-    for k in range(max_steps):
+    for k in range(sg.MAX_TRACE_STEPS):
         _, gs, gt = sg._f_and_grad(e, x)
         gn = math.hypot(gs, gt)
         if gn == 0.0:

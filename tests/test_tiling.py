@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzfront import cli
+from schwarzfront import cli, tiling
 from schwarzfront.modular import eval_lambda
 from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
@@ -105,7 +105,7 @@ def test_reflection_circle_fixes_its_circle():
         assert abs(refl(z) - z) < 1e-12
 
 
-def test_complete_only_when_no_limit_cut_enumeration():
+def test_complete_only_when_no_limit_cut_enumeration(monkeypatch):
     # a count above the group order lists the whole group
     ts = tile_parameter_domain(resolve_case("dihedral", 3), max_count=100)
     assert len(ts.elements) == 6 and ts.complete
@@ -113,9 +113,10 @@ def test_complete_only_when_no_limit_cut_enumeration():
     assert tile_parameter_domain(icosa, max_count=60).complete
     # a count or a depth below what the group needs cuts it short
     assert not tile_parameter_domain(icosa, max_count=40).complete
-    assert not tile_parameter_domain(icosa, max_word_length=1).complete
     assert not tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
                                      max_count=25).complete
+    monkeypatch.setattr(tiling, "MAX_WORD_LENGTH", 1)
+    assert not tile_parameter_domain(icosa).complete
 
 
 def test_cli_tiles_reports_complete_group(capsys):
