@@ -171,10 +171,10 @@ def cmd_singular_locus(args) -> int:
     out = opts.get("out")
     opts.check()
     e = case.exponents
-    curve = sg.trace_singular_curve(e)
-    if not len(curve.samples):
-        print("no singular curve found in the default search box")
-        return 1
+    try:
+        curve = sg.trace_singular_curve(e)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     spc = sg.classify_point(e, curve.samples, tol=tol)
     rows = ["x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)"]
     for x, cls, absq, zeta in zip(curve.samples.tolist(), spc.cls.tolist(),
@@ -210,6 +210,7 @@ def cmd_tiles(args) -> int:
     opts = _Options(args)
     case = resolve_case(opts.case())
     max_count = opts.get("tiles", None, int)
+    out = opts.get("out")
     opts.check()
     if max_count is not None and max_count < 1:
         raise SystemExit(f"error: --tiles must be >= 1, got {max_count}")
@@ -217,12 +218,20 @@ def cmd_tiles(args) -> int:
         raise SystemExit(f"error: case {opts.case()} has infinitely many "
                          f"tiles; give --tiles N")
     ts = tile_parameter_domain(case, max_count=max_count)
-    print(f"{len(ts.elements)} elements (complete={ts.complete})")
+    summary = f"{len(ts.elements)} elements (complete={ts.complete})"
+    rows = [summary]
     for g, word in ts.elements:
         label = word if word else "(identity)"
         m = g.matrix
-        print(f"{label}\t[[{m[0, 0]:.6g}, {m[0, 1]:.6g}], "
-              f"[{m[1, 0]:.6g}, {m[1, 1]:.6g}]]")
+        rows.append(f"{label}\t[[{m[0, 0]:.6g}, {m[0, 1]:.6g}], "
+                    f"[{m[1, 0]:.6g}, {m[1, 1]:.6g}]]")
+    text = "\n".join(rows) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}: {summary}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 

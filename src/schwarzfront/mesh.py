@@ -192,8 +192,6 @@ def _front_points(case, xs, chart: str) -> np.ndarray:
 def _attach_singular_overlay(mesh: SurfaceMesh, chart: str, case):
     e = case.exponents
     curve = sg.trace_singular_curve(e)
-    if not len(curve.samples):
-        return
     pts = _front_points(case, curve.samples[::5], chart)
     if len(pts):
         mesh.polylines.append(("cuspidal-edge", pts))

@@ -256,11 +256,9 @@ def check_elimination() -> CheckResult:
 def check_dihedral_curve() -> CheckResult:
     e = resolve_case("dihedral:3").exponents
     curve = sg.trace_singular_curve(e)
-    asym = 0.0
-    for x in curve.samples[::3]:
-        xr = 1.0 - x.conjugate()
-        corrected = sg._newton_to_curve(e, xr)
-        asym = max(asym, abs(corrected - xr))
+    # first-order distance of each mirrored sample from the curve
+    f, gs, gt = sg._f_and_grad(e, 1.0 - curve.samples.conjugate())
+    asym = float(np.max(np.abs(f) / np.hypot(gs, gt)))
     sws = sg.find_swallowtails(e, curve)
     upper = [p for p in sws if p.x.imag > 0]
     ok = (curve.closed and asym < 1e-8 and len(upper) == 1

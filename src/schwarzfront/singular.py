@@ -1,16 +1,18 @@
-"""Singular locus of the front: curve tracing and classification.
+"""Singular locus of the front: curve sampling and classification.
 
 A point x is singular exactly when |q(x)| = 1, i.e. when
 f(x) = |Q|^2 - 16|x(1-x)|^4 vanishes.  On that curve a point is a
 cuspidal edge unless Q^3 conj(R)^2 is a non-positive real, in which case
 it is a swallowtail provided the second-order test expression
 Re(2|R|^4 - x(1-x)(2R'Q - RQ') conj(R)^2) does not vanish.
+
+The curve is sampled exactly: q(x) = e^{i theta} is the quartic
+Q(x) + 4 e^{i theta} x^2 (1-x)^2 = 0, so the samples at a fixed theta are
+the eigenvalues of its companion matrix.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,16 +21,10 @@ from .equation import ExponentData, eval_q, eval_q_derivatives, q_terms
 # unused here; kept because bench/spans.py wraps singular.hermitian_to_lorentz
 from .h3 import hermitian_to_lorentz  # noqa: F401
 
-CURVE_TOL = 1e-10          # |f| on every accepted curve sample
-CLOSURE_TOL = 1e-6         # curve closes when it returns this near the start
+CURVE_TOL = 1e-10          # |f| at a swallowtail found by Newton
 NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
-STEP_MIN = 1e-4
-STEP_MAX = 1e-2
-# (s_min, s_max, t_min, t_max) in x = s + it: where the tracer seeks a seed
-SEED_BOX = (-1.0, 2.0, 1e-4, 1.5)
-MAX_TRACE_STEPS = 200000
-NEWTON_MAX_ITER = 40       # Newton steps onto the curve f = 0
-BISECT_TOL = 1e-12         # swallowtail bracket width along the curve
+THETA_SAMPLES = 128        # values of arg q in [0, 2 pi), 4 roots each
+THETA_BISECTIONS = 45      # halvings of a swallowtail's bracket in theta
 # 2-D Newton of swallowtail_by_newton
 SWALLOWTAIL_TOL = 1e-13
 SWALLOWTAIL_MAX_ITER = 60
@@ -52,6 +48,7 @@ class SingularPointClass:
 class TracedCurve:
     samples: np.ndarray          # complex x values in order
     closed: bool
+    theta: np.ndarray            # arg q at each sample, unwrapped
 
 
 def _f_and_grad(e: ExponentData, x: complex):
@@ -100,133 +97,95 @@ def classify_point(e: ExponentData, x,
                               swallowtail_re=sw)
 
 
-def _newton_to_curve(e: ExponentData, x: complex) -> complex:
-    """Correct x onto f = 0 by Newton steps along grad f."""
-    return _newton_with_grad(e, x)[0]
+def _quartic_roots(e: ExponentData, theta):
+    """The 4 roots of Q(x) + 4 e^{i theta} x^2 (1-x)^2 for each theta, as
+    the eigenvalues of the monic companion matrices in one call."""
+    c2, c1, c0 = e.q_coeffs
+    a = 0.25 * np.exp(-1j * np.asarray(theta, float))
+    m = np.zeros(a.shape + (4, 4), complex)
+    m[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    m[..., 0, 3] = -c0 * a
+    m[..., 1, 3] = -c1 * a
+    m[..., 2, 3] = -(1.0 + c2 * a)
+    m[..., 3, 3] = 2.0
+    return np.linalg.eigvals(m)
 
 
-def _newton_with_grad(e: ExponentData, x: complex):
-    """(x, gs, gt): x corrected onto f = 0 and grad f there, from the
-    evaluation that accepted it."""
-    for _ in range(NEWTON_MAX_ITER):
-        f, gs, gt = _f_and_grad(e, x)
-        if abs(f) < CURVE_TOL:
-            return x, gs, gt
-        n2 = gs * gs + gt * gt
-        if n2 == 0.0:
-            break
-        x -= f * complex(gs, gt) / n2
-    f, gs, gt = _f_and_grad(e, x)
-    if abs(f) >= CURVE_TOL:
-        raise ValueError(f"Newton correction failed near x={x}")
-    return x, gs, gt
-
-
-def _find_seed(e: ExponentData):
-    """Scan SEED_BOX for a sign change of f and bisect to the curve;
-    (x, gs, gt) as _newton_with_grad, or None."""
-    s0, s1, t0, t1 = SEED_BOX
-    for t in np.linspace(t0, t1, 41):
-        ss = np.linspace(s0, s1, 201)
-        vals = _f_and_grad(e, ss + 1j * t)[0]
-        for k in range(len(ss) - 1):
-            if vals[k] == 0.0:
-                return _newton_with_grad(e, complex(ss[k], t))
-            if vals[k] * vals[k + 1] < 0.0:
-                a, b = ss[k], ss[k + 1]
-                fa = vals[k]
-                for _ in range(80):
-                    m = 0.5 * (a + b)
-                    fm = _f_and_grad(e, complex(m, t))[0]
-                    if fa * fm <= 0.0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                return _newton_with_grad(e, complex(0.5 * (a + b), t))
-    return None
+def _nearest(a, b):
+    """For each entry of a[..., i], the index of the nearest entry of
+    b[..., j]."""
+    return np.argmin(np.abs(a[..., :, None] - b[..., None, :]), axis=-1)
 
 
 def trace_singular_curve(e: ExponentData) -> TracedCurve:
-    """March along f = 0 starting from a seed found in SEED_BOX.
+    """Sample the singular curve |q| = 1 once round, closed.
 
-    Returns an empty curve when no sign change is found.
+    The 4 roots at THETA_SAMPLES values of theta = arg q in [0, 2 pi) are
+    continued root by root to the nearest root at the next theta; at the
+    wrap the 4 arcs join into one closed polygon of 4 * THETA_SAMPLES
+    samples along which arg q rises through 8 pi.  Raises ValueError if
+    a continuation step is not a permutation of the roots or the arcs do
+    not form a single cycle: the monotone rise of arg q that this relies
+    on is measured on every family, not proved.
     """
-    found = _find_seed(e)
-    if found is None:
-        return TracedCurve(samples=np.empty(0, complex), closed=False)
-    seed, gs, gt = found
-    pts = [seed]
-    x = seed
-    step = STEP_MAX
-    prev_tan = None
-    closed = False
-    for k in range(MAX_TRACE_STEPS):
-        gn = math.hypot(gs, gt)
-        if gn == 0.0:
-            break
-        tan = complex(-gt, gs) / gn
-        if prev_tan is not None:
-            if (tan.real * prev_tan.real + tan.imag * prev_tan.imag) < 0.0:
-                tan = -tan
-            turn = abs(cmath.phase(tan / prev_tan))
-            if turn > 0.05 and step > STEP_MIN:
-                step = max(STEP_MIN, step * 0.5)
-            elif turn < 0.01 and step < STEP_MAX:
-                step = min(STEP_MAX, step * 1.5)
-        x_new, gs, gt = _newton_with_grad(e, x + step * tan)
-        pts.append(x_new)
-        prev_tan = tan
-        x = x_new
-        if k > 10 and abs(x - seed) < CLOSURE_TOL:
-            closed = True
-            break
-        if k > 10 and abs(x - seed) < step:
-            # land exactly on the start to close the polygon
-            step = max(STEP_MIN, abs(x - seed) * 0.5)
-    return TracedCurve(samples=np.array(pts), closed=closed)
+    n = THETA_SAMPLES
+    theta = 2.0 * np.pi * np.arange(n) / n
+    roots = _quartic_roots(e, theta)
+    steps = _nearest(roots, np.roll(roots, -1, axis=0))  # k -> k + 1 mod n
+    if not (np.sort(steps, axis=1) == np.arange(4)).all():
+        raise ValueError("nearest-root continuation of the singular curve "
+                         "is not a permutation")
+    arc = [np.arange(4)]            # arc j's root index at each theta
+    for k in range(n - 1):
+        arc.append(steps[k, arc[-1]])
+    arc = np.array(arc)
+    wrap = steps[-1, arc[-1]]       # arc j continues as arc wrap[j]
+    order = [0]
+    for _ in range(3):
+        order.append(wrap[order[-1]])
+    if len(set(order)) != 4:
+        raise ValueError("the singular curve's arcs do not close into one "
+                         "cycle")
+    samples = np.take_along_axis(roots, arc, axis=1)[:, order].T.ravel()
+    turns = 2.0 * np.pi * np.arange(4)[:, None]
+    return TracedCurve(samples=samples, closed=True,
+                       theta=(theta + turns).ravel())
 
 
-def _im_zeta(e: ExponentData, x: complex) -> float:
+def _im_zeta(e: ExponentData, x):
     Q, _, R, _ = eval_q_derivatives(e, x)
     return (Q ** 3 * R.conjugate() ** 2).imag
 
 
 def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
-    """Swallowtail points on a traced singular curve.
+    """Swallowtail points on a sampled singular curve.
 
-    Scans for sign changes of Im(Q^3 conj(R)^2) along the curve, refines
-    each crossing by bisection, and keeps the points whose value is a
-    non-positive real passing the second-order test.
+    Brackets each sign change of Im(Q^3 conj(R)^2) between consecutive
+    samples (the closing segment included), bisects all brackets together
+    in theta, following the root nearest each bracket's lower end, and
+    keeps the points that classify as swallowtails.
     """
-    xs = curve.samples
-    if len(xs) < 3:
-        return []
+    xs, th = curve.samples, curve.theta
     vals = _im_zeta(e, xs)
-    hits = (vals == 0.0) | (vals * np.roll(vals, -1) < 0.0)
-    if not curve.closed:        # no segment from the last sample back
-        hits[-1] = False
-    found = []
-    n = len(xs)
-    for k in np.flatnonzero(hits):
-        a, b = xs[k], xs[(k + 1) % n]
-        fa = vals[k]
-        if fa == 0.0:
-            cand = a
-        else:
-            lo, hi, flo = a, b, fa
-            while abs(hi - lo) > BISECT_TOL:
-                mid = _newton_to_curve(e, 0.5 * (lo + hi))
-                fm = _im_zeta(e, mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            cand = 0.5 * (lo + hi)
-        spc = classify_point(e, cand)
-        if spc.cls == SWALLOWTAIL and \
-           all(abs(cand - p.x) > 1e-6 for p in found):
-            found.append(spc)
-    return found
+    k = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
+    x, flo, lo = xs[k], vals[k], th[k]
+    hi = lo + 2.0 * np.pi / THETA_SAMPLES
+    for _ in range(THETA_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        roots = _quartic_roots(e, mid)
+        pick = _nearest(x[:, None], roots)
+        xm = np.take_along_axis(roots, pick, axis=1)[:, 0]
+        fm = _im_zeta(e, xm)
+        keep = flo * fm <= 0.0          # the sign change is below mid
+        hi = np.where(keep, mid, hi)
+        lo = np.where(keep, lo, mid)
+        x = np.where(keep, x, xm)
+        flo = np.where(keep, flo, fm)
+    spc = classify_point(e, x)
+    return [SingularPointClass(spc.x[i].item(), str(spc.cls[i]),
+                               spc.abs_q[i].item(), spc.QRbar2[i].item(),
+                               spc.swallowtail_re[i].item())
+            for i in np.flatnonzero(spc.cls == SWALLOWTAIL)]
 
 
 def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
@@ -252,7 +211,7 @@ def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
             raise ValueError(f"singular Jacobian near x={x}")
         x -= complex(ds, dt)
     f, _, _ = _f_and_grad(e, x)
-    if abs(f) > 1e-10:
+    if abs(f) > CURVE_TOL:
         raise ValueError(f"Newton search did not converge from x0={x0}")
     return x
 

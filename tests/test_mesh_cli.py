@@ -8,6 +8,7 @@ import pytest
 
 import schwarzfront
 from schwarzfront import cli, mesh
+from schwarzfront import singular as sg
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, eval_q
 from schwarzfront.front import eval_front_closed_form
@@ -352,14 +353,47 @@ def test_surface_job_resolves_its_case_once(tmp_path, monkeypatch):
     assert rc == 0 and calls == [("fuchsian", 3)]
 
 
-def test_cli_singular_locus(tmp_path):
+def test_cli_singular_locus(tmp_path, capsys):
     out = tmp_path / "locus.tsv"
     rc = cli.main(["singular-locus", "--case", "fuchsian",
                    "--out", str(out)])
     assert rc == 0
     rows = out.read_text().strip().splitlines()
     assert rows[0].startswith("x_re\tx_im\tclass")
-    assert len(rows) > 100
+    assert len(rows) == 1 + 512
+    assert f"wrote {out}: 512 samples, closed=True" in capsys.readouterr().out
+
+
+def test_cli_singular_locus_reports_a_failed_sampler(tmp_path, monkeypatch):
+    monkeypatch.setattr(sg, "_nearest", lambda a, b: np.zeros(
+        np.broadcast_shapes(a.shape, b.shape), int))
+    out = tmp_path / "locus.tsv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["singular-locus", "--case", "dihedral:3",
+                  "--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "permutation" in message
+    assert "\n" not in message
+    assert not out.exists()
+
+
+def test_cli_tiles_out_writes_the_table(tmp_path, capsys):
+    assert cli.main(["tiles", "--case", "dihedral:3"]) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "tiles.txt"
+    assert cli.main(["tiles", "--case", "dihedral:3", "--out", str(out)]) == 0
+    assert out.read_text() == table
+    assert capsys.readouterr().out == \
+        f"wrote {out}: {table.splitlines()[0]}\n"
+
+
+def test_cli_tiles_out_from_config_file(tmp_path, capsys):
+    out = tmp_path / "tiles.txt"
+    cfg = tmp_path / "tiles.cfg"
+    cfg.write_text(f"case=fuchsian\ntiles=5\nout={out}\n")
+    assert cli.main(["tiles", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}: 5 elements")
+    assert len(out.read_text().splitlines()) == 1 + 5
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction as Fr
 
@@ -72,10 +71,10 @@ def test_curve_samples_satisfy_defining_equation(curve_name, request):
 
 
 def test_curve_has_reflection_symmetry(fuchsian, fuchsian_curve):
-    # mu0 = mu1 makes the curve symmetric about Re x = 1/2
-    for x in fuchsian_curve.samples[::11]:
-        xr = 1.0 - x.conjugate()
-        assert abs(sg._newton_to_curve(fuchsian, xr) - xr) < 1e-8
+    # mu0 = mu1 makes the curve symmetric about Re x = 1/2: each mirrored
+    # sample lies on the curve to first order in f / |grad f|
+    f, gs, gt = sg._f_and_grad(fuchsian, 1.0 - fuchsian_curve.samples.conj())
+    assert np.max(np.abs(f) / np.hypot(gs, gt)) < 1e-8
 
 
 def test_swallowtail_pipelines_agree(fuchsian, fuchsian_curve):
@@ -120,9 +119,9 @@ def test_swallowtail_chart_conjugation():
         assert max(abs(a - b) for a, b in zip(lhs, rhs)) < 1e-12
 
 
-# --- array classification and the tracer ----------------------------------
+# --- array classification and the sampler ---------------------------------
 
-_CURVE_CASES = ([f"dihedral:{n}" for n in range(2, 9)]
+_CURVE_CASES = ([f"dihedral:{n}" for n in range(1, 9)]
                 + ["tetra", "octa", "icosa", "fuchsian"])
 
 
@@ -168,39 +167,49 @@ def test_scalar_classify_returns_python_types(fuchsian):
     assert type(p.abs_q) is float and type(p.swallowtail_re) is float
 
 
-def _reference_trace(e):
-    """The tracer with the gradient evaluated again at every accepted
-    point, as it was before it took the Newton corrector's gradient."""
-    seed = sg._find_seed(e)[0]
-    pts, x, step, prev_tan, closed = [seed], seed, sg.STEP_MAX, None, False
-    for k in range(sg.MAX_TRACE_STEPS):
-        _, gs, gt = sg._f_and_grad(e, x)
-        gn = math.hypot(gs, gt)
-        if gn == 0.0:
-            break
-        tan = complex(-gt, gs) / gn
-        if prev_tan is not None:
-            if (tan.real * prev_tan.real + tan.imag * prev_tan.imag) < 0.0:
-                tan = -tan
-            turn = abs(cmath.phase(tan / prev_tan))
-            if turn > 0.05 and step > sg.STEP_MIN:
-                step = max(sg.STEP_MIN, step * 0.5)
-            elif turn < 0.01 and step < sg.STEP_MAX:
-                step = min(sg.STEP_MAX, step * 1.5)
-        x = sg._newton_to_curve(e, x + step * tan)
-        pts.append(x)
-        prev_tan = tan
-        if k > 10 and abs(x - seed) < sg.CLOSURE_TOL:
-            closed = True
-            break
-        if k > 10 and abs(x - seed) < step:
-            step = max(sg.STEP_MIN, abs(x - seed) * 0.5)
-    return np.array(pts), closed
-
-
-@pytest.mark.parametrize("name", ["dihedral:3", "icosa", "fuchsian"])
-def test_tracer_matches_reference_bit_for_bit(traced, name):
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_sampler_goes_round_the_curve_once(traced, name):
     e, curve = traced[name]
-    samples, closed = _reference_trace(e)
-    assert curve.closed == closed
-    assert np.array_equal(curve.samples, samples)
+    xs = curve.samples
+    assert curve.closed and len(xs) == 4 * sg.THETA_SAMPLES == 512
+    assert np.max(np.abs(sg._f_and_grad(e, xs)[0])) <= 1e-12
+    assert np.max(np.abs(xs - np.roll(xs, -1))) <= 0.015  # closing step too
+    q = eval_q(e, xs).q
+    assert np.max(np.abs(np.angle(q * np.exp(-1j * curve.theta)))) < 1e-12
+    steps = np.angle(np.roll(q, -1) / q)
+    assert (steps > 0).all()
+    assert abs(steps.sum() - 8.0 * math.pi) < 1e-9   # arg q turns 4 times
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_swallowtails_are_newton_fixed_points(traced, name):
+    e, curve = traced[name]
+    sws = sg.find_swallowtails(e, curve)
+    assert len(sws) == 2
+    for p in sws:
+        assert abs(sg.swallowtail_by_newton(e, p.x) - p.x) <= 1e-10
+
+
+def test_fuchsian_swallowtails_are_exact(traced):
+    e, curve = traced["fuchsian"]
+    t = math.sqrt((-3.0 + math.sqrt(17.0)) / 8.0)
+    got = sorted((p.x for p in sg.find_swallowtails(e, curve)),
+                 key=lambda x: x.imag)
+    assert len(got) == 2
+    assert abs(got[0] - complex(0.5, -t)) <= 1e-12
+    assert abs(got[1] - complex(0.5, t)) <= 1e-12
+
+
+def test_sampler_rejects_a_continuation_that_is_not_a_permutation(
+        dihedral3, monkeypatch):
+    monkeypatch.setattr(sg, "_nearest", lambda a, b: np.zeros(
+        np.broadcast_shapes(a.shape, b.shape), int))
+    with pytest.raises(ValueError, match="not a permutation"):
+        sg.trace_singular_curve(dihedral3)
+
+
+def test_sampler_rejects_arcs_that_are_not_one_cycle(dihedral3, monkeypatch):
+    monkeypatch.setattr(sg, "_nearest", lambda a, b: np.broadcast_to(
+        np.arange(b.shape[-1]), np.broadcast_shapes(a.shape, b.shape)))
+    with pytest.raises(ValueError, match="one cycle"):
+        sg.trace_singular_curve(dihedral3)
