@@ -24,7 +24,8 @@ from .h3 import hermitian_to_lorentz  # noqa: F401
 CURVE_TOL = 1e-10          # |f| at a swallowtail found by Newton
 NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
 THETA_SAMPLES = 128        # values of arg q in [0, 2 pi), 4 roots each
-THETA_BISECTIONS = 45      # halvings of a swallowtail's bracket in theta
+THETA_TOL = 1e-13          # theta width that ends a swallowtail's search
+THETA_MAX_STEPS = 40       # Illinois steps per bracket at most
 # 2-D Newton of swallowtail_by_newton
 SWALLOWTAIL_TOL = 1e-13
 SWALLOWTAIL_MAX_ITER = 60
@@ -161,26 +162,45 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     """Swallowtail points on a sampled singular curve.
 
     Brackets each sign change of Im(Q^3 conj(R)^2) between consecutive
-    samples (the closing segment included), bisects all brackets together
-    in theta, following the root nearest each bracket's lower end, and
-    keeps the points that classify as swallowtails.
+    samples (the closing segment included) and narrows all brackets
+    together in theta by the Illinois variant of regula falsi, following
+    the root nearest each bracket's lower end, until a bracket is
+    THETA_TOL wide or hits an exact zero.  Keeps the end of each bracket
+    nearer the zero if it classifies as a swallowtail.
     """
     xs, th = curve.samples, curve.theta
     vals = _im_zeta(e, xs)
     k = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
-    x, flo, lo = xs[k], vals[k], th[k]
+    lo, flo, xlo = th[k], vals[k], xs[k]
     hi = lo + 2.0 * np.pi / THETA_SAMPLES
-    for _ in range(THETA_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+    fhi, xhi = np.roll(vals, -1)[k], np.roll(xs, -1)[k]
+    side = np.zeros(len(k), int)    # the end moved last: -1 lo, 1 hi
+    for _ in range(THETA_MAX_STEPS):
+        i = np.flatnonzero((hi - lo > THETA_TOL) & (flo != 0.0)
+                           & (fhi != 0.0))
+        if not len(i):
+            break
+        mid = (lo[i] * fhi[i] - hi[i] * flo[i]) / (fhi[i] - flo[i])
+        # a step at least THETA_TOL / 2 inside, so that a root at an end
+        # of its bracket ends the search in one more step
+        mid = np.clip(mid, lo[i] + 0.5 * THETA_TOL, hi[i] - 0.5 * THETA_TOL)
         roots = _quartic_roots(e, mid)
-        pick = _nearest(x[:, None], roots)
+        pick = _nearest(xlo[i, None], roots)
         xm = np.take_along_axis(roots, pick, axis=1)[:, 0]
         fm = _im_zeta(e, xm)
-        keep = flo * fm <= 0.0          # the sign change is below mid
-        hi = np.where(keep, mid, hi)
-        lo = np.where(keep, lo, mid)
-        x = np.where(keep, x, xm)
-        flo = np.where(keep, flo, fm)
+        below = flo[i] * fm <= 0.0      # the sign change is below mid
+        moved = np.where(below, 1, -1)
+        # Illinois: halve the value at an end kept twice running
+        half = np.where(side[i] == moved, 0.5, 1.0)
+        lo[i], flo[i], xlo[i] = (np.where(below, lo[i], mid),
+                                 np.where(below, flo[i] * half, fm),
+                                 np.where(below, xlo[i], xm))
+        hi[i], fhi[i], xhi[i] = (np.where(below, mid, hi[i]),
+                                 np.where(below, fm, fhi[i] * half),
+                                 np.where(below, xm, xhi[i]))
+        side[i] = moved
+    x = np.where(np.abs(_im_zeta(e, xhi)) < np.abs(_im_zeta(e, xlo)),
+                 xhi, xlo)
     spc = classify_point(e, x)
     return [SingularPointClass(spc.x[i].item(), str(spc.cls[i]),
                                spc.abs_q[i].item(), spc.QRbar2[i].item(),

@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 
 from schwarzfront import elimination as el
-from schwarzfront.elimination import S, T, U, V, fuchsian_elimination
+from schwarzfront.elimination import fuchsian_elimination
+
+U, T, S, V = sp.symbols("U T S V", real=True)
+_u, _t = sp.symbols("u t", real=True)
 
 
 @pytest.fixture(scope="module")
@@ -12,12 +16,51 @@ def data():
     return fuchsian_elimination()
 
 
+def _even_poly_to_UT(expr):
+    p = sp.Poly(sp.expand(expr), _u, _t)
+    assert all(eu % 2 == 0 and et % 2 == 0 for eu, et in p.monoms())
+    return sp.expand(sum(c * U ** (eu // 2) * T ** (et // 2)
+                         for (eu, et), c in p.terms()))
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """F and G by sympy expression expansion, independent of the
+    package's polynomial arithmetic."""
+    s = sp.Rational(1, 2) + _u
+    x, xb = s + sp.I * _t, s - sp.I * _t
+
+    def Qof(y):
+        return 1 - y + y ** 2
+
+    def Rof(y):
+        return (2 * y - 1) * y * (1 - y) - 2 * Qof(y) * (1 - 2 * y)
+
+    Q, Qb, R, Rb = Qof(x), Qof(xb), Rof(x), Rof(xb)
+    g, gb = x * (1 - x), xb * (1 - xb)
+    F = _even_poly_to_UT(Q * Qb - 16 * (g * gb) ** 2)
+    W, Wb = sp.expand(Q ** 3 * Rb ** 2), sp.expand(Qb ** 3 * R ** 2)
+    imW = sp.expand((W - Wb) / (2 * sp.I))
+    G_raw = _even_poly_to_UT(sp.cancel(imW / (_t * (2 * s - 1))))
+    calibration = sp.Rational(1323, 256) / G_raw.subs({U: 0, T: 0})
+    return {"F": F, "G": sp.expand(calibration * G_raw)}
+
+
+def _poly(d, *gens):
+    return sp.Poly.from_dict(dict(d), *gens)
+
+
+@pytest.mark.parametrize("name", ["F", "G"])
+def test_f_and_g_match_sympy_expansion(data, oracle, name):
+    assert _poly(getattr(data, name), U, T) == sp.Poly(oracle[name], U, T)
+
+
 def test_f_has_constant_term_one_half(data):
-    assert data.F.subs({U: 0, T: 0}) == sp.Rational(1, 2)
+    assert data.F[0, 0] == Fraction(1, 2)
 
 
 def test_g_constant_term(data):
-    assert data.G.subs({U: 0, T: 0}) == sp.Rational(1323, 256)
+    assert data.G[0, 0] == Fraction(1323, 256)
 
 
 def test_calibration_is_a_sign(data):
@@ -25,24 +68,35 @@ def test_calibration_is_a_sign(data):
 
 
 def test_g1_closed_form(data):
-    printed = (256 * S ** 3 - 43 * S ** 2 + 1024 * S * V
-               - sp.Rational(353, 2) * S + 340 * V
-               - sp.Rational(1283, 16))
-    assert sp.simplify(data.G1 - printed) == 0
+    # 256 S^3 - 43 S^2 + 1024 S V - 353/2 S + 340 V - 1283/16
+    printed = {(3, 0): 256, (2, 0): -43, (1, 1): 1024,
+               (1, 0): Fraction(-353, 2), (0, 1): 340,
+               (0, 0): Fraction(-1283, 16)}
+    assert data.G1 == printed
 
 
 def test_g1_is_linear_in_v(data):
-    assert sp.Poly(data.G1, V).degree() == 1
+    assert max(j for _, j in data.G1) == 1
 
 
 def test_f1_combination(data):
-    back = sp.expand(256 * data.F
-                     - 16 * data.G1.subs({S: U - T, V: U * T}))
-    assert sp.simplify(data.F1.subs({S: U - T, V: U * T}) - back) == 0
+    back = {S: U - T, V: U * T}
+    F = _poly(data.F, U, T).as_expr()
+    G1 = _poly(data.G1, S, V).as_expr()
+    F1 = _poly(data.F1, S, V).as_expr()
+    assert sp.expand(F1.subs(back) - (256 * F - 16 * G1.subs(back))) == 0
 
 
 def test_eliminant_cubic_coefficients(data):
-    assert data.cubic.all_coeffs() == [32768, -50448, -84888, -26521]
+    assert data.cubic == (32768, -50448, -84888, -26521)
+
+
+def test_eliminant_is_the_resultant_in_v(data):
+    res = sp.Poly(sp.resultant(_poly(data.G1, S, V).as_expr(),
+                               _poly(data.F1, S, V).as_expr(), V), S)
+    _, prim = res.primitive()
+    assert tuple(abs(c) for c in prim.all_coeffs()) == tuple(
+        abs(c) for c in data.cubic)
 
 
 def test_eliminant_has_no_admissible_root(data):
@@ -51,10 +105,39 @@ def test_eliminant_has_no_admissible_root(data):
     assert data.admissible_roots == ()
 
 
+def test_symmetry_line_quartic(data):
+    # F(0, T) = 1/2 - 5/2 T - 5 T^2 - 16 T^3 - 16 T^4, made primitive
+    assert data.symmetry_line_quartic == (32, 32, 10, 5, -1)
+
+
 def test_symmetry_line_root(data):
     assert len(data.symmetry_line_T) == 1
     assert data.symmetry_line_T[0] == pytest.approx(
         (-3.0 + math.sqrt(17.0)) / 8.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [(32768, -50448, -84888, -26521),
+                                    (32, 32, 10, 5, -1),
+                                    (1, 0, -2),
+                                    (6, -5, -2, 1)])
+def test_real_roots_are_the_nearest_floats(coeffs):
+    want = sorted(float(r) for r in sp.Poly(coeffs, S).real_roots())
+    assert list(el._real_roots(coeffs)) == want
+
+
+def test_real_roots_finds_exact_roots():
+    # (S + 3)(2S - 1)(S - 2): roots on dyadic bisection points
+    assert el._real_roots((2, 1, -13, 6)) == (-3.0, 0.5, 2.0)
+
+
+def test_real_roots_rejects_a_repeated_root():
+    with pytest.raises(ValueError, match="repeated root"):
+        el._real_roots((1, -2, 1))
+
+
+def test_s_v_rewrite_rejects_a_polynomial_outside_the_subring():
+    with pytest.raises(ValueError, match="S and V"):
+        el._in_S_V({(0, 1): 1})      # T alone is not in Z[U - T, U T]
 
 
 def test_swallowtail_height():

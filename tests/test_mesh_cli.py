@@ -138,6 +138,23 @@ def test_cli_import_leaves_scipy_and_sympy_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("block", [False, True])
+def test_cli_verify_commands_run_without_sympy(tmp_path, block):
+    # the elimination is exact integer arithmetic, so singular-locus and
+    # selfcheck neither import sympy nor need it to be importable
+    code = ("import sys\n"
+            + ("sys.modules['sympy'] = None\n" if block else "")
+            + "from schwarzfront.cli import main\n"
+            "rcs = [main(['singular-locus', '--case', 'fuchsian']),\n"
+            "       main(['selfcheck', '--quick'])]\n"
+            "print('RESULT', rcs, sys.modules.get('sympy', 'absent'))\n")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = proc.stdout.strip().splitlines()[-1]
+    assert result == ("RESULT [0, 0] None" if block
+                      else "RESULT [0, 0] absent")
+
+
 @pytest.mark.parametrize("argv", [["surface", "--case", "fuchsian"],
                                   ["tiles", "--case", "fuchsian"]])
 def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):

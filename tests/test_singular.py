@@ -190,6 +190,18 @@ def test_swallowtails_are_newton_fixed_points(traced, name):
         assert abs(sg.swallowtail_by_newton(e, p.x) - p.x) <= 1e-10
 
 
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_swallowtail_search_takes_few_steps(traced, name, monkeypatch):
+    # one eigvals call a step; bisection to THETA_TOL would need 39
+    e, curve = traced[name]
+    calls = []
+    roots = sg._quartic_roots
+    monkeypatch.setattr(sg, "_quartic_roots",
+                        lambda e, theta: calls.append(1) or roots(e, theta))
+    assert len(sg.find_swallowtails(e, curve)) == 2
+    assert len(calls) <= 10
+
+
 def test_fuchsian_swallowtails_are_exact(traced):
     e, curve = traced["fuchsian"]
     t = math.sqrt((-3.0 + math.sqrt(17.0)) / 8.0)
