@@ -8,8 +8,10 @@ Closed-form evaluation: with x(z) the inverse Schwarz map and ' = d/dz,
 and H = U conj(U)^t, which is independent of the branch of sqrt(x').
 
 Independent oracle: integrate dU/dx = U [[0, q],[1, 0]] along a path in the
-x-plane; the two fundamental solutions differ by a constant left factor P,
-recovered by match_isometry, so the H-grids agree up to one isometry.
+x-plane from U = 1 at x0.  Both are solutions of that equation, so they
+differ by a constant left factor: the closed-form U(z0) at z0 = z(x0).  The
+H-grids then agree up to H -> P H conj(P)^t with P = U(z0), whose residual
+match_isometry measures; the sign of sqrt(x') cancels in it.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def hermitian_of_solution(U) -> HermitianForm:
     return HermitianForm(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0])
 
 
-# --- isometry matching ------------------------------------------------------
+# --- isometry residual -----------------------------------------------------
 
 def _matrices(H: HermitianForm) -> np.ndarray:
     """The (n, 2, 2) matrices of an array HermitianForm."""
@@ -179,69 +181,17 @@ def _matrices(H: HermitianForm) -> np.ndarray:
                      np.stack([w, k], axis=-1)], axis=-2)
 
 
-def match_isometry(grid_a, grid_b):
-    """Find P with H_a ~ P H_b conj(P)^t over two matched H-grids.
+def match_isometry(grid_a, grid_b, P) -> float:
+    """Max relative Frobenius distance |H_a - P H_b conj(P)^t| / |H_a|
+    over two matched H-grids.
 
     grid_a, grid_b: one array HermitianForm each, sampling the same
-    parameter points.  Returns (P, residual) with residual the max
-    relative Frobenius distance over the grid.
+    parameter points; P: one (2, 2) matrix, or one per point, (n, 2, 2).
     """
     Ma, Mb = _matrices(grid_a), _matrices(grid_b)
-    if len(Ma) != len(Mb) or len(Ma) < 3:
-        raise ValueError("need two grids of equal length >= 3")
-    n = len(Ma)
-
-    def solve_triple(i, j, k):
-        M1, M2 = Mb[i], Mb[j]
-        N1, N2 = Ma[i], Ma[j]
-        A = M1 @ np.linalg.inv(M2)
-        B = N1 @ np.linalg.inv(N2)
-        wa, va = np.linalg.eig(A)
-        wb, vb = np.linalg.eig(B)
-        if abs(wa[0] - wa[1]) < 1e-6 * (abs(wa[0]) + abs(wa[1])):
-            return None  # eigenvalues too close to separate
-        # align eigenvalue order
-        if abs(wa[0] - wb[0]) + abs(wa[1] - wb[1]) > \
-           abs(wa[0] - wb[1]) + abs(wa[1] - wb[0]):
-            wb = wb[::-1]
-            vb = vb[:, ::-1]
-        va_inv = np.linalg.inv(va)
-        vb_inv = np.linalg.inv(vb)
-        # In the shared eigenbasis both anchor forms become diagonal, so the
-        # congruence P = vb diag(c1, c2) va^{-1} fixes |c1|, |c2| but leaves
-        # the relative phase free (rotation about the geodesic through the
-        # two anchor points).  A third form pins it down.
-        G = va_inv @ M1 @ va_inv.conj().T
-        Gn = vb_inv @ N1 @ vb_inv.conj().T
-        if min(G[0, 0].real, G[1, 1].real, Gn[0, 0].real, Gn[1, 1].real) <= 0:
-            return None
-        c1 = math.sqrt(Gn[0, 0].real / G[0, 0].real)
-        c2m = math.sqrt(Gn[1, 1].real / G[1, 1].real)
-        G3 = va_inv @ Mb[k] @ va_inv.conj().T
-        Gn3 = vb_inv @ Ma[k] @ vb_inv.conj().T
-        scale = abs(G3[0, 0]) + abs(G3[1, 1])
-        if abs(G3[0, 1]) < 1e-9 * scale:
-            return None  # third point on the same axis, phase still free
-        phase = Gn3[0, 1] / (c1 * G3[0, 1])
-        c2 = c2m * (phase / abs(phase)).conjugate()
-        P = vb @ np.diag([c1, c2]) @ va_inv
-        return P
-
-    P = None
-    anchors = [(0, n // 2, n - 1), (0, n - 1, n // 2), (1, n // 2, n - 1),
-               (n // 4, 3 * n // 4, 0), (0, 1, 2)]
-    for i, j, k in anchors:
-        if len({i, j, k}) < 3 or max(i, j, k) >= n:
-            continue
-        try:
-            P = solve_triple(i, j, k)
-        except np.linalg.LinAlgError:
-            P = None
-        if P is not None:
-            break
-    if P is None:
-        raise ValueError("could not solve for an isometry from the grids")
-    T = P @ Mb @ P.conj().T
-    resid = float(np.max(np.linalg.norm(Ma - T, axis=(1, 2))
-                         / np.linalg.norm(Ma, axis=(1, 2))))
-    return P, resid
+    if len(Ma) != len(Mb):
+        raise ValueError("need two grids of equal length")
+    P = np.asarray(P)
+    T = P @ Mb @ P.conj().swapaxes(-1, -2)
+    return float(np.max(np.linalg.norm(Ma - T, axis=(1, 2))
+                        / np.linalg.norm(Ma, axis=(1, 2))))

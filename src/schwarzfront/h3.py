@@ -8,7 +8,6 @@ positive-definite 2x2 Hermitian matrices; GL(2,C) acts by H -> P H P*.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +86,13 @@ class H3Point:
     @classmethod
     def lorentz(cls, x0: float, x1: float, x2: float, x3: float) -> "H3Point":
         q = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
-        if x0 <= 0 or q <= 0:
-            raise ValueError("not in the forward cone")
-        r = 1.0 / math.sqrt(q)
-        return cls("lorentz", (x0 * r, x1 * r, x2 * r, x3 * r))
+        q, *x = clip(~((np.asarray(x0) > 0) & (np.asarray(q) > 0)),
+                     np.shape(q), ValueError,
+                     lambda: "not in the forward cone", q, x0, x1, x2, x3)
+        r = 1.0 / np.sqrt(q)
+        x = tuple(c * r for c in x)
+        return cls("lorentz",
+                   tuple(map(float, x)) if np.ndim(q) == 0 else x)
 
     @classmethod
     def ball(cls, x1: float, x2: float, x3: float) -> "H3Point":
@@ -113,7 +115,7 @@ def upper_half_space_to_hermitian(p: H3Point) -> HermitianForm:
     if p.chart != "uhs":
         raise ChartError(f"expected uhs chart, got {p.chart}")
     z, t = p.coords
-    return HermitianForm(t * t + abs(z) ** 2, 1.0, z)
+    return HermitianForm(t * t + abs(z) ** 2, np.ones_like(t), z)
 
 
 def hermitian_to_lorentz(H: HermitianForm) -> H3Point:
@@ -134,7 +136,7 @@ def lorentz_to_hermitian(p: H3Point) -> HermitianForm:
     if p.chart != "lorentz":
         raise ChartError(f"expected lorentz chart, got {p.chart}")
     x0, x1, x2, x3 = p.coords
-    return HermitianForm(x0 + x3, x0 - x3, complex(x1, x2))
+    return HermitianForm(x0 + x3, x0 - x3, x1 + 1j * x2)
 
 
 def lorentz_to_ball(p: H3Point) -> H3Point:

@@ -190,19 +190,22 @@ def _oracle_points(count):
 
 
 def _oracle_grid(case, count):
-    """(Ha, Hb): the closed-form and the ODE-transported H over the grid,
-    each one array HermitianForm."""
+    """(Ha, Hb, P): the closed-form and the ODE-transported H over the
+    grid, each one array HermitianForm, and the closed-form U at the
+    basepoint, where the transport starts at U = 1; so Ha = P Hb conj(P)^t."""
     xs = _oracle_points(count)
     # one preimage and one front call for the grid; a point without a
     # preimage, or where the front fails, is NaN
-    Ha = fr.eval_front_closed_form(case.inverse, case.z_from_x(xs)).H
+    zs = case.z_from_x(xs)
+    Ha = fr.eval_front_closed_form(case.inverse, zs).H
     bad = ~np.isfinite(Ha.h)
     if bad.any():
         raise ValueError(f"closed form failed at x={xs[bad][0]}")
     # one solve for every segment x0 -> x; the basepoint's own segment
     # has length 0, so its U stays the identity
     U = fr.integrate_sl_form(case.exponents, [xs[0], xs])
-    return Ha, fr.hermitian_of_solution(U)
+    P, _ = fr.eval_front_matrix(case.inverse, zs[0])
+    return Ha, fr.hermitian_of_solution(U), P
 
 
 def check_oracle_equivalence(count: int = 200) -> CheckResult:
@@ -212,10 +215,9 @@ def check_oracle_equivalence(count: int = 200) -> CheckResult:
         case = resolve_case(name)
         if case.z_from_x is None:       # no x -> z preimage to compare
             continue
-        Ha, Hb = _oracle_grid(case, count)
-        _, resid = fr.match_isometry(Ha, Hb)
+        resid = fr.match_isometry(*_oracle_grid(case, count))
         details.append(f"{case.tag}:{resid:.3g}")
-        worst = max(worst, resid)
+        worst = float(np.max([worst, resid]))     # keeps a NaN, unlike max
     return CheckResult(7, "closed form vs ODE oracle", worst, 1e-6,
                        worst < 1e-6, detail=" ".join(details))
 
@@ -318,32 +320,38 @@ def check_end_behavior() -> CheckResult:
                        1e-3, ok, detail=f"monotone={all_monotone}")
 
 
+def _tile_grids(case, zs):
+    """(Hg, H, P) over every tile g but the identity and every z of zs:
+    H(g z), H(z) and P_g = U(g z0) U(z0)^-1, so Hg = P H conj(P)^t.
+
+    x(g z) = x(z), so U(g z) and U(z) solve one equation in x and differ by
+    the constant left factor P_g."""
+    inv = case.inverse
+    gs = [g for g, word in tile_parameter_domain(case).elements if word]
+    gz = np.stack([g(zs) for g in gs])
+    Hg = fr.eval_front_closed_form(inv, gz.ravel()).H
+    H = fr.eval_front_closed_form(inv, np.tile(zs, len(gs))).H
+    U, _ = fr.eval_front_matrix(inv, np.concatenate([zs[:1], gz[:, 0]]))
+    (a, b), (c, d) = U[0]
+    P = U[1:] @ np.array([[d, -b], [-c, a]])    # U(z0)^-1, as det U = 1
+    return Hg, H, np.repeat(P, len(zs), axis=0)
+
+
 def check_geometry_roundtrips() -> CheckResult:
     rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(100):
-        z = complex(rng.normal(), rng.normal())
-        t = abs(rng.normal()) + 0.1
-        p = H3Point.upper_half_space(z, t)
-        H = upper_half_space_to_hermitian(p)
-        q = hermitian_to_upper_half_space(
-            lorentz_to_hermitian(ball_to_lorentz(lorentz_to_ball(
-                hermitian_to_lorentz(H)))))
-        worst = max(worst, abs(q.coords[0] - z), abs(q.coords[1] - t))
-    # monodromy equivariance per tile
-    case = resolve_case("dihedral:3")
-    inv = case.inverse
-    tiles = tile_parameter_domain(case)
+    r = rng.normal(size=(100, 3))
+    z, t = r[:, 0] + 1j * r[:, 1], abs(r[:, 2]) + 0.1
+    H = upper_half_space_to_hermitian(H3Point.upper_half_space(z, t))
+    q = hermitian_to_upper_half_space(
+        lorentz_to_hermitian(ball_to_lorentz(lorentz_to_ball(
+            hermitian_to_lorentz(H)))))
+    worst = float(np.max(abs(np.array([q.coords[0] - z, q.coords[1] - t]))))
+    # monodromy equivariance over the tiles
     zs = 0.55 * np.exp(1j * (0.15 + 0.1 * np.arange(8)))
-    Ha = fr.eval_front_closed_form(inv, zs).H
-    worst_tile = 0.0
-    for g, word in tiles.elements:
-        if word == "":
-            continue
-        Hb = fr.eval_front_closed_form(inv, g(zs)).H
-        _, resid = fr.match_isometry(Hb, Ha)
-        worst_tile = max(worst_tile, resid)
-    measured = max(worst / 1e-10, worst_tile / 1e-6)
+    worst_tile = fr.match_isometry(*_tile_grids(resolve_case("dihedral:3"),
+                                                zs))
+    # np.max, unlike max, keeps a NaN, so a clipped point fails the check
+    measured = float(np.max([worst / 1e-10, worst_tile / 1e-6]))
     return CheckResult(13, "chart round trips + monodromy equivariance",
                        measured, 1.0, measured < 1.0,
                        detail=f"charts={worst:.3g} tiles={worst_tile:.3g}")

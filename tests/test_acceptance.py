@@ -77,6 +77,14 @@ def test_criterion_13_geometry_chart_roundtrips():
     _run(sc.check_geometry_roundtrips)
 
 
+@pytest.mark.parametrize("check", [
+    lambda: sc.check_oracle_equivalence(count=40),
+    sc.check_geometry_roundtrips], ids=["07", "13"])
+def test_criterion_fails_on_a_nan_residual(check, monkeypatch):
+    monkeypatch.setattr(fr, "match_isometry", lambda *args: float("nan"))
+    assert not check().passed
+
+
 def test_criterion_14_mesh_export_roundtrip():
     _run(sc.check_export_roundtrip)
 

@@ -15,8 +15,11 @@ from schwarzfront.equation import (SingularPointError, eval_q,
 from schwarzfront.front import (RamificationError, eval_front_closed_form,
                                 front_hermitian)
 from schwarzfront.h3 import (H3Point, HermitianForm, NotPositiveDefiniteError,
-                             hermitian_to_ball, hermitian_to_lorentz,
-                             hermitian_to_upper_half_space)
+                             ball_to_lorentz, hermitian_to_ball,
+                             hermitian_to_lorentz,
+                             hermitian_to_upper_half_space,
+                             lorentz_to_hermitian,
+                             upper_half_space_to_hermitian)
 from schwarzfront.modular import DomainError, LambdaInverse
 from schwarzfront.polyhedral import PoleError, PolyhedralInverse
 
@@ -131,3 +134,49 @@ def test_scalar_calls_keep_their_types():
     z, t = hermitian_to_upper_half_space(fv.H).coords
     assert type(z) is complex and type(t) is float
     assert isinstance(eval_q(case.exponents, 0.3 + 0.2j).q, complex)
+
+
+_LORENTZ = H3Point.lorentz(2.0, 1.0, 0.5, 0.5).coords
+
+# each inverse chart map, with points whose last lies outside its domain
+CHART_MAPS = {
+    "H3Point.lorentz": (
+        lambda c: H3Point.lorentz(*c),
+        [(2.0, 1.0, 0.5, 0.5), (1.5, -0.3, 0.2, 0.9),
+         (1.0, 2.0, 0.0, 0.0)]),                 # out of the cone
+    "ball_to_lorentz": (
+        lambda c: ball_to_lorentz(H3Point("ball", c)),
+        [(0.1, 0.2, -0.3), (-0.5, 0.4, 0.1),
+         (1.2, 0.0, 0.0)]),                      # out of the ball
+    "lorentz_to_hermitian": (
+        lambda c: lorentz_to_hermitian(H3Point("lorentz", c)),
+        [_LORENTZ, (1.0, 0.0, 0.0, 0.0),
+         (1.0, 2.0, 0.0, 0.0)]),                 # out of the cone
+    "upper_half_space_to_hermitian": (
+        lambda c: upper_half_space_to_hermitian(H3Point("uhs", c)),
+        [(0.3 + 0.4j, 1.2), (-1.0 + 0.2j, 0.05),
+         (0.5 + 0.0j, 0.0)]),                    # on the boundary
+}
+
+
+def _values(result):
+    if isinstance(result, H3Point):
+        return result.coords
+    return result.h, result.k, result.w
+
+
+@pytest.mark.parametrize("name", list(CHART_MAPS))
+def test_chart_map_array_matches_scalar_calls(name):
+    chart_map, points = CHART_MAPS[name]
+
+    def array_call(points):
+        return _values(chart_map(tuple(np.array(c) for c in zip(*points))))
+
+    got, got_valid = array_call(points), array_call(points[:-1])
+    for i, p in enumerate(points[:-1]):
+        want = _values(chart_map(p))
+        assert all(type(w) in (float, complex) for w in want)
+        assert [g[i] for g in got] == [g[i] for g in got_valid] == list(want)
+    with pytest.raises(ValueError):
+        chart_map(points[-1])
+    assert all(np.isnan(g[-1]) for g in got)

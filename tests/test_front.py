@@ -9,9 +9,8 @@ from schwarzfront import front as fr
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import eval_q, exponents_from_mu
 from schwarzfront.h3 import HermitianForm
-from schwarzfront.modular import LambdaInverse, fuchsian_z_from_x
-from schwarzfront.polyhedral import PolyhedralInverse, dihedral_z_from_x
-from schwarzfront.selfcheck import _oracle_points
+from schwarzfront.polyhedral import PolyhedralInverse
+from schwarzfront.selfcheck import _oracle_grid, _oracle_points, _tile_grids
 
 DET_TOL = 1e-10
 ORACLE_TOL = 1e-6
@@ -110,20 +109,20 @@ def _known_transform_grids(inv):
     return Ha, Hb, P0
 
 
-def test_match_isometry_recovers_known_transform(dihedral3):
-    Ha, Hb, P0 = _known_transform_grids(dihedral3)
-    P, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
-    assert resid < 1e-10
-    rel = P / P0
-    assert np.allclose(rel, rel[0, 0] * np.ones((2, 2)), atol=1e-8)
-
-
 def test_match_isometry_residual_equals_the_loop(dihedral3):
-    Ha, Hb, _ = _known_transform_grids(dihedral3)
-    P, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
-    loop = max(float(np.linalg.norm(_matrix(a) - P @ _matrix(b) @ P.conj().T)
-                     / np.linalg.norm(_matrix(a))) for a, b in zip(Ha, Hb))
-    assert abs(resid - loop) <= 1e-15 * loop
+    Ha, Hb, P0 = _known_transform_grids(dihedral3)
+    assert fr.match_isometry(_stack(Ha), _stack(Hb), P0) < 1e-14
+    # a wrong factor, so that the residual is well above rounding: one P
+    # for all points, then one P per point with only the last one wrong
+    P = P0 @ np.array([[1.0, 0.2], [0.0, 1.0]])
+    for Ps in (P, np.stack([P0] * 8 + [P])):
+        resid = fr.match_isometry(_stack(Ha), _stack(Hb), Ps)
+        loop = max(float(np.linalg.norm(_matrix(a) - p @ _matrix(b)
+                                        @ p.conj().T)
+                         / np.linalg.norm(_matrix(a)))
+                   for a, b, p in zip(Ha, Hb, np.broadcast_to(Ps, (9, 2, 2))))
+        assert loop > 1e-3
+        assert abs(resid - loop) <= 1e-15 * loop
 
 
 def _integrate_per_segment(e, path):
@@ -205,37 +204,48 @@ def test_integrate_measures_segment_distance_to_singularities():
         fr.integrate_sl_form(e, [-0.5 + 5e-4j, 0.52 + 5e-4j])
 
 
-def test_closed_form_agrees_with_ode_oracle_dihedral(dihedral3):
-    e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
-    center = 0.5 + 0.45j
-    xs = [center] + [center + 0.25 * cmath.exp(1j * 0.7 * k) * (0.4 + 0.06 * k)
-                     for k in range(8)]
-    Ha, Hb = [], []
-    for x in xs:
-        z = dihedral_z_from_x(3, x)
-        Ha.append(fr.eval_front_closed_form(dihedral3, z).H)
-        U = np.eye(2, dtype=complex) if x == xs[0] else \
-            fr.integrate_sl_form(e, [xs[0], x])
-        Hb.append(fr.hermitian_of_solution(U))
-    _, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
-    assert resid < ORACLE_TOL
+# x = center + radius e^(i turn k) (r0 + dr k) for k = 0..7: (radius, turn,
+# r0, dr) per case
+ORACLE_SPIRALS = {"dihedral:3": (0.25, 0.7, 0.4, 0.06),
+                  "fuchsian": (0.2, 0.9, 0.5, 0.05)}
 
 
-def test_closed_form_agrees_with_ode_oracle_fuchsian():
-    e = exponents_from_mu(0, 0, 0)
-    inv = LambdaInverse()
+@pytest.mark.parametrize("name", list(ORACLE_SPIRALS))
+def test_closed_form_agrees_with_ode_oracle(name):
+    radius, turn, r0, dr = ORACLE_SPIRALS[name]
+    case = resolve_case(name)
     center = 0.5 + 0.45j
-    xs = [center] + [center + 0.2 * cmath.exp(1j * 0.9 * k) * (0.5 + 0.05 * k)
-                     for k in range(8)]
-    Ha, Hb = [], []
-    for x in xs:
-        z = fuchsian_z_from_x(x)
-        Ha.append(fr.eval_front_closed_form(inv, z).H)
-        U = np.eye(2, dtype=complex) if x == xs[0] else \
-            fr.integrate_sl_form(e, [xs[0], x])
-        Hb.append(fr.hermitian_of_solution(U))
-    _, resid = fr.match_isometry(_stack(Ha), _stack(Hb))
-    assert resid < ORACLE_TOL
+    k = np.arange(8)
+    xs = np.concatenate([[center], center + radius * np.exp(1j * turn * k)
+                         * (r0 + dr * k)])
+    zs = case.z_from_x(xs)
+    Ha = fr.eval_front_closed_form(case.inverse, zs).H
+    Hb = fr.hermitian_of_solution(fr.integrate_sl_form(case.exponents,
+                                                       [xs[0], xs]))
+    # the transport starts at U = 1, the closed form at U(z0)
+    P, _ = fr.eval_front_matrix(case.inverse, zs[0])
+    assert fr.match_isometry(Ha, Hb, P) < ORACLE_TOL
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "fuchsian"])
+def test_oracle_residual_fails_for_a_wrong_factor(name):
+    case = resolve_case(name)
+    Ha, Hb, P = _oracle_grid(case, 40)
+    assert fr.match_isometry(Ha, Hb, P) < 1e-12
+    # U at the grid's second point instead of its basepoint, and P = 1
+    P1, _ = fr.eval_front_matrix(case.inverse,
+                                 case.z_from_x(_oracle_points(40)[1]))
+    assert fr.match_isometry(Ha, Hb, P1) > 1e-3
+    assert fr.match_isometry(Ha, Hb, np.eye(2)) > 1e-3
+
+
+def test_tile_residual_fails_for_another_tiles_factor():
+    zs = 0.55 * np.exp(1j * (0.15 + 0.1 * np.arange(8)))
+    Hg, H, P = _tile_grids(resolve_case("dihedral:3"), zs)
+    assert len(P) == len(zs) * 5
+    assert fr.match_isometry(Hg, H, P) < 1e-12
+    # each tile given the factor of the next one
+    assert fr.match_isometry(Hg, H, np.roll(P, len(zs), axis=0)) > 1e-3
 
 
 def _close(a, b, rel=1e-13):
