@@ -202,12 +202,6 @@ def _attach_singular_overlay(mesh: SurfaceMesh, chart: str, case):
 
 # --- export -----------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    """Deterministic 12-significant-digit float formatting."""
-    s = f"{float(v):.12g}"
-    return "0" if s == "-0" else s
-
-
 def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
     if fmt == "obj":
         text = _to_obj(mesh)
@@ -223,54 +217,64 @@ def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
     return path
 
 
-def _rows(pts) -> list:
-    """'x y z' text of each row of a (K, 3) array, every coordinate as
-    _fmt writes it (adding 0.0 turns -0.0 into 0.0)."""
+def _rows(row_fmt: str, rows) -> str:
+    """row_fmt once per row of the 2-D array rows, each line ending in a
+    newline, all formatted in one % pass."""
+    return (row_fmt + "\n") * len(rows) % tuple(np.ravel(rows).tolist())
+
+
+def _vertex_rows(pts, head: str = "", flags=None) -> str:
+    """'x y z' lines, 12 significant digits a coordinate, for the rows of
+    pts ((K, 3), or one 3-vector), after head and, if flags is given,
+    followed by each row's flag.  Adding 0.0 turns -0.0 into 0.0, which
+    prints as 0."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3) + 0.0
-    return ["%.12g %.12g %.12g" % tuple(row) for row in pts.tolist()]
+    if flags is None:
+        return _rows(head + "%.12g %.12g %.12g", pts)
+    return _rows(head + "%.12g %.12g %.12g %d", np.column_stack([pts, flags]))
 
 
 def _to_obj(mesh: SurfaceMesh) -> str:
-    lines = [f"# front surface, chart={mesh.chart}",
-             f"# vertices={len(mesh.vertices)} faces={len(mesh.triangles)}"]
-    lines += ["v " + r for r in _rows(mesh.vertices)]
-    lines += ["f %d %d %d" % tuple(f) for f in (mesh.triangles + 1).tolist()]
     nv = len(mesh.vertices)
+    parts = [f"# front surface, chart={mesh.chart}\n"
+             f"# vertices={nv} faces={len(mesh.triangles)}\n",
+             _vertex_rows(mesh.vertices, "v "),
+             _rows("f %d %d %d", mesh.triangles + 1)]
     for name, pts in mesh.polylines:
-        lines.append(f"# polyline {name}")
-        lines += ["v " + r for r in _rows(pts)]
-        lines.append("l " + " ".join(str(nv + i + 1)
-                                     for i in range(len(pts))))
+        ids = range(nv + 1, nv + len(pts) + 1)
+        parts += [f"# polyline {name}\n", _vertex_rows(pts, "v "),
+                  "l " + " ".join(map(str, ids)) + "\n"]
         nv += len(pts)
     for name, p in mesh.markers:
         nv += 1
-        lines += [f"# marker {name}", "v " + _rows(p)[0], f"p {nv}"]
-    return "\n".join(lines) + "\n"
+        parts += [f"# marker {name}\n", _vertex_rows(p, "v "), f"p {nv}\n"]
+    return "".join(parts)
 
 
 def _to_ply(mesh: SurfaceMesh) -> str:
-    poly_edges = []
-    off = len(mesh.vertices)
-    for _, pts in mesh.polylines:
-        for i in range(len(pts) - 1):
-            poly_edges.append((off + i, off + i + 1))
-        off += len(pts)
-    poly_rows = [r for _, pts in mesh.polylines for r in _rows(pts)]
-    nv = len(mesh.vertices) + len(poly_rows) + len(mesh.markers)
-    lines = ["ply", "format ascii 1.0",
-             f"comment front surface, chart={mesh.chart}",
-             f"element vertex {nv}",
-             "property float64 x", "property float64 y",
-             "property float64 z", "property int flags",
-             f"element face {len(mesh.triangles)}",
-             "property list uchar int vertex_indices",
-             f"element edge {len(poly_edges)}",
-             "property int vertex1", "property int vertex2",
-             "end_header"]
-    lines += [f"{r} {fl}"
-              for r, fl in zip(_rows(mesh.vertices), mesh.flags.tolist())]
-    lines += [r + " 4" for r in poly_rows]
-    lines += [_rows(p)[0] + " 8" for _, p in mesh.markers]
-    lines += ["3 %d %d %d" % tuple(f) for f in mesh.triangles.tolist()]
-    lines += [f"{a} {b}" for a, b in poly_edges]
-    return "\n".join(lines) + "\n"
+    # vertex rows: the surface with its flags, then the polyline points
+    # flagged 4 and the markers flagged 8; an edge joins consecutive
+    # points of a polyline
+    pts = [mesh.vertices] + [p for _, p in mesh.polylines] \
+        + [np.reshape([p for _, p in mesh.markers], (-1, 3))]
+    flags = [mesh.flags] + [np.full(len(p), 4) for _, p in mesh.polylines] \
+        + [np.full(len(mesh.markers), 8)]
+    ends = np.cumsum([len(p) for p in pts])
+    edges = np.concatenate([np.zeros((0, 2), dtype=int)] + [
+        off + np.stack([np.arange(len(p) - 1), np.arange(1, len(p))], axis=1)
+        for off, (_, p) in zip(ends, mesh.polylines)])
+    header = ["ply", "format ascii 1.0",
+              f"comment front surface, chart={mesh.chart}",
+              f"element vertex {ends[-1]}",
+              "property float64 x", "property float64 y",
+              "property float64 z", "property int flags",
+              f"element face {len(mesh.triangles)}",
+              "property list uchar int vertex_indices",
+              f"element edge {len(edges)}",
+              "property int vertex1", "property int vertex2",
+              "end_header", ""]
+    return "".join(["\n".join(header),
+                    _vertex_rows(np.concatenate(pts), "",
+                                 np.concatenate(flags)),
+                    _rows("3 %d %d %d", mesh.triangles),
+                    _rows("%d %d", edges)])

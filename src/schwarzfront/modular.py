@@ -15,6 +15,10 @@ Evaluation anywhere in the upper half-plane first moves z to the classical
 fundamental domain (where the q-series converge fast) by generators
 z -> z + 1 and z -> -1/z, tracking the induced Moebius action on the value:
 lambda(z + 1) = 1 / lambda(z) and lambda(-1/z) = 1 - lambda(z).
+
+The theta series are summed for all points at once, each power of q from
+the one before by an exact exponent step, with q^(1/2) = exp(pi i z / 4)
+taken from z itself.
 """
 
 from __future__ import annotations
@@ -69,25 +73,31 @@ def _truncation_order(im: float) -> int:
 _DOMAIN_ORDER = _truncation_order(math.sqrt(3.0) / 2.0)
 
 
-# points per block of _theta_sums: bounds its (4, block, 2m + 1) tables
-_BLOCK = 512
-
-
-def _theta_sums(q, m: int):
+def _theta_sums(z, m: int):
     """theta2, theta3, theta0 and q d/dq theta2, each summed over |n| <= m,
-    for every nome in the array q."""
-    q = np.asarray(q)
-    if q.size > _BLOCK:     # a block at a time keeps the tables small
-        blocks = np.array_split(q.ravel(), -(-q.size // _BLOCK))
-        sums = zip(*(_theta_sums(b, m) for b in blocks))
-        return tuple(np.concatenate(s).reshape(q.shape) for s in sums)
-    n = np.arange(-m, m + 1)
-    e2 = (2 * n - 1) ** 2 / 2.0
-    q = q[..., None]
-    q2 = q ** e2
-    q3 = q ** (2.0 * n ** 2)
-    s3 = np.where(n % 2, -1.0, 1.0) * q3
-    return np.stack([q2, q3, s3, e2 * q2]).sum(axis=-1)
+    at every point of the array z.
+
+    The terms of n and -n (in theta2, of 2n - 1 and 1 - 2n) are equal, so
+    each pair is summed once and doubled.  Each power of q comes from the
+    one before by an exact exponent step: q^(2(k+1)^2) = q^(2k^2) q^(4k+2)
+    and, for odd j, q^((j+2)^2/2) = q^(j^2/2) q^(2j+2).  q^(1/2) =
+    exp(pi i z / 4) is taken from z: the principal root of q is the other
+    branch for Re z in (2, 6] mod 8.
+    """
+    q2 = np.exp(2.0 * DZ_FROM_PRIME * z)
+    q4 = q2 * q2
+    t2 = t2p = t3 = t0 = 0.0
+    p2, s2 = np.exp(0.5 * DZ_FROM_PRIME * z), q4    # q^(j^2/2), q^(2j+2)
+    p3, s3 = q2, q2 * q4                            # q^(2k^2), q^(4k+2)
+    for k in range(1, m + 1):
+        j = 2 * k - 1
+        t2, t2p = t2 + p2, t2p + (j * j / 2.0) * p2
+        t3, t0 = t3 + p3, (t0 - p3 if k % 2 else t0 + p3)
+        p2, s2 = p2 * s2, s2 * q4
+        p3, s3 = p3 * s3, s3 * q4
+    # p2 is now the one unpaired term, j = 2m + 1 (n = -m)
+    return (2.0 * t2 + p2, 1.0 + 2.0 * t3, 1.0 + 2.0 * t0,
+            2.0 * t2p + ((2 * m + 1) ** 2 / 2.0) * p2)
 
 
 def theta_values(z) -> ThetaValues:
@@ -100,13 +110,12 @@ def theta_values(z) -> ThetaValues:
         f"Im z = {z.imag[0]} below series floor {MIN_IM}; "
         "reduce to the fundamental domain first"), z)
     m = _truncation_order(z.imag[ok].min(initial=math.inf))
-    return ThetaValues(*unflat(shape, *_theta_sums(
-        np.exp(0.5j * math.pi * z), m)))
+    return ThetaValues(*unflat(shape, *_theta_sums(z, m)))
 
 
 def _lambda_series(w: np.ndarray):
     """lambda, lambda', lambda'' (' = q d/dq) on the fundamental domain."""
-    t2, t3, t0, t2p = _theta_sums(np.exp(DZ_FROM_PRIME * w), _DOMAIN_ORDER)
+    t2, t3, t0, t2p = _theta_sums(w, _DOMAIN_ORDER)
     lam = (t0 / t3) ** 4
     t2_4 = t2 ** 4
     lam_p = -2.0 * t2_4 * lam

@@ -4,9 +4,11 @@ Each case (cases.Case) carries three anti-holomorphic reflections of a
 Schwarz triangle group; the projective monodromy group is the group of
 even words in them.  This module knows no family: it takes the mirrors
 and the probe points from the case.  Group elements are enumerated
-breadth-first by word length and deduplicated by their action on the
-three probe points, looked up in a hash of the first probe's image, so
-enumeration is O(n).
+breadth-first by word length, one level at a time: the frontier times the
+six generators is one batched product, normalized and mapped over the
+three probe points in one array expression.  Candidates are deduplicated
+by their probe images, looked up in a hash of the first probe's image,
+so enumeration is O(n).
 
 A reflection z -> (a conj(z) + b) / (c conj(z) + d) is stored by its matrix;
 composing two reflections gives the Moebius map with matrix M1 @ conj(M2).
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,43 +123,62 @@ def _known(buckets: dict, sig) -> bool:
     return False
 
 
+def _normalized(m: np.ndarray) -> np.ndarray:
+    """The (K, 2, 2) matrices m divided by the square roots of their
+    determinants, rounded as Mobius rounds one matrix."""
+    def mul(x, y):      # x * y rounded as a numpy complex scalar product
+        return np.stack([x.real * y.real - x.imag * y.imag,
+                         x.real * y.imag + x.imag * y.real], axis=-1)
+    a, b, c, d = m.reshape(-1, 4).T
+    det = (mul(a, d) - mul(b, c)).view(complex)     # keeps signed zeros
+    return m / np.sqrt(det)[:, None]
+
+
+def _element(m: np.ndarray) -> Mobius:
+    """Mobius of an already normalized matrix, kept bit for bit."""
+    g = object.__new__(Mobius)
+    object.__setattr__(g, "matrix", m)
+    return g
+
+
 def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     """Enumerate distinct even-word group elements breadth-first.
 
     Labels are the generating words, e.g. "" (identity), "12" (R1 then R2).
     case is a cases.Case; its mirrors generate the group and its probes
     tell elements apart.  Applying each element to the base triangle pair
-    tiles the domain.
+    tiles the domain.  Each BFS level is one batched product of the
+    generators with the frontier, its candidates in (parent, generator)
+    order; only the hash lookup visits them one by one.
     """
     refl = case.mirrors
-    gens = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                gens.append((refl[j].then(refl[i]), f"{j + 1}{i + 1}"))
-    probes = case.probes
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    gens = np.array([refl[j].then(refl[i]).matrix for i, j in pairs])
+    labels = [f"{j + 1}{i + 1}" for i, j in pairs]
+    probes = np.asarray(case.probes, dtype=complex)
     buckets = {}
-    out = []
-
-    def known(g):
-        return _known(buckets, _signature(g, probes))
-
     ident = Mobius.identity()
-    known(ident)
-    out.append((ident, ""))
-    queue = deque([(ident, "", 0)])
+    _known(buckets, _signature(ident, probes))
+    out = [(ident, "")]
+    frontier, words = ident.matrix[None], [""]
     complete = True
-    while queue and complete:
-        g, word, depth = queue.popleft()
-        for h, hw in gens:
-            gh = h.compose(g)
-            if known(gh):
+    for depth in range(MAX_WORD_LENGTH + 1):
+        cand = _normalized((gens @ frontier[:, None]).reshape(-1, 2, 2))
+        a, b, c, d = cand.reshape(-1, 4).T[..., None]
+        keep = []
+        for k, sig in enumerate(((a * probes + b) / (c * probes + d))
+                                .tolist()):
+            if _known(buckets, sig):
                 continue
-            if depth >= MAX_WORD_LENGTH or \
-               (max_count is not None and len(out) >= max_count):
+            if depth >= MAX_WORD_LENGTH or (max_count is not None and
+                                            len(out) + len(keep) >= max_count):
                 # a new element exists beyond a limit: enumeration is cut
                 complete = False
                 break
-            out.append((gh, word + hw))
-            queue.append((gh, word + hw, depth + 1))
+            keep.append(k)
+        words = [words[k // 6] + labels[k % 6] for k in keep]
+        out += [(_element(cand[k]), w) for k, w in zip(keep, words)]
+        if not keep or not complete:
+            break
+        frontier = cand[keep]
     return TileSet(elements=out, complete=complete)

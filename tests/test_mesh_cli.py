@@ -320,6 +320,85 @@ def test_export_empty_overlay(tmp_path):
     assert "edge" not in data or len(data["edge"]) == 0
 
 
+# --- exporter bytes against a per-row reference ---------------------------
+
+def _ref_row(p):
+    """One 'x y z' row as the exporter writes it, formatted on its own."""
+    return "%.12g %.12g %.12g" % tuple(np.asarray(p, dtype=float) + 0.0)
+
+
+def _ref_obj(m):
+    lines = [f"# front surface, chart={m.chart}",
+             f"# vertices={len(m.vertices)} faces={len(m.triangles)}"]
+    lines += ["v " + _ref_row(p) for p in m.vertices]
+    lines += ["f %d %d %d" % tuple(f) for f in (m.triangles + 1).tolist()]
+    nv = len(m.vertices)
+    for name, pts in m.polylines:
+        lines.append(f"# polyline {name}")
+        lines += ["v " + _ref_row(p) for p in pts]
+        lines.append("l " + " ".join(str(nv + i + 1)
+                                     for i in range(len(pts))))
+        nv += len(pts)
+    for name, p in m.markers:
+        nv += 1
+        lines += [f"# marker {name}", "v " + _ref_row(p), f"p {nv}"]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_ply(m):
+    edges, off = [], len(m.vertices)
+    for _, pts in m.polylines:
+        edges += [(off + i, off + i + 1) for i in range(len(pts) - 1)]
+        off += len(pts)
+    rows = [f"{_ref_row(p)} {f}" for p, f in zip(m.vertices, m.flags)]
+    rows += [_ref_row(p) + " 4" for _, pts in m.polylines for p in pts]
+    rows += [_ref_row(p) + " 8" for _, p in m.markers]
+    lines = ["ply", "format ascii 1.0",
+             f"comment front surface, chart={m.chart}",
+             f"element vertex {len(rows)}",
+             "property float64 x", "property float64 y",
+             "property float64 z", "property int flags",
+             f"element face {len(m.triangles)}",
+             "property list uchar int vertex_indices",
+             f"element edge {len(edges)}",
+             "property int vertex1", "property int vertex2",
+             "end_header"] + rows
+    lines += ["3 %d %d %d" % tuple(f) for f in m.triangles.tolist()]
+    lines += [f"{a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+def _hand_mesh(triangles, polylines, markers):
+    # -0.0 entries, two clipped rows written as (0, 0, 0), an exponent
+    vertices = np.array([[-0.0, 0.5, 1.0 / 3.0], [0.0, 0.0, 0.0],
+                         [1e-20, -0.0, 2.5e17], [0.0, 0.0, 0.0]])
+    flags = np.array([0, mesh.FLAG_CLIPPED, mesh.FLAG_NEAR_SINGULAR,
+                      mesh.FLAG_CLIPPED])
+    faces = np.array(triangles, dtype=int).reshape(-1, 3)
+    return mesh.SurfaceMesh(vertices=vertices, source_z=np.zeros(4, complex),
+                            source_x=np.zeros(4, complex), triangles=faces,
+                            flags=flags, chart="uhs", polylines=polylines,
+                            markers=markers)
+
+
+@pytest.mark.parametrize("triangles, polylines, markers", [
+    ([[0, 2, 1], [2, 3, 0]],
+     [("cuspidal-edge", np.array([[-0.0, 1.0, 2.0], [0.1, -0.2, 7e-9],
+                                  [3.0, 4.0, -0.0]]))],
+     [("swallowtail", np.array([-0.0, 0.25, 1.0])),
+      ("swallowtail", np.array([1.0, 2.0, 3.0]))]),
+    ([], [], []),
+    ([], [("short", np.array([[1.0, 2.0, 3.0]]))], [])])
+def test_export_bytes_match_per_row_reference(triangles, polylines, markers):
+    m = _hand_mesh(triangles, polylines, markers)
+    obj, ply = mesh._to_obj(m), mesh._to_ply(m)
+    assert obj == _ref_obj(m)
+    assert ply == _ref_ply(m)
+    # no blank line where a block is empty
+    assert "\n\n" not in obj and "\n\n" not in ply
+    assert "-0 " not in obj and " -0\n" not in obj
+
+
 # --- command line --------------------------------------------------------
 
 def test_parse_case():

@@ -41,6 +41,38 @@ def test_theta_array_matches_scalar_calls():
     assert one.theta0[0] == theta_values(z[0]).theta0
 
 
+def _theta_mp(z, count=40):
+    """theta2, theta3, theta0 and q d/dq theta2 at z, 30 digits, each
+    term q^e formed from z as exp(pi i z e / 2) (not from a root of the
+    nome, whose principal branch flips theta2 for Re z in (2, 6] mod 8)."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+
+        def power(e):
+            return mpmath.exp(mpmath.pi * 1j * z * e / 2)
+
+        ns = range(-count, count + 1)
+        e2 = [mpmath.mpf((2 * n - 1) ** 2) / 2 for n in ns]
+        return [complex(v) for v in (
+            sum(power(e) for e in e2),
+            sum(power(2 * n * n) for n in ns),
+            sum((-1) ** n * power(2 * n * n) for n in ns),
+            sum(e * power(e) for e in e2))]
+
+
+@pytest.mark.parametrize("im", [modular.MIN_IM, 0.3, 2.0])
+def test_theta_sums_match_mpmath_across_the_domain(im):
+    # every |Re z| > 2 here lies in (2, 6] mod 8; near the cusps theta is
+    # exponentially small, so the error is bounded absolutely
+    res = np.array([0.0, 0.4, -0.4, 3.5, -3.5, 4.6, -4.6, 19.5, -19.5])
+    z = res + 1j * im
+    tv = theta_values(z)
+    for k, zk in enumerate(z):
+        got = [tv.theta2[k], tv.theta3[k], tv.theta0[k], tv.theta2p[k]]
+        for g, want in zip(got, _theta_mp(zk)):
+            assert abs(g - want) < 1e-12, (zk, g, want)
+
+
 def test_lambda_at_i_is_one_half():
     x, _, _ = eval_lambda(1j)
     assert abs(x - 0.5) < 1e-14

@@ -165,19 +165,40 @@ def _linear_scan(case, max_count=None, max_word_length=12):
     return out, complete
 
 
-@pytest.mark.parametrize("tag, n, max_count", [
-    ("dihedral", 1, None), ("dihedral", 3, None), ("dihedral", 8, None),
-    ("tetrahedral", None, None), ("octahedral", None, None),
-    ("icosahedral", None, None), ("icosahedral", None, 40),
-    ("fuchsian-inf-inf-inf", None, 2000)])
-def test_hashed_dedup_matches_linear_scan(tag, n, max_count):
-    case = resolve_case(tag, n)
+def _assert_matches_linear_scan(case, max_count, max_word_length=12):
     ts = tile_parameter_domain(case, max_count=max_count)
-    want, complete = _linear_scan(case, max_count=max_count)
+    want, complete = _linear_scan(case, max_count=max_count,
+                                  max_word_length=max_word_length)
     assert ts.complete == complete
     assert [w for _, w in ts.elements] == [w for _, w in want]
     for (g, _), (h, _) in zip(ts.elements, want):
         assert np.array_equal(g.matrix, h.matrix)
+        # to the sign of a zero, which `tiles` prints
+        assert g.matrix.tobytes() == h.matrix.tobytes()
+
+
+# the count cuts at 17 (octa) and 7, 25 and 401 (fuchsian) land partway
+# through a breadth-first level
+@pytest.mark.parametrize("tag, n, max_count", [
+    ("dihedral", 1, None), ("dihedral", 3, None), ("dihedral", 8, None),
+    ("tetrahedral", None, None), ("octahedral", None, None),
+    ("octahedral", None, 17), ("icosahedral", None, None),
+    ("icosahedral", None, 40), ("fuchsian-inf-inf-inf", None, 7),
+    ("fuchsian-inf-inf-inf", None, 25), ("fuchsian-inf-inf-inf", None, 401),
+    ("fuchsian-inf-inf-inf", None, 2000)])
+def test_hashed_dedup_matches_linear_scan(tag, n, max_count):
+    _assert_matches_linear_scan(resolve_case(tag, n), max_count)
+
+
+@pytest.mark.parametrize("max_word_length", [1, 2])
+@pytest.mark.parametrize("tag, max_count", [
+    ("octahedral", None), ("icosahedral", None),
+    ("fuchsian-inf-inf-inf", 2000)])
+def test_word_length_cut_matches_linear_scan(tag, max_count,
+                                             max_word_length, monkeypatch):
+    monkeypatch.setattr(tiling, "MAX_WORD_LENGTH", max_word_length)
+    _assert_matches_linear_scan(resolve_case(tag), max_count,
+                                max_word_length)
 
 
 def test_hashed_dedup_merges_across_a_cell_edge():
