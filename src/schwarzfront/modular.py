@@ -7,14 +7,19 @@ Conventions (all centralized here):
   theta0 = sum (-1)^n q^(2 n^2);
 * lambda = (theta0/theta3)^4 = 1 - 16 q^2 + 128 q^4 - ...,
   normalized so lambda: infinity -> 1, 0 -> 0, 1 -> infinity;
+* mu = (theta2/theta3)^4, so lambda + mu = 1 by Jacobi's identity
+  theta3^4 = theta0^4 + theta2^4; mu is summed, never subtracted;
 * ' = q d/dq = (2 / pi i) d/dz, hence d/dz = (pi i / 2) ';
-* lambda' = -2 theta2^4 lambda, so
-  lambda'' = -2 (4 theta2^3 theta2' lambda + theta2^4 lambda').
+* lambda' = -2 theta2^4 lambda and mu' = 2 theta0^4 mu.
 
 Evaluation anywhere in the upper half-plane first moves z to the classical
 fundamental domain (where the q-series converge fast) by generators
-z -> z + 1 and z -> -1/z, tracking the induced Moebius action on the value:
-lambda(z + 1) = 1 / lambda(z) and lambda(-1/z) = 1 - lambda(z).
+z -> z + 1 and z -> -1/z.  lambda(z + 1) = 1 / lambda(z) and
+lambda(-1/z) = mu(z), so lambda(z) = s lambda(w)^a mu(w)^b at the reduced
+point w, one of the six anharmonic maps (s = +-1, a, b in {-1, 0, 1}).
+The log-derivative of x = lambda(z) in ' at w is
+L = 2 (b theta0^4 - a theta2^4), so x' = x L and x'' = x (L^2 + L'); the
+chain rule through w = m(z) gives the z-derivatives.
 
 The theta series are summed for all points at once, each power of q from
 the one before by an exact exponent step, with q^(1/2) = exp(pi i z / 4)
@@ -74,8 +79,8 @@ _DOMAIN_ORDER = _truncation_order(math.sqrt(3.0) / 2.0)
 
 
 def _theta_sums(z, m: int):
-    """theta2, theta3, theta0 and q d/dq theta2, each summed over |n| <= m,
-    at every point of the array z.
+    """theta2, theta3, theta0, q d/dq theta2 and q d/dq theta0, each summed
+    over |n| <= m, at every point of the array z.
 
     The terms of n and -n (in theta2, of 2n - 1 and 1 - 2n) are equal, so
     each pair is summed once and doubled.  Each power of q comes from the
@@ -86,18 +91,19 @@ def _theta_sums(z, m: int):
     """
     q2 = np.exp(2.0 * DZ_FROM_PRIME * z)
     q4 = q2 * q2
-    t2 = t2p = t3 = t0 = 0.0
+    t2 = t2p = t3 = t0 = t0p = 0.0
     p2, s2 = np.exp(0.5 * DZ_FROM_PRIME * z), q4    # q^(j^2/2), q^(2j+2)
     p3, s3 = q2, q2 * q4                            # q^(2k^2), q^(4k+2)
     for k in range(1, m + 1):
         j = 2 * k - 1
         t2, t2p = t2 + p2, t2p + (j * j / 2.0) * p2
         t3, t0 = t3 + p3, (t0 - p3 if k % 2 else t0 + p3)
+        t0p = t0p + (-1) ** k * (2 * k * k) * p3
         p2, s2 = p2 * s2, s2 * q4
         p3, s3 = p3 * s3, s3 * q4
     # p2 is now the one unpaired term, j = 2m + 1 (n = -m)
     return (2.0 * t2 + p2, 1.0 + 2.0 * t3, 1.0 + 2.0 * t0,
-            2.0 * t2p + ((2 * m + 1) ** 2 / 2.0) * p2)
+            2.0 * t2p + ((2 * m + 1) ** 2 / 2.0) * p2, 2.0 * t0p)
 
 
 def theta_values(z) -> ThetaValues:
@@ -110,54 +116,42 @@ def theta_values(z) -> ThetaValues:
         f"Im z = {z.imag[0]} below series floor {MIN_IM}; "
         "reduce to the fundamental domain first"), z)
     m = _truncation_order(z.imag[ok].min(initial=math.inf))
-    return ThetaValues(*unflat(shape, *_theta_sums(z, m)))
-
-
-def _lambda_series(w: np.ndarray):
-    """lambda, lambda', lambda'' (' = q d/dq) on the fundamental domain."""
-    t2, t3, t0, t2p = _theta_sums(w, _DOMAIN_ORDER)
-    lam = (t0 / t3) ** 4
-    t2_4 = t2 ** 4
-    lam_p = -2.0 * t2_4 * lam
-    return lam, lam_p, -2.0 * (4.0 * t2 ** 3 * t2p * lam + t2_4 * lam_p)
+    return ThetaValues(*unflat(shape, *_theta_sums(z, m)[:4]))
 
 
 # --- reduction to the fundamental domain -----------------------------------
 
-# z -> -1/z on the stacked entries (a, b, c, d) of m and (p0..p3) of phi:
-# m <- [[0, -1], [1, 0]] m and phi <- phi [[-1, 1], [0, 1]]
-_S_STEP = np.zeros((8, 8), dtype=np.int64)
-_S_STEP[:4, :4] = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-_S_STEP[4:, 4:] = [[-1, 0, 0, 0], [1, 1, 0, 0], [0, 0, -1, 0], [0, 0, 1, 1]]
-# an odd translation swaps the columns of phi: phi <- phi [[0, 1], [1, 0]]
-_SWAP_PHI = [0, 1, 2, 3, 5, 4, 7, 6]
-
-
 def _reduce_to_fundamental(z: np.ndarray):
     """Move each point of the 1-D array z to |Re| <= 1/2, |z| >= 1.
 
-    Returns (w, c, d, phi, failed): w = m(z) for m = [[a, b], [c, d]] in
-    SL(2, Z), lambda(z) = phi(lambda(w)) for phi given by its entries row
-    by row, and the points still outside after _MAX_REDUCTIONS steps.
+    Returns (w, c, d, s, a, b, failed): w = m(z) for m = [[., .], [c, d]]
+    in SL(2, Z), lambda(z) = s lambda(w)^a mu(w)^b, and the points still
+    outside after _MAX_REDUCTIONS steps.
     """
     finite = np.isfinite(z)
     w = np.where(finite, z, 1j)
-    mp = np.zeros((8, w.size), dtype=np.int64)     # rows a..d, p0..p3
-    mp[[0, 3, 4, 7]] = 1
+    one, zero = np.ones(w.size, np.int64), np.zeros(w.size, np.int64)
+    m, s, a, b = np.array([one, zero, zero, one]), one, one, zero
     for _ in range(_MAX_REDUCTIONS):
         # T^-k; a point already in the domain has k = 0 and stays put
         k = np.rint(w.real)
         w = w - k
         k = k.astype(np.int64)
-        mp[:2] -= k * mp[2:4]
-        # odd k: lambda(w_old) = 1 / lambda(w_new)
-        mp = np.where(k & 1, mp[_SWAP_PHI], mp)
-        s = np.abs(w) < 1.0 - 1e-15
-        if not s.any():
+        m[:2] -= k * m[2:]
+        # odd k: lambda(w_old) = 1 / lambda(w_new), mu(w_old) =
+        # -mu(w_new) / lambda(w_new)
+        odd = (k & 1).astype(bool)
+        s = np.where(odd & (b != 0), -s, s)
+        a = np.where(odd, -a - b, a)
+        inside = np.abs(w) < 1.0 - 1e-15
+        if not inside.any():
             break
-        w = np.where(s, -1.0 / w, w)
-        mp = np.where(s, _S_STEP @ mp, mp)
-    return np.where(finite, w, np.nan), mp[2], mp[3], mp[4:], s & finite
+        # S: m <- [[0, -1], [1, 0]] m, and lambda <-> mu
+        w = np.where(inside, -1.0 / w, w)
+        m = np.where(inside, [-m[2], -m[3], m[0], m[1]], m)
+        a, b = np.where(inside, b, a), np.where(inside, a, b)
+    return (np.where(finite, w, np.nan), m[2], m[3], s, a, b,
+            inside & finite)
 
 
 class LambdaInverse:
@@ -170,31 +164,25 @@ class LambdaInverse:
         shape, z = np.shape(z), flat(z)
         z, = clip(~(z.imag > 0), shape, DomainError,
                   lambda: f"Im z must be positive, got {z[0]}", z)
-        w, c, d, phi, failed = _reduce_to_fundamental(z)
+        w, c, d, s, a, b, failed = _reduce_to_fundamental(z)
         w, = clip(failed, shape, RuntimeError, lambda: (
             f"fundamental-domain reduction failed for z={z[0]}"), w)
-        lam, lam_p, lam_pp = _lambda_series(w)
-        # z-derivatives of lambda at w
-        lw = DZ_FROM_PRIME * lam_p
-        lww = DZ_FROM_PRIME ** 2 * lam_pp
-        # chain rule through w = m(z), det m = 1
+        t2, t3, t0, t2p, t0p = _theta_sums(w, _DOMAIN_ORDER)
+        lam, mu = (t0 / t3) ** 4, (t2 / t3) ** 4
+        pole = ((a == -1) & (abs(lam) < 1e-100)
+                | (b == -1) & (abs(mu) < 1e-100))
+        lam, mu = clip(pole, shape, DomainError, lambda: (
+            f"value map has a pole at lambda={lam[0]}, mu={mu[0]}"), lam, mu)
+        x = s * lam ** a * mu ** b
+        # log-derivative of x at w in ', and its derivative
+        el = 2.0 * (b * t0 ** 4 - a * t2 ** 4)
+        el_p = 8.0 * (b * t0 ** 3 * t0p - a * t2 ** 3 * t2p)
+        # chain rule through w = m(z), det m = 1: dw/dz = 1 / den^2
         den = c * z + d
-        mp = 1.0 / den ** 2
-        mpp = -2.0 * c / den ** 3
-        lz = lw * mp
-        lzz = lww * mp * mp + lw * mpp
-        # value map x = phi(lambda(w))
-        pa, pb, g, h = phi
-        pden = g * lam + h
-        pden, = clip(abs(pden) < 1e-100, shape, DomainError,
-                     lambda: f"value map has a pole at lambda={lam[0]}", pden)
-        pdet = pa * h - pb * g
-        x = (pa * lam + pb) / pden
-        php = pdet / pden ** 2
-        phpp = -2.0 * g * pdet / pden ** 3
-        xd = php * lz
-        xdd = phpp * lz * lz + php * lzz
-        return unflat(shape, x, xd, xdd)
+        lz = DZ_FROM_PRIME * el / den ** 2                  # x_z / x
+        # d lz / dz, so that x_zz = x (lz^2 + lzz)
+        lzz = (DZ_FROM_PRIME / den ** 2) ** 2 * el_p - 2.0 * c * lz / den
+        return unflat(shape, x, x * lz, x * (lz * lz + lzz))
 
 
 def eval_lambda(z: complex):

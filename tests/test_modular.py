@@ -115,6 +115,65 @@ def test_lambda_prime_theta_closed_form():
             1e-8 * abs(lam_prime)
 
 
+def _reduced_lambda_mp(z):
+    """lambda(z) = (theta4/theta3)^4 at nome exp(pi i z) and mpmath's
+    working precision, z moved to |Re z| <= 1/2, |z| >= 1 first by
+    z -> z + 1 and z -> -1/z, the value following lambda(z + 1) =
+    1 / lambda(z) and lambda(-1/z) = 1 - lambda(z)."""
+    w, steps = mpmath.mpc(z), []
+    for _ in range(100):
+        k = int(mpmath.nint(w.real))
+        w -= k
+        steps.append(k % 2)
+        if abs(w) >= 1:
+            break
+        w = -1 / w
+        steps.append(None)
+    q = mpmath.exp(mpmath.pi * 1j * w)
+    v = (mpmath.jtheta(4, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+    for step in reversed(steps):
+        v = 1 - v if step is None else (1 / v if step else v)
+    return v
+
+
+# a vertex of `surface --case fuchsian --tiles 400 --resolution 8` near the
+# cusp -3/13, where |x| ~ 3e16, then one point near i oo, 0, +1 or -1 for
+# each of the six value maps x = s lambda(w)^a mu(w)^b; the reference
+# forms 1 - lambda, so the points stay where 30 digits keep more than 13
+_CUSP_Z = np.array([-0.2308 + 0.000455j, 0.1 + 2j, 1.1 + 3j, 0.01 + 0.2j,
+                    -1 / (1 + 4j), 1 + 0.2j, -1 / (1 + 0.2j), -1 + 0.2j])
+
+
+def test_lambda_matches_mpmath_near_the_cusps():
+    *_, s, a, b, failed = modular._reduce_to_fundamental(_CUSP_Z)
+    assert not failed.any()
+    assert set(zip(s.tolist(), a.tolist(), b.tolist())) == {
+        (1, 1, 0), (1, 0, 1), (1, -1, 0), (-1, -1, 1), (-1, 1, -1),
+        (1, 0, -1)}
+    got = np.array(LambdaInverse().eval(_CUSP_Z))
+    with mpmath.workdps(30):
+        for k, z in enumerate(_CUSP_Z):
+            z = mpmath.mpc(z)
+            want = [complex(mpmath.diff(_reduced_lambda_mp, z, n))
+                    for n in range(3)]
+            for n in range(3):
+                assert abs(got[n, k] - want[n]) <= 1e-9 * abs(want[n]), \
+                    (z, n, got[n, k], want[n])
+
+
+def test_value_map_pole_is_clipped():
+    # near z = +-1, lambda(z) = 1 / mu(w) with mu(w) below 1e-100
+    for z in (1 + 1e-3j, -1 + 1e-3j):
+        with pytest.raises(DomainError):
+            eval_lambda(z)
+    # NaN in an array call, with no RuntimeWarning (an error under pytest)
+    vals = LambdaInverse().eval(np.array([1 + 1e-3j, 0.3 + 0.9j, -1 + 1e-3j]))
+    for v in vals:
+        assert np.isnan(v[[0, 2]]).all() and np.isfinite(v[1])
+    # near z = 0, lambda(z) = mu(w) underflows to an exact zero
+    assert eval_lambda(1e-3j)[0] == 0
+
+
 def test_evaluation_near_real_axis_uses_reduction():
     # points with tiny Im z are far outside the naive convergence region
     x, xd, _ = eval_lambda(0.3 + 0.002j)
@@ -187,9 +246,8 @@ _X_GRID = np.concatenate([
     [-50.0, -3.0, -0.5, -1e-6, 1e-6, 0.2, 0.5, 0.9, 1.0 + 1e-6, 1.5, 4.0,
      80.0],
     10.0 * _RING, 100.0 * _RING])
-# far out, LambdaInverse.eval forms 1 / (1 - lambda(w)) by subtraction and
-# loses about log10 |x| digits, so the tol = 1e-12 check of
-# fuchsian_z_from_x rejects many of these points
+# far out, x lies near the cusps z = +-1, where LambdaInverse.eval takes
+# 1 - lambda as mu = (theta2/theta3)^4 and loses no digits
 _X_FAR = np.concatenate([1e3 * _RING, 1e4 * _RING])
 
 
@@ -215,9 +273,6 @@ def test_preimage_maps_back_into_the_level_two_domain():
         assert _maps_back(z, x), (x, z)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "LambdaInverse.eval loses about log10|x| digits near the cusp z = 1, "
-    "so the check at tol = 1e-12 rejects the accurate closed-form z"))
 def test_preimage_solves_far_points():
     zs = fuchsian_z_from_x(_X_FAR)
     assert np.all(np.isfinite(zs))
