@@ -109,7 +109,12 @@ class _Options:
         self.asked.add(key)
         val = getattr(self.args, key.replace("-", "_"))
         if val is None and key in self.file:
-            val = cast(self.file[key])
+            try:
+                val = cast(self.file[key])
+            except ValueError:
+                raise SystemExit(f"error: {key}={self.file[key]} in "
+                                 f"{self.args.config} is not a valid "
+                                 f"{cast.__name__}") from None
         return default if val is None else val
 
     def case(self):
@@ -170,6 +175,8 @@ def cmd_singular_locus(args) -> int:
     tol = opts.get("tol-classify", 1e-8, float)
     out = opts.get("out")
     opts.check()
+    if not tol > 0.0:
+        raise SystemExit(f"error: --tol-classify must be > 0, got {tol}")
     e = case.exponents
     try:
         curve = sg.trace_singular_curve(e)

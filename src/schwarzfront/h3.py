@@ -2,8 +2,11 @@
 
 Three charts are supported: the upper half-space C x R+, the hyperboloid
 L1 = {x0^2 - x1^2 - x2^2 - x3^2 = 1, x0 > 0} in Lorentz-Minkowski 4-space,
-and the Poincare unit ball.  Points of H^3 are represented projectively by
-positive-definite 2x2 Hermitian matrices; GL(2,C) acts by H -> P H P*.
+and the Poincare unit ball.  A point of H^3 is a positive-definite 2x2
+Hermitian form of det 1, as the front's H = U conj(U)^t with det U = 1;
+SL(2,C) acts by H -> P H P*.  The chart maps read h, k and w with det 1
+and never recompute det = h k - |w|^2: near the front's ends h k passes
+1e15, and the difference would cancel to noise of order eps h k.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import numpy as np
 
 from .arrays import clip, flat, unflat
 
-# Determinant tolerance (relative to h*k) below which a form is rejected
-# as degenerate rather than clamped.  det is computed as h*k - |w|^2, so
-# cancellation noise is of order eps * h*k; forms from the front keep
-# det = 1 while h*k grows near the ends, hence the small relative bound.
-_PD_RTOL = 1e-14
+# Hyperbolic distance within which float64 places an accepted point.  For
+# det H = 1, x0 = (h + k)/2 = cosh(distance from the point I), and one ulp
+# of a coordinate in either chart moves the point by at most about
+# eps x0, so a form with h + k >= _REACH is clipped.
+RESOLUTION = 1e-6
+_REACH = 2.0 * RESOLUTION / np.finfo(float).eps
 
 
 class ChartError(ValueError):
@@ -26,16 +30,17 @@ class ChartError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Hermitian form is not (numerically) positive-definite."""
+    """Hermitian form is not positive-definite within float64 reach."""
 
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Positive-definite 2x2 Hermitian matrix [[h, conj(w)], [w, k]].
+    """A point of H^3: the Hermitian matrix [[h, conj(w)], [w, k]] with
+    det 1, which the caller guarantees and nothing here recomputes.
 
-    h and k are the real diagonal entries, w the bottom-left entry; as
-    arrays, one form per point, NaN where not positive-definite (see
-    arrays.clip).
+    As arrays, one form per point.  With det 1, positive-definite means
+    h, k > 0; a form is also clipped (NotPositiveDefiniteError, or NaN in
+    an array, see arrays.clip) unless h + k < _REACH, in every chart.
     """
 
     h: float
@@ -44,12 +49,11 @@ class HermitianForm:
 
     def __post_init__(self):
         shape, h, k, w = self.flat()
-        det = h * k - abs(w) ** 2
-        h, k, w = clip(~((h > 0.0) & (k > 0.0) & (det > _PD_RTOL * h * k)),
-                       shape, NotPositiveDefiniteError, lambda: (
-                           f"not positive-definite: h={h[0]}, k={k[0]}, "
-                           f"det={det[0]} (tolerance {_PD_RTOL} h k)"),
-                       h, k, w)
+        # h < _REACH - k is h + k < _REACH, and cannot overflow
+        h, k, w = clip(~((h > 0.0) & (k > 0.0) & (h < _REACH - k)), shape,
+                       NotPositiveDefiniteError, lambda: (
+                           f"need h, k > 0 and h + k < {_REACH:.3g}, got "
+                           f"h={h[0]}, k={k[0]}"), h, k, w)
         h, k, w = unflat(shape, h, k, w)
         if shape == ():
             h, k, w = float(h), float(k), complex(w)
@@ -102,37 +106,31 @@ class H3Point:
         return cls("ball", tuple(map(float, x)) if np.ndim(x1) == 0 else x)
 
 
-@np.errstate(invalid="ignore")    # NaN marks clipped points
+@np.errstate(invalid="ignore")    # complex w/k warns where k is NaN
 def hermitian_to_upper_half_space(H: HermitianForm) -> H3Point:
-    """(z, t) = (w/k, sqrt(h k - |w|^2)/k)."""
-    shape, h, k, w = H.flat()
-    return H3Point.upper_half_space(
-        *unflat(shape, w / k, np.sqrt(h * k - abs(w) ** 2) / k))
+    """(z, t) = (w/k, 1/k)."""
+    shape, _, k, w = H.flat()
+    return H3Point.upper_half_space(*unflat(shape, w / k, 1.0 / k))
 
 
+@np.errstate(invalid="ignore")    # complex z/t warns where t is NaN
 def upper_half_space_to_hermitian(p: H3Point) -> HermitianForm:
-    """Embedding (z, t) -> [[t^2 + |z|^2, conj(z)], [z, 1]]."""
+    """(z, t) -> [[t + |z|^2/t, conj(z)/t], [z/t, 1/t]], of det 1."""
     if p.chart != "uhs":
         raise ChartError(f"expected uhs chart, got {p.chart}")
-    z, t = p.coords
-    return HermitianForm(t * t + abs(z) ** 2, np.ones_like(t), z)
+    z, t = H3Point.upper_half_space(*p.coords).coords    # t > 0, else NaN
+    return HermitianForm(t + abs(z) ** 2 / t, 1.0 / t, z / t)
 
 
 def hermitian_to_lorentz(H: HermitianForm) -> H3Point:
-    """(h+k, 2 Re w, 2 Im w, h-k) / (2 sqrt(det H)).
-
-    The Lorentz norm of the numerator is exactly 4 det(H), so the point
-    is built pre-normalized; recomputing the quadratic form from the
-    scaled coordinates would lose it to cancellation near the boundary.
-    """
+    """((h+k)/2, Re w, Im w, (h-k)/2), on L1 as det H = 1."""
     shape, h, k, w = H.flat()
-    r = 0.5 / np.sqrt(h * k - abs(w) ** 2)
-    x = unflat(shape, r * (h + k), r * 2.0 * w.real, r * 2.0 * w.imag,
-               r * (h - k))
+    x = unflat(shape, 0.5 * (h + k), w.real, w.imag, 0.5 * (h - k))
     return H3Point("lorentz", tuple(map(float, x)) if shape == () else x)
 
 
 def lorentz_to_hermitian(p: H3Point) -> HermitianForm:
+    """[[x0 + x3, x1 - i x2], [x1 + i x2, x0 - x3]], of det 1 on L1."""
     if p.chart != "lorentz":
         raise ChartError(f"expected lorentz chart, got {p.chart}")
     x0, x1, x2, x3 = p.coords
@@ -149,13 +147,14 @@ def lorentz_to_ball(p: H3Point) -> H3Point:
 
 
 def ball_to_lorentz(p: H3Point) -> H3Point:
+    """(1 + |x|^2, 2 x1, 2 x2, 2 x3) / (1 - |x|^2), on L1."""
     if p.chart != "ball":
         raise ChartError(f"expected ball chart, got {p.chart}")
-    x1, x2, x3 = p.coords
+    x1, x2, x3 = H3Point.ball(*p.coords).coords    # norm < 1, else NaN
     n2 = x1 * x1 + x2 * x2 + x3 * x3
     r = 1.0 / (1.0 - n2)
-    return H3Point.lorentz(r * (1.0 + n2), 2.0 * r * x1, 2.0 * r * x2,
-                           2.0 * r * x3)
+    return H3Point("lorentz", (r * (1.0 + n2), 2.0 * r * x1, 2.0 * r * x2,
+                               2.0 * r * x3))
 
 
 def hermitian_to_ball(H: HermitianForm) -> H3Point:

@@ -57,8 +57,8 @@ class JobConfig:
         if self.fmt not in ("obj", "ply"):
             raise ValueError(f"unknown format {self.fmt!r}")
         for name in ("ramification_margin", "boundary_margin"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
         self.resolved = resolve_case(self.case, self.n)

@@ -305,7 +305,7 @@ def check_end_behavior() -> CheckResult:
     all_monotone = True
     for zs in rays:
         # march toward the end until the target norm is cleared (or the
-        # Hermitian form degenerates numerically, NaN, at the boundary)
+        # form passes float64 reach, h + k >= 2 h3.RESOLUTION/eps, NaN)
         H = fr.eval_front_closed_form(inv, np.array(zs)).H
         norms = np.linalg.norm(np.stack(hermitian_to_ball(H).coords), axis=0)
         stop = np.flatnonzero(~(norms <= 1.0 - 2e-4))

@@ -79,11 +79,8 @@ def test_clip_mask_is_where_the_scalar_path_raises(job):
                 assert np.isnan(m.source_x[i])
                 continue
             assert not clipped[i], (chart, z)
-            # det = h k - |w|^2 is recomputed by cancellation (h k reaches
-            # 1e15 here), so last-bit differences between the two paths
-            # grow to about 1e-9 in the chart; 1e-7 leaves room
-            scale = max(1.0, np.linalg.norm(p))
-            assert np.abs(m.vertices[i] - p).max() <= 1e-7 * scale
+            # a scalar call runs the array arithmetic on one element
+            assert np.array_equal(m.vertices[i], p)
 
 
 def test_scalar_calls_raise_and_array_calls_clip():
@@ -111,12 +108,17 @@ def test_scalar_calls_raise_and_array_calls_clip():
     q = eval_q(e, np.array([0.0, 1.0, 0.5 + 0.5j])).q
     assert np.isnan(q[:2]).all() and np.isfinite(q[2])
 
-    with pytest.raises(NotPositiveDefiniteError):
-        HermitianForm(1.0, 1.0, 2.0)
-    H = HermitianForm(np.array([1.0, 1.0, -1.0]), np.array([1.0, 1.0, 1.0]),
-                      np.array([2.0, 0.5, 0.0]))
-    assert np.isnan(H.h[[0, 2]]).all()
-    assert H.h[1] * H.k[1] - abs(H.w[1]) ** 2 == 0.75
+    # det 1 forms: negative-definite, and beyond float64 reach (h + k at
+    # 1e10, past 2 RESOLUTION/eps = 9.0e9; 8.9e9 is within it)
+    for h, k in ((-1.0, -1.0), (1e10, 1e-10)):
+        with pytest.raises(NotPositiveDefiniteError):
+            HermitianForm(h, k, 0.0)
+    H = HermitianForm(np.array([-1.0, 2.0, 1e10, 8.9e9]),
+                      np.array([-1.0, 1.0, 1e-10, 1.0 / 8.9e9]),
+                      np.array([0.0, 1.0j, 0.0, 0.0]))
+    assert np.isnan(H.h[[0, 2]]).all() and np.isnan(H.w[[0, 2]]).all()
+    assert (H.h[1], H.k[1], H.w[1]) == (2.0, 1.0, 1.0j)
+    assert H.h[3] == 8.9e9
 
     with pytest.raises(ValueError):
         H3Point.ball(1.0, 0.0, 0.0)
@@ -151,7 +153,7 @@ CHART_MAPS = {
     "lorentz_to_hermitian": (
         lambda c: lorentz_to_hermitian(H3Point("lorentz", c)),
         [_LORENTZ, (1.0, 0.0, 0.0, 0.0),
-         (1.0, 2.0, 0.0, 0.0)]),                 # out of the cone
+         (1.0, 0.0, 0.0, 2.0)]),                 # out of the cone: k < 0
     "upper_half_space_to_hermitian": (
         lambda c: upper_half_space_to_hermitian(H3Point("uhs", c)),
         [(0.3 + 0.4j, 1.2), (-1.0 + 0.2j, 0.05),

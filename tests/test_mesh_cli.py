@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -109,8 +110,9 @@ def test_job_config_rejects_bad_input():
         with pytest.raises(ValueError, match="tiles must be >= 1"):
             mesh.JobConfig(case="dihedral:3", tiles=tiles)
     for key in ("ramification_margin", "boundary_margin"):
-        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
-            mesh.JobConfig(case="dihedral:3", **{key: -1e-3})
+        for value in (-1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+                mesh.JobConfig(case="dihedral:3", **{key: value})
     for words in (None, ["", "21"]):
         with pytest.raises(ValueError, match="infinitely many tiles"):
             mesh.JobConfig(case="fuchsian", words=words)
@@ -171,6 +173,17 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
     (["surface", "--case", "dihedral:3", "--tol-boundary-margin", "-0.1"],
      "boundary_margin must be >= 0"),
     (["tiles", "--case", "dihedral:3", "--tiles", "-3"], "tiles must be"),
+    # past the boundary, a non-finite margin ends in a traceback from
+    # sample_triangle, and a NaN or non-positive tolerance classes every
+    # sample NotSingular with exit 0
+    (["surface", "--case", "fuchsian", "--tiles", "1",
+      "--tol-boundary-margin", "inf"], "^error: boundary_margin must be"),
+    (["surface", "--case", "dihedral:3", "--tol-ramification-margin", "nan"],
+     "^error: ramification_margin must be"),
+    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "nan"],
+     "^error: --tol-classify must be > 0"),
+    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "0"],
+     "^error: --tol-classify must be > 0"),
 ])
 def test_cli_rejects_bad_input(tmp_path, argv, message):
     out = tmp_path / "out.obj"
@@ -179,6 +192,18 @@ def test_cli_rejects_bad_input(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message):
         cli.main(argv)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tol-classify=nan", "--tol-classify must be > 0"),
+    ("tol-classify=-1e-8", "--tol-classify must be > 0"),
+    ("tol-classify=abc", "tol-classify=abc in .* is not a valid float"),
+])
+def test_cli_config_file_rejects_bad_tolerance(tmp_path, line, message):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"case=dihedral:3\n{line}\n")
+    with pytest.raises(SystemExit, match="^error: " + message):
+        cli.main(["singular-locus", "--config", str(cfg)])
 
 
 def test_job_config_validation():
