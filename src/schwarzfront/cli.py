@@ -165,7 +165,8 @@ def cmd_surface(args) -> int:
     path = export_mesh(mesh, cfg.out, cfg.fmt)
     print(f"wrote {path}: {len(mesh.vertices)} vertices, "
           f"{len(mesh.triangles)} triangles, "
-          f"{len(mesh.polylines)} polylines, {len(mesh.markers)} markers")
+          f"{len(mesh.polylines)} polylines, {len(mesh.markers)} markers "
+          f"(complete={mesh.complete})")
     return 0
 
 

@@ -7,6 +7,15 @@ Closed-form evaluation: with x(z) the inverse Schwarz map and ' = d/dz,
 
 and H = U conj(U)^t, which is independent of the branch of sqrt(x').
 
+Tiles by the chain rule: x is automorphic under the monodromy group,
+x(g z) = x(z), so for g = [[a, b], [c, d]] of det 1 and j = c z + d,
+
+    x'(g z) = j^2 x'(z),    x''(g z) = j^4 x''(z) + 2c j^3 x'(z),
+
+and the front over every tile of a mesh follows from one evaluation of x
+on the base triangle (eval_front_on_tiles).  Criterion 13 of selfcheck
+checks the identity by evaluating x directly at g z.
+
 Independent oracle: integrate dU/dx = U [[0, q],[1, 0]] along a path in the
 x-plane from U = 1 at x0.  Both are solutions of that equation, so they
 differ by a constant left factor: the closed-form U(z0) at z0 = z(x0).  The
@@ -70,6 +79,37 @@ def eval_front_closed_form(inv, z) -> FrontValue:
     """Front value at z (a point or an array) for an inverse-map evaluator
     `inv`; points where inv or the front fails are NaN in an array."""
     x, xd, xdd = inv.eval(z)
+    return FrontValue(front_hermitian(z, xd, xdd), z, x)
+
+
+def eval_inverse_on_tiles(inv, z0, matrices):
+    """(z, x, x', x'') at z = g z0 for every tile matrix g (det 1) and
+    base point z0, from one call inv.eval(z0) and the chain rule.
+
+    z0: a point or an array; matrices: one (2, 2) matrix or an array of
+    them, (..., 2, 2).  Results have shape matrices.shape[:-2] +
+    z0.shape; a scalar call is one point and one matrix, and raises where
+    inv raises.
+    """
+    shape = np.shape(matrices)[:-2] + np.shape(z0)
+    m, n = np.reshape(matrices, (-1, 4)), np.size(z0)
+    x, xd, xdd = inv.eval(z0 if shape == () else flat(z0))
+    # every operand is one contiguous value per point, tile by tile, so an
+    # array call runs the loops a scalar call runs on one element (numpy
+    # may round a product with a broadcast operand differently)
+    z0, x, xd, xdd = (np.tile(flat(v), len(m)) for v in (z0, x, xd, xdd))
+    a, b, c, d = (np.repeat(v, n) for v in m.T)
+    j = c * z0 + d
+    j2 = j * j
+    return unflat(shape, (a * z0 + b) / j, x, j2 * xd,
+                  j2 * (j2 * xdd + 2.0 * c * j * xd))
+
+
+def eval_front_on_tiles(inv, z0, matrices) -> FrontValue:
+    """Front value at g z0 for every tile matrix g and base point z0 (see
+    eval_inverse_on_tiles for the shapes); points where inv or the front
+    fails are NaN in an array."""
+    z, x, xd, xdd = eval_inverse_on_tiles(inv, z0, matrices)
     return FrontValue(front_hermitian(z, xd, xdd), z, x)
 
 

@@ -2,10 +2,16 @@
 
 The front is evaluated on structured grids over copies of the base
 triangle, converted to the requested chart of H^3, and written as ASCII
-OBJ or PLY.  For the families with a known x -> z preimage, the
-cuspidal edge is attached as a polyline record and the swallowtails as
-point records, so viewers can overlay them without slivering the
-triangulation.
+OBJ or PLY.  The inverse map x and q(x) are evaluated once, on the base
+triangle's grid: x is automorphic, x(g z) = x(z), so the surface
+vertices reach each tile g through the chain rule
+(front.eval_front_on_tiles), and the near-singular flag, which reads x
+alone, is the base grid's.  Criterion 13 of selfcheck checks that
+identity by evaluating x directly at g z.
+
+For the families with a known x -> z preimage, the cuspidal edge is
+attached as a polyline record and the swallowtails as point records, so
+viewers can overlay them without slivering the triangulation.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from . import equation as eq
 from . import singular as sg
 from .cases import Case, resolve_case
-from .front import eval_front_closed_form
+from .front import eval_front_closed_form, eval_front_on_tiles
 from .h3 import hermitian_to_ball, hermitian_to_upper_half_space
 # unused here; kept because bench/spans.py wraps mesh.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
@@ -56,9 +62,13 @@ class JobConfig:
             raise ValueError(f"unknown chart {self.chart!r}")
         if self.fmt not in ("obj", "ply"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        for name in ("ramification_margin", "boundary_margin"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite")
+        # wider margins sample outside the base triangle: a polyhedral
+        # grid closes on the triangle's centroid at 1/3, and the Fuchsian
+        # grid's real range [m, 1 - m] closes at 1/2
+        for name, top in (("ramification_margin", 1.0 / 3.0),
+                          ("boundary_margin", 0.5)):
+            if not 0.0 <= getattr(self, name) < top:
+                raise ValueError(f"{name} must be >= 0 and below {top:.4g}")
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
         self.resolved = resolve_case(self.case, self.n)
@@ -80,6 +90,8 @@ class SurfaceMesh:
     triangles: np.ndarray             # (M, 3) vertex indices
     flags: np.ndarray                 # (N,) int bit mask
     chart: str = "ball"
+    complete: bool = True             # False when the tile count cut
+                                      # the group short
     polylines: list = field(default_factory=list)   # (name, (K, 3) array)
     markers: list = field(default_factory=list)     # (name, 3-vector)
 
@@ -154,27 +166,28 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
                              f"available: {sorted(by_word)}")
         chosen = [(by_word[w], w) for w in cfg.words]
 
-    # every tile of the job in one call per layer: the base triangle's
-    # grid under each tile's matrix, one triangulation offset per tile
+    # x is evaluated once, on the base triangle's grid; every tile's
+    # vertices follow from it by the chain rule, with the front and the
+    # chart in one call for the whole job and one triangulation offset
+    # per tile
     z0, tris = sample_triangle(case, cfg.resolution,
                                cfg.ramification_margin, cfg.boundary_margin)
-    (a, b), (c, d) = np.moveaxis([g.matrix for g, _ in chosen], 0, -1)
-    zs = (a[:, None] * z0 + b[:, None]) / (c[:, None] * z0 + d[:, None])
+    fv = eval_front_on_tiles(case.inverse, z0, [g.matrix for g, _ in chosen])
     tris = tris + len(z0) * np.arange(len(chosen))[:, None, None]
-    zs, tris = zs.ravel(), tris.reshape(-1, 3)
+    zs, tris = fv.z.ravel(), tris.reshape(-1, 3)
     # a point that fails in any layer is NaN
-    fv = eval_front_closed_form(case.inverse, zs)
-    p = _chart_coords(fv.H, cfg.chart)
-    q = eq.eval_q(case.exponents, fv.x).q
+    p = _chart_coords(fv.H, cfg.chart).reshape(-1, 3)
+    # the flag reads x alone: each row of fv.x is x on the base grid
+    q = eq.eval_q(case.exponents, fv.x[0]).q
+    near = np.tile(np.abs(np.abs(q) - 1.0) < NEAR_SINGULAR_TOL, len(chosen))
     ok = np.isfinite(p).all(axis=1)
-    near = np.abs(np.abs(q) - 1.0) < NEAR_SINGULAR_TOL
     mesh = SurfaceMesh(vertices=np.where(ok[:, None], p, 0.0),
                        source_z=zs,
-                       source_x=np.where(ok, fv.x, np.nan),
+                       source_x=np.where(ok, fv.x.ravel(), np.nan),
                        triangles=tris[ok[tris].all(axis=1)],
                        flags=np.where(ok, near * FLAG_NEAR_SINGULAR,
                                       FLAG_CLIPPED),
-                       chart=cfg.chart)
+                       chart=cfg.chart, complete=tiles.complete)
 
     if cfg.with_singular and case.z_from_x is not None:
         _attach_singular_overlay(mesh, cfg.chart, case)

@@ -13,7 +13,7 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.equation import (SingularPointError, eval_q,
                                    exponents_from_mu)
 from schwarzfront.front import (RamificationError, eval_front_closed_form,
-                                front_hermitian)
+                                eval_front_on_tiles, front_hermitian)
 from schwarzfront.h3 import (H3Point, HermitianForm, NotPositiveDefiniteError,
                              ball_to_lorentz, hermitian_to_ball,
                              hermitian_to_lorentz,
@@ -22,6 +22,7 @@ from schwarzfront.h3 import (H3Point, HermitianForm, NotPositiveDefiniteError,
                              upper_half_space_to_hermitian)
 from schwarzfront.modular import DomainError, LambdaInverse
 from schwarzfront.polyhedral import PoleError, PolyhedralInverse
+from schwarzfront.tiling import tile_parameter_domain
 
 # (case, tiles) at resolution 8; all but tetra and octa have clipped vertices
 JOBS = [("dihedral:6", 4), ("tetra", 12), ("octa", 12), ("icosa", 20),
@@ -32,19 +33,23 @@ SCALAR_FAILURES = (PoleError, RamificationError, NotPositiveDefiniteError,
                    DomainError, ValueError)
 
 
-def _scalar_chart_point(case, z, chart):
-    H = eval_front_closed_form(case.inverse, z).H
+def _scalar_chart_point(case, z0, g, chart):
+    """The tile point g z0 and its chart point, from a scalar call."""
+    fv = eval_front_on_tiles(case.inverse, z0, g)
     if chart == "ball":
-        return hermitian_to_ball(H).coords
-    w, t = hermitian_to_upper_half_space(H).coords
-    return (w.real, w.imag, t)
+        return fv.z, hermitian_to_ball(fv.H).coords
+    w, t = hermitian_to_upper_half_space(fv.H).coords
+    return fv.z, (w.real, w.imag, t)
 
 
 @pytest.fixture(scope="module", params=JOBS, ids=[c for c, _ in JOBS])
 def job(request):
-    """The case and its mesh in each chart."""
+    """The case, its tile matrices and its mesh in each chart."""
     text, tiles = request.param
-    return resolve_case(text), {
+    case = resolve_case(text)
+    gs = [g.matrix for g, _ in
+          tile_parameter_domain(case, max_count=tiles).elements]
+    return case, gs, {
         chart: mesh.build_mesh(mesh.JobConfig(
             case=text, tiles=tiles, resolution=8, chart=chart,
             with_singular=False))
@@ -52,7 +57,7 @@ def job(request):
 
 
 def test_inverse_array_matches_scalar_calls(job):
-    case, meshes = job
+    case, _, meshes = job
     z = meshes["ball"].source_z
     xs = case.inverse.eval(z)
     for i, zi in enumerate(z):
@@ -67,12 +72,18 @@ def test_inverse_array_matches_scalar_calls(job):
 
 
 def test_clip_mask_is_where_the_scalar_path_raises(job):
-    case, meshes = job
+    # vertex i of the mesh is base point i % len(z0) of tile i // len(z0);
+    # the mesh agrees with direct evaluation at the tile point to the
+    # bounds of tests/test_automorphy.py, and bit for bit with the scalar
+    # call of the chain-rule path it takes
+    case, gs, meshes = job
+    z0, _ = mesh.sample_triangle(case, 8)
     for chart, m in meshes.items():
         clipped = (m.flags & mesh.FLAG_CLIPPED) != 0
         for i, z in enumerate(m.source_z):
+            t, k = divmod(i, len(z0))
             try:
-                p = _scalar_chart_point(case, z, chart)
+                zi, p = _scalar_chart_point(case, z0[k], gs[t], chart)
             except SCALAR_FAILURES:
                 assert clipped[i], (chart, z)
                 assert np.all(m.vertices[i] == 0.0)
@@ -80,6 +91,7 @@ def test_clip_mask_is_where_the_scalar_path_raises(job):
                 continue
             assert not clipped[i], (chart, z)
             # a scalar call runs the array arithmetic on one element
+            assert zi == z
             assert np.array_equal(m.vertices[i], p)
 
 
@@ -136,6 +148,9 @@ def test_scalar_calls_keep_their_types():
     z, t = hermitian_to_upper_half_space(fv.H).coords
     assert type(z) is complex and type(t) is float
     assert isinstance(eval_q(case.exponents, 0.3 + 0.2j).q, complex)
+    fv = eval_front_on_tiles(case.inverse, 0.1 + 0.05j, np.eye(2))
+    assert isinstance(fv.z, complex) and isinstance(fv.x, complex)
+    assert isinstance(fv.H.h, float) and isinstance(fv.H.w, complex)
 
 
 _LORENTZ = H3Point.lorentz(2.0, 1.0, 0.5, 0.5).coords

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,10 +110,14 @@ def test_job_config_rejects_bad_input():
     for tiles in (0, -3):
         with pytest.raises(ValueError, match="tiles must be >= 1"):
             mesh.JobConfig(case="dihedral:3", tiles=tiles)
-    for key in ("ramification_margin", "boundary_margin"):
-        for value in (-1e-3, math.inf, math.nan):
+    # a margin at or past its bound samples outside the base triangle
+    for key, top in (("ramification_margin", 1.0 / 3.0),
+                     ("boundary_margin", 0.5)):
+        for value in (-1e-3, math.inf, math.nan, top, 0.6, 2.0):
             with pytest.raises(ValueError, match=f"{key} must be >= 0"):
                 mesh.JobConfig(case="dihedral:3", **{key: value})
+        assert getattr(mesh.JobConfig(case="fuchsian", tiles=1,
+                                      **{key: 0.3}), key) == 0.3
     for words in (None, ["", "21"]):
         with pytest.raises(ValueError, match="infinitely many tiles"):
             mesh.JobConfig(case="fuchsian", words=words)
@@ -180,6 +185,15 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
       "--tol-boundary-margin", "inf"], "^error: boundary_margin must be"),
     (["surface", "--case", "dihedral:3", "--tol-ramification-margin", "nan"],
      "^error: ramification_margin must be"),
+    # margins past the base triangle used to exit 0 with a mesh outside it
+    (["surface", "--case", "dihedral:3", "--tiles", "1",
+      "--tol-ramification-margin", "2"],
+     "^error: ramification_margin must be >= 0 and below 0.3333"),
+    (["surface", "--case", "tetra", "--tol-ramification-margin", "0.5"],
+     "^error: ramification_margin must be"),
+    (["surface", "--case", "fuchsian", "--tiles", "1",
+      "--tol-boundary-margin", "0.6"],
+     "^error: boundary_margin must be >= 0 and below 0.5"),
     (["singular-locus", "--case", "dihedral:3", "--tol-classify", "nan"],
      "^error: --tol-classify must be > 0"),
     (["singular-locus", "--case", "dihedral:3", "--tol-classify", "0"],
@@ -449,6 +463,24 @@ def test_cli_surface(tmp_path):
     assert rc == 0
     verts, faces, _, _ = parse_obj(out.read_text())
     assert len(verts) > 0 and len(faces) > 0
+
+
+@pytest.mark.parametrize("argv, complete", [
+    (["--case", "dihedral:3"], True),               # the whole group
+    (["--case", "dihedral:3", "--tiles", "6"], True),
+    (["--case", "dihedral:3", "--tiles", "2"], False),
+    (["--case", "fuchsian", "--tiles", "40"], False),
+])
+def test_cli_surface_reports_whether_tiles_cut_the_group(tmp_path, capsys,
+                                                         argv, complete):
+    out = tmp_path / "surf.obj"
+    assert cli.main(["surface", *argv, "--resolution", "8", "--no-singular",
+                     "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    # the summary keeps its prefix and ends with the tiling's completeness
+    assert re.fullmatch(rf"wrote {re.escape(str(out))}: \d+ vertices, "
+                        rf"\d+ triangles, 0 polylines, 0 markers "
+                        rf"\(complete={complete}\)", line)
 
 
 def test_cli_surface_default_out_follows_format(tmp_path, monkeypatch):
