@@ -185,6 +185,10 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
       "--tol-boundary-margin", "inf"], "^error: boundary_margin must be"),
     (["surface", "--case", "dihedral:3", "--tol-ramification-margin", "nan"],
      "^error: ramification_margin must be"),
+    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "nan"],
+     "^error: --tol-classify must be > 0"),
+    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "0"],
+     "^error: --tol-classify must be > 0"),
     # margins past the base triangle used to exit 0 with a mesh outside it
     (["surface", "--case", "dihedral:3", "--tiles", "1",
       "--tol-ramification-margin", "2"],
@@ -194,10 +198,6 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
     (["surface", "--case", "fuchsian", "--tiles", "1",
       "--tol-boundary-margin", "0.6"],
      "^error: boundary_margin must be >= 0 and below 0.5"),
-    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "nan"],
-     "^error: --tol-classify must be > 0"),
-    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "0"],
-     "^error: --tol-classify must be > 0"),
 ])
 def test_cli_rejects_bad_input(tmp_path, argv, message):
     out = tmp_path / "out.obj"
