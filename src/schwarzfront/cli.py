@@ -102,7 +102,10 @@ class _Options:
 
     def __init__(self, args):
         self.args, self.asked = args, set()
-        raw = read_config(args.config) if args.config else {}
+        try:
+            raw = read_config(args.config) if args.config else {}
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
         self.file = {k.replace("_", "-"): v for k, v in raw.items()}
 
     def get(self, key, default=None, cast=str):
@@ -249,7 +252,10 @@ def main(argv=None) -> int:
                 "singular-locus": cmd_singular_locus,
                 "selfcheck": cmd_selfcheck,
                 "tiles": cmd_tiles}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:      # a config or output path that cannot be used
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -16,16 +16,15 @@ and the front over every tile of a mesh follows from one evaluation of x
 on the base triangle (eval_front_on_tiles).  Criterion 13 of selfcheck
 checks the identity by evaluating x directly at g z.
 
-Independent oracle: integrate dU/dx = U [[0, q],[1, 0]] along a path in the
-x-plane from U = 1 at x0.  Both are solutions of that equation, so they
-differ by a constant left factor: the closed-form U(z0) at z0 = z(x0).  The
-H-grids then agree up to H -> P H conj(P)^t with P = U(z0), whose residual
-match_isometry measures; the sign of sqrt(x') cancels in it.
+Independent oracle: transport dU/dx = U [[0, q],[1, 0]] by power series
+along a path in the x-plane from U = 1 at x0, using neither x(z) nor U(z).
+Both solve that equation, so they differ by a constant left factor, the
+closed-form P = U(z0) at z0 = z(x0); match_isometry measures the residual of
+H -> P H conj(P)^t, in which the sign of sqrt(x') cancels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,12 @@ RAMIFICATION_TOL = 1e-12
 
 # minimum distance of oracle paths from the equation's singular points
 PATH_MARGIN = 1e-3
+
+# an oracle step spans at most this share of the distance from its centre
+# to {0, 1}; at this ratio _TERMS terms of the series put the tail bound in
+# integrate_sl_form, (2N + 2) 2^-N, below eps (1.0e-16 at N = 60)
+STEP_RATIO = 0.5
+_TERMS = 60
 
 
 class RamificationError(ValueError):
@@ -146,8 +151,28 @@ def _segment_distance(p, d, c):
     return abs(p + np.clip(t, 0.0, 1.0) * d - c)
 
 
+def _step_matrix(e: ExponentData, c, h):
+    """Rows (a, a')(c + h) of a'' = q a from (a, a')(c) = (1, 0), (0, 1)."""
+    # with b_m = a_m h^m for a = sum a_m (x - c)^m, the (x - c)^(m - 2)
+    # term of p a'' + Q a = 0 gives b_m from b_(m-k), k = 1..4: pk, qk are
+    # the t^k terms of p(c + h t) / p(c) = (1 + al t + be t^2)^2 and of
+    # Q(c + h t) h^2 t^2 / p(c), with p = 4 w^2, w = x (1 - x)
+    w, v = c * (1.0 - c), eval_q(e, c)
+    al, be, g = (1.0 - 2.0 * c) * h / w, -h * h / w, 0.25 * (h / w) ** 2
+    pk = np.array([2.0 * al, al * al + 2.0 * be, 2.0 * al * be, be * be])
+    qk = np.array([0.0 * h, g * v.Q, g * v.Qp * h, g * e.q_coeffs[0] * h * h])
+    b = np.zeros((_TERMS + 2, len(c), 2), complex)    # b_-2 .. b_(N-1)
+    b[2, :, 0], b[3, :, 1] = 1.0, h
+    k = np.arange(1, 5)[:, None]
+    for m in range(2, _TERMS):
+        f = ((m - k) * (m - k - 1) * pk + qk) / (m * (1 - m))
+        b[m + 2] = (f[:, :, None] * b[m - 2:m + 2][::-1]).sum(axis=0)
+    m = np.arange(-2, _TERMS)[:, None, None]
+    return np.stack([b.sum(axis=0), (m * b).sum(axis=0) / h[:, None]], -1)
+
+
 def integrate_sl_form(e: ExponentData, path) -> np.ndarray:
-    """Integrate dU/dx = U [[0, q],[1, 0]] along a polyline of x values,
+    """Transport dU/dx = U [[0, q],[1, 0]] along a polyline of x values,
     from U = 1 at the first vertex; returns U at the last.
 
     The vertices of `path` are points or arrays of one common shape (a
@@ -155,53 +180,37 @@ def integrate_sl_form(e: ExponentData, path) -> np.ndarray:
     shape + (2, 2).  Every segment must keep distance >= PATH_MARGIN
     from x = 0 and x = 1.
 
-    Each segment is one solve_ivp in s in [0, 1] for all N paths at once,
-    8 real components per path.  Its error norm is the RMS over all 8 N
-    components, so rtol and atol are divided by sqrt(N): RMS <= 1 over the
-    whole state then implies RMS <= 1 over each path's 8, the bound a
-    solve of that path alone keeps at the undivided tolerances.  That
-    needs rtol / sqrt(N) above solve_ivp's floor of 100 eps, so one call
-    takes at most about 2e5 paths.
+    Each row of U is (a, a') for a solution of a'' = q a.  All paths step
+    together, each step h at most r = STEP_RATIO of the way from its centre
+    c to {0, 1}, and U is multiplied by the step's fundamental matrix, from
+    N = _TERMS terms of the series at c.  With M = max |a| on the disc about
+    c out to {0, 1} (finite for |mu| <= 1), Cauchy's estimate bounds the
+    tail of a by M r^N / (1 - r) and of h a' by M r^N (N + r / (1 - r)) /
+    (1 - r), both below eps M.
     """
-    # imported here: scipy.integrate takes most of the package's import
-    # time, and only this oracle needs it
-    from scipy.integrate import solve_ivp
-
     if len(path) < 2:
         raise ValueError("path needs at least two points")
     shape = np.broadcast_shapes(*(np.shape(p) for p in path))
     pts = [np.broadcast_to(np.asarray(p, complex), shape).ravel()
            for p in path]
-    n = pts[0].size
-    for i, (p, q) in enumerate(zip(pts, pts[1:])):
+    U = np.tile(np.eye(2, dtype=complex), (pts[0].size, 1, 1))
+    for i, (p, end) in enumerate(zip(pts, pts[1:])):
         for c in (0.0, 1.0):
-            bad = _segment_distance(p, q - p, c) < PATH_MARGIN
+            bad = _segment_distance(p, end - p, c) < PATH_MARGIN
             if bad.any():
                 j = np.flatnonzero(bad)[0]
-                raise PathError(f"segment {i}, {p[j]} -> {q[j]}, passes "
+                raise PathError(f"segment {i}, {p[j]} -> {end[j]}, passes "
                                 f"within {PATH_MARGIN} of x = {c:g}")
-    root_n = math.sqrt(max(n, 1))
-    rtol, atol = 1e-11 / root_n, 1e-13 / root_n
-    if rtol < 100 * np.finfo(float).eps:   # solve_ivp would raise rtol
-        raise ValueError(f"{n} paths are too many for one solve")
-
-    U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    for i, (p, pq) in enumerate(zip(pts, pts[1:])):
-        dx = pq - p
-        A = np.zeros((n, 2, 2), complex)    # [[0, q], [1, 0]] dx
-        A[:, 1, 0] = dx
-
-        def rhs(s, y):
-            A[:, 0, 1] = eval_q(e, p + s * dx).q * dx
-            return (y.view(complex).reshape(n, 2, 2) @ A).view(float).ravel()
-
-        sol = solve_ivp(rhs, (0.0, 1.0), U.view(float).ravel(),
-                        method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise PathError(f"integration failed on segment {i}, "
-                            f"{p[0]} -> {pq[0]} (first of {n} paths): "
-                            f"{sol.message}")
-        U = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(n, 2, 2)
+        x, live = p.copy(), np.flatnonzero(p != end)
+        while live.size:
+            c, d = x[live], end[live] - x[live]
+            reach = STEP_RATIO * np.minimum(abs(c), abs(c - 1.0))
+            h = d * np.minimum(1.0, reach / abs(d))
+            x[live] = np.where(h == d, end[live], c + h)
+            # the step ends on the rounded x, where the next one starts; a
+            # gap of one ulp there is a relative error of ulp / |x - 1|
+            U[live] = U[live] @ _step_matrix(e, c, x[live] - c)
+            live = live[x[live] != end[live]]
     return U.reshape(shape + (2, 2))
 
 

@@ -222,11 +222,8 @@ def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
         text = _to_ply(mesh)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write mesh to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(text)
     return path
 
 

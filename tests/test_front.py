@@ -10,7 +10,8 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.equation import eval_q, exponents_from_mu
 from schwarzfront.h3 import HermitianForm
 from schwarzfront.polyhedral import PolyhedralInverse
-from schwarzfront.selfcheck import _oracle_grid, _oracle_points, _tile_grids
+from schwarzfront.selfcheck import (_FRONT_CASES, _oracle_grid, _oracle_points,
+                                   _tile_grids)
 
 DET_TOL = 1e-10
 ORACLE_TOL = 1e-6
@@ -126,8 +127,8 @@ def test_match_isometry_residual_equals_the_loop(dihedral3):
 
 
 def _integrate_per_segment(e, path):
-    """The oracle as one solve per segment and path: a scalar eval_q per
-    right-hand side, at the per-path tolerances."""
+    """The oracle as one solve_ivp per segment and path, a scalar eval_q per
+    right-hand side: the test-only reference for integrate_sl_form."""
     from scipy.integrate import solve_ivp
 
     U = np.eye(2, dtype=complex)
@@ -149,17 +150,36 @@ def _integrate_per_segment(e, path):
     return U
 
 
-@pytest.mark.parametrize("name", ["dihedral:3", "fuchsian"])
+# passes 2e-3 from x = 0, where the series steps shrink to a few 1e-3
+NEAR_ZERO = [0.5 + 0.45j, 0.3 + 2e-3j, -0.3 + 2e-3j, -0.2 + 0.4j]
+
+
+@pytest.mark.parametrize("name", _FRONT_CASES)
 def test_array_oracle_matches_per_segment_solves(name):
-    # the criterion-7 grid: every path shares one step control, each stays
-    # as accurate as its own solve
+    # the criterion-7 grid, one array call, and a polyline that takes many
+    # steps, each path against its own solve_ivp
     e = resolve_case(name).exponents
     xs = _oracle_points(200)
     U = fr.integrate_sl_form(e, [xs[0], xs[1:]])
     assert U.shape == (199, 2, 2)
-    for x, Ux in zip(xs[1:], U):
-        ref = _integrate_per_segment(e, [complex(xs[0]), complex(x)])
+    paths = [[complex(xs[0]), complex(x)] for x in xs[1:]] + [NEAR_ZERO]
+    for path, Ux in zip(paths, [*U, fr.integrate_sl_form(e, NEAR_ZERO)]):
+        ref = _integrate_per_segment(e, path)
         assert np.linalg.norm(Ux - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", _FRONT_CASES)
+def test_transport_past_a_singular_point_is_path_independent(name):
+    # in many steps 2e-3 past x = 1 (or 0), against one step around it; a
+    # step that ended one ulp of x short of where the next began read
+    # 4.7e-13 to 6.2e-13 past x = 1
+    e = resolve_case(name).exponents
+    a = 0.5 + 0.45j
+    for near, b in (([0.8 + 2e-3j, 1.3 + 2e-3j], 1.5 + 0.6j),
+                    ([0.3 + 2e-3j, -0.3 + 2e-3j], -0.2 + 0.4j)):
+        U = fr.integrate_sl_form(e, [a, *near, b])
+        ref = fr.integrate_sl_form(e, [a, b])
+        assert np.linalg.norm(U - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_scalar_oracle_call_keeps_its_types():

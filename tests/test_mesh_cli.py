@@ -136,8 +136,9 @@ def _fresh_python(args, cwd):
 
 
 def test_cli_import_leaves_scipy_and_sympy_unloaded(tmp_path):
-    # both are imported where they are used (the ODE oracle, the
-    # elimination), so the surface commands do not pay for them at start
+    # neither is a run-time dependency: the ODE oracle sums power series
+    # and the elimination is exact integer arithmetic; both stay test-only
+    # references
     code = ("import sys, schwarzfront.cli; "
             "print([m for m in ('scipy', 'sympy') if m in sys.modules])")
     proc = _fresh_python(["-c", code], tmp_path)
@@ -145,21 +146,23 @@ def test_cli_import_leaves_scipy_and_sympy_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("block", [None, "sympy", "scipy"])
 def test_cli_verify_commands_run_without_sympy(tmp_path, block):
-    # the elimination is exact integer arithmetic, so singular-locus and
-    # selfcheck neither import sympy nor need it to be importable
+    # the elimination is exact integer arithmetic and the ODE oracle sums
+    # power series, so singular-locus and selfcheck import neither sympy nor
+    # scipy, and need neither to be importable
     code = ("import sys\n"
-            + ("sys.modules['sympy'] = None\n" if block else "")
+            + (f"sys.modules[{block!r}] = None\n" if block else "")
             + "from schwarzfront.cli import main\n"
             "rcs = [main(['singular-locus', '--case', 'fuchsian']),\n"
             "       main(['selfcheck', '--quick'])]\n"
-            "print('RESULT', rcs, sys.modules.get('sympy', 'absent'))\n")
+            "print('RESULT', rcs, [sys.modules.get(m, 'absent')\n"
+            "                      for m in ('scipy', 'sympy')])\n")
     proc = _fresh_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = proc.stdout.strip().splitlines()[-1]
-    assert result == ("RESULT [0, 0] None" if block
-                      else "RESULT [0, 0] absent")
+    seen = ["None" if m == block else "'absent'" for m in ("scipy", "sympy")]
+    assert result == f"RESULT [0, 0] [{', '.join(seen)}]"
 
 
 @pytest.mark.parametrize("argv", [["surface", "--case", "fuchsian"],
@@ -558,6 +561,30 @@ def test_cli_config_file_with_flag_override(tmp_path):
                    "--format", "ply"])
     assert rc == 0
     assert out.read_text().startswith("ply")
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["surface", "--config", "{tmp}/none.cfg"], "none.cfg"),
+    (["surface", "--config", "{tmp}/bad.cfg"],
+     "bad.cfg:2: expected key=value"),
+    (["surface", "--case", "dihedral:3", "--tiles", "1", "--resolution", "8",
+      "--out", "{tmp}/missing/front.obj"], "missing/front.obj"),
+    (["singular-locus", "--case", "dihedral:3",
+      "--out", "{tmp}/missing/locus.tsv"], "missing/locus.tsv"),
+    (["tiles", "--case", "dihedral:3", "--out", "{tmp}/missing/tiles.txt"],
+     "missing/tiles.txt"),
+    (["selfcheck", "--quick", "--out", "{tmp}/missing/report.txt"],
+     "missing/report.txt"),
+])
+def test_cli_file_errors_end_in_one_message(tmp_path, argv, path):
+    # a config that cannot be read, or an --out in a missing directory, used
+    # to end in a traceback
+    (tmp_path / "bad.cfg").write_text("case=dihedral:3\nresolution\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert re.match(r"error: .*" + re.escape(path), str(exc.value.code))
+    assert not (tmp_path / "missing").exists()
 
 
 def test_read_config_rejects_malformed(tmp_path):
