@@ -10,14 +10,18 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+
+import numpy as np
 
 from . import singular as sg
 from .cases import resolve_case
 # eval_q and eval_q_derivatives are unused here; bench/spans.py wraps
 # them under these names
 from .equation import eval_q, eval_q_derivatives  # noqa: F401
-from .mesh import JobConfig, build_mesh, export_mesh
+from .mesh import JobConfig, _rows, build_mesh, export_mesh
 from .tiling import tile_parameter_domain
 
 
@@ -31,18 +35,31 @@ def parse_case(text: str):
 
 
 def read_config(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file of UTF-8 text; blank lines and # comments
+    ignored.  Each line is decoded on its own, so that an error names it."""
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
+
+
+def _check_out(path):
+    """Refuse an output path in a missing directory, in open()'s words,
+    before any work is done; create nothing."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        err = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        raise SystemExit(f"error: {err}")
 
 
 def _build_parser():
@@ -157,9 +174,11 @@ def _job_config(args) -> JobConfig:
     )
     opts.check()
     try:
-        return JobConfig(**kwargs)
+        cfg = JobConfig(**kwargs)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
+    _check_out(cfg.out)
+    return cfg
 
 
 def cmd_surface(args) -> int:
@@ -181,18 +200,19 @@ def cmd_singular_locus(args) -> int:
     opts.check()
     if not tol > 0.0:
         raise SystemExit(f"error: --tol-classify must be > 0, got {tol}")
+    _check_out(out)
     e = case.exponents
     try:
         curve = sg.trace_singular_curve(e)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     spc = sg.classify_point(e, curve.samples, tol=tol)
-    rows = ["x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)"]
-    for x, cls, absq, zeta in zip(curve.samples.tolist(), spc.cls.tolist(),
-                                  spc.abs_q.tolist(), spc.QRbar2.tolist()):
-        rows.append(f"{x.real:.12g}\t{x.imag:.12g}\t{cls}\t{absq:.12g}\t"
-                    f"{zeta.real:.12g}\t{zeta.imag:.12g}")
-    text = "\n".join(rows) + "\n"
+    x, zeta = curve.samples, spc.QRbar2
+    # an object array carries the class column through the one % pass
+    cols = np.array([x.real, x.imag, spc.cls, spc.abs_q, zeta.real,
+                     zeta.imag], object).T
+    text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
+            + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", cols))
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -208,6 +228,7 @@ def cmd_singular_locus(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     from . import selfcheck as sc
+    _check_out(args.out)
     results = sc.run_all(quick=args.quick)
     text = sc.report(results)
     sys.stdout.write(text)
@@ -228,6 +249,7 @@ def cmd_tiles(args) -> int:
     if max_count is None and case.max_tiles is None:
         raise SystemExit(f"error: case {opts.case()} has infinitely many "
                          f"tiles; give --tiles N")
+    _check_out(out)
     ts = tile_parameter_domain(case, max_count=max_count)
     summary = f"{len(ts.elements)} elements (complete={ts.complete})"
     rows = [summary]

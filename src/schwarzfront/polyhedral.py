@@ -60,10 +60,11 @@ class PolyhedralData:
     def __post_init__(self):
         polys = [self.f0, self.f1, self.fInf]
         polys += [np.polyder(f) for f in polys]
-        top = max(map(len, polys))
-        table = [np.pad(f, (top - len(f), 0)) for f in polys]
+        table = np.zeros((max(map(len, polys)), 6, 1))
+        for j, f in enumerate(polys):
+            table[len(table) - len(f):, j, 0] = f
         object.__setattr__(self, "pole_roots", np.roots(self.fInf))
-        object.__setattr__(self, "table", np.array(table).T[:, :, None])
+        object.__setattr__(self, "table", table)
 
 
 def _expand(factors) -> np.ndarray:

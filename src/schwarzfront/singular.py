@@ -237,27 +237,29 @@ def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
 
 
 # --- local models -----------------------------------------------------------
+# Each map computes elementwise, so it takes floats or arrays of one shape
+# and returns a tuple of the same kind.
 
-def local_model_cusp(s: float, t: float):
+def local_model_cusp(s, t):
     """Standard map with a cuspidal-edge image along s = -2 t^2."""
     return (s - t * t, s * t)
 
 
-def local_model_swallowtail(s: float, t: float):
+def local_model_swallowtail(s, t):
     """Map of the plane to 3-space with a swallowtail at the origin."""
     return (s - t * t, s * t, s * s - 4.0 * s * t * t)
 
 
-def swallowtail_canonical(u: float, v: float):
+def swallowtail_canonical(u, v):
     """The normal form (3u^4 + u^2 v, 4u^3 + 2uv, v)."""
     return (3.0 * u ** 4 + u * u * v, 4.0 * u ** 3 + 2.0 * u * v, v)
 
 
-def swallowtail_chart_source(u: float, v: float):
+def swallowtail_chart_source(u, v):
     """Source chart psi carrying the normal form onto the (s, t) model."""
     return (2.0 * v + 4.0 * u * u, 2.0 * u)
 
 
-def swallowtail_chart_target(x: float, y: float, z: float):
+def swallowtail_chart_target(x, y, z):
     """Target chart Psi with swallowtail_canonical = Psi . model . psi."""
     return ((-z + x * x) / 16.0, y / 2.0, x / 2.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import schwarzfront
-from schwarzfront import cli, mesh
+from schwarzfront import cli, mesh, selfcheck
 from schwarzfront import singular as sg
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, eval_q
@@ -520,6 +520,30 @@ def test_cli_singular_locus(tmp_path, capsys):
     assert f"wrote {out}: 512 samples, closed=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [f"dihedral:{n}" for n in range(1, 9)]
+                         + ["tetra", "octa", "icosa", "fuchsian"])
+def test_cli_locus_table_matches_per_row_reference(tmp_path, capsys, text):
+    # the table is written in one % pass; each row formatted on its own
+    e = resolve_case(text).exponents
+    curve = sg.trace_singular_curve(e)
+    spc = sg.classify_point(e, curve.samples)
+    rows = ["x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)"]
+    for x, cls, absq, zeta in zip(curve.samples.tolist(), spc.cls.tolist(),
+                                  spc.abs_q.tolist(), spc.QRbar2.tolist()):
+        rows.append(f"{x.real:.12g}\t{x.imag:.12g}\t{cls}\t{absq:.12g}\t"
+                    f"{zeta.real:.12g}\t{zeta.imag:.12g}")
+    table = "\n".join(rows) + "\n"
+    tails = "".join(f"swallowtail at x = {p.x.real:.12g} {p.x.imag:+.12g}i\n"
+                    for p in sg.find_swallowtails(e, curve))
+    out = tmp_path / "locus.tsv"
+    assert cli.main(["singular-locus", "--case", text, "--out", str(out)]) == 0
+    assert out.read_text() == table
+    assert capsys.readouterr().out == \
+        f"wrote {out}: 512 samples, closed=True\n" + tails
+    assert cli.main(["singular-locus", "--case", text]) == 0
+    assert capsys.readouterr().out == table + tails
+
+
 def test_cli_singular_locus_reports_a_failed_sampler(tmp_path, monkeypatch):
     monkeypatch.setattr(sg, "_nearest", lambda a, b: np.zeros(
         np.broadcast_shapes(a.shape, b.shape), int))
@@ -575,15 +599,28 @@ def test_cli_config_file_with_flag_override(tmp_path):
      "missing/tiles.txt"),
     (["selfcheck", "--quick", "--out", "{tmp}/missing/report.txt"],
      "missing/report.txt"),
+    (["surface", "--config", "{tmp}/latin.cfg"], "latin.cfg:2: not UTF-8"),
 ])
-def test_cli_file_errors_end_in_one_message(tmp_path, argv, path):
+def test_cli_file_errors_end_in_one_message(tmp_path, monkeypatch, capsys,
+                                            argv, path):
     # a config that cannot be read, or an --out in a missing directory, used
-    # to end in a traceback
+    # to end in a traceback; and an --out was tried only after the work,
+    # so selfcheck printed its whole report first
     (tmp_path / "bad.cfg").write_text("case=dihedral:3\nresolution\n")
+    (tmp_path / "latin.cfg").write_bytes(b"case=dihedral:3\n\xff\xfe\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the paths were checked")
+
+    for owner, name in [(cli, "build_mesh"), (cli, "tile_parameter_domain"),
+                        (sg, "trace_singular_curve"), (selfcheck, "run_all")]:
+        monkeypatch.setattr(owner, name, no_work)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert re.match(r"error: .*" + re.escape(path), str(exc.value.code))
+    assert "\n" not in str(exc.value.code)
+    assert capsys.readouterr().out == ""
     assert not (tmp_path / "missing").exists()
 
 

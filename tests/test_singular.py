@@ -100,8 +100,14 @@ def test_curve_is_cuspidal_away_from_swallowtails(fuchsian, fuchsian_curve):
     assert kept >= 0.99 * checked
 
 
+# each point as floats, and all of them as one array call
+def _scalars_and_array(points):
+    yield from points
+    yield tuple(np.array(points).T)
+
+
 def test_cusp_model_discriminant():
-    for s, t in [(0.3, -0.7), (-1.1, 0.4), (0.0, 1.0)]:
+    for s, t in _scalars_and_array([(0.3, -0.7), (-1.1, 0.4), (0.0, 1.0)]):
         x, y = sg.local_model_cusp(s, t)
         assert 27 * y * y + 4 * x ** 3 == pytest.approx(
             (s + 2 * t * t) ** 2 * (4 * s - t * t), abs=1e-12)
@@ -109,14 +115,37 @@ def test_cusp_model_discriminant():
 
 def test_swallowtail_model_value():
     assert sg.local_model_swallowtail(-2.0, 1.0) == (-3.0, -2.0, 12.0)
+    got = sg.local_model_swallowtail(np.array([-2.0, 0.0]),
+                                     np.array([1.0, 0.0]))
+    assert np.array(got).tolist() == [[-3.0, 0.0], [-2.0, 0.0], [12.0, 0.0]]
 
 
 def test_swallowtail_chart_conjugation():
-    for u, v in [(0.5, -0.3), (-1.2, 0.8), (0.0, 0.0), (1.0, 1.0)]:
+    for u, v in _scalars_and_array([(0.5, -0.3), (-1.2, 0.8), (0.0, 0.0),
+                                    (1.0, 1.0)]):
         lhs = sg.swallowtail_canonical(u, v)
         st = sg.swallowtail_chart_source(u, v)
         rhs = sg.swallowtail_chart_target(*sg.local_model_swallowtail(*st))
-        assert max(abs(a - b) for a, b in zip(lhs, rhs)) < 1e-12
+        assert np.max(np.abs(np.subtract(lhs, rhs))) < 1e-12
+
+
+# numpy's u ** 4 may round one ulp away from Python's pow (7.1e-15 at
+# worst over 1e5 points); every other model is bit-equal
+@pytest.mark.parametrize("model, arity, atol", [
+    (sg.local_model_cusp, 2, 0.0),
+    (sg.local_model_swallowtail, 2, 0.0),
+    (sg.swallowtail_chart_source, 2, 0.0),
+    (sg.swallowtail_chart_target, 3, 0.0),
+    (sg.swallowtail_canonical, 2, 1e-14)])
+def test_array_local_models_match_scalar_calls(model, arity, atol):
+    args = np.random.default_rng(29).uniform(-1.5, 1.5, (arity, 2000))
+    got = np.array(model(*args))
+    want = np.array([model(*map(float, p)) for p in args.T]).T
+    assert got.shape == want.shape
+    if atol:
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+    else:
+        assert got.tolist() == want.tolist()
 
 
 # --- array classification and the sampler ---------------------------------
