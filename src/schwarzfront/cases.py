@@ -154,16 +154,17 @@ _FAMILIES = {TAG_DIHEDRAL: _dihedral, TAG_TETRAHEDRAL: _tetrahedral,
 def resolve_case(case: str, n: int | None = None) -> Case:
     """Case for 'dihedral:n', 'tetra', 'octa', 'icosa', 'fuchsian' or a tag.
 
-    A bare dihedral tag takes n from the argument; the other families
-    ignore it.  Raises ValueError for anything else.
+    A bare dihedral tag takes n from the argument, an int (not a bool);
+    the other families ignore it.  Raises ValueError for anything else.
     """
     text = case.strip().lower()
     name, colon, arg = text.partition(":")
     tag = _ALIASES.get(name, name)
     if tag == TAG_DIHEDRAL:
         if colon:
-            n = int(arg) if arg.isdigit() else None
-        if n is None or n < 1:
+            # isdigit alone accepts digits int() refuses, such as '²'
+            n = int(arg) if arg.isascii() and arg.isdigit() else None
+        if type(n) is not int or n < 1:
             raise ValueError(
                 "dihedral case must be written dihedral:n with n >= 1")
     elif colon or tag not in _FAMILIES:

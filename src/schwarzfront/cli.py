@@ -55,11 +55,17 @@ def read_config(path: str) -> dict:
 
 
 def _check_out(path):
-    """Refuse an output path in a missing directory, in open()'s words,
-    before any work is done; create nothing."""
-    if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse an output path that is a directory or lies in a missing one,
+    in open()'s words, before any work is done; create nothing."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        err = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    elif not os.path.isdir(os.path.dirname(path) or "."):
         err = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        raise SystemExit(f"error: {err}")
+    else:
+        return
+    raise SystemExit(f"error: {err}")
 
 
 def _build_parser():
@@ -137,12 +143,20 @@ class _Options:
                                  f"{cast.__name__}") from None
         return default if val is None else val
 
-    def case(self):
+    def case_text(self):
         text = self.get("case")
         if text is None:
             raise SystemExit("error: --case is required (or put case= in "
                              "the config file)")
         return text
+
+    def case(self):
+        """The resolved case; one that is not a family ends in one error
+        line, as JobConfig's errors do for surface."""
+        try:
+            return resolve_case(self.case_text())
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
 
     def check(self):
         unknown = sorted(set(self.file) - self.asked)
@@ -159,7 +173,7 @@ def _job_config(args) -> JobConfig:
         words = [w.strip() for w in words.split(",")]
     fmt = opts.get("format", "obj")
     kwargs = dict(
-        case=opts.case(),
+        case=opts.case_text(),
         tiles=opts.get("tiles", None, int),
         words=words,
         resolution=opts.get("resolution", 16, int),
@@ -194,7 +208,7 @@ def cmd_surface(args) -> int:
 
 def cmd_singular_locus(args) -> int:
     opts = _Options(args)
-    case = resolve_case(opts.case())
+    case = opts.case()
     tol = opts.get("tol-classify", 1e-8, float)
     out = opts.get("out")
     opts.check()
@@ -240,15 +254,15 @@ def cmd_selfcheck(args) -> int:
 
 def cmd_tiles(args) -> int:
     opts = _Options(args)
-    case = resolve_case(opts.case())
+    case = opts.case()
     max_count = opts.get("tiles", None, int)
     out = opts.get("out")
     opts.check()
     if max_count is not None and max_count < 1:
         raise SystemExit(f"error: --tiles must be >= 1, got {max_count}")
     if max_count is None and case.max_tiles is None:
-        raise SystemExit(f"error: case {opts.case()} has infinitely many "
-                         f"tiles; give --tiles N")
+        raise SystemExit(f"error: case {opts.case_text()} has infinitely "
+                         f"many tiles; give --tiles N")
     _check_out(out)
     ts = tile_parameter_domain(case, max_count=max_count)
     summary = f"{len(ts.elements)} elements (complete={ts.complete})"

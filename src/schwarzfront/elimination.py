@@ -6,10 +6,11 @@ polynomials in U = u^2 and T = t^2.  Eliminating one variable leaves a
 cubic in S = U - T whose admissible roots locate swallowtail candidates
 off the symmetry line, and a quartic in T for candidates on it.
 
-A polynomial is a dict from exponent tuples to int or Fraction
-coefficients, zero terms dropped.  Everything is exact integer and
-rational arithmetic; floating point enters only when each real root is
-rounded to its nearest float.
+A polynomial is a dict from exponent tuples to coefficients, zero
+terms dropped.  The algebra runs on integers, in 2x = 1 + 2u + 2it, and
+the results are divided back by their powers of 2 and the calibration at
+the end; floating point enters only when each real root is rounded to
+its nearest float.
 """
 
 from __future__ import annotations
@@ -127,25 +128,21 @@ def _terms_in_V(p: dict, degree: int) -> dict:
     return {(i, 0): c for (i, j), c in p.items() if j == degree}
 
 
-def _integral(coeffs) -> list:
-    """Rational coefficients times the positive rational that makes them
-    integers with gcd 1 (the signs of the polynomial's values stay)."""
-    coeffs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _primitive(p: dict) -> tuple:
-    """A polynomial in its first variable scaled to integer coefficients
-    with gcd 1 and a positive leading coefficient, highest degree first."""
+def _coeffs(p: dict) -> list:
+    """A polynomial in its first variable (the second exponent 0) as a
+    coefficient list, highest degree first."""
     deg = max(i for i, _ in p)
     coeffs = [0] * (deg + 1)
     for (i, _), c in p.items():
         coeffs[deg - i] = c
-    ints = _integral(coeffs)
-    return tuple(c if ints[0] > 0 else -c for c in ints)
+    return coeffs
+
+
+def _primitive(coeffs) -> tuple:
+    """Integer coefficients divided by their gcd, with the sign that makes
+    the leading one positive."""
+    g = math.gcd(*coeffs) if coeffs[0] > 0 else -math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
 def _scaled_value(coeffs, n: int, d: int) -> int:
@@ -159,13 +156,16 @@ def _scaled_value(coeffs, n: int, d: int) -> int:
 
 
 def _rem(p: list, q: list) -> list:
-    """The remainder of p by q; coefficient lists, highest degree first,
-    without leading zeros."""
+    """A positive integer multiple of the remainder of p by q; integer
+    coefficient lists, highest degree first, without leading zeros.
+
+    Each step is |q0| (p - p0/q0 q x^k), in integers."""
+    lead, sign = abs(q[0]), (1 if q[0] > 0 else -1)
     p = list(p)
     while len(p) >= len(q):
-        c = Fraction(p[0]) / q[0]
+        c = sign * p[0]
         pad = [0] * (len(p) - len(q))
-        p = [a - c * b for a, b in zip(p[1:], q[1:] + pad)]
+        p = [lead * a - c * b for a, b in zip(p[1:], q[1:] + pad)]
         while p and p[0] == 0:
             del p[0]
     return p
@@ -181,8 +181,10 @@ def _real_roots(coeffs: tuple) -> tuple:
     (highest degree first), each rounded to the nearest float, ascending.
 
     A Sturm sequence counts the roots in any interval (lo, hi] exactly;
-    bisection in exact dyadic arithmetic isolates each root and narrows
-    it until both ends of its interval round to the same float.
+    bisection isolates each root and narrows it until both ends of its
+    interval round to the same float.  The ends are dyadic, n / 2^k for
+    integers n and k, and int / int rounds correctly, as float(Fraction)
+    does.
     """
     n = len(coeffs) - 1
     seq = [list(coeffs), [c * (n - k) for k, c in enumerate(coeffs[:-1])]]
@@ -190,82 +192,104 @@ def _real_roots(coeffs: tuple) -> tuple:
         r = _rem(seq[-2], seq[-1])
         if not r:
             raise ValueError("polynomial has a repeated root")
-        seq.append([-c for c in _integral(r)])
+        g = math.gcd(*r)
+        seq.append([-c // g for c in r])
 
-    def count(x):               # sign changes of the sequence at x
-        return _sign_changes([_scaled_value(q, x.numerator, x.denominator)
-                              for q in seq])
+    def count(n, k):            # sign changes of the sequence at n / 2^k
+        return _sign_changes([_scaled_value(q, n, 1 << k) for q in seq])
 
     expected = (_sign_changes([q[0] * (-1) ** (len(q) - 1) for q in seq])
                 - _sign_changes([q[0] for q in seq]))
     # Cauchy's bound: every root has |r| < 1 + max |c_k / c_0| <= bound
-    cauchy = 1 + max(abs(Fraction(c, coeffs[0])) for c in coeffs[1:])
-    bound = Fraction(1 << math.ceil(cauchy).bit_length())
+    lead = abs(coeffs[0])
+    cauchy = 1 + max(-(-abs(c) // lead) for c in coeffs[1:])
+    bound = 1 << cauchy.bit_length()
     roots = []
-    todo = [(-bound, bound, count(-bound), count(bound))]
+    # intervals (lo / 2^k, hi / 2^k]
+    todo = [(-bound, bound, 0, count(-bound, 0), count(bound, 0))]
     while todo:
-        lo, hi, clo, chi = todo.pop()
+        lo, hi, k, clo, chi = todo.pop()
         if clo == chi:
             continue
-        if clo - chi == 1 and float(lo) == float(hi):
-            roots.append(float(hi))
+        if clo - chi == 1 and lo / (1 << k) == hi / (1 << k):
+            roots.append(hi / (1 << k))
             continue
-        mid = (lo + hi) / 2
-        cmid = count(mid)
-        todo += [(lo, mid, clo, cmid), (mid, hi, cmid, chi)]
+        mid = lo + hi               # at 2^(k + 1)
+        cmid = count(mid, k + 1)
+        todo += [(2 * lo, mid, k + 1, clo, cmid),
+                 (mid, 2 * hi, k + 1, cmid, chi)]
     if len(roots) != expected:
         raise ValueError(f"found {len(roots)} real roots, Sturm counts "
                          f"{expected}")
     return tuple(sorted(roots))
 
 
+def _times_powers_of_2(coeffs) -> list:
+    """2^d p(X / 2) for p of degree d, highest degree first: integer
+    coefficients in X = 2x for a p in x."""
+    return [c << k for k, c in enumerate(coeffs)]
+
+
 @lru_cache(maxsize=1)
 def fuchsian_elimination() -> FuchsianEliminationData:
-    # x = 1/2 + u + i t as a complex polynomial in (u, t)
-    x = ({(0, 0): Fraction(1, 2), (1, 0): 1}, {(0, 1): 1})
-    Q, R, g = (_horner(c, x) for c in (Q_COEFFS, R_COEFFS, G_COEFFS))
+    # X = 2x = 1 + 2u + 2i t as a complex polynomial in (u, t), and in it
+    # 4Q, 8R and 4x(1 - x), all with integer coefficients
+    X = ({(0, 0): 1, (1, 0): 2}, {(0, 1): 2})
+    Q, R, g = (_horner(_times_powers_of_2(c), X)
+               for c in (Q_COEFFS, R_COEFFS, G_COEFFS))
 
     abs_g2 = _abs2(g)
-    F = _to_UT(_add(_abs2(Q), _scale(_mul(abs_g2, abs_g2), -16)))
+    F16 = _to_UT(_add(_abs2(Q), _scale(_mul(abs_g2, abs_g2), -1)))   # 16F
 
     Rb = (R[0], _scale(R[1], -1))
-    im_W = _cmul(_cmul(Q, _cmul(Q, Q)), _cmul(Rb, Rb))[1]
+    im_W = _cmul(_cmul(Q, _cmul(Q, Q)), _cmul(Rb, Rb))[1]   # 2^12 Im(W)
     # divide by t(2s - 1) = 2ut: an exponent shift
     if any(i == 0 or j == 0 for i, j in im_W):
         raise ValueError("Im(Q^3 conj(R)^2) is not divisible by u t")
-    G_raw = _to_UT({(i - 1, j - 1): Fraction(c, 2)
-                    for (i, j), c in im_W.items()})
+    G13 = _to_UT({(i - 1, j - 1): c for (i, j), c in im_W.items()})
+    g00 = G13[0, 0]     # 2^13 times G(0, 0) before the calibration
 
-    calibration = Fraction(1323, 256) / G_raw[0, 0]
-    G = _scale(G_raw, calibration)
-
-    G1 = _in_S_V(_add(_scale(F, 5), _scale(G, -16)))
-    # 256F - 16 G1 = 256F - 16(5F - 16G)
-    F1 = _in_S_V(_add(_scale(F, 176), _scale(G, 256)))
+    calibration = Fraction(1323, 256) / Fraction(g00, 1 << 13)
+    # G = 1323 G13 / (256 g00); G1 = 5F - 16G and
+    # F1 = 256F - 16 G1 = 176F + 256G, each times 16 g00
+    G1n = _in_S_V(_add(_scale(F16, 5 * g00), _scale(G13, -1323)))
+    F1n = _in_S_V(_add(_scale(F16, 176 * g00), _scale(G13, 16 * 1323)))
 
     # G1 = g0(S) + g1(S) V is linear in V; substituting V = -g0/g1 into
-    # F1 = sum_j f_j(S) V^j and clearing g1^m leaves the eliminant
-    if any(j > 1 for _, j in G1):
+    # F1 = sum_j f_j(S) V^j and clearing g1^m leaves the eliminant (the
+    # common factor 16 g00 of G1 and F1 only scales it)
+    if any(j > 1 for _, j in G1n):
         raise ValueError("G1 is not linear in V")
-    g0, g1 = _terms_in_V(G1, 0), _terms_in_V(G1, 1)
-    m = max(j for _, j in F1)
-    eliminant = _add(*(_mul(_mul(_terms_in_V(F1, j), _pow(_scale(g0, -1), j)),
+    g0, g1 = _terms_in_V(G1n, 0), _terms_in_V(G1n, 1)
+    m = max(j for _, j in F1n)
+    eliminant = _add(*(_mul(_mul(_terms_in_V(F1n, j), _pow(_scale(g0, -1), j)),
                             _pow(g1, m - j)) for j in range(m + 1)))
-    cubic = _primitive(eliminant)
+    cubic = _primitive(_coeffs(eliminant))
 
     real_roots = _real_roots(cubic)
 
-    def at(p, r):               # a polynomial in S at the float r, exactly
-        return sum(c * Fraction(r) ** i for (i, _), c in p.items())
+    def sign_at(p, r):          # the sign of a polynomial in S at the float r
+        return _scaled_value(_coeffs(p), *r.as_integer_ratio())
 
     # U, T are the (nonnegative) roots of y^2 - (U+T) y + V with
     # U + T = sqrt(S^2 + 4V); both nonnegative needs V = -g0/g1 >= 0
-    admissible = tuple(r for r in real_roots if -at(g0, r) * at(g1, r) >= 0)
+    admissible = tuple(r for r in real_roots
+                       if -sign_at(g0, r) * sign_at(g1, r) >= 0)
 
     # F(0, T) as a polynomial in T
-    quartic = _primitive({(j, 0): c for (i, j), c in F.items() if i == 0})
+    quartic = _primitive(_coeffs({(j, 0): c for (i, j), c in F16.items()
+                                  if i == 0}))
     sym_T = tuple(r for r in _real_roots(quartic) if r >= 0)
 
+    # F = F16 / 16 with the types the rational arithmetic on
+    # x = 1/2 + u + it gives: int on the top degree, which the 1/2 does
+    # not reach, Fraction below it
+    top = max(map(sum, F16))
+    F = {mo: c // 16 if sum(mo) == top else Fraction(c, 16)
+         for mo, c in F16.items()}
+    G = {mo: Fraction(1323 * c, 256 * g00) for mo, c in G13.items()}
+    G1, F1 = ({mo: Fraction(c, 16 * g00) for mo, c in p.items()}
+              for p in (G1n, F1n))
     # read-only views: every caller shares the cached result
     F, G, G1, F1 = map(MappingProxyType, (F, G, G1, F1))
     return FuchsianEliminationData(

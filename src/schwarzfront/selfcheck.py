@@ -29,6 +29,7 @@ from .h3 import (H3Point, ball_to_lorentz,
 from .modular import eval_lambda, lambda_series_coeffs, theta_values
 # unused here; kept because bench/spans.py wraps selfcheck.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
+from .polyhedral import _expand
 from .tiling import tile_parameter_domain
 
 
@@ -52,6 +53,22 @@ _POLY_CASES = ([f"dihedral:{n}" for n in range(1, 7)]
                + ["tetra", "octa", "icosa"])
 # one case per family, for the checks of the front itself
 _FRONT_CASES = ["dihedral:3", "tetra", "octa", "icosa", "fuchsian"]
+
+
+class _Cases(dict):
+    """Case by name, each resolved on first use.  run_all passes one
+    table to every check that reads a Case, so a run resolves each family
+    once."""
+
+    def __missing__(self, name):
+        self[name] = case = resolve_case(name)
+        return case
+
+
+def _case(cases, name):
+    """name's Case from the run's table, or resolved for a check called
+    alone (cases None)."""
+    return resolve_case(name) if cases is None else cases[name]
 
 
 def check_theta_identity() -> CheckResult:
@@ -87,11 +104,11 @@ def check_lambda_derivatives() -> CheckResult:
                        1e-8, worst < 1e-8)
 
 
-def check_partition_of_unity() -> CheckResult:
+def check_partition_of_unity(cases=None) -> CheckResult:
     rng = np.random.default_rng(7)
     worst = 0.0
     for name in _POLY_CASES:
-        d = resolve_case(name).inverse.data
+        d = _case(cases, name).inverse.data
         u = rng.uniform(-1.5, 1.5, (100, 2))
         z = u[:, 0] + 1j * u[:, 1]
         t0 = d.A0 * np.polyval(d.f0, z) ** d.k0
@@ -103,19 +120,26 @@ def check_partition_of_unity() -> CheckResult:
                        worst < 1e-10)
 
 
-def check_dx_dz() -> CheckResult:
+def _dx_dz_reference(d):
+    """x = A0 f0^k0 / fInf^kInf as its numerator and denominator and
+    their derivatives, coefficient arrays highest degree first; the powers
+    are the np.convolve products np.poly1d would form."""
+    num = d.A0 * _expand([d.f0] * d.k0)
+    den = _expand([d.fInf] * d.kInf)
+    return num, den, np.polyder(num), np.polyder(den)
+
+
+def check_dx_dz(cases=None) -> CheckResult:
     rng = np.random.default_rng(13)
     worst = 0.0
     for name in _POLY_CASES:
-        inv = resolve_case(name).inverse
-        d = inv.data
-        num = d.A0 * np.poly1d(d.f0) ** d.k0
-        den = np.poly1d(d.fInf) ** d.kInf
-        dnum, dden = np.polyder(num), np.polyder(den)
+        inv = _case(cases, name).inverse
+        polys = _dx_dz_reference(inv.data)
         u = rng.uniform([0.15, 0.05], [1.2, 3.0], (40, 2))
         z = u[:, 0] * np.exp(1j * u[:, 1])
         _, xd, _ = inv.eval(z)          # NaN within POLE_MARGIN of a pole
-        exact = (dnum(z) * den(z) - num(z) * dden(z)) / den(z) ** 2
+        num, den, dnum, dden = (np.polyval(p, z) for p in polys)
+        exact = (dnum * den - num * dden) / den ** 2
         worst = max(worst, np.nanmax(abs(xd - exact) / abs(exact)))
     return CheckResult(5, "closed-form dx/dz vs polynomial derivative",
                        worst, 1e-10, worst < 1e-10)
@@ -153,13 +177,13 @@ def _representation_points(case, rng, count: int = 100, h: float = 1e-6):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def check_representation_formula() -> CheckResult:
+def check_representation_formula(cases=None) -> CheckResult:
     rng = np.random.default_rng(17)
     h = 1e-6
     worst_det, worst_ode = 0.0, 0.0
     for name in _FRONT_CASES:
-        _, U, Up, Um, xd, q = _representation_points(resolve_case(name), rng,
-                                                     h=h)
+        _, U, Up, Um, xd, q = _representation_points(_case(cases, name),
+                                                     rng, h=h)
         worst_det = max(worst_det, np.max(abs(np.linalg.det(U) - 1.0)))
         dU = (Up - Um) / (2 * h)
         zero = np.zeros_like(xd)
@@ -208,11 +232,11 @@ def _oracle_grid(case, count):
     return Ha, fr.hermitian_of_solution(U), P
 
 
-def check_oracle_equivalence(count: int = 200) -> CheckResult:
+def check_oracle_equivalence(count: int = 200, cases=None) -> CheckResult:
     worst = 0.0
     details = []
     for name in _FRONT_CASES:
-        case = resolve_case(name)
+        case = _case(cases, name)
         if case.z_from_x is None:       # no x -> z preimage to compare
             continue
         resid = fr.match_isometry(*_oracle_grid(case, count))
@@ -222,8 +246,8 @@ def check_oracle_equivalence(count: int = 200) -> CheckResult:
                        worst < 1e-6, detail=" ".join(details))
 
 
-def check_fuchsian_swallowtail() -> CheckResult:
-    e = resolve_case("fuchsian").exponents
+def check_fuchsian_swallowtail(cases=None) -> CheckResult:
+    e = _case(cases, "fuchsian").exponents
     t_star = swallowtail_t_exact()
     x_newton = sg.swallowtail_by_newton(e, 0.5 + 0.35j)
     gap = abs(x_newton - complex(0.5, t_star))
@@ -258,8 +282,8 @@ def check_elimination() -> CheckResult:
                        detail=f"exact={exact} linear_in_V={v2}")
 
 
-def check_dihedral_curve() -> CheckResult:
-    e = resolve_case("dihedral:3").exponents
+def check_dihedral_curve(cases=None) -> CheckResult:
+    e = _case(cases, "dihedral:3").exponents
     curve = sg.trace_singular_curve(e)
     # first-order distance of each mirrored sample from the curve
     f, gs, gt = sg._f_and_grad(e, 1.0 - curve.samples.conjugate())
@@ -289,8 +313,8 @@ def check_local_models() -> CheckResult:
                        worst < 1e-12)
 
 
-def check_end_behavior() -> CheckResult:
-    inv = resolve_case("dihedral:3").inverse
+def check_end_behavior(cases=None) -> CheckResult:
+    inv = _case(cases, "dihedral:3").inverse
     rays = [
         [0.02 * cmath.exp(0.3j) * (0.82 ** k) for k in range(60)],
         [1.0 + 0.05 * cmath.exp(2.0j) * (0.82 ** k) for k in range(60)],
@@ -336,7 +360,7 @@ def _tile_grids(case, zs):
     return Hg, H, np.repeat(P, len(zs), axis=0)
 
 
-def check_geometry_roundtrips() -> CheckResult:
+def check_geometry_roundtrips(cases=None) -> CheckResult:
     rng = np.random.default_rng(31)
     r = rng.normal(size=(100, 3))
     z, t = r[:, 0] + 1j * r[:, 1], abs(r[:, 2]) + 0.1
@@ -347,8 +371,8 @@ def check_geometry_roundtrips() -> CheckResult:
     worst = float(np.max(abs(np.array([q.coords[0] - z, q.coords[1] - t]))))
     # monodromy equivariance over the tiles
     zs = 0.55 * np.exp(1j * (0.15 + 0.1 * np.arange(8)))
-    worst_tile = fr.match_isometry(*_tile_grids(resolve_case("dihedral:3"),
-                                                zs))
+    worst_tile = fr.match_isometry(
+        *_tile_grids(_case(cases, "dihedral:3"), zs))
     # np.max, unlike max, keeps a NaN, so a clipped point fails the check
     measured = float(np.max([worst / 1e-10, worst_tile / 1e-6]))
     return CheckResult(13, "chart round trips + monodromy equivariance",
@@ -409,12 +433,19 @@ ALL_CHECKS = [check_theta_identity, check_lambda_series,
 
 
 def run_all(quick: bool = False):
+    # looked up here, not at import: a check may be wrapped after import
+    # (bench/spans.py wraps each one under its module name)
+    reads_cases = {check_partition_of_unity, check_dx_dz,
+                   check_representation_formula, check_oracle_equivalence,
+                   check_fuchsian_swallowtail, check_dihedral_curve,
+                   check_end_behavior, check_geometry_roundtrips}
+    cases = _Cases()
     results = []
     for chk in ALL_CHECKS:
+        kwargs = {"cases": cases} if chk in reads_cases else {}
         if quick and chk is check_oracle_equivalence:
-            results.append(check_oracle_equivalence(count=40))
-            continue
-        results.append(chk())
+            kwargs["count"] = 40
+        results.append(chk(**kwargs))
     return results
 
 

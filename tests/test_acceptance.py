@@ -95,6 +95,34 @@ def test_full_battery_reports_no_failures():
     assert all(r.passed for r in results), sc.report(results)
 
 
+def test_full_battery_resolves_each_family_once(monkeypatch):
+    calls = []
+
+    def counting(name, *args):
+        calls.append(name)
+        return resolve_case(name, *args)
+
+    monkeypatch.setattr(sc, "resolve_case", counting)
+    assert all(r.passed for r in sc.run_all(quick=True))
+    assert sorted(calls) == sorted(set(sc._POLY_CASES + sc._FRONT_CASES))
+
+
+@pytest.mark.parametrize("name", sc._POLY_CASES)
+def test_criterion_05_reference_is_the_poly1d_product(name):
+    # the reference x = A0 f0^k0 / fInf^kInf and its derivatives, bit for
+    # bit as np.poly1d forms them, and their values at complex z
+    d = resolve_case(name).inverse.data
+    num = d.A0 * np.poly1d(d.f0) ** d.k0
+    den = np.poly1d(d.fInf) ** d.kInf
+    want = [num, den, np.polyder(num), np.polyder(den)]
+    got = sc._dx_dz_reference(d)
+    z = 0.7 * np.exp(1j * np.linspace(0.05, 3.0, 40))
+    for p, q in zip(got, want):
+        assert p.dtype == q.coeffs.dtype
+        assert np.array_equal(p, q.coeffs)
+        assert np.array_equal(np.polyval(p, z), q(z))
+
+
 # --- criterion 6 draws its points in batches ------------------------------
 
 def _scalar_representation_points(case, rng, count=100, h=1e-6):

@@ -6,6 +6,7 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF,
                                    TAG_ICOSAHEDRAL, TAG_OCTAHEDRAL,
                                    TAG_TETRAHEDRAL, is_standard)
+from schwarzfront.mesh import JobConfig
 from schwarzfront.tiling import tile_parameter_domain
 
 # (text, tag, n) for every family the command line accepts
@@ -73,3 +74,23 @@ def test_base_vertices_are_fixed_by_two_mirrors(text, vertex):
 def test_only_the_ideal_triangle_has_no_base_vertices():
     for text, tag, _ in CASES:
         assert (resolve_case(text).base is None) == (tag == TAG_FUCHSIAN_INF)
+
+
+@pytest.mark.parametrize("args", [
+    ("dihedral:²",),            # str.isdigit accepts it, int() does not
+    ("dihedral:٣",),            # an Arabic-Indic digit three
+    ("dihedral:0",), ("dihedral:x",), ("dihedral:-2",), ("dihedral:3.0",),
+    ("dihedral", None), ("dihedral", 0), ("dihedral", 2.5),
+    ("dihedral", 3.0), ("dihedral", "3"),
+    ("dihedral", True),         # an int subclass, not a dihedral order
+])
+def test_dihedral_n_must_be_a_positive_int(args):
+    with pytest.raises(ValueError, match="^dihedral case must be written "
+                                         "dihedral:n with n >= 1$"):
+        resolve_case(*args)
+
+
+@pytest.mark.parametrize("n", [2.5, True, False, "3"])
+def test_job_config_rejects_a_dihedral_n_that_is_no_int(n):
+    with pytest.raises(ValueError, match="^dihedral case must be written"):
+        JobConfig(case="dihedral", n=n)

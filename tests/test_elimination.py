@@ -125,6 +125,105 @@ def test_real_roots_are_the_nearest_floats(coeffs):
     assert list(el._real_roots(coeffs)) == want
 
 
+# the fields as the rational arithmetic on x = 1/2 + u + it produced
+# them, with their types: F is int on its top degree, Fraction elsewhere
+_F = {(0, 0): Fraction(1, 2), (0, 1): Fraction(-5, 2), (0, 2): Fraction(-5),
+      (0, 3): Fraction(-16), (0, 4): -16, (1, 0): Fraction(5, 2),
+      (1, 1): Fraction(6), (1, 2): Fraction(-16), (1, 3): -64,
+      (2, 0): Fraction(-5), (2, 1): Fraction(16), (2, 2): -96,
+      (3, 0): Fraction(16), (3, 1): -64, (4, 0): -16}
+_G = {(0, 0): Fraction(1323, 256), (0, 1): Fraction(-189, 16),
+      (0, 2): Fraction(9, 8), (0, 3): Fraction(11), (0, 4): Fraction(-5),
+      (1, 0): Fraction(189, 16), (1, 1): Fraction(-99, 4),
+      (1, 2): Fraction(11), (1, 3): Fraction(-20), (2, 0): Fraction(9, 8),
+      (2, 1): Fraction(-11), (2, 2): Fraction(-30), (3, 0): Fraction(-11),
+      (3, 1): Fraction(-20), (4, 0): Fraction(-5)}
+_G1 = {(0, 0): Fraction(-1283, 16), (0, 1): Fraction(340),
+       (1, 0): Fraction(-353, 2), (1, 1): Fraction(1024),
+       (2, 0): Fraction(-43), (3, 0): Fraction(256)}
+_F1 = {(0, 0): Fraction(1411), (0, 1): Fraction(-6464),
+       (0, 2): Fraction(-65536), (1, 0): Fraction(3464),
+       (2, 0): Fraction(-592), (2, 1): Fraction(-32768),
+       (4, 0): Fraction(-4096)}
+
+
+def _typed(value):
+    if isinstance(value, (tuple, list)):
+        return [_typed(v) for v in value]
+    if hasattr(value, "items"):
+        return {k: _typed(v) for k, v in value.items()}
+    return type(value), value
+
+
+def test_every_field_is_pinned_with_its_type(data):
+    want = dict(F=_F, G=_G, G1=_G1, F1=_F1, calibration=Fraction(-1),
+                cubic=(32768, -50448, -84888, -26521),
+                cubic_real_roots=(2.6379154004858716,),
+                admissible_roots=(),
+                symmetry_line_quartic=(32, 32, 10, 5, -1),
+                symmetry_line_T=(0.14038820320220757,))
+    for name, value in want.items():
+        assert _typed(getattr(data, name)) == _typed(value), name
+    assert [f for f in vars(data) if f not in want] == []
+
+
+def _fraction_real_roots(coeffs):
+    """Reference for _real_roots: Sturm counts at Fraction points and
+    bisection of Fraction intervals, rounded by float(Fraction)."""
+    def rem(p, q):
+        p = [Fraction(c) for c in p]
+        while len(p) >= len(q):
+            c = p[0] / q[0]
+            p = [a - c * b for a, b in
+                 zip(p[1:], q[1:] + [0] * (len(p) - len(q)))]
+            while p and p[0] == 0:
+                del p[0]
+        return p
+
+    def value(q, x):
+        acc = Fraction(0)
+        for c in q:
+            acc = acc * x + c
+        return acc
+
+    def changes(values):
+        s = [v for v in values if v]
+        return sum((a < 0) != (b < 0) for a, b in zip(s, s[1:]))
+
+    n = len(coeffs) - 1
+    seq = [list(coeffs), [c * (n - k) for k, c in enumerate(coeffs[:-1])]]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in rem(seq[-2], seq[-1])])
+
+    def count(x):
+        return changes([value(q, x) for q in seq])
+
+    cauchy = 1 + max(abs(Fraction(c, coeffs[0])) for c in coeffs[1:])
+    bound = Fraction(1 << math.ceil(cauchy).bit_length())
+    roots, todo = [], [(-bound, bound, count(-bound), count(bound))]
+    while todo:
+        lo, hi, clo, chi = todo.pop()
+        if clo == chi:
+            continue
+        if clo - chi == 1 and float(lo) == float(hi):
+            roots.append(float(hi))
+            continue
+        mid = (lo + hi) / 2
+        cmid = count(mid)
+        todo += [(lo, mid, clo, cmid), (mid, hi, cmid, chi)]
+    return tuple(sorted(roots))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (32768, -50448, -84888, -26521),    # the eliminant
+    (32, 32, 10, 5, -1),                # F(0, T)
+    (1, 0, -2), (6, -5, -2, 1), (2, 1, -13, 6), (-3, 0, 7, 0, -1),
+    (1, 0, 0, 0, 0, -1), (5, -1, -17, 3, 11, -2), (-1, 3),
+    (1, 0, -1000001, 0, 999999)])
+def test_real_roots_agree_with_fraction_bisection(coeffs):
+    assert el._real_roots(coeffs) == _fraction_real_roots(coeffs)
+
+
 def test_real_roots_finds_exact_roots():
     # (S + 3)(2S - 1)(S - 2): roots on dyadic bisection points
     assert el._real_roots((2, 1, -13, 6)) == (-3.0, 0.5, 2.0)

@@ -201,6 +201,16 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
     (["surface", "--case", "fuchsian", "--tiles", "1",
       "--tol-boundary-margin", "0.6"],
      "^error: boundary_margin must be >= 0 and below 0.5"),
+    # a --case that is no family used to end in a traceback from
+    # singular-locus and tiles
+    (["singular-locus", "--case", "foo"], "^error: unknown case 'foo'"),
+    (["tiles", "--case", "dihedral:x"],
+     "^error: dihedral case must be written dihedral:n with n >= 1$"),
+    (["singular-locus", "--case", "dihedral:0"],
+     "^error: dihedral case must be written"),
+    (["tiles", "--case", "foo"], "^error: unknown case 'foo'"),
+    (["surface", "--case", "dihedral:²"],
+     "^error: dihedral case must be written"),
 ])
 def test_cli_rejects_bad_input(tmp_path, argv, message):
     out = tmp_path / "out.obj"
@@ -600,14 +610,22 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["selfcheck", "--quick", "--out", "{tmp}/missing/report.txt"],
      "missing/report.txt"),
     (["surface", "--config", "{tmp}/latin.cfg"], "latin.cfg:2: not UTF-8"),
+    (["selfcheck", "--quick", "--out", "{tmp}/adir"],
+     "Is a directory: '{tmp}/adir'"),
+    (["surface", "--case", "dihedral:3", "--tiles", "1", "--resolution", "8",
+      "--out", "{tmp}/adir"], "Is a directory: '{tmp}/adir'"),
+    (["tiles", "--case", "dihedral:3", "--out", "{tmp}/adir"],
+     "Is a directory: '{tmp}/adir'"),
 ])
 def test_cli_file_errors_end_in_one_message(tmp_path, monkeypatch, capsys,
                                             argv, path):
     # a config that cannot be read, or an --out in a missing directory, used
     # to end in a traceback; and an --out was tried only after the work,
-    # so selfcheck printed its whole report first
+    # so selfcheck printed its whole report first (an --out that names a
+    # directory still was, until it was checked up front too)
     (tmp_path / "bad.cfg").write_text("case=dihedral:3\nresolution\n")
     (tmp_path / "latin.cfg").write_bytes(b"case=dihedral:3\n\xff\xfe\n")
+    (tmp_path / "adir").mkdir()
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the paths were checked")
@@ -616,6 +634,7 @@ def test_cli_file_errors_end_in_one_message(tmp_path, monkeypatch, capsys,
                         (sg, "trace_singular_curve"), (selfcheck, "run_all")]:
         monkeypatch.setattr(owner, name, no_work)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    path = path.replace("{tmp}", str(tmp_path))
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert re.match(r"error: .*" + re.escape(path), str(exc.value.code))
