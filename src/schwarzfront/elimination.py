@@ -176,15 +176,32 @@ def _sign_changes(values) -> int:
     return sum((a < 0) != (b < 0) for a, b in zip(s, s[1:]))
 
 
+def _narrow(coeffs, lo: int, hi: int, k: int) -> float:
+    """The float nearest the one root r of the square-free p in (lo / 2^k,
+    hi / 2^k], by halving the interval on the sign of p at its middle:
+    r is in the left half when p vanishes there or has the sign it has
+    at hi (a zero at hi is r itself, which lies right of the middle)."""
+    vhi = _scaled_value(coeffs, hi, 1 << k)
+    while lo / (1 << k) != hi / (1 << k):
+        mid, k = lo + hi, k + 1
+        vmid = _scaled_value(coeffs, mid, 1 << k)
+        if vmid == 0 or (vhi != 0 and (vmid > 0) == (vhi > 0)):
+            lo, hi, vhi = 2 * lo, mid, vmid
+        else:
+            lo, hi = mid, 2 * hi
+    return hi / (1 << k)
+
+
 def _real_roots(coeffs: tuple) -> tuple:
     """The real roots of an integer polynomial without repeated roots
     (highest degree first), each rounded to the nearest float, ascending.
 
     A Sturm sequence counts the roots in any interval (lo, hi] exactly;
-    bisection isolates each root and narrows it until both ends of its
-    interval round to the same float.  The ends are dyadic, n / 2^k for
-    integers n and k, and int / int rounds correctly, as float(Fraction)
-    does.
+    bisection isolates each root, and the sign of p alone, which changes
+    at each root as p has no repeated one, narrows it until both ends of
+    its interval round to the same float.  The ends are dyadic, n / 2^k
+    for integers n and k, and int / int rounds correctly, as
+    float(Fraction) does.
     """
     n = len(coeffs) - 1
     seq = [list(coeffs), [c * (n - k) for k, c in enumerate(coeffs[:-1])]]
@@ -211,8 +228,8 @@ def _real_roots(coeffs: tuple) -> tuple:
         lo, hi, k, clo, chi = todo.pop()
         if clo == chi:
             continue
-        if clo - chi == 1 and lo / (1 << k) == hi / (1 << k):
-            roots.append(hi / (1 << k))
+        if clo - chi == 1:
+            roots.append(_narrow(coeffs, lo, hi, k))
             continue
         mid = lo + hi               # at 2^(k + 1)
         cmid = count(mid, k + 1)

@@ -194,23 +194,20 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     return mesh
 
 
-def _front_points(case, xs, chart: str) -> np.ndarray:
-    """Chart points of the front over xs, leaving out the points with no
-    preimage or a clipped front."""
-    zs = case.z_from_x(np.asarray(xs, dtype=complex))
-    p = _chart_coords(eval_front_closed_form(case.inverse, zs).H, chart)
-    return p[np.isfinite(p).all(axis=1)]
-
-
 def _attach_singular_overlay(mesh: SurfaceMesh, chart: str, case):
+    """The cuspidal edge as a polyline and the swallowtails as markers.
+    Their preimages and front values are one array call for both; points
+    with no preimage or a clipped front are left out."""
     e = case.exponents
     curve = sg.trace_singular_curve(e)
-    pts = _front_points(case, curve.samples[::5], chart)
-    if len(pts):
-        mesh.polylines.append(("cuspidal-edge", pts))
+    edge = curve.samples[::5]
     tails = [spc.x for spc in sg.find_swallowtails(e, curve)]
-    mesh.markers += [("swallowtail", p)
-                     for p in _front_points(case, tails, chart)]
+    zs = case.z_from_x(np.concatenate([edge, tails]))
+    p = _chart_coords(eval_front_closed_form(case.inverse, zs).H, chart)
+    ok, n = np.isfinite(p).all(axis=1), len(edge)
+    if ok[:n].any():
+        mesh.polylines.append(("cuspidal-edge", p[:n][ok[:n]]))
+    mesh.markers += [("swallowtail", q) for q in p[n:][ok[n:]]]
 
 
 # --- export -----------------------------------------------------------------

@@ -9,9 +9,9 @@ with 1 - x = A1 f1^k1 / fInf^kInf and the closed-form derivative
 
     dx/dz = A f0^(k0-1) f1^(k1-1) / fInf^(kInf+1).
 
-Polynomials are stored both factored and expanded; the builder asserts the
-expansion of the factors reproduces the expanded coefficients, which guards
-against transcription slips in the tables.
+The tables give each polynomial either expanded (tetrahedral, octahedral)
+or as its factors (icosahedral); tests/test_polyhedral.py checks each
+against the other form, which guards against transcription slips.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
         f0 = np.array([1.0, 0, 0, 0, 1.0, 0])      # z (z^4 + 1)
         f1 = np.array([1.0, 0, 2 * _SQRT3, 0, -1.0])
         fi = np.array([1.0, 0, -2 * _SQRT3, 0, -1.0])
-        assert np.allclose(f1, _expand([[1, 0, -2 + _SQRT3],
-                                        [1, 0, 2 + _SQRT3]]))
-        assert np.allclose(fi, _expand([[1, 0, -2 - _SQRT3],
-                                        [1, 0, 2 - _SQRT3]]))
         data = dict(k0=2, k1=3, kInf=3,
                     A0=-12 * _SQRT3, A1=1.0, A=24 * _SQRT3,
                     f0=f0, f1=f1, fInf=fi)
@@ -99,10 +95,6 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
         f0 = np.array([1.0, 0, 0, 0, 14.0, 0, 0, 0, 1.0])
         f1 = np.array([1.0, 0, 0, 0, -33.0, 0, 0, 0, -33.0, 0, 0, 0, 1.0])
         fi = np.array([1.0, 0, 0, 0, -1.0, 0])     # z (z^4 - 1)
-        assert np.allclose(f0, _expand([[1, 2, 2, -2, 1], [1, -2, 2, 2, 1]]))
-        assert np.allclose(f1, _expand([[1, 0, 0, 0, 1], [1, 2, -1],
-                                        [1, -2, -1], [1, 0, 6, 0, 1]]))
-        assert np.allclose(fi, _expand([[1, 0], [1, 0, 1], [1, 0, -1]]))
         data = dict(k0=3, k1=2, kInf=4,
                     A0=1.0 / 108, A1=-1.0 / 108, A=1.0 / 27,
                     f0=f0, f1=f1, fInf=fi)
@@ -117,14 +109,6 @@ def build_polyhedral(tag: str, n: int | None = None) -> PolyhedralData:
                       [1, -6, 17, -18, 25, 18, 17, 6, 1]])
         fi = _expand([[1, 0], [1, 1, -1],
                       [1, 2, 4, 3, 1], [1, -3, 4, -2, 1]])
-        f0_exp = np.zeros(21)
-        f0_exp[[0, 5, 10, 15, 20]] = [1, -228, 494, 228, 1]
-        f1_exp = np.zeros(31)
-        f1_exp[[0, 5, 10, 20, 25, 30]] = [1, 522, -10005, -10005, -522, 1]
-        fi_exp = np.zeros(12)
-        fi_exp[[0, 5, 10]] = [1, 11, -1]
-        assert np.allclose(f0, f0_exp) and np.allclose(f1, f1_exp)
-        assert np.allclose(fi, fi_exp)
         data = dict(k0=3, k1=2, kInf=5,
                     A0=-1.0 / 1728, A1=1.0 / 1728, A=-5.0 / 1728,
                     f0=f0, f1=f1, fInf=fi)

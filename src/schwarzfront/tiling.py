@@ -7,8 +7,8 @@ and the probe points from the case.  Group elements are enumerated
 breadth-first by word length, one level at a time: the frontier times the
 six generators is one batched product, normalized and mapped over the
 three probe points in one array expression.  Candidates are deduplicated
-by their probe images, looked up in a hash of the first probe's image,
-so enumeration is O(n).
+by these probe images with a sorted search over the first probe image,
+one array pass per level.
 
 A reflection z -> (a conj(z) + b) / (c conj(z) + d) is stored by its matrix;
 composing two reflections gives the Moebius map with matrix M1 @ conj(M2).
@@ -17,7 +17,6 @@ composing two reflections gives the Moebius map with matrix M1 @ conj(M2).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,29 +97,34 @@ class TileSet:
     complete: bool  # False when a limit cut enumeration short
 
 
-def _signature(g: Mobius, probes):
-    return tuple(g(p) for p in probes)
+def _images(m: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The (K, P) images of the P probes under the K matrices m: the
+    tiles' signatures."""
+    a, b, c, d = m.reshape(-1, 4).T[..., None]
+    return (a * probes + b) / (c * probes + d)
 
 
-def _cell(a: complex):
-    """Hash cell of a probe image.  Images that match within _DEDUP_TOL
-    differ by less than 0.02 in u = a / (100 _DEDUP_TOL (1 + |a|)), so
-    they lie in the same or neighbouring cells of the unit grid in u."""
-    u = a / (100.0 * _DEDUP_TOL * (1.0 + abs(a)))
-    return math.floor(u.real), math.floor(u.imag)
-
-
-def _known(buckets: dict, sig) -> bool:
-    """True if a signature matching sig is in buckets (cell of its first
-    probe image -> signatures); otherwise add sig and return False."""
-    cx, cy = _cell(sig[0])
-    for key in [(cx + i, cy + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]:
-        for s in buckets.get(key, ()):
-            if all(abs(a - b) <= _DEDUP_TOL * (1.0 + abs(a))
-                   for a, b in zip(sig, s)):
-                return True
-    buckets.setdefault((cx, cy), []).append(sig)
-    return False
+def _new_rows(known: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the signatures cand that match no row of
+    known and no earlier row of cand.  A signature a matches b when
+    |a - b| <= _DEDUP_TOL (1 + |a|) at every probe.  The rows are sorted by
+    the real part of their first probe image, and each candidate is
+    compared only with the rows inside its window of that key."""
+    sig = np.concatenate([known, cand])
+    order = np.argsort(sig[:, 0].real)
+    key = sig[order, 0].real
+    tol = _DEDUP_TOL * (1.0 + np.abs(cand))
+    lo = np.searchsorted(key, cand[:, 0].real - tol[:, 0], "left")
+    size = np.searchsorted(key, cand[:, 0].real + tol[:, 0], "right") - lo
+    # one (candidate i, row j) pair per row of each window
+    i = np.repeat(np.arange(len(cand)), size)
+    first = np.cumsum(size) - size          # index of each window's first pair
+    j = order[lo[i] + np.arange(len(i)) - first[i]]
+    match = (j < len(known) + i) & \
+        (np.abs(cand[i] - sig[j]) <= tol[i]).all(axis=1)
+    dup = np.zeros(len(cand), dtype=bool)
+    dup[i[match]] = True
+    return np.flatnonzero(~dup)
 
 
 def _normalized(m: np.ndarray) -> np.ndarray:
@@ -149,36 +153,33 @@ def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     tell elements apart.  Applying each element to the base triangle pair
     tiles the domain.  Each BFS level is one batched product of the
     generators with the frontier, its candidates in (parent, generator)
-    order; only the hash lookup visits them one by one.
+    order, and one array pass (_new_rows: a sorted search over the first
+    probe image) finds which of them are new.
     """
     refl = case.mirrors
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     gens = np.array([refl[j].then(refl[i]).matrix for i, j in pairs])
     labels = [f"{j + 1}{i + 1}" for i, j in pairs]
     probes = np.asarray(case.probes, dtype=complex)
-    buckets = {}
     ident = Mobius.identity()
-    _known(buckets, _signature(ident, probes))
     out = [(ident, "")]
     frontier, words = ident.matrix[None], [""]
+    known = _images(frontier, probes)
     complete = True
     for depth in range(MAX_WORD_LENGTH + 1):
         cand = _normalized((gens @ frontier[:, None]).reshape(-1, 2, 2))
-        a, b, c, d = cand.reshape(-1, 4).T[..., None]
-        keep = []
-        for k, sig in enumerate(((a * probes + b) / (c * probes + d))
-                                .tolist()):
-            if _known(buckets, sig):
-                continue
-            if depth >= MAX_WORD_LENGTH or (max_count is not None and
-                                            len(out) + len(keep) >= max_count):
-                # a new element exists beyond a limit: enumeration is cut
-                complete = False
-                break
-            keep.append(k)
-        words = [words[k // 6] + labels[k % 6] for k in keep]
-        out += [(_element(cand[k]), w) for k, w in zip(keep, words)]
-        if not keep or not complete:
+        sig = _images(cand, probes)
+        new = _new_rows(known, sig)
+        room = len(new) if max_count is None else max(max_count - len(out), 0)
+        if depth >= MAX_WORD_LENGTH:
+            room = 0
+        if len(new) > room:
+            # a new element exists beyond a limit: enumeration is cut
+            new, complete = new[:room], False
+        words = [words[k // 6] + labels[k % 6] for k in new.tolist()]
+        frontier = cand[new]
+        out += [(_element(m), w) for m, w in zip(frontier, words)]
+        if not len(new) or not complete:
             break
-        frontier = cand[keep]
+        known = np.concatenate([known, sig[new]])
     return TileSet(elements=out, complete=complete)

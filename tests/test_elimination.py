@@ -224,6 +224,49 @@ def test_real_roots_agree_with_fraction_bisection(coeffs):
     assert el._real_roots(coeffs) == _fraction_real_roots(coeffs)
 
 
+def _full_sturm_real_roots(coeffs):
+    """Reference for the sign narrowing of _real_roots: the same dyadic
+    bisection with a full Sturm count at every halving."""
+    n = len(coeffs) - 1
+    seq = [list(coeffs), [c * (n - k) for k, c in enumerate(coeffs[:-1])]]
+    while len(seq[-1]) > 1:
+        r = el._rem(seq[-2], seq[-1])
+        g = math.gcd(*r)
+        seq.append([-c // g for c in r])
+
+    def count(n, k):
+        return el._sign_changes([el._scaled_value(q, n, 1 << k)
+                                 for q in seq])
+
+    lead = abs(coeffs[0])
+    cauchy = 1 + max(-(-abs(c) // lead) for c in coeffs[1:])
+    bound = 1 << cauchy.bit_length()
+    roots = []
+    todo = [(-bound, bound, 0, count(-bound, 0), count(bound, 0))]
+    while todo:
+        lo, hi, k, clo, chi = todo.pop()
+        if clo == chi:
+            continue
+        if clo - chi == 1 and lo / (1 << k) == hi / (1 << k):
+            roots.append(hi / (1 << k))
+            continue
+        mid = lo + hi
+        cmid = count(mid, k + 1)
+        todo += [(2 * lo, mid, k + 1, clo, cmid),
+                 (mid, 2 * hi, k + 1, cmid, chi)]
+    return tuple(sorted(roots))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (32768, -50448, -84888, -26521),    # the eliminant
+    (32, 32, 10, 5, -1),                # F(0, T)
+    # roots on bisection points, 0 and an interval end among them
+    (1, 0), (1, -1), (1, 0, -1), (4, 0, -1), (8, -1), (1, 0, -4),
+    (2, 1, -13, 6), (3, -7, 1, 2), (-2, 5, 0, -1)])
+def test_sign_narrowing_matches_full_sturm_bisection(coeffs):
+    assert el._real_roots(coeffs) == _full_sturm_real_roots(coeffs)
+
+
 def test_real_roots_finds_exact_roots():
     # (S + 3)(2S - 1)(S - 2): roots on dyadic bisection points
     assert el._real_roots((2, 1, -13, 6)) == (-3.0, 0.5, 2.0)

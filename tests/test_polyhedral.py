@@ -113,9 +113,28 @@ def test_icosahedral_invariant_expansions():
     want0 = np.zeros(21)
     want0[[0, 5, 10, 15, 20]] = [1, -228, 494, 228, 1]
     assert np.allclose(d.f0, want0, rtol=0, atol=1e-8)
+    want1 = np.zeros(31)
+    want1[[0, 5, 10, 20, 25, 30]] = [1, 522, -10005, -10005, -522, 1]
+    assert np.allclose(d.f1, want1, rtol=0, atol=1e-8)
     want_inf = np.zeros(12)
     want_inf[[0, 5, 10]] = [1, 11, -1]
     assert np.allclose(d.fInf, want_inf, rtol=0, atol=1e-8)
+
+
+_SQRT3 = math.sqrt(3.0)
+
+
+# the expanded tetrahedral and octahedral tables against their factors
+@pytest.mark.parametrize("tag, name, factors", [
+    ("tetrahedral", "f1", [[1, 0, -2 + _SQRT3], [1, 0, 2 + _SQRT3]]),
+    ("tetrahedral", "fInf", [[1, 0, -2 - _SQRT3], [1, 0, 2 - _SQRT3]]),
+    ("octahedral", "f0", [[1, 2, 2, -2, 1], [1, -2, 2, 2, 1]]),
+    ("octahedral", "f1", [[1, 0, 0, 0, 1], [1, 2, -1], [1, -2, -1],
+                          [1, 0, 6, 0, 1]]),
+    ("octahedral", "fInf", [[1, 0], [1, 0, 1], [1, 0, -1]])])
+def test_expanded_table_is_the_product_of_its_factors(tag, name, factors):
+    assert np.allclose(getattr(build_polyhedral(tag), name),
+                       polyhedral._expand(factors))
 
 
 def test_expanded_tables_equal_the_poly1d_product(monkeypatch):
@@ -131,7 +150,7 @@ def test_expanded_tables_equal_the_poly1d_product(monkeypatch):
     monkeypatch.setattr(polyhedral, "_expand", record)
     for tag, n in CASES:
         build_polyhedral(tag, n)
-    assert len(seen) == 8           # tetra 2, octa 3, icosa 3
+    assert len(seen) == 3           # icosa; tetra and octa are expanded
     for factors, got in seen:
         want = np.poly1d([1.0])
         for f in factors:

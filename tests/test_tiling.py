@@ -8,8 +8,8 @@ from schwarzfront import cli, tiling
 from schwarzfront.modular import eval_lambda
 from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
-from schwarzfront.tiling import (_DEDUP_TOL, Mobius, Reflection, _cell,
-                                 _known, _signature, tile_parameter_domain)
+from schwarzfront.tiling import (_DEDUP_TOL, Mobius, Reflection, _new_rows,
+                                 tile_parameter_domain)
 
 INVARIANCE_TOL = 1e-9
 
@@ -125,7 +125,11 @@ def test_cli_tiles_reports_complete_group(capsys):
         "6 elements (complete=True)"
 
 
-# --- hashed dedup against a linear scan -----------------------------------
+# --- array dedup against a linear scan ------------------------------------
+
+def _signature(g: Mobius, probes):
+    return tuple(g(p) for p in probes)
+
 
 def _linear_scan(case, max_count=None, max_word_length=12):
     """Reference enumeration: the same breadth-first walk, each new
@@ -181,6 +185,7 @@ def _assert_matches_linear_scan(case, max_count, max_word_length=12):
 # through a breadth-first level
 @pytest.mark.parametrize("tag, n, max_count", [
     ("dihedral", 1, None), ("dihedral", 3, None), ("dihedral", 8, None),
+    ("dihedral", 50, None),
     ("tetrahedral", None, None), ("octahedral", None, None),
     ("octahedral", None, 17), ("icosahedral", None, None),
     ("icosahedral", None, 40), ("fuchsian-inf-inf-inf", None, 7),
@@ -201,17 +206,33 @@ def test_word_length_cut_matches_linear_scan(tag, max_count,
                                 max_word_length)
 
 
-def test_hashed_dedup_merges_across_a_cell_edge():
-    # a real image whose hash coordinate u sits 1e-3 below an integer, and
-    # a match half a tolerance away, which lands in the next cell
-    scale = 100.0 * _DEDUP_TOL
-    u = 3_000_000 - 1e-3
-    a = u * scale / (1.0 - u * scale) + 0j
-    b = a + 0.5 * _DEDUP_TOL * (1.0 + abs(a))
-    assert _cell(a) != _cell(b)
-    rest = (0.4 + 0.7j, -1.3 + 0.2j)
-    buckets = {}
-    assert not _known(buckets, (a,) + rest)
-    assert _known(buckets, (b,) + rest)
-    # outside the tolerance in another probe it stays distinct
-    assert not _known(buckets, (b, rest[0] + 1e-6, rest[1]))
+# a known signature; candidates differ from it in Re of the first probe
+# image by a multiple of the tolerance that image sets
+_SIG = np.array([2.5 + 0.3j, 0.4 + 0.7j, -1.3 + 0.2j])
+
+
+def _shifted(factor):
+    return _SIG + [factor * _DEDUP_TOL * (1.0 + abs(_SIG[0])), 0, 0]
+
+
+def test_dedup_merges_a_pair_within_the_tolerance():
+    assert _new_rows(_SIG[None], _shifted(0.99)[None]).tolist() == []
+    assert _new_rows(_SIG[None], _shifted(-0.99)[None]).tolist() == []
+
+
+def test_dedup_keeps_a_pair_beyond_the_tolerance_apart():
+    assert _new_rows(_SIG[None], _shifted(1.01)[None]).tolist() == [0]
+    assert _new_rows(_SIG[None], _shifted(-1.01)[None]).tolist() == [0]
+
+
+def test_dedup_compares_every_probe():
+    # equal at the first probe, 1e-6 off at another: distinct
+    other = _SIG + [0, 1e-6, 0]
+    assert _new_rows(_SIG[None], other[None]).tolist() == [0]
+
+
+def test_dedup_keeps_the_earlier_of_two_duplicate_candidates():
+    far = _SIG + 1.0
+    cand = np.array([far, _shifted(0.5), _shifted(0.5) + 0.1j, far])
+    assert _new_rows(_SIG[None], cand).tolist() == [0, 2]
+    assert _new_rows(np.empty((0, 3), complex), cand).tolist() == [0, 1, 2]
