@@ -136,9 +136,9 @@ def _fuchsian(n):
     # half-plane: mirrors Re z = 0, Re z = 1, |z - 1/2| = 1/2
     return dict(exponents=exponents_from_mu(0, 0, 0),
                 inverse=modular.LambdaInverse(),
-                # read from the module on each call, so a wrapper
-                # installed on modular.fuchsian_z_from_x (bench/spans.py)
-                # sees calls via a Case
+                # bound at each resolve_case, so a Case resolved while a
+                # wrapper sits on modular.fuchsian_z_from_x (bench/spans.py)
+                # calls the wrapper
                 z_from_x=modular.fuchsian_z_from_x,
                 mirrors=(Reflection.line(0.0, 1.0j),
                          Reflection.line(1.0, 1.0j),

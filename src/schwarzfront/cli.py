@@ -14,14 +14,12 @@ import errno
 import os
 import sys
 
-import numpy as np
-
 from . import singular as sg
 from .cases import resolve_case
 # eval_q and eval_q_derivatives are unused here; bench/spans.py wraps
 # them under these names
 from .equation import eval_q, eval_q_derivatives  # noqa: F401
-from .mesh import JobConfig, _rows, build_mesh, export_mesh
+from .mesh import JobConfig, _rows, build_mesh, check_tile_count, export_mesh
 from .tiling import tile_parameter_domain
 
 
@@ -222,11 +220,9 @@ def cmd_singular_locus(args) -> int:
         raise SystemExit(f"error: {exc}") from None
     spc = sg.classify_point(e, curve.samples, tol=tol)
     x, zeta = curve.samples, spc.QRbar2
-    # an object array carries the class column through the one % pass
-    cols = np.array([x.real, x.imag, spc.cls, spc.abs_q, zeta.real,
-                     zeta.imag], object).T
     text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
-            + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", cols))
+            + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", x.real,
+                    x.imag, spc.cls, spc.abs_q, zeta.real, zeta.imag))
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -258,11 +254,10 @@ def cmd_tiles(args) -> int:
     max_count = opts.get("tiles", None, int)
     out = opts.get("out")
     opts.check()
-    if max_count is not None and max_count < 1:
-        raise SystemExit(f"error: --tiles must be >= 1, got {max_count}")
-    if max_count is None and case.max_tiles is None:
-        raise SystemExit(f"error: case {opts.case_text()} has infinitely "
-                         f"many tiles; give --tiles N")
+    try:
+        check_tile_count(opts.case_text(), case, max_count)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     _check_out(out)
     ts = tile_parameter_domain(case, max_count=max_count)
     summary = f"{len(ts.elements)} elements (complete={ts.complete})"

@@ -12,11 +12,15 @@ identity by evaluating x directly at g z.
 For the families with a known x -> z preimage, the cuspidal edge is
 attached as a polyline record and the swallowtails as point records, so
 viewers can overlay them without slivering the triangulation.
+
+The ASCII rows are formatted on whole columns (_rows), byte for byte the
+text of Python's %-formatting.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,14 +76,19 @@ class JobConfig:
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
         self.resolved = resolve_case(self.case, self.n)
+        check_tile_count(self.case, self.resolved, self.tiles)
         cap = self.resolved.max_tiles
-        if self.tiles is not None and self.tiles < 1:
-            raise ValueError(f"tiles must be >= 1, got {self.tiles}")
         if self.tiles is not None and cap is not None and self.tiles > cap:
             raise ValueError(f"case {self.case} has at most {cap} tiles")
-        if cap is None and self.tiles is None:
-            raise ValueError(f"case {self.case} has infinitely many tiles; "
-                             f"set a tile count (--tiles N)")
+
+
+def check_tile_count(text: str, case: Case, tiles):
+    """ValueError for a count below 1, or none for an infinite group."""
+    if tiles is not None and tiles < 1:
+        raise ValueError(f"tiles must be >= 1, got {tiles}")
+    if tiles is None and case.max_tiles is None:
+        raise ValueError(f"case {text} has infinitely many tiles; "
+                         f"set a tile count (--tiles N)")
 
 
 @dataclass
@@ -224,10 +233,162 @@ def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
     return path
 
 
-def _rows(row_fmt: str, rows) -> str:
-    """row_fmt once per row of the 2-D array rows, each line ending in a
-    newline, all formatted in one % pass."""
-    return (row_fmt + "\n") * len(rows) % tuple(np.ravel(rows).tolist())
+# The rows are formatted a column at a time.  Each value becomes a few
+# fixed-width blocks of ASCII bytes padded with NUL bytes; the row's
+# literal text goes between them, and deleting every NUL leaves the text
+# of (row_fmt + "\n") % row.  Words of 4 bytes carry the digits.
+
+# _P10[i] is 10^(i - 300) rounded once
+_P10 = np.array([float(f"1e{k}") for k in range(-300, 310)])
+_I10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _quad_tables():
+    """'0000', '0001', ... '9999' as words, and each one's trailing
+    zeros."""
+    digits = np.empty((10000, 4), np.uint8)
+    zeros = np.zeros(10000, np.intp)
+    for j, p in enumerate([1000, 100, 10, 1]):
+        digits[:, j] = 48 + np.arange(10000, dtype=np.int16) // p % 10
+        zeros[::10 ** (j + 1)] += 1
+    return digits.view(np.uint32).ravel(), zeros
+
+
+_QUADS, _QUAD_TZ = _quad_tables()
+
+
+def _masks(rows, width):
+    """One mask of width bytes per set of kept byte positions, as words."""
+    return np.array([[255 * (i in r) for i in range(width)] for r in rows],
+                    np.uint8).view(np.uint32)
+
+
+# %.12g writes the 12 significant digits d of a value, rounded, with
+# trailing zeros dropped; d[last] is the last nonzero one.  For an
+# exponent e from -4 to 11 the point follows d[e] (leading zeros for
+# e < 0); otherwise it follows d[0], and _G_EXP[e + 300] comes after.
+# The text is cut from the 20 bytes '\0\0.-', '0000' and d, in which the
+# digit string '0000' + d starts at byte 4: the sign and integer part
+# are _G_INT[2 (e + 4) + negative] of them, the point and fraction
+# _G_FRAC[13 (e + 4) + last + 1], with e = 0 for the exponent form.
+_G_HEAD = np.frombuffer(b"\0\0.-0000", np.uint32)
+_G_INT = _masks([({3} if neg else set()) | set(range(8 + min(e, 0), 9 + e))
+                 for e in range(-4, 12) for neg in (0, 1)], 20)
+_G_FRAC = _masks([set(range(9 + e, 9 + last)) | ({2} if last > e else set())
+                  for e in range(-4, 12) for last in range(-1, 12)], 20)
+_G_EXP = np.array([("" if -4 <= e < 12 else f"e{e:+03d}").encode()
+                   for e in range(-300, 301)], "S8").view(np.uint64)
+# %d of an integer below 1e4k is cut from the word '\0\0.-' and k words
+# of digits: _D_LEAD[k][2 nd + negative] keeps the '-' and the last nd
+_D_LEAD = [None] + [_masks([({3} if neg else set())
+                            | set(range(4 * k + 4 - nd, 4 * k + 4))
+                            for nd in range(4 * k + 1) for neg in (0, 1)],
+                           4 * k + 4) for k in range(1, 6)]
+
+
+def _g_blocks(x) -> list:
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-290) & (a < 1e290)
+    a[~fast] = 1.0
+    # s = a 10^(11 - e) holds the digits in [1e11, 1e12), two roundings
+    # (at most 2.3e-4) off, so rint rounds as %.12g does unless s is near
+    # a half; Python writes those, NaN, infinities and values beyond
+    # 1e+-290, and a zero is m = 0.  log10 misses e by one only within
+    # ulps of a power of ten, where s rounds to 1e11 or 1e12 either way
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * _P10[311 - e]
+    m = np.rint(s)
+    fast &= np.abs(s - np.floor(s) - 0.5) > 3e-4
+    up = m == 1e12
+    m[up] = 1e11
+    e += up
+    m, e = np.where(fast, m, 0.0).astype(np.int64), np.where(fast, e, 0)
+    hi, lo = np.divmod(m, 10 ** 8)
+    mid, lo = np.divmod(lo, 10 ** 4)
+    last = 11 - _QUAD_TZ[lo]
+    i = np.flatnonzero(lo == 0)
+    last[i] = 7 - np.where(mid[i] > 0, _QUAD_TZ[mid[i]], 4 + _QUAD_TZ[hi[i]])
+    fixed = (e >= -4) & (e < 12)
+    ef = np.where(fixed, e, 0)
+    z = np.empty((len(x), 5), np.uint32)
+    z[:, :2] = _G_HEAD
+    z[:, 2], z[:, 3], z[:, 4] = _QUADS[hi], _QUADS[mid], _QUADS[lo]
+    whole = (z & _G_INT.take(2 * (ef + 4) + np.signbit(x), axis=0)) \
+        .view(np.uint8)
+    frac = (z & _G_FRAC.take(13 * (ef + 4) + last + 1, axis=0)).view(np.uint8)
+    # the sign and integer part lie in bytes 3 to 8 + e, the point and
+    # fraction in 2 to 19; Python's text fills both blocks in turn
+    whole, frac = whole[:, 3:9 + ef.max(initial=0)], frac[:, 2:]
+    for i in np.flatnonzero(~fast & ~zero):
+        text = np.frombuffer(b"%.12g" % x[i], np.uint8)
+        head, rest = text[:whole.shape[1]], text[whole.shape[1]:]
+        whole[i], frac[i] = 0, 0
+        whole[i, :len(head)], frac[i, :len(rest)] = head, rest
+    blocks = [whole, frac]
+    if not fixed.all():
+        blocks.append(_G_EXP.take(e + 300).view(np.uint8).reshape(-1, 8))
+    return blocks
+
+
+def _d_blocks(v) -> list:
+    a = np.abs(v)
+    k = 1
+    while k < 5 and a.max(initial=0) >= _I10[4 * k]:
+        k += 1
+    words = np.empty((len(v), k + 1), np.uint32)
+    words[:, 0] = _G_HEAD[0]
+    r = a
+    for i in range(k, 1, -1):
+        r, q = np.divmod(r, 10 ** 4)
+        words[:, i] = _QUADS[q]
+    words[:, 1] = _QUADS[r]
+    nd = 1 + np.searchsorted(_I10[1:4 * k], a, side="right")
+    words &= _D_LEAD[k].take(2 * nd + (v < 0), axis=0)
+    return [words.view(np.uint8)]
+
+
+def _s_blocks(col) -> list:
+    return [col.view(np.uint8).reshape(len(col), -1)]
+
+
+_SPEC = re.compile(r"%\.12g|%d|%s")
+_ROW_CHUNK = 2048
+# each conversion's column type and its blocks
+_BLOCKS = {"%.12g": (float, _g_blocks), "%d": (np.int64, _d_blocks),
+           "%s": (bytes, _s_blocks)}
+
+
+def _rows(row_fmt: str, *cols) -> str:
+    """(row_fmt + "\n") % row for each row, joined; row_fmt's k-th
+    conversion (%.12g, %d or %s) takes its values from the column cols[k].
+    Rows are built _ROW_CHUNK at a time, so that their arrays stay small,
+    and the columns of one conversion are formatted together."""
+    lits = [np.frombuffer(t.encode(), np.uint8)[None]
+            for t in _SPEC.split(row_fmt + "\n")]
+    specs = _SPEC.findall(row_fmt)
+    kinds = {spec: [k for k, s in enumerate(specs) if s == spec]
+             for spec in set(specs)}
+    cols = [np.asarray(c, dtype=_BLOCKS[s][0]) for c, s in zip(cols, specs)]
+    text = []
+    for start in range(0, len(cols[0]), _ROW_CHUNK):
+        part = [c[start:start + _ROW_CHUNK] for c in cols]
+        n = len(part[0])
+        fields = {}
+        for spec, ks in kinds.items():
+            blocks = _BLOCKS[spec][1](np.concatenate([part[k] for k in ks]))
+            fields.update((k, [b[i * n:(i + 1) * n] for b in blocks])
+                          for i, k in enumerate(ks))
+        row = lits[:1]
+        for k, lit in enumerate(lits[1:]):
+            row += fields[k] + [lit]
+        out = np.empty((n, sum(b.shape[1] for b in row)), np.uint8)
+        at = 0
+        for b in row:
+            out[:, at:at + b.shape[1]] = b
+            at += b.shape[1]
+        text.append(out.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 def _vertex_rows(pts, head: str = "", flags=None) -> str:
@@ -237,8 +398,8 @@ def _vertex_rows(pts, head: str = "", flags=None) -> str:
     prints as 0."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3) + 0.0
     if flags is None:
-        return _rows(head + "%.12g %.12g %.12g", pts)
-    return _rows(head + "%.12g %.12g %.12g %d", np.column_stack([pts, flags]))
+        return _rows(head + "%.12g %.12g %.12g", *pts.T)
+    return _rows(head + "%.12g %.12g %.12g %d", *pts.T, flags)
 
 
 def _to_obj(mesh: SurfaceMesh) -> str:
@@ -246,7 +407,7 @@ def _to_obj(mesh: SurfaceMesh) -> str:
     parts = [f"# front surface, chart={mesh.chart}\n"
              f"# vertices={nv} faces={len(mesh.triangles)}\n",
              _vertex_rows(mesh.vertices, "v "),
-             _rows("f %d %d %d", mesh.triangles + 1)]
+             _rows("f %d %d %d", *(mesh.triangles + 1).T)]
     for name, pts in mesh.polylines:
         ids = range(nv + 1, nv + len(pts) + 1)
         parts += [f"# polyline {name}\n", _vertex_rows(pts, "v "),
@@ -283,5 +444,5 @@ def _to_ply(mesh: SurfaceMesh) -> str:
     return "".join(["\n".join(header),
                     _vertex_rows(np.concatenate(pts), "",
                                  np.concatenate(flags)),
-                    _rows("3 %d %d %d", mesh.triangles),
-                    _rows("%d %d", edges)])
+                    _rows("3 %d %d %d", *mesh.triangles.T),
+                    _rows("%d %d", *edges.T)])

@@ -451,6 +451,50 @@ def test_export_bytes_match_per_row_reference(triangles, polylines, markers):
     assert "-0 " not in obj and " -0\n" not in obj
 
 
+def _hard_floats(rng, n):
+    """Values at every edge of %.12g: each decade of float64, both signs,
+    powers of ten and their neighbours, near-halves of the 12th digit,
+    runs of nines that round to a new digit, short dyadic fractions, the
+    ends of fixed-point notation, zeros, NaN, infinities, subnormals."""
+    scale = 10.0 ** rng.integers(-300, 300, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    p10 = 10.0 ** rng.integers(-300, 300, n)
+    near_half = (rng.integers(10 ** 11, 10 ** 12, n) + 0.5) \
+        * 10.0 ** rng.integers(-20, 5, n)
+    nines = (1e12 - rng.random(n)) * 10.0 ** rng.integers(-30, 30, n)
+    ends = np.array([1e-4, 1e11, 1e12, 99999999999.99, 999999999999.5,
+                     1e-290, 1e290, 5e-324, 2.2250738585072014e-308,
+                     0.5, 2.5, 1 / 3])
+    return np.concatenate([
+        rng.standard_normal(n), sign * rng.random(n) * scale, sign * p10,
+        np.nextafter(p10, 0.0), np.nextafter(p10, np.inf), sign * near_half,
+        sign * nines, rng.integers(-10 ** 6, 10 ** 6, n)
+        / 2.0 ** rng.integers(0, 60, n),
+        ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf), -ends,
+        [0.0, -0.0, np.nan, np.inf, -np.inf, np.finfo(float).max]])
+
+
+def test_rows_write_floats_as_percent_formatting():
+    x = _hard_floats(np.random.default_rng(5), 4000)
+    assert mesh._rows("%.12g", x) == "".join("%.12g\n" % v for v in x)
+
+
+def test_rows_write_ints_and_strings_as_percent_formatting():
+    rng = np.random.default_rng(6)
+    big = np.iinfo(np.int64).max
+    ints = np.concatenate([rng.integers(-10 ** 5, 10 ** 5, 2000),
+                           rng.integers(-big, big, 2000),
+                           [0, -1, 9, 10, -9999, 10 ** 4, big, -big]])
+    assert mesh._rows("%d", ints) == "".join("%d\n" % v for v in ints)
+    # literals around and between the conversions, as the writers use them
+    x = _hard_floats(rng, 20)
+    cls = rng.choice([sg.CUSPIDAL_EDGE, sg.SWALLOWTAIL, ""], len(x))
+    row = "v %.12g\t%s %d;"
+    assert (mesh._rows(row, x, cls, ints[:len(x)])
+            == "".join((row + "\n") % r for r in zip(x, cls, ints)))
+    assert mesh._rows(row, [], [], []) == ""
+
+
 # --- command line --------------------------------------------------------
 
 def test_parse_case():
