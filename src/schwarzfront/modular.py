@@ -53,6 +53,12 @@ _MAX_REDUCTIONS = 200
 _PREIMAGE_TOL = 1e-12
 _PREIMAGE_EVALS = 4
 
+# reduce_level_two moves a point this close to a left side of the level-2
+# domain to the right side paired with it: above the 9e-16 by which the
+# polished preimage of a real x in [-1e4, -1e-6] or [1 + 1e-6, 1e4]
+# misses its side, below the 1e-12 that the domain's callers allow
+_SIDE_TOL = 1e-13
+
 
 class DomainError(ValueError):
     """z outside the upper half-plane."""
@@ -233,7 +239,12 @@ def reduce_level_two(z):
     principal group.
 
     The domain is {|Re z| <= 1, |2z - 1| >= 1, |2z + 1| >= 1}; lambda
-    takes every value of C - {0, 1} exactly once on it.  Off the upper
+    takes every value of C - {0, 1} exactly once on it, except on its
+    sides, which the group pairs: z + 2 carries Re z = -1 onto Re z = 1,
+    and z / (2z + 1) carries |2z + 1| = 1 onto |2z - 1| = 1.  Lambda is
+    real there (x > 1 on the lines, x < 0 on the circles), and a point
+    within _SIDE_TOL of a left side goes to its image on the right side,
+    so each such x has one representative, with Re z > 0.  Off the upper
     half-plane, DomainError or NaN (see arrays.clip).
     """
     shape, z = np.shape(z), flat(z)
@@ -247,6 +258,9 @@ def reduce_level_two(z):
             break
         z = np.where(left, z / (2.0 * z + 1.0),
                      np.where(right, z / (-2.0 * z + 1.0), z))
+    z[z.real < -1.0 + _SIDE_TOL] += 2.0
+    tie = np.abs(2.0 * z + 1.0) < 1.0 + _SIDE_TOL
+    z[tie] /= 2.0 * z[tie] + 1.0
     return unflat(shape, z)[0]
 
 
@@ -308,7 +322,10 @@ def fuchsian_z_from_x(x):
     evaluations, accepts a point once |lambda(z) - x| < _PREIMAGE_TOL
     max(1, |x|); the result is reduced into the level-2 fundamental
     domain, where the preimage is unique, so curves of x map to
-    continuous curves of z (one branch per half-plane of x).  A point
+    continuous curves of z (one branch per half-plane of x: Im x > 0
+    lands in Re z < 0).  On a tie, real x < 0 or x > 1, whose preimages
+    lie on the sides that the group pairs, z is the one with Re z > 0
+    (see reduce_level_two), the limit from the lower half-plane.  A point
     that fails the check, and x = 0 or 1, which lambda omits but reaches
     within _PREIMAGE_TOL near the cusps, is NaN in an array call; a
     scalar call raises ValueError.

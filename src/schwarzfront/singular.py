@@ -8,7 +8,7 @@ Re(2|R|^4 - x(1-x)(2R'Q - RQ') conj(R)^2) does not vanish.
 
 The curve is sampled exactly: q(x) = e^{i theta} is the quartic
 Q(x) + 4 e^{i theta} x^2 (1-x)^2 = 0, so the samples at a fixed theta are
-the eigenvalues of its companion matrix.
+its 4 roots, taken in closed form (Ferrari) and polished by Newton steps.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
 THETA_SAMPLES = 128        # values of arg q in [0, 2 pi), 4 roots each
 THETA_TOL = 1e-13          # theta width that ends a swallowtail's search
 THETA_MAX_STEPS = 40       # Illinois steps per bracket at most
+FOLLOW_NEWTON_STEPS = 3    # Newton steps after each Euler step in theta
 # 2-D Newton of swallowtail_by_newton
 SWALLOWTAIL_TOL = 1e-13
 SWALLOWTAIL_MAX_ITER = 60
+
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))
 
 NOT_SINGULAR = "NotSingular"
 CUSPIDAL_EDGE = "CuspidalEdge"
@@ -98,18 +101,67 @@ def classify_point(e: ExponentData, x,
                               swallowtail_re=sw)
 
 
-def _quartic_roots(e: ExponentData, theta):
-    """The 4 roots of Q(x) + 4 e^{i theta} x^2 (1-x)^2 for each theta, as
-    the eigenvalues of the monic companion matrices in one call."""
+def _quartic_terms(e: ExponentData, a, x):
+    """x^2 (1-x)^2, a Q(x) and the x-derivative of their sum P(x), the
+    quartic whose roots are the points with q(x) = e^{i theta}, for
+    a = e^{-i theta} / 4."""
     c2, c1, c0 = e.q_coeffs
+    w = x * (x - 1.0)
+    return (w * w, a * ((c2 * x + c1) * x + c0),
+            2.0 * w * (2.0 * x - 1.0) + a * (2.0 * c2 * x + c1))
+
+
+def _newton(e: ExponentData, a, x, steps: int):
+    """x after `steps` Newton steps on P = x^2 (1-x)^2 + a Q(x)."""
+    for _ in range(steps):
+        w2, aq, dp = _quartic_terms(e, a, x)
+        x = x - (w2 + aq) / dp
+    return x
+
+
+def _quartic_roots(e: ExponentData, theta):
+    """The 4 roots of Q(x) + 4 e^{i theta} x^2 (1-x)^2 for each theta, on a
+    new last axis, by Ferrari's closed form on arrays, each polished by two
+    Newton steps.
+
+    x = y + 1/2 gives the depressed quartic y^4 + p y^2 + q y + r.  Its
+    resolvent cubic 8 m^3 + 8 p m^2 + (2 p^2 - 8 r) m - q^2 is solved by
+    Cardano's formula, taking the cube root of the larger-modulus value
+    of -R/2 +- sqrt(R^2/4 + P^3/27), and its root m of largest modulus is
+    used: where q = 0 (mu0 = mu1) one root is 0, and s = sqrt(2 m)
+    divides.  Then y^2 -+ s y + p/2 + m +- q/(2s) = 0 give two roots
+    each: the larger-modulus one by the formula, the other as their
+    product over it.
+    """
     a = 0.25 * np.exp(-1j * np.asarray(theta, float))
-    m = np.zeros(a.shape + (4, 4), complex)
-    m[..., [1, 2, 3], [0, 1, 2]] = 1.0
-    m[..., 0, 3] = -c0 * a
-    m[..., 1, 3] = -c1 * a
-    m[..., 2, 3] = -(1.0 + c2 * a)
-    m[..., 3, 3] = 2.0
-    return np.linalg.eigvals(m)
+    c2, c1, c0 = e.q_coeffs
+    p = a * c2 - 0.5
+    q = a * (c1 + c2)
+    r = a * (0.25 * c2 + 0.5 * c1 + c0) + 0.0625
+    # the resolvent in m = t - p/3 is t^3 + P t + R
+    P = -p * p / 12.0 - r
+    R = (-p * p / 108.0 + r / 3.0) * p - 0.125 * q * q
+    d, h = np.sqrt(0.25 * R * R + P ** 3 / 27.0), 0.5 * R
+    u = np.where(np.abs(d - h) >= np.abs(d + h), d - h, -d - h) ** (1 / 3)
+    u = u[..., None] * _CUBE_ROOTS_OF_UNITY
+    m = u - (P / 3.0)[..., None] / u - (p / 3.0)[..., None]
+    m = np.take_along_axis(m, np.abs(m).argmax(axis=-1)[..., None],
+                           axis=-1)[..., 0]
+    s = np.sqrt(2.0 * m)
+    h, g = 0.5 * p + m, q / (2.0 * s)
+    b, c = np.stack([-s, s], axis=-1), np.stack([h + g, h - g], axis=-1)
+    d = np.sqrt(b * b - 4.0 * c)
+    big = 0.5 * np.where(np.abs(d - b) >= np.abs(d + b), d - b, -d - b)
+    x = np.concatenate([big, c / big], axis=-1) + 0.5
+    return _newton(e, a[..., None], x, 2)
+
+
+def _follow_root(e: ExponentData, theta0, x0, theta):
+    """The root x0 at theta0 continued to theta: an Euler step along
+    dx/dtheta = i a Q / P', then FOLLOW_NEWTON_STEPS Newton steps at theta."""
+    _, aq, dp = _quartic_terms(e, 0.25 * np.exp(-1j * theta0), x0)
+    x = x0 + (theta - theta0) * (1j * aq / dp)
+    return _newton(e, 0.25 * np.exp(-1j * theta), x, FOLLOW_NEWTON_STEPS)
 
 
 def _nearest(a, b):
@@ -121,13 +173,18 @@ def _nearest(a, b):
 def trace_singular_curve(e: ExponentData) -> TracedCurve:
     """Sample the singular curve |q| = 1 once round, closed.
 
-    The 4 roots at THETA_SAMPLES values of theta = arg q in [0, 2 pi) are
-    continued root by root to the nearest root at the next theta; at the
-    wrap the 4 arcs join into one closed polygon of 4 * THETA_SAMPLES
-    samples along which arg q rises through 8 pi.  Raises ValueError if
-    a continuation step is not a permutation of the roots or the arcs do
-    not form a single cycle: the monotone rise of arg q that this relies
-    on is measured on every family, not proved.
+    The 4 roots at THETA_SAMPLES values of theta = arg q in [0, 2 pi)
+    (_quartic_roots, one array call) are continued root by root to the
+    nearest root at the next theta; the steps compose into the 4 arcs by
+    a prefix scan, and at the wrap the arcs join into one closed polygon
+    of 4 * THETA_SAMPLES samples along which arg q rises through 8 pi.
+    The polygon starts at the theta = 0 root of least Re x + Im x: there
+    the quartic is real, so its roots come in conjugate pairs (and for
+    mu0 = mu1 in mirror pairs x, 1 - conj x too), and neither part alone
+    picks one.  Raises ValueError if a continuation step is not a
+    permutation of the roots or the arcs do not form a single cycle: the
+    monotone rise of arg q that this relies on is measured on every
+    family, not proved.
     """
     n = THETA_SAMPLES
     theta = 2.0 * np.pi * np.arange(n) / n
@@ -136,12 +193,16 @@ def trace_singular_curve(e: ExponentData) -> TracedCurve:
     if not (np.sort(steps, axis=1) == np.arange(4)).all():
         raise ValueError("nearest-root continuation of the singular curve "
                          "is not a permutation")
-    arc = [np.arange(4)]            # arc j's root index at each theta
-    for k in range(n - 1):
-        arc.append(steps[k, arc[-1]])
-    arc = np.array(arc)
-    wrap = steps[-1, arc[-1]]       # arc j continues as arc wrap[j]
-    order = [0]
+    # after the scan root j at theta 0 continues to root reach[k, j] at
+    # theta k + 1, reach[k] = steps[k] o ... o steps[0], in log2 n passes
+    reach, d = steps.copy(), 1
+    while d < n:
+        reach[d:] = np.take_along_axis(reach[d:], reach[:-d], axis=1)
+        d *= 2
+    arc = np.vstack([np.arange(4), reach[:-1]])   # arc j's root at each theta
+    wrap = reach[-1]                # arc j continues as arc wrap[j]
+    r0 = roots[0]
+    order = [int(np.argmin(r0.real + r0.imag))]
     for _ in range(3):
         order.append(wrap[order[-1]])
     if len(set(order)) != 4:
@@ -163,10 +224,12 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
 
     Brackets each sign change of Im(Q^3 conj(R)^2) between consecutive
     samples (the closing segment included) and narrows all brackets
-    together in theta by the Illinois variant of regula falsi, following
-    the root nearest each bracket's lower end, until a bracket is
-    THETA_TOL wide or hits an exact zero.  Keeps the end of each bracket
-    nearer the zero if it classifies as a swallowtail.
+    together in theta by the Illinois variant of regula falsi until a
+    bracket is THETA_TOL wide or hits an exact zero, at most 6 steps on
+    any family.  Each step follows each bracket's root from its lower end
+    to the new theta (_follow_root: an Euler step in theta, then Newton
+    steps on the quartic).  Keeps the end of each bracket nearer the zero
+    if it classifies as a swallowtail.
     """
     xs, th = curve.samples, curve.theta
     vals = _im_zeta(e, xs)
@@ -184,9 +247,7 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
         # a step at least THETA_TOL / 2 inside, so that a root at an end
         # of its bracket ends the search in one more step
         mid = np.clip(mid, lo[i] + 0.5 * THETA_TOL, hi[i] - 0.5 * THETA_TOL)
-        roots = _quartic_roots(e, mid)
-        pick = _nearest(xlo[i, None], roots)
-        xm = np.take_along_axis(roots, pick, axis=1)[:, 0]
+        xm = _follow_root(e, lo[i], xlo[i], mid)
         fm = _im_zeta(e, xm)
         below = flo[i] * fm <= 0.0      # the sign change is below mid
         moved = np.where(below, 1, -1)

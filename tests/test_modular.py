@@ -316,6 +316,36 @@ def test_preimage_on_the_singular_curve_matches_multistart_newton():
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
+# real x whose preimages lie on the sides of the level-2 domain that the
+# group pairs: x > 1 on Re z = +-1, x < 0 on |2z +- 1| = 1;
+# 1.4436038380603418 is where the Fuchsian singular curve crosses x > 1
+_TIE_X = [-3.0, -0.5, 1.2, 1.4436038380603418, 2.0, 5.0]
+
+
+@pytest.mark.parametrize("x0", _TIE_X)
+def test_preimage_of_a_real_x_is_the_right_hand_representative(x0):
+    xs = np.array([complex(re, im)
+                   for re in (np.nextafter(x0, -np.inf), x0,
+                              np.nextafter(x0, np.inf))
+                   for im in (0.0, 1e-17, -1e-17, 1e-16, -1e-16)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        oracle = _multistart_newton(xs)
+    for zs in (fuchsian_z_from_x(xs), oracle,
+               np.array([fuchsian_z_from_x(x) for x in xs])):
+        assert np.all(zs.real > 0.0)
+        side = zs.real if x0 > 1.0 else np.abs(2.0 * zs - 1.0)
+        assert np.all(np.abs(side - 1.0) <= 1e-13)
+        assert np.all(np.abs(zs - zs[5]) <= 1e-12)    # zs[5]: x0 itself
+    # and the sides themselves, each point on a left side or just inside
+    # the domain from it, and its image on the right side
+    for z in (-1.0 + 0.7j, complex(np.nextafter(-1.0, 0.0), 0.7),
+              -0.5 + 0.5j, (-0.5 + 0.5j) * (1.0 + 1e-15)):
+        w = reduce_level_two(z)
+        assert w.real > 0.0
+        assert abs(w - reduce_level_two(z / (2.0 * z + 1.0))) <= 1e-15
+        assert abs(w - reduce_level_two(z + 2.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("bad", [1e200 + 0j, complex("nan"), complex("inf"),
                                  0j, 1 + 0j])
 def test_unsolvable_point_costs_at_most_the_polish(bad, monkeypatch):

@@ -221,14 +221,14 @@ def test_swallowtails_are_newton_fixed_points(traced, name):
 
 @pytest.mark.parametrize("name", _CURVE_CASES)
 def test_swallowtail_search_takes_few_steps(traced, name, monkeypatch):
-    # one eigvals call a step; bisection to THETA_TOL would need 39
+    # one root update a step; bisection to THETA_TOL would need 39
     e, curve = traced[name]
     calls = []
-    roots = sg._quartic_roots
-    monkeypatch.setattr(sg, "_quartic_roots",
-                        lambda e, theta: calls.append(1) or roots(e, theta))
+    follow = sg._follow_root
+    monkeypatch.setattr(sg, "_follow_root",
+                        lambda *args: calls.append(1) or follow(*args))
     assert len(sg.find_swallowtails(e, curve)) == 2
-    assert len(calls) <= 10
+    assert 1 <= len(calls) <= 10
 
 
 def test_fuchsian_swallowtails_are_exact(traced):
@@ -254,3 +254,69 @@ def test_sampler_rejects_arcs_that_are_not_one_cycle(dihedral3, monkeypatch):
         np.arange(b.shape[-1]), np.broadcast_shapes(a.shape, b.shape)))
     with pytest.raises(ValueError, match="one cycle"):
         sg.trace_singular_curve(dihedral3)
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_sampler_starts_at_the_documented_root(traced, name):
+    # the quartic is real at theta = 0, so its roots there come in
+    # conjugate pairs (and, for mu0 = mu1, in mirror pairs x, 1 - conj x)
+    e, curve = traced[name]
+    assert curve.theta[0] == 0.0
+    at_zero = curve.samples[::sg.THETA_SAMPLES]     # theta = 0 mod 2 pi
+    assert np.argmin(at_zero.real + at_zero.imag) == 0
+    again = sg.trace_singular_curve(e)
+    assert again.samples.tobytes() == curve.samples.tobytes()
+    assert again.theta.tobytes() == curve.theta.tobytes()
+
+
+# --- the closed-form quartic against LAPACK --------------------------------
+
+def _companion_eigvals(e, theta):
+    """The roots of Q(x) + 4 e^{i theta} x^2 (1-x)^2 as the eigenvalues of
+    the monic companion matrices, the way the sampler found them before
+    the closed form."""
+    c2, c1, c0 = e.q_coeffs
+    a = 0.25 * np.exp(-1j * theta)
+    m = np.zeros(a.shape + (4, 4), complex)
+    m[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    m[..., 0, 3] = -c0 * a
+    m[..., 1, 3] = -c1 * a
+    m[..., 2, 3] = -(1.0 + c2 * a)
+    m[..., 3, 3] = 2.0
+    return np.linalg.eigvals(m)
+
+
+def _residual_and_floor(e, theta, x):
+    """|P(x)| for the monic P = x^4 - 2x^3 + (1 + c2 a) x^2 + c1 a x + c0 a,
+    a = e^{-i theta} / 4, by Horner's rule, and the bound 4 eps
+    sum |a_k| |x|^k on the rounding error of that evaluation."""
+    c2, c1, c0 = e.q_coeffs
+    a = 0.25 * np.exp(-1j * theta)[:, None]
+    coeffs = [1.0, -2.0, 1.0 + c2 * a, c1 * a, c0 * a]
+    p, bound = 0.0, 0.0
+    for c in coeffs:
+        p, bound = p * x + c, bound * np.abs(x) + np.abs(c)
+    return np.abs(p), 4.0 * np.finfo(float).eps * bound
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_quartic_roots_match_companion_eigenvalues(name):
+    e = resolve_case(name).exponents
+    theta = np.concatenate([
+        2.0 * np.pi * np.arange(sg.THETA_SAMPLES) / sg.THETA_SAMPLES,
+        np.random.default_rng(43).uniform(0.0, 2.0 * np.pi, 1000)])
+    # mu0 = mu1 (dihedral:n, fuchsian) leaves the depressed quartic no
+    # linear term: a zero resolvent root would divide by zero there
+    with np.errstate(all="raise"):
+        got = sg._quartic_roots(e, theta)
+    want = _companion_eigvals(e, theta)
+    pick = sg._nearest(want, got)
+    assert (np.sort(pick, axis=1) == np.arange(4)).all()   # one to one
+    got = np.take_along_axis(got, pick, axis=1)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    res, floor = _residual_and_floor(e, theta, got)
+    res_eig, _ = _residual_and_floor(e, theta, want)
+    # a residual under the rounding floor of its evaluation says nothing
+    # more about the root; there LAPACK's may be smaller by chance
+    assert (res <= np.maximum(res_eig, floor)).all()
+    assert res.max() <= res_eig.max()
