@@ -112,12 +112,6 @@ def _icosahedral(n):
     # -2 cos(pi/5) with radius sqrt(1 + 4 cos^2(pi/5))
     c = 2.0 * math.cos(math.pi / 5.0)
     r = math.sqrt(1.0 + 4.0 * math.cos(math.pi / 5.0) ** 2)
-    ref = Reflection.circle(-c, r)
-    # cross-check against the epsilon form of the same involution
-    probe = 0.3 + 0.2j
-    num = -(eps - eps ** 4) * probe.conjugate() + (eps ** 2 - eps ** 3)
-    den = (eps ** 2 - eps ** 3) * probe.conjugate() + (eps - eps ** 4)
-    assert abs(ref(probe) - num / den) < 1e-12
     # line arg(z) = pi/5 meets the mirror circle |z + c| = r
     t0 = (-2.0 * c * math.cos(math.pi / 5.0)
           + math.sqrt(4.0 * c * c * math.cos(math.pi / 5.0) ** 2
@@ -126,7 +120,7 @@ def _icosahedral(n):
         TAG_ICOSAHEDRAL, n,
         (Reflection.conjugation_times(1.0),
          Reflection.conjugation_times(eps),
-         ref),
+         Reflection.circle(-c, r)),
         BaseTriangle(v_inf=0.0, v_one=r - c,
                      v_zero=t0 * cmath.exp(1j * math.pi / 5.0)))
 

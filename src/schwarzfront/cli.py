@@ -19,8 +19,8 @@ from .cases import resolve_case
 # eval_q and eval_q_derivatives are unused here; bench/spans.py wraps
 # them under these names
 from .equation import eval_q, eval_q_derivatives  # noqa: F401
-from .mesh import JobConfig, _rows, build_mesh, check_tile_count, export_mesh
-from .tiling import tile_parameter_domain
+from .mesh import JobConfig, _rows, build_mesh, export_mesh
+from .tiling import check_tile_count, tile_parameter_domain
 
 
 def parse_case(text: str):
@@ -195,7 +195,10 @@ def _job_config(args) -> JobConfig:
 
 def cmd_surface(args) -> int:
     cfg = _job_config(args)
-    mesh = build_mesh(cfg)
+    try:
+        mesh = build_mesh(cfg)
+    except ValueError as exc:    # e.g. a --words entry that names no tile
+        raise SystemExit(f"error: {exc}") from None
     path = export_mesh(mesh, cfg.out, cfg.fmt)
     print(f"wrote {path}: {len(mesh.vertices)} vertices, "
           f"{len(mesh.triangles)} triangles, "
@@ -262,9 +265,8 @@ def cmd_tiles(args) -> int:
     ts = tile_parameter_domain(case, max_count=max_count)
     summary = f"{len(ts.elements)} elements (complete={ts.complete})"
     rows = [summary]
-    for g, word in ts.elements:
+    for m, word in zip(ts.elements, ts.words):
         label = word if word else "(identity)"
-        m = g.matrix
         rows.append(f"{label}\t[[{m[0, 0]:.6g}, {m[0, 1]:.6g}], "
                     f"[{m[1, 0]:.6g}, {m[1, 1]:.6g}]]")
     text = "\n".join(rows) + "\n"

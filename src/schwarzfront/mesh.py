@@ -33,7 +33,7 @@ from .front import eval_front_closed_form, eval_front_on_tiles
 from .h3 import hermitian_to_ball, hermitian_to_upper_half_space
 # unused here; kept because bench/spans.py wraps mesh.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
-from .tiling import tile_parameter_domain
+from .tiling import check_tile_count, tile_parameter_domain
 
 FLAG_NEAR_SINGULAR = 1
 FLAG_CLIPPED = 2
@@ -80,15 +80,6 @@ class JobConfig:
         cap = self.resolved.max_tiles
         if self.tiles is not None and cap is not None and self.tiles > cap:
             raise ValueError(f"case {self.case} has at most {cap} tiles")
-
-
-def check_tile_count(text: str, case: Case, tiles):
-    """ValueError for a count below 1, or none for an infinite group."""
-    if tiles is not None and tiles < 1:
-        raise ValueError(f"tiles must be >= 1, got {tiles}")
-    if tiles is None and case.max_tiles is None:
-        raise ValueError(f"case {text} has infinitely many tiles; "
-                         f"set a tile count (--tiles N)")
 
 
 @dataclass
@@ -168,12 +159,12 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     tiles = tile_parameter_domain(case, max_count=cfg.tiles)
     chosen = tiles.elements
     if cfg.words is not None:
-        by_word = {w: g for g, w in tiles.elements}
-        missing = [w for w in cfg.words if w not in by_word]
+        row = {w: k for k, w in enumerate(tiles.words)}
+        missing = [w for w in cfg.words if w not in row]
         if missing:
             raise ValueError(f"unknown tile words: {missing}; "
-                             f"available: {sorted(by_word)}")
-        chosen = [(by_word[w], w) for w in cfg.words]
+                             f"available: {sorted(row)}")
+        chosen = chosen[[row[w] for w in cfg.words]]
 
     # x is evaluated once, on the base triangle's grid; every tile's
     # vertices follow from it by the chain rule, with the front and the
@@ -181,13 +172,16 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     # per tile
     z0, tris = sample_triangle(case, cfg.resolution,
                                cfg.ramification_margin, cfg.boundary_margin)
-    fv = eval_front_on_tiles(case.inverse, z0, [g.matrix for g, _ in chosen])
+    fv = eval_front_on_tiles(case.inverse, z0, chosen)
     tris = tris + len(z0) * np.arange(len(chosen))[:, None, None]
     zs, tris = fv.z.ravel(), tris.reshape(-1, 3)
     # a point that fails in any layer is NaN
     p = _chart_coords(fv.H, cfg.chart).reshape(-1, 3)
-    # the flag reads x alone: each row of fv.x is x on the base grid
-    q = eq.eval_q(case.exponents, fv.x[0]).q
+    # the flag reads x alone: each row of fv.x is x on the base grid.  Near
+    # a pole (|x| ~ 1e77 on dihedral:26) w*w overflows and q reads -0, its
+    # limit: q -> 0 as |x| -> inf, so such a point is not near |q| = 1
+    with np.errstate(over="ignore"):
+        q = eq.eval_q(case.exponents, fv.x[0]).q
     near = np.tile(np.abs(np.abs(q) - 1.0) < NEAR_SINGULAR_TOL, len(chosen))
     ok = np.isfinite(p).all(axis=1)
     mesh = SurfaceMesh(vertices=np.where(ok[:, None], p, 0.0),

@@ -245,11 +245,12 @@ def reduce_level_two(z):
     real there (x > 1 on the lines, x < 0 on the circles), and a point
     within _SIDE_TOL of a left side goes to its image on the right side,
     so each such x has one representative, with Re z > 0.  Off the upper
-    half-plane, DomainError or NaN (see arrays.clip).
+    half-plane, or where z is not finite, DomainError or NaN (see
+    arrays.clip).
     """
     shape, z = np.shape(z), flat(z)
-    z, = clip(~(z.imag > 0), shape, DomainError,
-              lambda: f"Im z must be positive, got {z[0]}", z)
+    z, = clip(~(z.imag > 0) | ~np.isfinite(z), shape, DomainError,
+              lambda: f"z must be finite with Im z > 0, got {z[0]}", z)
     for _ in range(_MAX_REDUCTIONS):
         z = z - np.floor((z.real + 1.0) / 2.0) * 2
         left = np.abs(2.0 * z + 1.0) < 1.0 - 1e-15

@@ -30,7 +30,7 @@ from .modular import eval_lambda, lambda_series_coeffs, theta_values
 # unused here; kept because bench/spans.py wraps selfcheck.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
 from .polyhedral import _expand
-from .tiling import tile_parameter_domain
+from .tiling import apply, tile_parameter_domain
 
 
 @dataclass
@@ -350,8 +350,8 @@ def _tile_grids(case, zs):
     x(g z) = x(z), so U(g z) and U(z) solve one equation in x and differ by
     the constant left factor P_g."""
     inv = case.inverse
-    gs = [g for g, word in tile_parameter_domain(case).elements if word]
-    gz = np.stack([g(zs) for g in gs])
+    gs = tile_parameter_domain(case).elements[1:]
+    gz = apply(gs, zs)
     Hg = fr.eval_front_closed_form(inv, gz.ravel()).H
     H = fr.eval_front_closed_form(inv, np.tile(zs, len(gs))).H
     U, _ = fr.eval_front_matrix(inv, np.concatenate([zs[:1], gz[:, 0]]))

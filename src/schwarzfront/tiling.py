@@ -8,10 +8,13 @@ breadth-first by word length, one level at a time: the frontier times the
 six generators is one batched product, normalized and mapped over the
 three probe points in one array expression.  Candidates are deduplicated
 by these probe images with a sorted search over the first probe image,
-one array pass per level.
+one array pass per level.  The walk stops when a level adds nothing or
+the tile count is reached, so an infinite group needs a count.
 
 A reflection z -> (a conj(z) + b) / (c conj(z) + d) is stored by its matrix;
 composing two reflections gives the Moebius map with matrix M1 @ conj(M2).
+A group element is a row of a (K, 2, 2) complex array, normalized to
+det 1, and apply() maps points by such rows.
 """
 
 from __future__ import annotations
@@ -22,34 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _DEDUP_TOL = 1e-9
-# cap on the word length of an enumerated element
-MAX_WORD_LENGTH = 12
-
-
-@dataclass(frozen=True)
-class Mobius:
-    """Holomorphic Moebius map z -> (az + b)/(cz + d)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-14:
-            raise ValueError("singular Moebius matrix")
-        object.__setattr__(self, "matrix", m / cmath.sqrt(det))
-
-    def __call__(self, z: complex) -> complex:
-        a, b = self.matrix[0]
-        c, d = self.matrix[1]
-        return (a * z + b) / (c * z + d)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(np.eye(2))
 
 
 @dataclass(frozen=True)
@@ -58,10 +33,11 @@ class Reflection:
 
     matrix: np.ndarray
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        """The image of z, a point or an array."""
         a, b = self.matrix[0]
         c, d = self.matrix[1]
-        zc = complex(z).conjugate()
+        zc = np.conj(z)
         return (a * zc + b) / (c * zc + d)
 
     @classmethod
@@ -86,22 +62,33 @@ class Reflection:
         return cls(np.array([[u * u, p - u * u * p.conjugate()],
                              [0.0, 1.0]], dtype=complex))
 
-    def then(self, other: "Reflection") -> Mobius:
-        """The holomorphic composition other o self."""
-        return Mobius(other.matrix @ np.conj(self.matrix))
+    def then(self, other: "Reflection") -> np.ndarray:
+        """The matrix, det 1, of the holomorphic composition other o self."""
+        m = other.matrix @ np.conj(self.matrix)
+        return m / cmath.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
 @dataclass
 class TileSet:
-    elements: list  # list of (Mobius, label)
-    complete: bool  # False when a limit cut enumeration short
+    elements: np.ndarray    # (K, 2, 2) tile matrices, det 1; row 0 is 1
+    words: list             # words[k] generates elements[k]; "" first
+    complete: bool          # False when the count cut enumeration short
 
 
-def _images(m: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """The (K, P) images of the P probes under the K matrices m: the
-    tiles' signatures."""
-    a, b, c, d = m.reshape(-1, 4).T[..., None]
-    return (a * probes + b) / (c * probes + d)
+def apply(m: np.ndarray, z) -> np.ndarray:
+    """The (K, P) images of the P points z (or (K, 1) of one point) under
+    the Moebius maps z -> (az + b)/(cz + d) of the (K, 2, 2) matrices m."""
+    a, b, c, d = np.reshape(m, (-1, 4)).T[..., None]
+    return (a * z + b) / (c * z + d)
+
+
+def check_tile_count(text: str, case, tiles):
+    """ValueError for a count below 1, or none for an infinite group."""
+    if tiles is not None and tiles < 1:
+        raise ValueError(f"tiles must be >= 1, got {tiles}")
+    if tiles is None and case.max_tiles is None:
+        raise ValueError(f"case {text} has infinitely many tiles; "
+                         f"set a tile count (--tiles N)")
 
 
 def _new_rows(known: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -129,26 +116,24 @@ def _new_rows(known: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 def _normalized(m: np.ndarray) -> np.ndarray:
     """The (K, 2, 2) matrices m divided by the square roots of their
-    determinants, rounded as Mobius rounds one matrix."""
-    def mul(x, y):      # x * y rounded as a numpy complex scalar product
+    determinants.  Each product of a determinant is rounded as numpy
+    rounds one complex scalar product, which keeps exact zeros and their
+    signs, as `tiles` prints them; a*d - b*c on whole arrays rounds
+    differently, and leaves residues such as 4e-33 or a flipped -0."""
+    def mul(x, y):
         return np.stack([x.real * y.real - x.imag * y.imag,
                          x.real * y.imag + x.imag * y.real], axis=-1)
     a, b, c, d = m.reshape(-1, 4).T
-    det = (mul(a, d) - mul(b, c)).view(complex)     # keeps signed zeros
+    det = (mul(a, d) - mul(b, c)).view(complex)
     return m / np.sqrt(det)[:, None]
 
 
-def _element(m: np.ndarray) -> Mobius:
-    """Mobius of an already normalized matrix, kept bit for bit."""
-    g = object.__new__(Mobius)
-    object.__setattr__(g, "matrix", m)
-    return g
-
-
 def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
-    """Enumerate distinct even-word group elements breadth-first.
+    """Enumerate distinct even-word group elements breadth-first: at most
+    max_count of them, or the whole group when max_count is None.  An
+    infinite group needs a count (ValueError, see check_tile_count).
 
-    Labels are the generating words, e.g. "" (identity), "12" (R1 then R2).
+    Words name the generators, e.g. "" (identity), "12" (R1 then R2).
     case is a cases.Case; its mirrors generate the group and its probes
     tell elements apart.  Applying each element to the base triangle pair
     tiles the domain.  Each BFS level is one batched product of the
@@ -156,30 +141,31 @@ def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     order, and one array pass (_new_rows: a sorted search over the first
     probe image) finds which of them are new.
     """
+    check_tile_count(case.tag, case, max_count)
+    limit = case.max_tiles if max_count is None else max_count
     refl = case.mirrors
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-    gens = np.array([refl[j].then(refl[i]).matrix for i, j in pairs])
+    gens = np.array([refl[j].then(refl[i]) for i, j in pairs])
     labels = [f"{j + 1}{i + 1}" for i, j in pairs]
     probes = np.asarray(case.probes, dtype=complex)
-    ident = Mobius.identity()
-    out = [(ident, "")]
-    frontier, words = ident.matrix[None], [""]
-    known = _images(frontier, probes)
+    frontier, words = np.eye(2, dtype=complex)[None], [""]
+    levels, tile_words = [frontier], [""]
+    known = apply(frontier, probes)
     complete = True
-    for depth in range(MAX_WORD_LENGTH + 1):
+    # every level but the last adds an element, so the count bounds the
+    # depth of the walk
+    while True:
         cand = _normalized((gens @ frontier[:, None]).reshape(-1, 2, 2))
-        sig = _images(cand, probes)
+        sig = apply(cand, probes)
         new = _new_rows(known, sig)
-        room = len(new) if max_count is None else max(max_count - len(out), 0)
-        if depth >= MAX_WORD_LENGTH:
-            room = 0
-        if len(new) > room:
-            # a new element exists beyond a limit: enumeration is cut
-            new, complete = new[:room], False
+        if len(new) > limit - len(tile_words):
+            # a new element exists beyond the count: enumeration is cut
+            new, complete = new[:limit - len(tile_words)], False
         words = [words[k // 6] + labels[k % 6] for k in new.tolist()]
         frontier = cand[new]
-        out += [(_element(m), w) for m, w in zip(frontier, words)]
+        levels.append(frontier)
+        tile_words += words
         if not len(new) or not complete:
             break
         known = np.concatenate([known, sig[new]])
-    return TileSet(elements=out, complete=complete)
+    return TileSet(np.concatenate(levels), tile_words, complete)

@@ -47,8 +47,7 @@ def job(request):
     """The case, its tile matrices and its mesh in each chart."""
     text, tiles = request.param
     case = resolve_case(text)
-    gs = [g.matrix for g, _ in
-          tile_parameter_domain(case, max_count=tiles).elements]
+    gs = tile_parameter_domain(case, max_count=tiles).elements
     return case, gs, {
         chart: mesh.build_mesh(mesh.JobConfig(
             case=text, tiles=tiles, resolution=8, chart=chart,

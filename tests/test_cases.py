@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,15 @@ def test_base_vertices_are_fixed_by_two_mirrors(text, vertex):
     with np.errstate(divide="ignore", invalid="ignore"):
         moves = [abs(m(v) - v) for m in case.mirrors]
     assert sum(d < 1e-12 for d in moves) >= 2, moves
+
+
+def test_icosahedral_circle_mirror_is_the_epsilon_form_of_its_involution():
+    eps = cmath.exp(2j * math.pi / 5.0)
+    z = np.array([0.3 + 0.2j, -0.4 + 0.7j, 1.5 - 0.2j])
+    num = -(eps - eps ** 4) * z.conjugate() + (eps ** 2 - eps ** 3)
+    den = (eps ** 2 - eps ** 3) * z.conjugate() + (eps - eps ** 4)
+    mirror = resolve_case("icosa").mirrors[2]
+    assert (abs(mirror(z) - num / den) < 1e-12).all()
 
 
 def test_only_the_ideal_triangle_has_no_base_vertices():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, eval_q
 from schwarzfront.front import eval_front_closed_form
 from schwarzfront.h3 import hermitian_to_ball, hermitian_to_upper_half_space
-from schwarzfront.tiling import tile_parameter_domain
+from schwarzfront.tiling import apply, tile_parameter_domain
 
 
 # --- minimal ASCII parsers used to round-trip the exports ---------------
@@ -89,9 +90,9 @@ def test_dihedral_sampling_avoids_ramification_points(n):
     margin = mesh.JobConfig.ramification_margin
     roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
     case = resolve_case(TAG_DIHEDRAL, n)
-    for g, _ in tile_parameter_domain(case).elements:
+    for g in tile_parameter_domain(case).elements:
         zs, _ = mesh.sample_triangle(case, 16, ramification_margin=margin)
-        zs = g(zs)
+        zs = apply(g, zs)[0]
         dist = np.abs(zs[:, None] - roots[None, :]).min()
         assert dist >= margin * (1.0 - 1e-9)
 
@@ -211,6 +212,9 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
     (["tiles", "--case", "foo"], "^error: unknown case 'foo'"),
     (["surface", "--case", "dihedral:²"],
      "^error: dihedral case must be written"),
+    # a --words entry that names no tile, found by the tiling itself
+    (["surface", "--case", "fuchsian", "--tiles", "10", "--words", "12,99"],
+     r"^error: unknown tile words: \['99'\]; available: \['', '12', "),
 ])
 def test_cli_rejects_bad_input(tmp_path, argv, message):
     out = tmp_path / "out.obj"
@@ -294,9 +298,9 @@ def _per_tile_mesh(text, tiles, chart, resolution):
     case = resolve_case(text)
     tol = mesh.NEAR_SINGULAR_TOL
     verts, flags, faces, base = [], [], [], 0
-    for g, _ in tile_parameter_domain(case, max_count=tiles).elements:
+    for g in tile_parameter_domain(case, max_count=tiles).elements:
         zs, tris = mesh.sample_triangle(case, resolution)
-        zs = g(zs)
+        zs = apply(g, zs)[0]
         fv = eval_front_closed_form(case.inverse, zs)
         if chart == "ball":
             p = np.stack(hermitian_to_ball(fv.H).coords, axis=-1)
@@ -538,6 +542,18 @@ def test_cli_surface_reports_whether_tiles_cut_the_group(tmp_path, capsys,
     assert re.fullmatch(rf"wrote {re.escape(str(out))}: \d+ vertices, "
                         rf"\d+ triangles, 0 polylines, 0 markers "
                         rf"\(complete={complete}\)", line)
+
+
+@pytest.mark.parametrize("n", [26, 30, 50])
+def test_large_dihedral_surface_has_every_tile_and_no_warning(n):
+    # words of up to n letters; near the pole of x, |x| passes 1e77 on
+    # the base grid, where q = -Q/(4w^2) overflows
+    cfg = mesh.JobConfig(case=f"dihedral:{n}", resolution=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = mesh.build_mesh(cfg)
+    z0, _ = mesh.sample_triangle(cfg.resolved, 8)
+    assert m.complete and len(m.vertices) == 2 * n * len(z0)
 
 
 def test_cli_surface_default_out_follows_format(tmp_path, monkeypatch):

@@ -197,6 +197,19 @@ def test_reduce_level_two_lands_in_domain():
             1e-9 * max(1.0, abs(eval_lambda(z)[0]))
 
 
+def test_reduce_level_two_refuses_a_non_finite_z():
+    # Im z = +inf passes Im z > 0, and 2z + 1 in the loop is then NaN
+    bad = [complex(0.0, math.inf), complex(math.inf, 1.0),
+           complex(-math.inf, math.inf), complex(math.nan, 1.0)]
+    with np.errstate(all="raise"):
+        w = reduce_level_two(np.array(bad + [3.3 + 0.9j]))
+    assert np.isnan(w[:-1]).all()
+    assert w[-1] == reduce_level_two(3.3 + 0.9j)
+    for z in bad:
+        with pytest.raises(DomainError, match="must be finite"):
+            reduce_level_two(z)
+
+
 def test_z_from_x_roundtrip_and_branch_continuity():
     rng = np.random.default_rng(31)
     for _ in range(20):

@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from schwarzfront import cli, tiling
+from schwarzfront import cli
 from schwarzfront.modular import eval_lambda
 from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
-from schwarzfront.tiling import (_DEDUP_TOL, Mobius, Reflection, _new_rows,
+from schwarzfront.tiling import (_DEDUP_TOL, Reflection, _new_rows, apply,
                                  tile_parameter_domain)
 
 INVARIANCE_TOL = 1e-9
 
 ORDERS = [("dihedral", 3, 6), ("dihedral", 5, 10), ("tetrahedral", None, 12),
-          ("octahedral", None, 24), ("icosahedral", None, 60)]
+          ("octahedral", None, 24), ("icosahedral", None, 60),
+          # words of up to 26 and 50 letters, 13 and 25 levels deep
+          ("dihedral", 25, 50), ("dihedral", 50, 100)]
 
 
 @pytest.mark.parametrize("tag, n, order", ORDERS)
@@ -26,9 +28,14 @@ def test_group_orders(tag, n, order):
 
 @pytest.mark.parametrize("tag, n", [(t, n) for t, n, _ in ORDERS])
 def test_reflections_are_involutions(tag, n):
+    zs = (0.3 + 0.2j, -0.7 + 0.4j, 0.1 - 0.6j)
     for refl in resolve_case(tag, n).mirrors:
-        for z in (0.3 + 0.2j, -0.7 + 0.4j, 0.1 - 0.6j):
+        for z in zs:
             assert abs(refl(refl(z)) - z) < 1e-10 * (1 + abs(z))
+        # an array call maps each point as a scalar call does, to rounding
+        z = np.array(zs)
+        assert (abs(refl(z) - [refl(w) for w in zs]) < 1e-15).all()
+        assert (abs(refl(refl(z)) - z) < 1e-10 * (1 + abs(z))).all()
 
 
 @pytest.mark.parametrize("tag, n", [("dihedral", 3), ("tetrahedral", None),
@@ -38,39 +45,38 @@ def test_inverse_map_invariance_under_tiles(tag, n):
     inv = PolyhedralInverse(tag, n)
     ts = tile_parameter_domain(resolve_case(tag, n))
     zs = (0.37 * cmath.exp(0.4j), 0.52 * cmath.exp(1.1j))
-    for g, _ in ts.elements:
-        for z in zs:
+    for gz in apply(ts.elements, zs):
+        for z, w in zip(zs, gz):
             x0 = inv.eval(z)[0]
-            x1 = inv.eval(g(z))[0]
+            x1 = inv.eval(w)[0]
             assert abs(x0 - x1) < INVARIANCE_TOL * max(1.0, abs(x0))
 
 
 def test_fuchsian_tiles_preserve_lambda():
     ts = tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
                                max_count=8)
-    for g, _ in ts.elements:
-        for z in (0.3 + 0.8j, -0.2 + 1.3j):
+    zs = (0.3 + 0.8j, -0.2 + 1.3j)
+    for gz in apply(ts.elements, zs):
+        for z, w in zip(zs, gz):
             x0 = eval_lambda(z)[0]
-            x1 = eval_lambda(g(z))[0]
+            x1 = eval_lambda(w)[0]
             assert abs(x0 - x1) < 1e-8 * max(1.0, abs(x0))
 
 
 def test_fuchsian_enumeration_grows_without_repetition():
     ts = tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
                                max_count=25)
-    assert len(ts.elements) == 25
-    words = [w for _, w in ts.elements]
-    assert len(set(words)) == 25
+    assert ts.elements.shape == (25, 2, 2) and len(ts.words) == 25
+    assert len(set(ts.words)) == 25
 
 
 def test_tile_words_compose_left_to_right():
     case = resolve_case("dihedral", 3)
     refl = case.mirrors
     ts = tile_parameter_domain(case)
-    by_word = {w: g for g, w in ts.elements}
-    g = by_word["21"]
+    g = ts.elements[ts.words.index("21")]
     z = 0.4 + 0.3j
-    assert abs(g(z) - refl[0](refl[1](z))) < 1e-10
+    assert abs(apply(g, z)[0, 0] - refl[0](refl[1](z))) < 1e-10
 
 
 @pytest.mark.parametrize("tag, n", [("dihedral", 3), ("tetrahedral", None),
@@ -90,12 +96,15 @@ def test_base_triangle_vertices_hit_ramification_values(tag, n):
     assert abs(inv.eval(vi)[0]) > 1e3
 
 
-def test_mobius_composition_and_normalization():
-    a = Mobius(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    b = Mobius(np.array([[1.0, -1.0], [1.0, 1.0]]))
-    z = 0.3 + 0.4j
-    assert abs(a.compose(b)(z) - a(b(z))) < 1e-12
-    assert abs(np.linalg.det(a.matrix) - 1.0) < 1e-12
+def test_apply_composes_matrices_and_tiles_have_det_one():
+    a = np.array([[2.0, 1.0], [0.0, 2.0]])
+    b = np.array([[1.0, -1.0], [1.0, 1.0]])
+    z = np.array([0.3 + 0.4j, -1.2 + 0.1j])
+    assert apply(np.stack([a, b]), z).shape == (2, 2)
+    assert abs(apply(a @ b, z) - apply(a, apply(b, z))).max() < 1e-12
+    for tag, n, _ in ORDERS + [("fuchsian-inf-inf-inf", None, 400)]:
+        ts = tile_parameter_domain(resolve_case(tag, n), max_count=400)
+        assert abs(np.linalg.det(ts.elements) - 1.0).max() < 1e-12
 
 
 def test_reflection_circle_fixes_its_circle():
@@ -105,18 +114,24 @@ def test_reflection_circle_fixes_its_circle():
         assert abs(refl(z) - z) < 1e-12
 
 
-def test_complete_only_when_no_limit_cut_enumeration(monkeypatch):
+def test_complete_only_when_no_limit_cut_enumeration():
     # a count above the group order lists the whole group
     ts = tile_parameter_domain(resolve_case("dihedral", 3), max_count=100)
     assert len(ts.elements) == 6 and ts.complete
     icosa = resolve_case("icosahedral")
     assert tile_parameter_domain(icosa, max_count=60).complete
-    # a count or a depth below what the group needs cuts it short
+    # a count below what the group needs cuts it short
     assert not tile_parameter_domain(icosa, max_count=40).complete
     assert not tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
                                      max_count=25).complete
-    monkeypatch.setattr(tiling, "MAX_WORD_LENGTH", 1)
-    assert not tile_parameter_domain(icosa).complete
+
+
+def test_an_infinite_group_needs_a_count():
+    # the count is all that bounds the walk
+    with pytest.raises(ValueError, match="infinitely many tiles"):
+        tile_parameter_domain(resolve_case("fuchsian"))
+    with pytest.raises(ValueError, match="tiles must be >= 1"):
+        tile_parameter_domain(resolve_case("fuchsian"), max_count=0)
 
 
 def test_cli_tiles_reports_complete_group(capsys):
@@ -127,15 +142,22 @@ def test_cli_tiles_reports_complete_group(capsys):
 
 # --- array dedup against a linear scan ------------------------------------
 
-def _signature(g: Mobius, probes):
-    return tuple(g(p) for p in probes)
+def _normalize(m):
+    """m over the square root of its determinant, in scalar arithmetic."""
+    return m / cmath.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def _linear_scan(case, max_count=None, max_word_length=12):
-    """Reference enumeration: the same breadth-first walk, each new
-    signature compared with every earlier one."""
+def _signature(m, probes):
+    (a, b), (c, d) = m
+    return tuple((a * p + b) / (c * p + d) for p in probes)
+
+
+def _linear_scan(case, max_count=None):
+    """Reference enumeration: the same breadth-first walk on plain 2 x 2
+    matrices, each new signature compared with every earlier one."""
     refl = case.mirrors
-    gens = [(refl[j].then(refl[i]), f"{j + 1}{i + 1}")
+    gens = [(_normalize(refl[i].matrix @ np.conj(refl[j].matrix)),
+             f"{j + 1}{i + 1}")
             for i in range(3) for j in range(3) if i != j]
     probes = case.probes
     seen = np.empty((0, 3), dtype=complex)
@@ -149,36 +171,33 @@ def _linear_scan(case, max_count=None, max_word_length=12):
         seen = np.vstack([seen, sig])
         return False
 
-    ident = Mobius.identity()
+    ident = _normalize(np.eye(2, dtype=complex))
     known(ident)
-    out, queue, complete = [(ident, "")], [(ident, "", 0)], True
+    out, queue, complete = [(ident, "")], [(ident, "")], True
     while queue and complete:
-        g, word, depth = queue.pop(0)
+        g, word = queue.pop(0)
         for h, hw in gens:
-            gh = h.compose(g)
+            gh = _normalize(h @ g)
             if known(gh):
                 continue
-            if depth >= max_word_length or \
-               (max_count is not None and len(out) >= max_count):
+            if max_count is not None and len(out) >= max_count:
                 complete = False
                 break
             out.append((gh, word + hw))
-            queue.append((gh, word + hw, depth + 1))
-    if max_count is not None and len(out) > max_count:
-        out, complete = out[:max_count], False
+            queue.append((gh, word + hw))
     return out, complete
 
 
-def _assert_matches_linear_scan(case, max_count, max_word_length=12):
+def _assert_matches_linear_scan(case, max_count):
     ts = tile_parameter_domain(case, max_count=max_count)
-    want, complete = _linear_scan(case, max_count=max_count,
-                                  max_word_length=max_word_length)
+    want, complete = _linear_scan(case, max_count=max_count)
     assert ts.complete == complete
-    assert [w for _, w in ts.elements] == [w for _, w in want]
-    for (g, _), (h, _) in zip(ts.elements, want):
-        assert np.array_equal(g.matrix, h.matrix)
+    assert ts.words == [w for _, w in want]
+    assert ts.elements.shape == (len(want), 2, 2)
+    for g, (h, _) in zip(ts.elements, want):
+        assert np.array_equal(g, h)
         # to the sign of a zero, which `tiles` prints
-        assert g.matrix.tobytes() == h.matrix.tobytes()
+        assert g.tobytes() == h.tobytes()
 
 
 # the count cuts at 17 (octa) and 7, 25 and 401 (fuchsian) land partway
@@ -193,17 +212,6 @@ def _assert_matches_linear_scan(case, max_count, max_word_length=12):
     ("fuchsian-inf-inf-inf", None, 2000)])
 def test_hashed_dedup_matches_linear_scan(tag, n, max_count):
     _assert_matches_linear_scan(resolve_case(tag, n), max_count)
-
-
-@pytest.mark.parametrize("max_word_length", [1, 2])
-@pytest.mark.parametrize("tag, max_count", [
-    ("octahedral", None), ("icosahedral", None),
-    ("fuchsian-inf-inf-inf", 2000)])
-def test_word_length_cut_matches_linear_scan(tag, max_count,
-                                             max_word_length, monkeypatch):
-    monkeypatch.setattr(tiling, "MAX_WORD_LENGTH", max_word_length)
-    _assert_matches_linear_scan(resolve_case(tag), max_count,
-                                max_word_length)
 
 
 # a known signature; candidates differ from it in Re of the first probe
