@@ -90,15 +90,12 @@ def _build_parser():
     s.add_argument("--resolution", type=int, default=None)
     s.add_argument("--chart", choices=("ball", "uhs"), default=None)
     s.add_argument("--format", choices=("obj", "ply"), default=None)
-    s.add_argument("--tol-ramification-margin", type=float, default=None)
-    s.add_argument("--tol-boundary-margin", type=float, default=None)
     s.add_argument("--no-singular", action="store_true",
                    help="skip the singular-curve overlay")
 
     g = sub.add_parser("singular-locus",
                        help="trace the singular curve, classify, export")
     common(g)
-    g.add_argument("--tol-classify", type=float, default=None)
 
     c = sub.add_parser("selfcheck", help="run the acceptance battery")
     c.add_argument("--quick", action="store_true",
@@ -117,7 +114,7 @@ class _Options:
     """Flag values, falling back to the --config file; flags win.
 
     Config keys are the long flag names without the dashes ("format",
-    "tol-classify"); an underscore may stand for a dash.  check() rejects
+    "resolution"); an underscore may stand for a dash.  check() rejects
     any key the command did not ask for.
     """
 
@@ -129,7 +126,7 @@ class _Options:
             raise SystemExit(f"error: {exc}") from None
         self.file = {k.replace("_", "-"): v for k, v in raw.items()}
 
-    def get(self, key, default=None, cast=str):
+    def get(self, key, cast=str):
         self.asked.add(key)
         val = getattr(self.args, key.replace("-", "_"))
         if val is None and key in self.file:
@@ -139,7 +136,7 @@ class _Options:
                 raise SystemExit(f"error: {key}={self.file[key]} in "
                                  f"{self.args.config} is not a valid "
                                  f"{cast.__name__}") from None
-        return default if val is None else val
+        return val
 
     def case_text(self):
         text = self.get("case")
@@ -166,27 +163,18 @@ class _Options:
 
 def _job_config(args) -> JobConfig:
     opts = _Options(args)
-    words = opts.get("words")
-    if isinstance(words, str):
-        words = [w.strip() for w in words.split(",")]
-    fmt = opts.get("format", "obj")
-    kwargs = dict(
-        case=opts.case_text(),
-        tiles=opts.get("tiles", None, int),
-        words=words,
-        resolution=opts.get("resolution", 16, int),
-        chart=opts.get("chart", "ball"),
-        fmt=fmt,
-        out=opts.get("out") or f"front.{fmt}",
-        ramification_margin=opts.get("tol-ramification-margin",
-                                     JobConfig.ramification_margin, float),
-        boundary_margin=opts.get("tol-boundary-margin",
-                                 JobConfig.boundary_margin, float),
-        with_singular=not args.no_singular,
-    )
+    kwargs = dict(case=opts.case_text(), tiles=opts.get("tiles", int),
+                  words=opts.get("words"),
+                  resolution=opts.get("resolution", int),
+                  chart=opts.get("chart"), fmt=opts.get("format"),
+                  out=opts.get("out") or None)
+    if kwargs["words"] is not None:
+        kwargs["words"] = [w.strip() for w in kwargs["words"].split(",")]
     opts.check()
     try:
-        cfg = JobConfig(**kwargs)
+        # only what a flag or the config file set: JobConfig has the defaults
+        cfg = JobConfig(with_singular=not args.no_singular,
+                        **{k: v for k, v in kwargs.items() if v is not None})
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     _check_out(cfg.out)
@@ -210,18 +198,15 @@ def cmd_surface(args) -> int:
 def cmd_singular_locus(args) -> int:
     opts = _Options(args)
     case = opts.case()
-    tol = opts.get("tol-classify", 1e-8, float)
     out = opts.get("out")
     opts.check()
-    if not tol > 0.0:
-        raise SystemExit(f"error: --tol-classify must be > 0, got {tol}")
     _check_out(out)
     e = case.exponents
     try:
         curve = sg.trace_singular_curve(e)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-    spc = sg.classify_point(e, curve.samples, tol=tol)
+    spc = sg.classify_point(e, curve.samples)
     x, zeta = curve.samples, spc.QRbar2
     text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
             + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", x.real,
@@ -254,7 +239,7 @@ def cmd_selfcheck(args) -> int:
 def cmd_tiles(args) -> int:
     opts = _Options(args)
     case = opts.case()
-    max_count = opts.get("tiles", None, int)
+    max_count = opts.get("tiles", int)
     out = opts.get("out")
     opts.check()
     try:

@@ -40,6 +40,11 @@ FLAG_CLIPPED = 2
 
 # cap on Im z when sampling the cusp of the ideal triangle at infinity
 FUCHSIAN_HEIGHT = 2.0
+# how far the base grid keeps from the ramification points (dihedral,
+# and the polyhedral corners) and from the ideal triangle's cusps and
+# boundary arcs (fuchsian)
+RAMIFICATION_MARGIN = 1e-3
+BOUNDARY_MARGIN = 1e-3
 # a vertex with ||q| - 1| below this is flagged near the singular locus
 NEAR_SINGULAR_TOL = 1e-2
 
@@ -53,9 +58,7 @@ class JobConfig:
     resolution: int = 16
     chart: str = "ball"               # "ball" | "uhs"
     fmt: str = "obj"                  # "obj" | "ply"
-    out: str = "front.obj"
-    ramification_margin: float = 1e-3
-    boundary_margin: float = 1e-3
+    out: str | None = None            # None = front.<fmt>
     with_singular: bool = True
     resolved: Case = field(init=False, repr=False)   # resolve_case(case, n)
 
@@ -66,20 +69,12 @@ class JobConfig:
             raise ValueError(f"unknown chart {self.chart!r}")
         if self.fmt not in ("obj", "ply"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        # wider margins sample outside the base triangle: a polyhedral
-        # grid closes on the triangle's centroid at 1/3, and the Fuchsian
-        # grid's real range [m, 1 - m] closes at 1/2
-        for name, top in (("ramification_margin", 1.0 / 3.0),
-                          ("boundary_margin", 0.5)):
-            if not 0.0 <= getattr(self, name) < top:
-                raise ValueError(f"{name} must be >= 0 and below {top:.4g}")
+        if self.out is None:
+            self.out = f"front.{self.fmt}"
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
         self.resolved = resolve_case(self.case, self.n)
         check_tile_count(self.case, self.resolved, self.tiles)
-        cap = self.resolved.max_tiles
-        if self.tiles is not None and cap is not None and self.tiles > cap:
-            raise ValueError(f"case {self.case} has at most {cap} tiles")
 
 
 @dataclass
@@ -108,19 +103,19 @@ def _grid_triangles(rows) -> np.ndarray:
     return np.concatenate(tris).reshape(-1, 3)
 
 
-def sample_triangle(case, resolution: int,
-                    ramification_margin: float = 1e-3,
-                    boundary_margin: float = 1e-3):
+def sample_triangle(case, resolution: int):
     """z grid plus triangulation of the base triangle of a cases.Case.
 
     Returns (z array, triangle index array); a tile's grid is the image
-    of this one under the tile's Moebius map.
+    of this one under the tile's Moebius map.  The grid keeps
+    RAMIFICATION_MARGIN or BOUNDARY_MARGIN away from the triangle's
+    special points; it needs a resolution of at least 2.
     """
     R = int(resolution)
     tri = case.base
     if tri is None:
         # ideal triangle {0 < Re z < 1, |z - 1/2| > 1/2} clipped at cusps
-        m = boundary_margin
+        m = BOUNDARY_MARGIN
         grid = (np.linspace(m, 1.0 - m, R)
                 + 1j * np.geomspace(m, FUCHSIAN_HEIGHT, R)[:, None])
         rows = [row[np.abs(row - 0.5) > 0.5 + m] for row in grid]
@@ -129,20 +124,17 @@ def sample_triangle(case, resolution: int,
         # dihedral: fan bounded by the rays of argument 0 and pi/n and
         # the unit circle
         n = case.n
-        rows = (np.linspace(ramification_margin, 1.0, R)[:, None]
+        rows = (np.linspace(RAMIFICATION_MARGIN, 1.0, R)[:, None]
                 * np.exp(1j * np.linspace(0.0, math.pi / n, R)))
         # the arc's ends z = 1 and z = exp(i pi/n) are ramification points
         # (dx/dz = 0 at the roots of z^2n = 1): move both in by the margin
-        rows[-1, [0, -1]] *= 1.0 - ramification_margin
+        rows[-1, [0, -1]] *= 1.0 - RAMIFICATION_MARGIN
     else:
-        eps = max(ramification_margin, 1.0 / (4.0 * R))
+        eps = max(RAMIFICATION_MARGIN, 1.0 / (4.0 * R))
         a = eps + (1.0 - 3.0 * eps) * np.arange(R)[:, None] / (R - 1)
         b = eps + (1.0 - 3.0 * eps) * np.arange(R) / (R - 1) \
             * (1.0 - a - eps) / max(1.0 - 2.0 * eps, 1e-12)
         rows = tri.v_inf * (1.0 - a - b) + tri.v_zero * a + tri.v_one * b
-    if not len(rows):
-        raise ValueError("tile sampling is empty after clipping; "
-                         "reduce the margins or raise the resolution")
     return np.concatenate(list(rows)), _grid_triangles(rows)
 
 
@@ -170,8 +162,7 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     # vertices follow from it by the chain rule, with the front and the
     # chart in one call for the whole job and one triangulation offset
     # per tile
-    z0, tris = sample_triangle(case, cfg.resolution,
-                               cfg.ramification_margin, cfg.boundary_margin)
+    z0, tris = sample_triangle(case, cfg.resolution)
     fv = eval_front_on_tiles(case.inverse, z0, chosen)
     tris = tris + len(z0) * np.arange(len(chosen))[:, None, None]
     zs, tris = fv.z.ravel(), tris.reshape(-1, 3)

@@ -23,6 +23,7 @@ from .h3 import hermitian_to_lorentz  # noqa: F401
 
 CURVE_TOL = 1e-10          # |f| at a swallowtail found by Newton
 NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
+CLASSIFY_TOL = 1e-8        # ||q| - 1| within which a point is singular
 THETA_SAMPLES = 128        # values of arg q in [0, 2 pi), 4 roots each
 THETA_TOL = 1e-13          # theta width that ends a swallowtail's search
 THETA_MAX_STEPS = 40       # Illinois steps per bracket at most
@@ -72,8 +73,7 @@ def _is_nonpositive_real(z, tol: float = NONPOS_REAL_TOL):
 
 
 @np.errstate(invalid="ignore")    # NaN marks clipped points
-def classify_point(e: ExponentData, x,
-                   tol: float = 1e-8) -> SingularPointClass:
+def classify_point(e: ExponentData, x) -> SingularPointClass:
     """Classify x (scalar or array) against the front singularity criteria.
 
     An array call returns arrays in every field; a point at x = 0 or 1 is
@@ -91,7 +91,7 @@ def classify_point(e: ExponentData, x,
                 * abs(R) ** 2)
     absq = abs(cv.q)
     cls = np.select(
-        [~(np.abs(absq - 1.0) <= tol),
+        [~(np.abs(absq - 1.0) <= CLASSIFY_TOL),
          (np.abs(R) > 0.0) & ~_is_nonpositive_real(zeta),
          np.abs(sw) > NONPOS_REAL_TOL * np.maximum(sw_scale, 1.0)],
         [NOT_SINGULAR, CUSPIDAL_EDGE, SWALLOWTAIL], HIGHER_DEGENERATE)
@@ -238,28 +238,35 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     hi = lo + 2.0 * np.pi / THETA_SAMPLES
     fhi, xhi = np.roll(vals, -1)[k], np.roll(xs, -1)[k]
     side = np.zeros(len(k), int)    # the end moved last: -1 lo, 1 hi
+    # only the open brackets are carried; slot is each one's place in k,
+    # and ends[slot] holds its (lo, hi) ends as they are when it finishes
+    slot, ends = np.arange(len(k)), np.stack([xlo, xhi])
     for _ in range(THETA_MAX_STEPS):
-        i = np.flatnonzero((hi - lo > THETA_TOL) & (flo != 0.0)
-                           & (fhi != 0.0))
-        if not len(i):
+        ends[:, slot] = xlo, xhi
+        keep = (hi - lo > THETA_TOL) & (flo != 0.0) & (fhi != 0.0)
+        lo, hi, flo, fhi, xlo, xhi, side, slot = (
+            a[keep] for a in (lo, hi, flo, fhi, xlo, xhi, side, slot))
+        if not len(slot):
             break
-        mid = (lo[i] * fhi[i] - hi[i] * flo[i]) / (fhi[i] - flo[i])
+        mid = (lo * fhi - hi * flo) / (fhi - flo)
         # a step at least THETA_TOL / 2 inside, so that a root at an end
         # of its bracket ends the search in one more step
-        mid = np.clip(mid, lo[i] + 0.5 * THETA_TOL, hi[i] - 0.5 * THETA_TOL)
-        xm = _follow_root(e, lo[i], xlo[i], mid)
+        mid = np.clip(mid, lo + 0.5 * THETA_TOL, hi - 0.5 * THETA_TOL)
+        xm = _follow_root(e, lo, xlo, mid)
         fm = _im_zeta(e, xm)
-        below = flo[i] * fm <= 0.0      # the sign change is below mid
+        below = flo * fm <= 0.0         # the sign change is below mid
         moved = np.where(below, 1, -1)
         # Illinois: halve the value at an end kept twice running
-        half = np.where(side[i] == moved, 0.5, 1.0)
-        lo[i], flo[i], xlo[i] = (np.where(below, lo[i], mid),
-                                 np.where(below, flo[i] * half, fm),
-                                 np.where(below, xlo[i], xm))
-        hi[i], fhi[i], xhi[i] = (np.where(below, mid, hi[i]),
-                                 np.where(below, fm, fhi[i] * half),
-                                 np.where(below, xm, xhi[i]))
-        side[i] = moved
+        half = np.where(side == moved, 0.5, 1.0)
+        lo, flo, xlo = (np.where(below, lo, mid),
+                        np.where(below, flo * half, fm),
+                        np.where(below, xlo, xm))
+        hi, fhi, xhi = (np.where(below, mid, hi),
+                        np.where(below, fm, fhi * half),
+                        np.where(below, xm, xhi))
+        side = moved
+    ends[:, slot] = xlo, xhi
+    xlo, xhi = ends
     x = np.where(np.abs(_im_zeta(e, xhi)) < np.abs(_im_zeta(e, xlo)),
                  xhi, xlo)
     spc = classify_point(e, x)

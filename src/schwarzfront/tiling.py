@@ -83,12 +83,17 @@ def apply(m: np.ndarray, z) -> np.ndarray:
 
 
 def check_tile_count(text: str, case, tiles):
-    """ValueError for a count below 1, or none for an infinite group."""
-    if tiles is not None and tiles < 1:
+    """ValueError for a count below 1 or above the group order, or none
+    for an infinite group."""
+    cap = case.max_tiles
+    if tiles is None:
+        if cap is None:
+            raise ValueError(f"case {text} has infinitely many tiles; "
+                             f"set a tile count (--tiles N)")
+    elif tiles < 1:
         raise ValueError(f"tiles must be >= 1, got {tiles}")
-    if tiles is None and case.max_tiles is None:
-        raise ValueError(f"case {text} has infinitely many tiles; "
-                         f"set a tile count (--tiles N)")
+    elif cap is not None and tiles > cap:
+        raise ValueError(f"case {text} has at most {cap} tiles")
 
 
 def _new_rows(known: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -130,8 +135,9 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     """Enumerate distinct even-word group elements breadth-first: at most
-    max_count of them, or the whole group when max_count is None.  An
-    infinite group needs a count (ValueError, see check_tile_count).
+    max_count of them, or the whole group when max_count is None or above
+    the group order.  An infinite group needs a count (ValueError, see
+    check_tile_count).
 
     Words name the generators, e.g. "" (identity), "12" (R1 then R2).
     case is a cases.Case; its mirrors generate the group and its probes
@@ -141,8 +147,10 @@ def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     order, and one array pass (_new_rows: a sorted search over the first
     probe image) finds which of them are new.
     """
-    check_tile_count(case.tag, case, max_count)
-    limit = case.max_tiles if max_count is None else max_count
+    # a count above the group order lists the whole group
+    counts = [c for c in (max_count, case.max_tiles) if c is not None]
+    limit = min(counts) if counts else None
+    check_tile_count(case.tag, case, limit)
     refl = case.mirrors
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     gens = np.array([refl[j].then(refl[i]) for i, j in pairs])

@@ -1,4 +1,3 @@
-import math
 import os
 import re
 import subprocess
@@ -87,11 +86,11 @@ def test_fuchsian_sampling_avoids_boundary_circle():
 def test_dihedral_sampling_avoids_ramification_points(n):
     # dx/dz vanishes at the roots of z^2n = 1, two of which are corners
     # of every dihedral tile
-    margin = mesh.JobConfig.ramification_margin
+    margin = mesh.RAMIFICATION_MARGIN
     roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
     case = resolve_case(TAG_DIHEDRAL, n)
     for g in tile_parameter_domain(case).elements:
-        zs, _ = mesh.sample_triangle(case, 16, ramification_margin=margin)
+        zs, _ = mesh.sample_triangle(case, 16)
         zs = apply(g, zs)[0]
         dist = np.abs(zs[:, None] - roots[None, :]).min()
         assert dist >= margin * (1.0 - 1e-9)
@@ -111,14 +110,6 @@ def test_job_config_rejects_bad_input():
     for tiles in (0, -3):
         with pytest.raises(ValueError, match="tiles must be >= 1"):
             mesh.JobConfig(case="dihedral:3", tiles=tiles)
-    # a margin at or past its bound samples outside the base triangle
-    for key, top in (("ramification_margin", 1.0 / 3.0),
-                     ("boundary_margin", 0.5)):
-        for value in (-1e-3, math.inf, math.nan, top, 0.6, 2.0):
-            with pytest.raises(ValueError, match=f"{key} must be >= 0"):
-                mesh.JobConfig(case="dihedral:3", **{key: value})
-        assert getattr(mesh.JobConfig(case="fuchsian", tiles=1,
-                                      **{key: 0.3}), key) == 0.3
     for words in (None, ["", "21"]):
         with pytest.raises(ValueError, match="infinitely many tiles"):
             mesh.JobConfig(case="fuchsian", words=words)
@@ -177,44 +168,31 @@ def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["surface", "--case", "dihedral:3", "--tiles", "0"], "tiles must be"),
-    (["surface", "--case", "dihedral:3", "--tol-boundary-margin", "-0.1"],
-     "boundary_margin must be >= 0"),
-    (["tiles", "--case", "dihedral:3", "--tiles", "-3"], "tiles must be"),
-    # past the boundary, a non-finite margin ends in a traceback from
-    # sample_triangle, and a NaN or non-positive tolerance classes every
-    # sample NotSingular with exit 0
-    (["surface", "--case", "fuchsian", "--tiles", "1",
-      "--tol-boundary-margin", "inf"], "^error: boundary_margin must be"),
-    (["surface", "--case", "dihedral:3", "--tol-ramification-margin", "nan"],
-     "^error: ramification_margin must be"),
-    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "nan"],
-     "^error: --tol-classify must be > 0"),
-    (["singular-locus", "--case", "dihedral:3", "--tol-classify", "0"],
-     "^error: --tol-classify must be > 0"),
-    # margins past the base triangle used to exit 0 with a mesh outside it
-    (["surface", "--case", "dihedral:3", "--tiles", "1",
-      "--tol-ramification-margin", "2"],
-     "^error: ramification_margin must be >= 0 and below 0.3333"),
-    (["surface", "--case", "tetra", "--tol-ramification-margin", "0.5"],
-     "^error: ramification_margin must be"),
-    (["surface", "--case", "fuchsian", "--tiles", "1",
-      "--tol-boundary-margin", "0.6"],
-     "^error: boundary_margin must be >= 0 and below 0.5"),
+# each row carries the id it was first collected under, so that a row
+# keeps its name when other rows are added or dropped
+_BAD_INPUT = [
+    (0, ["surface", "--case", "dihedral:3", "--tiles", "0"], "tiles must be"),
+    (2, ["tiles", "--case", "dihedral:3", "--tiles", "-3"], "tiles must be"),
     # a --case that is no family used to end in a traceback from
     # singular-locus and tiles
-    (["singular-locus", "--case", "foo"], "^error: unknown case 'foo'"),
-    (["tiles", "--case", "dihedral:x"],
+    (10, ["singular-locus", "--case", "foo"], "^error: unknown case 'foo'"),
+    (11, ["tiles", "--case", "dihedral:x"],
      "^error: dihedral case must be written dihedral:n with n >= 1$"),
-    (["singular-locus", "--case", "dihedral:0"],
+    (12, ["singular-locus", "--case", "dihedral:0"],
      "^error: dihedral case must be written"),
-    (["tiles", "--case", "foo"], "^error: unknown case 'foo'"),
-    (["surface", "--case", "dihedral:²"],
+    (13, ["tiles", "--case", "foo"], "^error: unknown case 'foo'"),
+    (14, ["surface", "--case", "dihedral:²"],
      "^error: dihedral case must be written"),
     # a --words entry that names no tile, found by the tiling itself
-    (["surface", "--case", "fuchsian", "--tiles", "10", "--words", "12,99"],
+    (15, ["surface", "--case", "fuchsian", "--tiles", "10",
+          "--words", "12,99"],
      r"^error: unknown tile words: \['99'\]; available: \['', '12', "),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=f"argv{row}-{message}")
+    for row, argv, message in _BAD_INPUT
 ])
 def test_cli_rejects_bad_input(tmp_path, argv, message):
     out = tmp_path / "out.obj"
@@ -225,16 +203,46 @@ def test_cli_rejects_bad_input(tmp_path, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("tol-classify=nan", "--tol-classify must be > 0"),
-    ("tol-classify=-1e-8", "--tol-classify must be > 0"),
-    ("tol-classify=abc", "tol-classify=abc in .* is not a valid float"),
-])
-def test_cli_config_file_rejects_bad_tolerance(tmp_path, line, message):
+@pytest.mark.parametrize("command", ["surface", "tiles"])
+def test_cli_refuses_a_tile_count_above_the_group_order(tmp_path, command):
+    # one rule for both commands (tiles used to list the 12 elements and
+    # exit 0)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit,
+                       match="^error: case tetra has at most 12 tiles$"):
+        cli.main([command, "--case", "tetra", "--tiles", "100",
+                  "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_config_file_rejects_a_value_that_does_not_parse(tmp_path):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text(f"case=dihedral:3\n{line}\n")
-    with pytest.raises(SystemExit, match="^error: " + message):
-        cli.main(["singular-locus", "--config", str(cfg)])
+    cfg.write_text("case=dihedral:3\ntiles=abc\n")
+    with pytest.raises(SystemExit,
+                       match="^error: tiles=abc in .* is not a valid int$"):
+        cli.main(["tiles", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("surface", "--tol-ramification-margin"),
+    ("surface", "--tol-boundary-margin"),
+    ("singular-locus", "--tol-classify"),
+])
+def test_cli_refuses_the_removed_tolerance_flags_and_keys(
+        tmp_path, capsys, command, flag):
+    # the margins and the classification tolerance are module constants
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--case", "dihedral:3", flag, "0.3",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
+    key = flag[2:]
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"case=dihedral:3\n{key}=0.3\n")
+    with pytest.raises(SystemExit, match=f"^error: unknown key '{key}' in "):
+        cli.main([command, "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_job_config_validation():
@@ -251,6 +259,9 @@ def test_job_config_validation():
     with pytest.raises(ValueError, match="at most 6 tiles"):
         mesh.JobConfig(case=TAG_DIHEDRAL, n=3, tiles=7)
     assert mesh.JobConfig(case="dihedral:3", tiles=6).tiles == 6
+    # the default output path follows the format
+    assert mesh.JobConfig(case="dihedral:3").out == "front.obj"
+    assert mesh.JobConfig(case="dihedral:3", fmt="ply").out == "front.ply"
 
 
 # --- mesh construction ---------------------------------------------------
