@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
+import shutil
 import sys
 
 from . import singular as sg
@@ -67,8 +69,13 @@ def _check_out(path):
 
 
 def _build_parser():
+    # argparse makes a formatter for every add_argument call, and each one
+    # reads the terminal size; this reads it once a build, with
+    # HelpFormatter's own default width
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
     p = argparse.ArgumentParser(
-        prog="schwarzfront",
+        prog="schwarzfront", formatter_class=fmt,
         description="Flat-front images of the hypergeometric Schwarz map "
                     "in hyperbolic 3-space")
     sub = p.add_subparsers(dest="command", required=True)
@@ -81,7 +88,8 @@ def _build_parser():
         sp.add_argument("--out", default=None,
                         help="output path (surface default: front.<format>)")
 
-    s = sub.add_parser("surface", help="build and export a surface mesh")
+    s = sub.add_parser("surface", formatter_class=fmt,
+                       help="build and export a surface mesh")
     common(s)
     s.add_argument("--tiles", type=int, default=None,
                    help="number of tiles (default: all of a finite group)")
@@ -93,17 +101,19 @@ def _build_parser():
     s.add_argument("--no-singular", action="store_true",
                    help="skip the singular-curve overlay")
 
-    g = sub.add_parser("singular-locus",
+    g = sub.add_parser("singular-locus", formatter_class=fmt,
                        help="trace the singular curve, classify, export")
     common(g)
 
-    c = sub.add_parser("selfcheck", help="run the acceptance battery")
+    c = sub.add_parser("selfcheck", formatter_class=fmt,
+                       help="run the acceptance battery")
     c.add_argument("--quick", action="store_true",
                    help="smaller grids for the slow checks")
     c.add_argument("--out", default=None,
                    help="write the report here as well as stdout")
 
-    t = sub.add_parser("tiles", help="list group elements for a case")
+    t = sub.add_parser("tiles", formatter_class=fmt,
+                       help="list group elements for a case")
     common(t)
     t.add_argument("--tiles", type=int, default=None,
                    help="stop after this many elements (fuchsian needs it)")

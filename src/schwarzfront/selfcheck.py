@@ -71,9 +71,41 @@ def _case(cases, name):
     return resolve_case(name) if cases is None else cases[name]
 
 
+def _harmonious(d):
+    """The root > 1 of x^(d+1) = x + 1, by the fixed-point iteration
+    x <- (1 + x)^(1/(d+1)), which contracts by a factor below 1/4."""
+    x = 2.0
+    for _ in range(60):
+        x = (1.0 + x) ** (1.0 / (d + 1))
+    return x
+
+
+# alpha = (phi^-1, ..., phi^-d) for phi = _harmonious(d): the Kronecker
+# sequence frac(1/2 + n alpha) fills the unit d-cube evenly from any n on
+_ALPHA = {d: _harmonious(d) ** -np.arange(1.0, d + 1) for d in (2, 3)}
+# terms owned by each draw; the battery's largest draw takes 1000
+_SITE_TERMS = 1000
+
+
+def _first_term(site, case=0):
+    """First term of draw `case` (0-9) at draw site `site`, a number of
+    each check's own.  Each draw owns the _SITE_TERMS terms from here on,
+    so no two draws of the battery share a point."""
+    return _SITE_TERMS * (10 * site + case)
+
+
+def _kronecker(start, count, low, high):
+    """Terms start, ..., start + count - 1 of the Kronecker sequence
+    frac(1/2 + n alpha), scaled to the half-open box [low, high): a
+    (count, d) array for a box of d = 2 or 3 sides.  Fixed points, spread
+    more evenly than random draws, and no generator to seed or carry."""
+    low, high = np.asarray(low, float), np.asarray(high, float)
+    n = np.arange(start, start + count)[:, None]
+    return low + (high - low) * ((0.5 + n * _ALPHA[low.size]) % 1.0)
+
+
 def check_theta_identity() -> CheckResult:
-    rng = np.random.default_rng(11)
-    u = rng.uniform([-1.0, 0.5], [1.0, 2.5], (200, 2))
+    u = _kronecker(_first_term(11), 200, [-1.0, 0.5], [1.0, 2.5])
     tv = theta_values(u[:, 0] + 1j * u[:, 1])
     worst = float(np.max(abs(tv.theta3 ** 4 - tv.theta0 ** 4 - tv.theta2 ** 4)
                          / abs(tv.theta3 ** 4)))
@@ -91,9 +123,8 @@ def check_lambda_series() -> CheckResult:
 
 
 def check_lambda_derivatives() -> CheckResult:
-    rng = np.random.default_rng(5)
     h = 1e-5
-    u = rng.uniform([-0.8, 0.6], [0.8, 1.8], (50, 2))
+    u = _kronecker(_first_term(5), 50, [-0.8, 0.6], [0.8, 1.8])
     z = u[:, 0] + 1j * u[:, 1]
     _, xd, xdd = eval_lambda(z)
     xp, dp, _ = eval_lambda(z + h)
@@ -105,11 +136,10 @@ def check_lambda_derivatives() -> CheckResult:
 
 
 def check_partition_of_unity(cases=None) -> CheckResult:
-    rng = np.random.default_rng(7)
     worst = 0.0
-    for name in _POLY_CASES:
+    for i, name in enumerate(_POLY_CASES):
         d = _case(cases, name).inverse.data
-        u = rng.uniform(-1.5, 1.5, (100, 2))
+        u = _kronecker(_first_term(7, i), 100, [-1.5, -1.5], [1.5, 1.5])
         z = u[:, 0] + 1j * u[:, 1]
         t0 = d.A0 * np.polyval(d.f0, z) ** d.k0
         t1 = d.A1 * np.polyval(d.f1, z) ** d.k1
@@ -130,12 +160,11 @@ def _dx_dz_reference(d):
 
 
 def check_dx_dz(cases=None) -> CheckResult:
-    rng = np.random.default_rng(13)
     worst = 0.0
-    for name in _POLY_CASES:
+    for i, name in enumerate(_POLY_CASES):
         inv = _case(cases, name).inverse
         polys = _dx_dz_reference(inv.data)
-        u = rng.uniform([0.15, 0.05], [1.2, 3.0], (40, 2))
+        u = _kronecker(_first_term(13, i), 40, [0.15, 0.05], [1.2, 3.0])
         z = u[:, 0] * np.exp(1j * u[:, 1])
         _, xd, _ = inv.eval(z)          # NaN within POLE_MARGIN of a pole
         num, den, dnum, dden = (np.polyval(p, z) for p in polys)
@@ -145,13 +174,15 @@ def check_dx_dz(cases=None) -> CheckResult:
                        worst, 1e-10, worst < 1e-10)
 
 
-def _representation_points(case, rng, count: int = 100, h: float = 1e-6):
-    """The first `count` drawn points z where U(z), U(z +- h), x'(z) and
-    q(x(z)) are all finite, with those values.
+def _representation_points(case, start, count: int = 100,
+                           h: float = 1e-6):
+    """The first `count` points z, taken in order from term `start` of
+    the Kronecker sequence, where U(z), U(z +- h), x'(z) and q(x(z)) are
+    all finite, with those values.
 
-    Candidates are drawn in batches of the number still needed, so the
-    points and the generator's state are those of drawing one point at a
-    time and skipping the ones that fail.
+    The terms are taken in batches of the number still needed, so the
+    points are those of taking one term at a time and skipping the ones
+    that fail.
     """
     inv, e = case.inverse, case.exponents
     if case.max_tiles is None:          # infinite group: upper half-plane
@@ -160,7 +191,8 @@ def _representation_points(case, rng, count: int = 100, h: float = 1e-6):
         low, high = [0.2, 0.05], [0.9, 1.0]
     parts, need = [], count
     while need > 0:
-        u = rng.uniform(low, high, (need, 2))
+        u = _kronecker(start, need, low, high)
+        start += need
         if case.max_tiles is None:
             z = u[:, 0] + 1j * u[:, 1]
         else:
@@ -178,12 +210,11 @@ def _representation_points(case, rng, count: int = 100, h: float = 1e-6):
 
 
 def check_representation_formula(cases=None) -> CheckResult:
-    rng = np.random.default_rng(17)
     h = 1e-6
     worst_det, worst_ode = 0.0, 0.0
-    for name in _FRONT_CASES:
-        _, U, Up, Um, xd, q = _representation_points(_case(cases, name),
-                                                     rng, h=h)
+    for i, name in enumerate(_FRONT_CASES):
+        _, U, Up, Um, xd, q = _representation_points(
+            _case(cases, name), _first_term(17, i), h=h)
         worst_det = max(worst_det, np.max(abs(np.linalg.det(U) - 1.0)))
         dU = (Up - Um) / (2 * h)
         zero = np.zeros_like(xd)
@@ -299,11 +330,10 @@ def check_dihedral_curve(cases=None) -> CheckResult:
 
 
 def check_local_models() -> CheckResult:
-    rng = np.random.default_rng(23)
-    s, t = rng.uniform(-1.5, 1.5, (1000, 2)).T
+    s, t = _kronecker(_first_term(23, 0), 1000, [-1.5, -1.5], [1.5, 1.5]).T
     x, y = sg.local_model_cusp(s, t)
     cusp = 27 * y * y + 4 * x ** 3 - (s + 2 * t * t) ** 2 * (4 * s - t * t)
-    u, v = rng.uniform(-1.5, 1.5, (1000, 2)).T
+    u, v = _kronecker(_first_term(23, 1), 1000, [-1.5, -1.5], [1.5, 1.5]).T
     lhs = sg.swallowtail_canonical(u, v)
     st = sg.swallowtail_chart_source(u, v)
     rhs = sg.swallowtail_chart_target(*sg.local_model_swallowtail(*st))
@@ -361,8 +391,7 @@ def _tile_grids(case, zs):
 
 
 def check_geometry_roundtrips(cases=None) -> CheckResult:
-    rng = np.random.default_rng(31)
-    r = rng.normal(size=(100, 3))
+    r = _kronecker(_first_term(31), 100, [-3.0, -3.0, -3.0], [3.0, 3.0, 3.0])
     z, t = r[:, 0] + 1j * r[:, 1], abs(r[:, 2]) + 0.1
     H = upper_half_space_to_hermitian(H3Point.upper_half_space(z, t))
     q = hermitian_to_upper_half_space(

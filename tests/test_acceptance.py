@@ -125,15 +125,19 @@ def test_criterion_05_reference_is_the_poly1d_product(name):
 
 # --- criterion 6 draws its points in batches ------------------------------
 
-def _scalar_representation_points(case, rng, count=100, h=1e-6):
-    """Reference for criterion 6's draw: one point at a time, skipping a
-    point where any scalar evaluation raises."""
-    zs = []
+def _scalar_representation_points(case, start, count=100, h=1e-6):
+    """Reference for criterion 6's draw: one term at a time from term
+    `start`, skipping a point where any scalar evaluation raises; returns
+    the points and the first term not taken."""
+    zs, n = [], start
     while len(zs) < count:
         if case.max_tiles is None:
-            z = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.5, 1.5))
+            u, v = sc._kronecker(n, 1, [-0.8, 0.5], [0.8, 1.5])[0]
+            z = complex(u, v)
         else:
-            z = rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0.05, 1.0))
+            r, th = sc._kronecker(n, 1, [0.2, 0.05], [0.9, 1.0])[0]
+            z = r * cmath.exp(1j * th)
+        n += 1
         try:
             _, s = fr.eval_front_matrix(case.inverse, z)
             fr.eval_front_matrix(case.inverse, z + h, sqrt_prev=s)
@@ -143,7 +147,7 @@ def _scalar_representation_points(case, rng, count=100, h=1e-6):
         except (ValueError, RuntimeError):
             continue
         zs.append(z)
-    return np.array(zs)
+    return np.array(zs), n
 
 
 class _RefusingInverse:
@@ -157,14 +161,81 @@ class _RefusingInverse:
         return unflat(shape, *(flat(v) for v in values))
 
 
-def test_criterion_06_points_equal_scalar_draw_and_skip():
+def _recording_kronecker(monkeypatch):
+    """Replace sc._kronecker by itself, recording each (start, count)."""
+    calls, draw = [], sc._kronecker
+
+    def recording(start, count, low, high):
+        calls.append((start, count))
+        return draw(start, count, low, high)
+
+    monkeypatch.setattr(sc, "_kronecker", recording)
+    return calls
+
+
+def test_criterion_06_points_equal_scalar_draw_and_skip(monkeypatch):
     fuchsian = resolve_case("fuchsian")
     refusing = SimpleNamespace(inverse=_RefusingInverse(),
                                exponents=fuchsian.exponents, max_tiles=None)
     cases = [resolve_case(n) for n in sc._FRONT_CASES] + [refusing]
-    rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
-    for case in cases:
-        z = sc._representation_points(case, rng_a)[0]
-        assert np.array_equal(z, _scalar_representation_points(case, rng_b))
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    calls = _recording_kronecker(monkeypatch)
+    for i, case in enumerate(cases):
+        start = sc._first_term(17, i)
+        want, end = _scalar_representation_points(case, start)
+        calls.clear()
+        z = sc._representation_points(case, start)[0]
+        assert np.array_equal(z, want)
+        # the batches take the terms in order, and none past the last point
+        assert calls[0][0] == start and sum(c for _, c in calls) == end - start
+        assert all(a + c == b for (a, c), (b, _) in zip(calls, calls[1:]))
     assert len(z) == 100 and (z.real <= 0.2).all()
+    assert end - start > 150            # the refusing case skipped terms
+
+
+# --- the Kronecker sequence the battery draws its points from -------------
+
+_BOXES = [([-1.0, 0.5], [1.0, 2.5]), ([0.15, 0.05], [1.2, 3.0]),
+          ([-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]),
+          ([0.0, -1.0, 2.0], [1e-3, 1.0, 2.5])]
+
+
+@pytest.mark.parametrize("low, high", _BOXES)
+def test_kronecker_points_are_fixed_and_in_their_half_open_box(low, high):
+    for start in (0, sc._first_term(11), sc._first_term(31, 9)):
+        p = sc._kronecker(start, 1000, low, high)
+        assert p.shape == (1000, len(low))
+        assert np.array_equal(p, sc._kronecker(start, 1000, low, high))
+        # a batch is its pieces in order, as criterion 6's skip rule needs
+        assert np.array_equal(p, np.concatenate(
+            [sc._kronecker(start, 400, low, high),
+             sc._kronecker(start + 400, 600, low, high)]))
+        assert ((low <= p) & (p < np.array(high))).all()
+
+
+@pytest.mark.parametrize("start", [0, sc._first_term(5),
+                                   sc._first_term(23, 1)])
+def test_kronecker_points_cover_a_grid_of_the_box(start):
+    low, high = np.array([-0.8, 0.6]), np.array([0.8, 1.8])
+    p = sc._kronecker(start, 200, low, high)
+    cells = np.floor((p - low) / (high - low) * 10).astype(int)
+    assert len({tuple(c) for c in cells}) == 100
+
+
+def test_kronecker_alpha_solves_its_polynomial():
+    for d, alpha in sc._ALPHA.items():
+        phi = 1.0 / alpha[0]
+        assert phi ** (d + 1) == pytest.approx(phi + 1.0, rel=1e-15)
+        assert np.allclose(alpha, phi ** -np.arange(1, d + 1), rtol=1e-15)
+
+
+def test_battery_draws_share_no_terms(monkeypatch):
+    calls = _recording_kronecker(monkeypatch)
+    assert all(r.passed for r in sc.run_all(quick=True))
+    terms = np.concatenate([np.arange(a, a + c) for a, c in calls])
+    assert len(np.unique(terms)) == len(terms)
+    # each draw keeps to the terms its (check, case) owns, and owns its own:
+    # 1 + 1 + 9 + 9 + 5 + 2 + 1 draws in checks 1, 3, 4, 5, 6, 11 and 13
+    blocks = {a // sc._SITE_TERMS for a, _ in calls}
+    assert all(a // sc._SITE_TERMS == (a + c - 1) // sc._SITE_TERMS
+               for a, c in calls)
+    assert len(blocks) == 28

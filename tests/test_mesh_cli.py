@@ -157,6 +157,34 @@ def test_cli_verify_commands_run_without_sympy(tmp_path, block):
     assert result == f"RESULT [0, 0] [{', '.join(seen)}]"
 
 
+def test_cli_commands_leave_numpy_random_unloaded(tmp_path):
+    # selfcheck draws its points from a Kronecker sequence, so no command
+    # pays numpy.random's import time and memory
+    code = ("import sys\n"
+            "from schwarzfront.cli import main\n"
+            "rcs = [main(['surface', '--case', 'fuchsian', '--tiles', '20',\n"
+            "             '--resolution', '8']),\n"
+            "       main(['singular-locus', '--case', 'dihedral:3']),\n"
+            "       main(['selfcheck', '--quick'])]\n"
+            "print('RESULT', rcs, 'numpy.random' in sys.modules)\n")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "RESULT [0, 0, 0] False"
+
+
+def test_cli_help_wraps_to_the_terminal_width(monkeypatch, capsys):
+    widths = {}
+    for columns in (60, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["surface", "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        widths[columns] = max(map(len, lines))
+        assert widths[columns] <= columns - 2
+    assert widths[200] > 60 - 2
+
+
 @pytest.mark.parametrize("argv", [["surface", "--case", "fuchsian"],
                                   ["tiles", "--case", "fuchsian"]])
 def test_cli_infinite_group_needs_a_tile_count(tmp_path, argv):
