@@ -3,10 +3,13 @@
 A Case holds what the pipeline needs to know about one family: its
 exponents, its inverse Schwarz map x(z), the preimage x -> z on the base
 triangle where one is known, the order of its monodromy group (the number
-of tiles), the three mirrors bounding the base triangle, the triangle's
-vertices and the probe points that tell tiles apart.  resolve_case()
-builds it from the user's text ("dihedral:3", "tetra", ...) or from a tag
-and n, and checks it against equation.is_standard.
+of tiles), the three mirrors bounding the base triangle and the probe
+points that tell tiles apart.  resolve_case() builds it from the user's
+text ("dihedral:3", "tetra", ...) or from a tag and n, and checks it
+against equation.is_standard.  The mirrors alone describe the base
+triangle (mesh.sample_triangle reads its grid from them): for a finite
+family, mirror 0 is the line arg z = 0, mirror 1 the line arg z = phi and
+mirror 2 a circle around the vertex z = 0.
 """
 
 from __future__ import annotations
@@ -37,19 +40,6 @@ _UHP_PROBES = (0.31 + 0.83j, -0.52 + 1.27j, 0.11 + 0.45j)
 
 
 @dataclass(frozen=True)
-class BaseTriangle:
-    """Vertices of the base Schwarz triangle in the z-plane.
-
-    v_inf / v_zero / v_one are the vertices lying over x = infinity, 0, 1
-    (zeros of fInf, f0, f1 for the polyhedral cases).
-    """
-
-    v_inf: complex
-    v_zero: complex
-    v_one: complex
-
-
-@dataclass(frozen=True)
 class Case:
     """One family of fronts; build it with resolve_case."""
 
@@ -60,17 +50,16 @@ class Case:
     z_from_x: Callable | None         # x -> z on the base triangle
     max_tiles: int | None             # group order; None when infinite
     mirrors: tuple                    # three Reflections of the group
-    base: BaseTriangle | None         # None for the ideal triangle
     probes: tuple                     # three points that tell tiles apart
 
 
-def _polyhedral(tag, n, mirrors, base, z_from_x=None):
+def _polyhedral(tag, n, mirrors, z_from_x=None):
     inverse = PolyhedralInverse(tag, n)
     d = inverse.data
     return dict(exponents=exponents_from_mu(*(Fraction(1, k)
                                               for k in (d.k0, d.k1, d.kInf))),
                 inverse=inverse, z_from_x=z_from_x, mirrors=mirrors,
-                base=base, probes=_SPHERE_PROBES)
+                probes=_SPHERE_PROBES)
 
 
 def _dihedral(n):
@@ -80,30 +69,23 @@ def _dihedral(n):
          Reflection.conjugation_times(cmath.exp(2j * math.pi / n)),
          Reflection(np.array([[0.0, 1.0], [1.0, 0.0]],
                              dtype=complex))),  # z -> 1/conj(z)
-        BaseTriangle(v_inf=0.0, v_zero=cmath.exp(1j * math.pi / n),
-                     v_one=1.0),
         functools.partial(dihedral_z_from_x, n))
 
 
 def _tetrahedral(n):
-    r = math.sqrt(2.0 - math.sqrt(3.0))
     return _polyhedral(
         TAG_TETRAHEDRAL, n,
         (Reflection.conjugation_times(1.0),
          Reflection.conjugation_times(-1.0),
-         Reflection.circle(-(1.0 + 1.0j) / math.sqrt(2.0), math.sqrt(2.0))),
-        BaseTriangle(v_zero=0.0, v_one=r, v_inf=1j * r))
+         Reflection.circle(-(1.0 + 1.0j) / math.sqrt(2.0), math.sqrt(2.0))))
 
 
 def _octahedral(n):
-    r0 = math.sqrt(2.0 - math.sqrt(3.0))
     return _polyhedral(
         TAG_OCTAHEDRAL, n,
         (Reflection.conjugation_times(1.0),
          Reflection.conjugation_times(1.0j),
-         Reflection.circle(-1.0, math.sqrt(2.0))),
-        BaseTriangle(v_inf=0.0, v_one=math.sqrt(2.0) - 1.0,
-                     v_zero=r0 * cmath.exp(0.25j * math.pi)))
+         Reflection.circle(-1.0, math.sqrt(2.0))))
 
 
 def _icosahedral(n):
@@ -112,17 +94,11 @@ def _icosahedral(n):
     # -2 cos(pi/5) with radius sqrt(1 + 4 cos^2(pi/5))
     c = 2.0 * math.cos(math.pi / 5.0)
     r = math.sqrt(1.0 + 4.0 * math.cos(math.pi / 5.0) ** 2)
-    # line arg(z) = pi/5 meets the mirror circle |z + c| = r
-    t0 = (-2.0 * c * math.cos(math.pi / 5.0)
-          + math.sqrt(4.0 * c * c * math.cos(math.pi / 5.0) ** 2
-                      + 4.0 * (r * r - c * c))) / 2.0
     return _polyhedral(
         TAG_ICOSAHEDRAL, n,
         (Reflection.conjugation_times(1.0),
          Reflection.conjugation_times(eps),
-         Reflection.circle(-c, r)),
-        BaseTriangle(v_inf=0.0, v_one=r - c,
-                     v_zero=t0 * cmath.exp(1j * math.pi / 5.0)))
+         Reflection.circle(-c, r)))
 
 
 def _fuchsian(n):
@@ -137,7 +113,7 @@ def _fuchsian(n):
                 mirrors=(Reflection.line(0.0, 1.0j),
                          Reflection.line(1.0, 1.0j),
                          Reflection.circle(0.5, 0.5)),
-                base=None, probes=_UHP_PROBES)
+                probes=_UHP_PROBES)
 
 
 _FAMILIES = {TAG_DIHEDRAL: _dihedral, TAG_TETRAHEDRAL: _tetrahedral,

@@ -2,11 +2,12 @@
 
 The front is evaluated on structured grids over copies of the base
 triangle, converted to the requested chart of H^3, and written as ASCII
-OBJ or PLY.  The inverse map x and q(x) are evaluated once, on the base
-triangle's grid: x is automorphic, x(g z) = x(z), so the surface
-vertices reach each tile g through the chain rule
-(front.eval_front_on_tiles), and the near-singular flag, which reads x
-alone, is the base grid's.  Criterion 13 of selfcheck checks that
+OBJ or PLY.  A finite family's base grid (sample_triangle) is a fan whose
+sides lie on the case's mirrors.  The inverse map x and q(x) are
+evaluated once, on the base triangle's grid: x is automorphic,
+x(g z) = x(z), so the surface vertices reach each tile g through the
+chain rule (front.eval_front_on_tiles), and the near-singular flag, which
+reads x alone, is the base grid's.  Criterion 13 of selfcheck checks that
 identity by evaluating x directly at g z.
 
 For the families with a known x -> z preimage, the cuspidal edge is
@@ -40,10 +41,14 @@ FLAG_CLIPPED = 2
 
 # cap on Im z when sampling the cusp of the ideal triangle at infinity
 FUCHSIAN_HEIGHT = 2.0
-# how far the base grid keeps from the ramification points (dihedral,
-# and the polyhedral corners) and from the ideal triangle's cusps and
-# boundary arcs (fuchsian)
+# the margins of the base grid (see sample_triangle): the first row of a
+# finite family's fan lies at RAMIFICATION_MARGIN of the way to its arc
+# in |z|^k, k the order of the vertex at 0; the arc's two corners move
+# in by CORNER_MARGIN of their radius (at 1e-3 the vertex at each
+# order-3 corner of tetra, octa and icosa clipped in every tile); the
+# ideal triangle's grid keeps BOUNDARY_MARGIN from its cusps and arcs
 RAMIFICATION_MARGIN = 1e-3
+CORNER_MARGIN = 5e-3
 BOUNDARY_MARGIN = 1e-3
 # a vertex with ||q| - 1| below this is flagged near the singular locus
 NEAR_SINGULAR_TOL = 1e-2
@@ -91,51 +96,45 @@ class SurfaceMesh:
     markers: list = field(default_factory=list)     # (name, 3-vector)
 
 
-def _grid_triangles(rows) -> np.ndarray:
-    """Index triples for a structured grid given its rows: two triangles
-    (a, a+1, d) and (a+1, d+1, d) per cell, cell by cell."""
-    start = np.cumsum([0] + [len(row) for row in rows])
-    tris = [np.zeros((0, 6), dtype=int)]
-    for r in range(len(rows) - 1):
-        a = start[r] + np.arange(min(len(rows[r]), len(rows[r + 1])) - 1)
-        d = a - start[r] + start[r + 1]
-        tris.append(np.stack([a, a + 1, d, a + 1, d + 1, d], axis=1))
-    return np.concatenate(tris).reshape(-1, 3)
-
-
 def sample_triangle(case, resolution: int):
     """z grid plus triangulation of the base triangle of a cases.Case.
 
     Returns (z array, triangle index array); a tile's grid is the image
-    of this one under the tile's Moebius map.  The grid keeps
-    RAMIFICATION_MARGIN or BOUNDARY_MARGIN away from the triangle's
-    special points; it needs a resolution of at least 2.
+    of this one under the tile's Moebius map.  Each cell (a, a+1, d, d+1)
+    of an R x R grid is cut into (a, a+1, d) and (a+1, d+1, d).  A finite
+    family's grid is a fan: rays from its vertex z = 0 between the mirrors
+    arg z = 0 and arg z = phi, ending on the circle of case.mirrors[2], at
+    radius fractions uniform in |z|^k, k = pi/phi the vertex's order.  The
+    ideal triangle keeps the cells of a rectangle that lie wholly outside
+    |z - 1/2| <= 1/2 + BOUNDARY_MARGIN, and the points they use.  R >= 2.
     """
     R = int(resolution)
-    tri = case.base
-    if tri is None:
-        # ideal triangle {0 < Re z < 1, |z - 1/2| > 1/2} clipped at cusps
+    if case.max_tiles is None:
         m = BOUNDARY_MARGIN
-        grid = (np.linspace(m, 1.0 - m, R)
-                + 1j * np.geomspace(m, FUCHSIAN_HEIGHT, R)[:, None])
-        rows = [row[np.abs(row - 0.5) > 0.5 + m] for row in grid]
-        rows = [row for row in rows if len(row) >= 2]
-    elif case.n is not None:
-        # dihedral: fan bounded by the rays of argument 0 and pi/n and
-        # the unit circle
-        n = case.n
-        rows = (np.linspace(RAMIFICATION_MARGIN, 1.0, R)[:, None]
-                * np.exp(1j * np.linspace(0.0, math.pi / n, R)))
-        # the arc's ends z = 1 and z = exp(i pi/n) are ramification points
-        # (dx/dz = 0 at the roots of z^2n = 1): move both in by the margin
-        rows[-1, [0, -1]] *= 1.0 - RAMIFICATION_MARGIN
+        z = (np.linspace(m, 1.0 - m, R)
+             + 1j * np.geomspace(m, FUCHSIAN_HEIGHT, R)[:, None])
+        out = np.abs(z - 0.5) <= 0.5 + m
     else:
-        eps = max(RAMIFICATION_MARGIN, 1.0 / (4.0 * R))
-        a = eps + (1.0 - 3.0 * eps) * np.arange(R)[:, None] / (R - 1)
-        b = eps + (1.0 - 3.0 * eps) * np.arange(R) / (R - 1) \
-            * (1.0 - a - eps) / max(1.0 - 2.0 * eps, 1e-12)
-        rows = tri.v_inf * (1.0 - a - b) + tri.v_zero * a + tri.v_one * b
-    return np.concatenate(list(rows)), _grid_triangles(rows)
+        # mirror 1 is z -> e^{2i phi} conj(z), phi in (0, pi]: on
+        # dihedral:1 it is mirror 0 again, and phi = pi
+        phi = (np.angle(-case.mirrors[1].matrix[0, 0]) + math.pi) / 2.0
+        # mirror 2 is the circle |z - c|^2 = |c|^2 + b, with 0 inside it;
+        # the ray of angle theta meets it at rho = p + sqrt(p^2 + b)
+        c, b = case.mirrors[2].matrix[0]
+        ray = np.exp(1j * np.linspace(0.0, phi, R))
+        p = (c * ray.conj()).real
+        rho = p + np.sqrt(p * p + b.real)
+        frac = np.linspace(RAMIFICATION_MARGIN, 1.0, R) ** (phi / math.pi)
+        z = frac[:, None] * (rho * ray)
+        z[-1, [0, -1]] *= 1.0 - CORNER_MARGIN
+        out = np.zeros((R, R), dtype=bool)
+    # a cell is kept when none of its corners is out; a is its first
+    cut = out[:-1, :-1] | out[:-1, 1:] | out[1:, :-1] | out[1:, 1:]
+    a = (R * np.arange(R - 1)[:, None] + np.arange(R - 1))[~cut]
+    tris = (a[:, None] + [0, 1, R, 1, R + 1, R]).reshape(-1, 3)
+    used = np.zeros(R * R, dtype=bool)
+    used[tris] = True
+    return z.ravel()[used], (np.cumsum(used) - 1)[tris]
 
 
 def _chart_coords(H, chart: str) -> np.ndarray:

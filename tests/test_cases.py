@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzfront import cli
+from schwarzfront import cli, mesh
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF,
                                    TAG_ICOSAHEDRAL, TAG_OCTAHEDRAL,
@@ -64,10 +64,21 @@ def _vertex_params():
             yield text, vertex
 
 
+# the inverse map near each corner of the base triangle, by its name
+NEAR_X = {"v_inf": lambda x: abs(x) > 1e3, "v_zero": lambda x: abs(x) < 1e-3,
+          "v_one": lambda x: abs(x - 1.0) < 1e-3}
+
+
 @pytest.mark.parametrize("text, vertex", list(_vertex_params()))
 def test_base_vertices_are_fixed_by_two_mirrors(text, vertex):
+    # the corners of the sampler's fan, the apex 0 and the ends of its
+    # arc before CORNER_MARGIN moves them in; the one over x = infinity,
+    # 0 or 1 is found by x a short step inside
     case = resolve_case(text)
-    v = getattr(case.base, vertex)
+    z = mesh.sample_triangle(case, 8)[0]
+    corners = [0.0, *(z[[-8, -1]] / (1.0 - mesh.CORNER_MARGIN))]
+    (v,) = [v for v in corners
+            if NEAR_X[vertex](case.inverse.eval(v + 1e-5 * (z.mean() - v))[0])]
     # a mirror that maps v to infinity gives a NaN distance: not fixed
     with np.errstate(divide="ignore", invalid="ignore"):
         moves = [abs(m(v) - v) for m in case.mirrors]
@@ -81,11 +92,6 @@ def test_icosahedral_circle_mirror_is_the_epsilon_form_of_its_involution():
     den = (eps ** 2 - eps ** 3) * z.conjugate() + (eps - eps ** 4)
     mirror = resolve_case("icosa").mirrors[2]
     assert (abs(mirror(z) - num / den) < 1e-12).all()
-
-
-def test_only_the_ideal_triangle_has_no_base_vertices():
-    for text, tag, _ in CASES:
-        assert (resolve_case(text).base is None) == (tag == TAG_FUCHSIAN_INF)
 
 
 @pytest.mark.parametrize("args", [

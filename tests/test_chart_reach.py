@@ -15,10 +15,10 @@ from schwarzfront.cases import resolve_case
 
 # (case, tiles, resolution, clipped vertices, all vertices)
 CLIPPED = [
-    ("fuchsian", 400, 8, 810, 8_000),
-    ("fuchsian", 2000, 16, 11_967, 132_000),
-    ("dihedral:6", 12, 16, 192, 3_072),
-    ("icosa", None, 24, 60, 34_560),
+    ("fuchsian", 400, 8, 0, 6_400),
+    ("fuchsian", 2000, 16, 6, 120_000),
+    ("dihedral:6", 12, 16, 0, 3_072),
+    ("icosa", None, 24, 0, 34_560),
     ("octa", None, 16, 0, 6_144),
 ]
 

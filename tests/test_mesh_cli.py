@@ -97,13 +97,59 @@ def test_dihedral_sampling_avoids_ramification_points(n):
 
 
 def test_dihedral_mesh_has_no_ramification_clips():
-    # the only dihedral clips left are at the pole end |z| = margin and
-    # where det H loses to cancellation (h k > 1e13)
+    # the fan's rows are uniform in |z|^n, so its first row keeps |x| far
+    # below float64 reach, and the arc's corners keep CORNER_MARGIN from
+    # the ramification points, where x' = 0
     m = mesh.build_mesh(mesh.JobConfig(case="dihedral:6", resolution=16,
                                        with_singular=False))
     case = resolve_case("dihedral:6")
     _, xd, _ = case.inverse.eval(m.source_z)
     assert np.abs(xd).min() >= 1e-3
+
+
+# finite families sampled by the fan, and the angle pi/k of each base
+# triangle at its vertex z = 0
+FAN_CASES = {**{f"dihedral:{n}": n for n in (1, 2, 3, 6, 12, 25, 50)},
+             "tetra": 2, "octa": 4, "icosa": 5}
+
+
+def _in_base_triangle(text, z):
+    case = resolve_case(text)
+    if case.max_tiles is None:
+        return (z.real > 0) & (z.real < 1) & (np.abs(z - 0.5) > 0.5)
+    # mirror 2 is the circle |z - c|^2 = |c|^2 + b
+    c, b = case.mirrors[2].matrix[0]
+    return ((np.angle(z) >= 0) & (np.angle(z) <= np.pi / FAN_CASES[text])
+            & (np.abs(z - c) ** 2 <= abs(c) ** 2 + b.real))
+
+
+@pytest.mark.parametrize("text", FAN_CASES)
+@pytest.mark.parametrize("resolution", [8, 16, 24])
+def test_fan_sides_lie_on_the_mirrors(text, resolution):
+    case = resolve_case(text)
+    R = resolution
+    z = mesh.sample_triangle(case, R)[0].reshape(R, R)
+    for mirror, side in zip(case.mirrors, [z[:, 0], z[:, -1], z[-1, 1:-1]]):
+        assert np.abs(mirror(side) - side).max() < 1e-15
+
+
+@pytest.mark.parametrize("text", [*FAN_CASES, "fuchsian"])
+@pytest.mark.parametrize("resolution", [8, 12, 16, 24])
+def test_faces_lie_inside_the_base_triangle(text, resolution):
+    # a face of the ideal triangle's grid that joined the points on both
+    # sides of the half-disk |z - 1/2| <= 1/2 would have its centroid there
+    zs, tris = mesh.sample_triangle(resolve_case(text), resolution)
+    assert _in_base_triangle(text, zs[tris].mean(axis=1)).all()
+
+
+@pytest.mark.parametrize("chart", ["ball", "uhs"])
+@pytest.mark.parametrize("text", FAN_CASES)
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_finite_families_clip_no_vertex(text, resolution, chart):
+    m = mesh.build_mesh(mesh.JobConfig(case=text, resolution=resolution,
+                                       chart=chart, with_singular=False))
+    assert m.complete
+    assert np.count_nonzero(m.flags & mesh.FLAG_CLIPPED) == 0
 
 
 def test_job_config_rejects_bad_input():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzfront import cli
+from schwarzfront import cli, mesh
 from schwarzfront.modular import eval_lambda
 from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
@@ -83,17 +83,17 @@ def test_tile_words_compose_left_to_right():
                                     ("octahedral", None),
                                     ("icosahedral", None)])
 def test_base_triangle_vertices_hit_ramification_values(tag, n):
-    tri = resolve_case(tag, n).base
-    inv = PolyhedralInverse(tag, n)
-    # vertices map (in the limit) to x = 0, 1, infinity
-    eps = 1e-5
-    interior = 0.5 * (tri.v_zero + tri.v_one)
-    v0 = tri.v_zero + eps * (interior - tri.v_zero)
-    v1 = tri.v_one + eps * (interior - tri.v_one)
-    vi = tri.v_inf + eps * (interior - tri.v_inf)
-    assert abs(inv.eval(v0)[0]) < 1e-3
-    assert abs(inv.eval(v1)[0] - 1.0) < 1e-3
-    assert abs(inv.eval(vi)[0]) > 1e3
+    # the corners of the sampler's fan, the apex 0 and the ends of its arc
+    # before CORNER_MARGIN moves them in, map (in the limit) to x = 0, 1
+    # and infinity, one each
+    case = resolve_case(tag, n)
+    z = mesh.sample_triangle(case, 8)[0]
+    corners = [0.0, *(z[[-8, -1]] / (1.0 - mesh.CORNER_MARGIN))]
+    x = [case.inverse.eval(v + 1e-5 * (z.mean() - v))[0] for v in corners]
+    hits = [[abs(xi) < 1e-3, abs(xi - 1.0) < 1e-3, abs(xi) > 1e3]
+            for xi in x]
+    assert np.array_equal(np.sum(hits, axis=0), [1, 1, 1]), x
+    assert np.array_equal(np.sum(hits, axis=1), [1, 1, 1]), x
 
 
 def test_apply_composes_matrices_and_tiles_have_det_one():
