@@ -71,29 +71,33 @@ def _check_out(path):
 def _build_parser():
     # argparse makes a formatter for every add_argument call, and each one
     # reads the terminal size; this reads it once a build, with
-    # HelpFormatter's own default width
+    # HelpFormatter's own default width.  No parser takes an abbreviation,
+    # so a flag and a config key have one spelling.
     fmt = functools.partial(argparse.HelpFormatter,
                             width=shutil.get_terminal_size().columns - 2)
     p = argparse.ArgumentParser(
-        prog="schwarzfront", formatter_class=fmt,
+        prog="schwarzfront", formatter_class=fmt, allow_abbrev=False,
         description="Flat-front images of the hypergeometric Schwarz map "
                     "in hyperbolic 3-space")
     sub = p.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, formatter_class=fmt,
+                            allow_abbrev=False)
 
     def common(sp):
         sp.add_argument("--case", default=None,
                         help="dihedral:n | tetra | octa | icosa | fuchsian")
         sp.add_argument("--config", default=None,
-                        help="key=value config file; flags override it")
+                        help="file of key=value lines, each read as the "
+                             "flag --key=value; flags override it")
         sp.add_argument("--out", default=None,
                         help="output path (surface default: front.<format>)")
 
-    s = sub.add_parser("surface", formatter_class=fmt,
-                       help="build and export a surface mesh")
+    s = add("surface", help="build and export a surface mesh")
     common(s)
     s.add_argument("--tiles", type=int, default=None,
                    help="number of tiles (default: all of a finite group)")
     s.add_argument("--words", default=None,
+                   type=lambda text: [w.strip() for w in text.split(",")],
                    help="comma-separated tile words, e.g. ',21,31'")
     s.add_argument("--resolution", type=int, default=None)
     s.add_argument("--chart", choices=("ball", "uhs"), default=None)
@@ -101,102 +105,53 @@ def _build_parser():
     s.add_argument("--no-singular", action="store_true",
                    help="skip the singular-curve overlay")
 
-    g = sub.add_parser("singular-locus", formatter_class=fmt,
-                       help="trace the singular curve, classify, export")
-    common(g)
+    common(add("singular-locus",
+               help="trace the singular curve, classify, export"))
 
-    c = sub.add_parser("selfcheck", formatter_class=fmt,
-                       help="run the acceptance battery")
+    c = add("selfcheck", help="run the acceptance battery")
     c.add_argument("--quick", action="store_true",
                    help="smaller grids for the slow checks")
     c.add_argument("--out", default=None,
                    help="write the report here as well as stdout")
 
-    t = sub.add_parser("tiles", formatter_class=fmt,
-                       help="list group elements for a case")
+    t = add("tiles", help="list group elements for a case")
     common(t)
     t.add_argument("--tiles", type=int, default=None,
                    help="stop after this many elements (fuchsian needs it)")
     return p
 
 
-class _Options:
-    """Flag values, falling back to the --config file; flags win.
+def _or_exit(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError (input the job cannot use)
+    turned into one error line."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
-    Config keys are the long flag names without the dashes ("format",
-    "resolution"); an underscore may stand for a dash.  check() rejects
-    any key the command did not ask for.
-    """
 
-    def __init__(self, args):
-        self.args, self.asked = args, set()
-        try:
-            raw = read_config(args.config) if args.config else {}
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-        self.file = {k.replace("_", "-"): v for k, v in raw.items()}
-
-    def get(self, key, cast=str):
-        self.asked.add(key)
-        val = getattr(self.args, key.replace("-", "_"))
-        if val is None and key in self.file:
-            try:
-                val = cast(self.file[key])
-            except ValueError:
-                raise SystemExit(f"error: {key}={self.file[key]} in "
-                                 f"{self.args.config} is not a valid "
-                                 f"{cast.__name__}") from None
-        return val
-
-    def case_text(self):
-        text = self.get("case")
-        if text is None:
-            raise SystemExit("error: --case is required (or put case= in "
-                             "the config file)")
-        return text
-
-    def case(self):
-        """The resolved case; one that is not a family ends in one error
-        line, as JobConfig's errors do for surface."""
-        try:
-            return resolve_case(self.case_text())
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-
-    def check(self):
-        unknown = sorted(set(self.file) - self.asked)
-        if unknown:
-            raise SystemExit(f"error: unknown key {unknown[0]!r} in "
-                             f"{self.args.config}; expected one of "
-                             f"{', '.join(sorted(self.asked))}")
+def _case(args) -> str:
+    """The --case text; without one the command ends in one error line."""
+    if args.case is None:
+        raise SystemExit("error: --case is required (or put case= in "
+                         "the config file)")
+    return args.case
 
 
 def _job_config(args) -> JobConfig:
-    opts = _Options(args)
-    kwargs = dict(case=opts.case_text(), tiles=opts.get("tiles", int),
-                  words=opts.get("words"),
-                  resolution=opts.get("resolution", int),
-                  chart=opts.get("chart"), fmt=opts.get("format"),
-                  out=opts.get("out") or None)
-    if kwargs["words"] is not None:
-        kwargs["words"] = [w.strip() for w in kwargs["words"].split(",")]
-    opts.check()
-    try:
-        # only what a flag or the config file set: JobConfig has the defaults
-        cfg = JobConfig(with_singular=not args.no_singular,
-                        **{k: v for k, v in kwargs.items() if v is not None})
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    kwargs = dict(case=_case(args), tiles=args.tiles, words=args.words,
+                  resolution=args.resolution, chart=args.chart,
+                  fmt=args.format, out=args.out or None)
+    # only what a flag or the config file set: JobConfig has the defaults
+    cfg = _or_exit(JobConfig, with_singular=not args.no_singular,
+                   **{k: v for k, v in kwargs.items() if v is not None})
     _check_out(cfg.out)
     return cfg
 
 
 def cmd_surface(args) -> int:
     cfg = _job_config(args)
-    try:
-        mesh = build_mesh(cfg)
-    except ValueError as exc:    # e.g. a --words entry that names no tile
-        raise SystemExit(f"error: {exc}") from None
+    mesh = _or_exit(build_mesh, cfg)    # e.g. a --words entry that is no tile
     path = export_mesh(mesh, cfg.out, cfg.fmt)
     print(f"wrote {path}: {len(mesh.vertices)} vertices, "
           f"{len(mesh.triangles)} triangles, "
@@ -206,25 +161,18 @@ def cmd_surface(args) -> int:
 
 
 def cmd_singular_locus(args) -> int:
-    opts = _Options(args)
-    case = opts.case()
-    out = opts.get("out")
-    opts.check()
-    _check_out(out)
-    e = case.exponents
-    try:
-        curve = sg.trace_singular_curve(e)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    e = _or_exit(resolve_case, _case(args)).exponents
+    _check_out(args.out)
+    curve = _or_exit(sg.trace_singular_curve, e)
     spc = sg.classify_point(e, curve.samples)
     x, zeta = curve.samples, spc.QRbar2
     text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
             + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", x.real,
                     x.imag, spc.cls, spc.abs_q, zeta.real, zeta.imag))
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {out}: {len(curve.samples)} samples, "
+        print(f"wrote {args.out}: {len(curve.samples)} samples, "
               f"closed={curve.closed}")
     else:
         sys.stdout.write(text)
@@ -247,17 +195,11 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_tiles(args) -> int:
-    opts = _Options(args)
-    case = opts.case()
-    max_count = opts.get("tiles", int)
-    out = opts.get("out")
-    opts.check()
-    try:
-        check_tile_count(opts.case_text(), case, max_count)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    _check_out(out)
-    ts = tile_parameter_domain(case, max_count=max_count)
+    text = _case(args)
+    case = _or_exit(resolve_case, text)
+    _or_exit(check_tile_count, text, case, args.tiles)
+    _check_out(args.out)
+    ts = tile_parameter_domain(case, max_count=args.tiles)
     summary = f"{len(ts.elements)} elements (complete={ts.complete})"
     rows = [summary]
     for m, word in zip(ts.elements, ts.words):
@@ -265,22 +207,35 @@ def cmd_tiles(args) -> int:
         rows.append(f"{label}\t[[{m[0, 0]:.6g}, {m[0, 1]:.6g}], "
                     f"[{m[1, 0]:.6g}, {m[1, 1]:.6g}]]")
     text = "\n".join(rows) + "\n"
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {out}: {summary}")
+        print(f"wrote {args.out}: {summary}")
     else:
         sys.stdout.write(text)
     return 0
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     handlers = {"surface": cmd_surface,
                 "singular-locus": cmd_singular_locus,
                 "selfcheck": cmd_selfcheck,
                 "tiles": cmd_tiles}
     try:
+        if getattr(args, "config", None):
+            # each line is the flag --key=value, read after the subcommand
+            # and ahead of the command line's flags, so that those win
+            lines = _or_exit(read_config, args.config)
+            if "config" in lines:
+                raise SystemExit(f"error: config= in {args.config}: a config "
+                                 f"file cannot name another")
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + [f"--{k.replace('_', '-')}={v}"
+                             for k, v in lines.items()] + argv[at:])
         return handlers[args.command](args)
     except OSError as exc:      # a config or output path that cannot be used
         raise SystemExit(f"error: {exc}") from None

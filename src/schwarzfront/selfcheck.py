@@ -229,26 +229,22 @@ def check_representation_formula(cases=None) -> CheckResult:
                        detail=f"det={worst_det:.3g} ode={worst_ode:.3g}")
 
 
-def _oracle_points(count):
-    """x targets in a disk star-shaped around the basepoint, away from 0, 1;
-    the basepoint first."""
-    center = 0.5 + 0.45j
-    radius = 0.3
-    xs = [center]
-    k = 0
-    while len(xs) < count:
-        k += 1
-        r = radius * math.sqrt((k % 37) / 37.0 + 0.02)
-        th = 2.399963229728653 * k      # golden-angle spiral
-        xs.append(center + r * cmath.exp(1j * th))
-    return np.array(xs)
+def _oracle_points(count, c):
+    """The basepoint, then count - 1 x targets uniform in area in the disk
+    of radius 0.3 around it, away from 0 and 1, from draw c (0-9) of its
+    site.  The whole disk lies within one series step of the basepoint."""
+    center, radius = 0.5 + 0.45j, 0.3
+    r2, th = _kronecker(_first_term(37, c), count - 1, [0.0, 0.0],
+                        [radius ** 2, 2.0 * math.pi]).T
+    return np.concatenate([[center], center + np.sqrt(r2) * np.exp(1j * th)])
 
 
-def _oracle_grid(case, count):
+def _oracle_grid(case, count, c):
     """(Ha, Hb, P): the closed-form and the ODE-transported H over the
-    grid, each one array HermitianForm, and the closed-form U at the
-    basepoint, where the transport starts at U = 1; so Ha = P Hb conj(P)^t."""
-    xs = _oracle_points(count)
+    grid of draw c, each one array HermitianForm, and the closed-form U at
+    the basepoint, where the transport starts at U = 1; so
+    Ha = P Hb conj(P)^t."""
+    xs = _oracle_points(count, c)
     # one preimage and one front call for the grid; a point without a
     # preimage, or where the front fails, is NaN
     zs = case.z_from_x(xs)
@@ -266,11 +262,11 @@ def _oracle_grid(case, count):
 def check_oracle_equivalence(count: int = 200, cases=None) -> CheckResult:
     worst = 0.0
     details = []
-    for name in _FRONT_CASES:
+    for i, name in enumerate(_FRONT_CASES):
         case = _case(cases, name)
         if case.z_from_x is None:       # no x -> z preimage to compare
             continue
-        resid = fr.match_isometry(*_oracle_grid(case, count))
+        resid = fr.match_isometry(*_oracle_grid(case, count, i))
         details.append(f"{case.tag}:{resid:.3g}")
         worst = float(np.max([worst, resid]))     # keeps a NaN, unlike max
     return CheckResult(7, "closed form vs ODE oracle", worst, 1e-6,

@@ -234,8 +234,9 @@ def test_battery_draws_share_no_terms(monkeypatch):
     terms = np.concatenate([np.arange(a, a + c) for a, c in calls])
     assert len(np.unique(terms)) == len(terms)
     # each draw keeps to the terms its (check, case) owns, and owns its own:
-    # 1 + 1 + 9 + 9 + 5 + 2 + 1 draws in checks 1, 3, 4, 5, 6, 11 and 13
+    # 1 + 1 + 9 + 9 + 5 + 2 + 2 + 1 draws in checks 1, 3, 4, 5, 6, 7, 11
+    # and 13
     blocks = {a // sc._SITE_TERMS for a, _ in calls}
     assert all(a // sc._SITE_TERMS == (a + c - 1) // sc._SITE_TERMS
                for a, c in calls)
-    assert len(blocks) == 28
+    assert len(blocks) == 30

@@ -154,12 +154,26 @@ def _integrate_per_segment(e, path):
 NEAR_ZERO = [0.5 + 0.45j, 0.3 + 2e-3j, -0.3 + 2e-3j, -0.2 + 0.4j]
 
 
+@pytest.mark.parametrize("c", range(len(_FRONT_CASES)))
+def test_oracle_targets_fill_a_disk_within_one_series_step(c):
+    xs = _oracle_points(200, c)
+    assert xs[0] == 0.5 + 0.45j and len(np.unique(xs)) == 200
+    # every path x0 -> x is one step: the disk's radius 0.3 is inside the
+    # reach STEP_RATIO |x0| = 0.336 of the basepoint
+    r = abs(xs[1:] - xs[0])
+    reach = fr.STEP_RATIO * min(abs(xs[0]), abs(xs[0] - 1.0))
+    assert r.max() < 0.3 < reach
+    # uniform in area: half the targets lie within 0.3 / sqrt(2)
+    assert abs(np.mean(r < 0.3 / math.sqrt(2.0)) - 0.5) < 0.02
+    assert not np.array_equal(xs, _oracle_points(200, (c + 1) % 5))
+
+
 @pytest.mark.parametrize("name", _FRONT_CASES)
 def test_array_oracle_matches_per_segment_solves(name):
     # the criterion-7 grid, one array call, and a polyline that takes many
     # steps, each path against its own solve_ivp
     e = resolve_case(name).exponents
-    xs = _oracle_points(200)
+    xs = _oracle_points(200, _FRONT_CASES.index(name))
     U = fr.integrate_sl_form(e, [xs[0], xs[1:]])
     assert U.shape == (199, 2, 2)
     paths = [[complex(xs[0]), complex(x)] for x in xs[1:]] + [NEAR_ZERO]
@@ -250,11 +264,12 @@ def test_closed_form_agrees_with_ode_oracle(name):
 @pytest.mark.parametrize("name", ["dihedral:3", "fuchsian"])
 def test_oracle_residual_fails_for_a_wrong_factor(name):
     case = resolve_case(name)
-    Ha, Hb, P = _oracle_grid(case, 40)
+    c = _FRONT_CASES.index(name)
+    Ha, Hb, P = _oracle_grid(case, 40, c)
     assert fr.match_isometry(Ha, Hb, P) < 1e-12
     # U at the grid's second point instead of its basepoint, and P = 1
     P1, _ = fr.eval_front_matrix(case.inverse,
-                                 case.z_from_x(_oracle_points(40)[1]))
+                                 case.z_from_x(_oracle_points(40, c)[1]))
     assert fr.match_isometry(Ha, Hb, P1) > 1e-3
     assert fr.match_isometry(Ha, Hb, np.eye(2)) > 1e-3
 

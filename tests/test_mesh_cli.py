@@ -289,12 +289,18 @@ def test_cli_refuses_a_tile_count_above_the_group_order(tmp_path, command):
     assert not out.exists()
 
 
-def test_cli_config_file_rejects_a_value_that_does_not_parse(tmp_path):
+def test_cli_config_file_rejects_a_value_that_does_not_parse(tmp_path,
+                                                              capsys):
+    # the line is the flag --tiles=abc, refused in argparse's words
     cfg = tmp_path / "job.cfg"
     cfg.write_text("case=dihedral:3\ntiles=abc\n")
-    with pytest.raises(SystemExit,
-                       match="^error: tiles=abc in .* is not a valid int$"):
-        cli.main(["tiles", "--config", str(cfg)])
+    out = tmp_path / "tiles.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tiles", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("error: argument --tiles: invalid int value: 'abc'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -313,9 +319,11 @@ def test_cli_refuses_the_removed_tolerance_flags_and_keys(
     key = flag[2:]
     cfg = tmp_path / "job.cfg"
     cfg.write_text(f"case=dihedral:3\n{key}=0.3\n")
-    with pytest.raises(SystemExit, match=f"^error: unknown key '{key}' in "):
+    with pytest.raises(SystemExit) as exc:
         cli.main([command, "--config", str(cfg),
                   "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}=0.3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -805,10 +813,106 @@ def test_cli_config_file_format_key(tmp_path):
     assert out.read_text().startswith("ply\n")
 
 
-def test_cli_config_file_rejects_unknown_key(tmp_path):
+def test_cli_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("case=dihedral:3\nresolutoin=8\n")
     out = tmp_path / "front.obj"
-    with pytest.raises(SystemExit, match="unknown key 'resolutoin'"):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["surface", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --resolutoin=8"
+            in capsys.readouterr().err)
     assert not out.exists()
+
+
+# each line is bad for each command; resolution=8 is added for the
+# commands that have no --resolution
+_BAD_LINES = ["tiles=abc", "resolution=x", "chart=klein", "format=stl",
+              "resolutoin=8", "res=8"]
+
+
+@pytest.mark.parametrize("command, line", [
+    (command, line)
+    for command in ("surface", "tiles", "singular-locus")
+    for line in _BAD_LINES + ["resolution=8"] * (command != "surface")
+])
+def test_cli_config_line_fails_as_its_flag_does(tmp_path, capsys, command,
+                                                 line):
+    # a line key=value is the flag --key=value: one parser casts, checks
+    # choices and refuses unknown keys and abbreviations for both
+    out = tmp_path / "out"
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(line + "\n")
+    errs = []
+    for extra in ([f"--{line}"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--case", "dihedral:3", *extra,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "error: " in errs[0]
+    assert not out.exists()
+
+
+# (command, key, file value, flag value, parsed file value, parsed flag value)
+_EVERY_KEY = [
+    ("surface", "case", "tetra", "dihedral:3", "tetra", "dihedral:3"),
+    ("surface", "tiles", "2", "3", 2, 3),
+    ("surface", "words", ",21", ",31", ["", "21"], ["", "31"]),
+    ("surface", "resolution", "8", "9", 8, 9),
+    ("surface", "chart", "ball", "uhs", "ball", "uhs"),
+    ("surface", "format", "obj", "ply", "obj", "ply"),
+    ("surface", "out", "a.obj", "b.obj", "a.obj", "b.obj"),
+    ("tiles", "case", "tetra", "octa", "tetra", "octa"),
+    ("tiles", "tiles", "2", "3", 2, 3),
+    ("tiles", "out", "a.txt", "b.txt", "a.txt", "b.txt"),
+    ("singular-locus", "case", "tetra", "octa", "tetra", "octa"),
+    ("singular-locus", "out", "a.tsv", "b.tsv", "a.tsv", "b.tsv"),
+]
+
+
+@pytest.mark.parametrize("command, key, in_file, flag, from_file, from_flag",
+                         _EVERY_KEY)
+def test_cli_flag_wins_over_config_line_for_every_key(
+        tmp_path, monkeypatch, command, key, in_file, flag, from_file,
+        from_flag):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"{key}={in_file}\n")
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert cli.main([command, "--config", str(cfg), f"--{key}", flag]) == 0
+    assert cli.main([command, f"--{key}", flag, "--config", str(cfg)]) == 0
+    assert [getattr(args, key) for args in seen] == \
+        [from_file, from_flag, from_flag]
+
+
+def test_cli_config_file_cannot_name_another(tmp_path):
+    # --config=other.cfg would be read as a flag and then lose to the
+    # command line's own --config, so the line is refused rather than
+    # ignored
+    (tmp_path / "other.cfg").write_text("case=dihedral:3\n")
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"config={tmp_path / 'other.cfg'}\n")
+    out = tmp_path / "tiles.txt"
+    with pytest.raises(SystemExit,
+                       match=r"^error: config= in .*job\.cfg: "):
+        cli.main(["tiles", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--case", "dihedral:3", "--res", "8"],
+    ["tiles", "--cas", "dihedral:3"],
+    ["singular-locus", "--case", "dihedral:3", "--ou", "x.tsv"],
+])
+def test_cli_refuses_abbreviated_flags(tmp_path, monkeypatch, capsys, argv):
+    # a flag has one spelling, as its config key does
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
