@@ -86,7 +86,6 @@ class JobConfig:
 class SurfaceMesh:
     vertices: np.ndarray              # (N, 3) chart coordinates
     source_z: np.ndarray              # (N,) complex
-    source_x: np.ndarray              # (N,) complex
     triangles: np.ndarray             # (M, 3) vertex indices
     flags: np.ndarray                 # (N,) int bit mask
     chart: str = "ball"
@@ -176,7 +175,6 @@ def build_mesh(cfg: JobConfig) -> SurfaceMesh:
     ok = np.isfinite(p).all(axis=1)
     mesh = SurfaceMesh(vertices=np.where(ok[:, None], p, 0.0),
                        source_z=zs,
-                       source_x=np.where(ok, fv.x.ravel(), np.nan),
                        triangles=tris[ok[tris].all(axis=1)],
                        flags=np.where(ok, near * FLAG_NEAR_SINGULAR,
                                       FLAG_CLIPPED),

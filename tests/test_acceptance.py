@@ -5,7 +5,7 @@ prints the standard one-line PASS/FAIL record so the criterion status
 is visible in the pytest -s output.
 """
 
-import cmath
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +13,13 @@ import pytest
 
 from schwarzfront import front as fr
 from schwarzfront import selfcheck as sc
+from schwarzfront import singular as sg
 from schwarzfront.arrays import clip, flat, unflat
 from schwarzfront.cases import resolve_case
-from schwarzfront.equation import eval_q
 from schwarzfront.modular import DomainError, LambdaInverse
+from schwarzfront.polyhedral import PolyhedralInverse
+
+NAN = float("nan")
 
 
 def _run(check):
@@ -77,12 +80,74 @@ def test_criterion_13_geometry_chart_roundtrips():
     _run(sc.check_geometry_roundtrips)
 
 
-@pytest.mark.parametrize("check", [
-    lambda: sc.check_oracle_equivalence(count=40),
-    sc.check_geometry_roundtrips], ids=["07", "13"])
-def test_criterion_fails_on_a_nan_residual(check, monkeypatch):
-    monkeypatch.setattr(fr, "match_isometry", lambda *args: float("nan"))
-    assert not check().passed
+# --- a point a criterion cannot evaluate is NaN, and fails it ---------------
+
+def _wrap(monkeypatch, owner, name, change):
+    """Replace owner.name by `change` applied to its own result."""
+    f = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: change(f(*a, **k)))
+
+
+def _clip_every_front_point(monkeypatch):
+    monkeypatch.setattr(fr, "RAMIFICATION_TOL", float("inf"))
+
+
+def _nan_tetra_f1(monkeypatch):
+    cases = sc._Cases()
+    d = cases["tetra"].inverse.data
+    data = SimpleNamespace(**{**vars(d), "f1": d.f1 * NAN})
+    cases["tetra"] = SimpleNamespace(inverse=SimpleNamespace(data=data))
+    return {"cases": cases}
+
+
+def _nan_xd_right_of_half(monkeypatch):
+    inverse_eval = PolyhedralInverse.eval
+
+    def eval_(self, z):
+        x, xd, xdd = inverse_eval(self, z)
+        return x, np.where(np.real(z) > 0.5, NAN, xd), xdd
+
+    monkeypatch.setattr(PolyhedralInverse, "eval", eval_)
+
+
+def _refusing_fuchsian():
+    """A table whose fuchsian case refuses about 40% of criterion 6's
+    points."""
+    cases = sc._Cases()
+    cases["fuchsian"] = SimpleNamespace(
+        inverse=_RefusingInverse(), exponents=cases["fuchsian"].exponents,
+        max_tiles=None)
+    return {"cases": cases}
+
+
+_NAN_INJECTIONS = {
+    "01": (sc.check_theta_identity, lambda mp: _wrap(
+        mp, sc, "theta_values", lambda v: replace(v, theta0=v.theta0 * NAN))),
+    "03": (sc.check_lambda_derivatives, lambda mp: _wrap(
+        mp, sc, "eval_lambda", lambda v: (v[0], v[1], v[2] * NAN))),
+    "04": (sc.check_partition_of_unity, _nan_tetra_f1),
+    "05": (sc.check_dx_dz, _nan_xd_right_of_half),
+    "06": (sc.check_representation_formula, lambda mp: _refusing_fuchsian()),
+    "07": (lambda **kw: sc.check_oracle_equivalence(count=40, **kw),
+           _clip_every_front_point),
+    "08": (sc.check_fuchsian_swallowtail, lambda mp: _wrap(
+        mp, sc, "eval_q_derivatives", lambda v: tuple(w * NAN for w in v))),
+    "10": (sc.check_dihedral_curve, lambda mp: _wrap(
+        mp, sg, "_f_and_grad", lambda v: (v[0] * NAN, v[1], v[2]))),
+    "11": (sc.check_local_models, lambda mp: _wrap(
+        mp, sg, "local_model_cusp", lambda v: (v[0] * NAN, v[1]))),
+    "12": (sc.check_end_behavior, _clip_every_front_point),
+    "13": (sc.check_geometry_roundtrips, _clip_every_front_point),
+}
+
+
+@pytest.mark.parametrize("number", _NAN_INJECTIONS)
+def test_criterion_fails_on_a_nan_residual(number, monkeypatch):
+    check, inject = _NAN_INJECTIONS[number]
+    kwargs = inject(monkeypatch) or {}
+    with np.errstate(invalid="ignore"):
+        result = check(**kwargs)
+    assert not result.passed, result.line()
 
 
 def test_criterion_14_mesh_export_roundtrip():
@@ -93,6 +158,15 @@ def test_full_battery_reports_no_failures():
     results = sc.run_all(quick=True)
     assert len(results) == 14
     assert all(r.passed for r in results), sc.report(results)
+
+
+def test_full_battery_reports_a_clipped_front_as_failures(monkeypatch):
+    # every front point clipped: each criterion still reports, with no
+    # RuntimeWarning, and the four that evaluate the front fail
+    _clip_every_front_point(monkeypatch)
+    results = sc.run_all(quick=True)
+    assert [r.number for r in results] == list(range(1, 15))
+    assert [r.number for r in results if not r.passed] == [6, 7, 12, 13]
 
 
 def test_full_battery_resolves_each_family_once(monkeypatch):
@@ -123,32 +197,7 @@ def test_criterion_05_reference_is_the_poly1d_product(name):
         assert np.array_equal(np.polyval(p, z), q(z))
 
 
-# --- criterion 6 draws its points in batches ------------------------------
-
-def _scalar_representation_points(case, start, count=100, h=1e-6):
-    """Reference for criterion 6's draw: one term at a time from term
-    `start`, skipping a point where any scalar evaluation raises; returns
-    the points and the first term not taken."""
-    zs, n = [], start
-    while len(zs) < count:
-        if case.max_tiles is None:
-            u, v = sc._kronecker(n, 1, [-0.8, 0.5], [0.8, 1.5])[0]
-            z = complex(u, v)
-        else:
-            r, th = sc._kronecker(n, 1, [0.2, 0.05], [0.9, 1.0])[0]
-            z = r * cmath.exp(1j * th)
-        n += 1
-        try:
-            _, s = fr.eval_front_matrix(case.inverse, z)
-            fr.eval_front_matrix(case.inverse, z + h, sqrt_prev=s)
-            fr.eval_front_matrix(case.inverse, z - h, sqrt_prev=s)
-            x, _, _ = case.inverse.eval(z)
-            eval_q(case.exponents, x)
-        except (ValueError, RuntimeError):
-            continue
-        zs.append(z)
-    return np.array(zs), n
-
+# --- criterion 6 takes one fixed draw per family --------------------------
 
 class _RefusingInverse:
     """The lambda inverse, refusing Re z > 0.2 (about 40% of the draws)."""
@@ -173,23 +222,19 @@ def _recording_kronecker(monkeypatch):
     return calls
 
 
-def test_criterion_06_points_equal_scalar_draw_and_skip(monkeypatch):
-    fuchsian = resolve_case("fuchsian")
-    refusing = SimpleNamespace(inverse=_RefusingInverse(),
-                               exponents=fuchsian.exponents, max_tiles=None)
-    cases = [resolve_case(n) for n in sc._FRONT_CASES] + [refusing]
+def test_criterion_06_reads_one_fixed_draw_and_fails_on_a_refused_point(
+        monkeypatch):
+    # terms start, ..., start + 99 of each family's block and no others,
+    # whether or not a point evaluates; a refused point fails the check
     calls = _recording_kronecker(monkeypatch)
-    for i, case in enumerate(cases):
-        start = sc._first_term(17, i)
-        want, end = _scalar_representation_points(case, start)
-        calls.clear()
-        z = sc._representation_points(case, start)[0]
-        assert np.array_equal(z, want)
-        # the batches take the terms in order, and none past the last point
-        assert calls[0][0] == start and sum(c for _, c in calls) == end - start
-        assert all(a + c == b for (a, c), (b, _) in zip(calls, calls[1:]))
-    assert len(z) == 100 and (z.real <= 0.2).all()
-    assert end - start > 150            # the refusing case skipped terms
+    assert sc.check_representation_formula().passed
+    want = [(sc._first_term(17, i), 100) for i in range(len(sc._FRONT_CASES))]
+    assert calls == want
+    calls.clear()
+    with np.errstate(invalid="ignore"):
+        result = sc.check_representation_formula(**_refusing_fuchsian())
+    assert calls == want
+    assert not result.passed and "nan" in result.detail
 
 
 # --- the Kronecker sequence the battery draws its points from -------------
@@ -205,7 +250,7 @@ def test_kronecker_points_are_fixed_and_in_their_half_open_box(low, high):
         p = sc._kronecker(start, 1000, low, high)
         assert p.shape == (1000, len(low))
         assert np.array_equal(p, sc._kronecker(start, 1000, low, high))
-        # a batch is its pieces in order, as criterion 6's skip rule needs
+        # a batch is its pieces in order
         assert np.array_equal(p, np.concatenate(
             [sc._kronecker(start, 400, low, high),
              sc._kronecker(start + 400, 600, low, high)]))

@@ -525,9 +525,8 @@ def _hand_mesh(triangles, polylines, markers):
                       mesh.FLAG_CLIPPED])
     faces = np.array(triangles, dtype=int).reshape(-1, 3)
     return mesh.SurfaceMesh(vertices=vertices, source_z=np.zeros(4, complex),
-                            source_x=np.zeros(4, complex), triangles=faces,
-                            flags=flags, chart="uhs", polylines=polylines,
-                            markers=markers)
+                            triangles=faces, flags=flags, chart="uhs",
+                            polylines=polylines, markers=markers)
 
 
 @pytest.mark.parametrize("triangles, polylines, markers", [
