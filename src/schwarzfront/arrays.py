@@ -1,9 +1,16 @@
 """Scalars and arrays on one evaluation path.
 
-The inverse maps, the front and the chart maps compute on their input
-flattened to 1-D, so a scalar call runs the arithmetic of an array call
-bit for bit.  A point that cannot be evaluated is clipped: NaN in an
-array call, which raises nothing; a scalar call raises instead.
+Every public numeric entry point computes on its input flattened to 1-D
+(flat), clips (clip) and reshapes (unflat), so a scalar call is a
+one-element array call: equal to it bit for bit, in Python types.  A
+point that cannot be evaluated is NaN in an array call, which raises
+nothing; a scalar call raises instead.  The entry points: the inverse
+maps (PolyhedralInverse.eval, LambdaInverse.eval, eval_lambda),
+theta_values, fuchsian_z_from_x, dihedral_z_from_x, reduce_level_two,
+eval_q, eval_q_derivatives, classify_point, the front (front_hermitian,
+eval_front_closed_form, eval_inverse_on_tiles, eval_front_on_tiles,
+eval_front_matrix), HermitianForm, the H3Point constructors and the h3
+chart maps.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ def flat(value, dtype=complex) -> np.ndarray:
 
 
 def unflat(shape, *values):
-    """Flat results in the caller's shape; numpy scalars for shape ()."""
+    """Flat (n, ...) results in the caller's shape; for a scalar call
+    (shape ()), entry 0 of each, a Python scalar where it is one."""
     if shape == ():
-        return tuple(v[0] for v in values)
-    return tuple(v.reshape(shape) for v in values)
+        return tuple(v[0].item() if v.ndim == 1 else v[0] for v in values)
+    return tuple(v.reshape(shape + v.shape[1:]) for v in values)
 
 
 def clip(bad, shape, exc, message, *values):

@@ -101,7 +101,9 @@ def _build_parser():
                    help="comma-separated tile words, e.g. ',21,31'")
     s.add_argument("--resolution", type=int, default=None)
     s.add_argument("--chart", choices=("ball", "uhs"), default=None)
-    s.add_argument("--format", choices=("obj", "ply"), default=None)
+    s.add_argument("--format", choices=("obj", "ply"), default=None,
+                   help="default obj; an --out ending in .obj or .ply "
+                        "must name it")
     s.add_argument("--no-singular", action="store_true",
                    help="skip the singular-curve overlay")
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import clip
+from .arrays import clip, flat, unflat
 
 INF = math.inf
 
@@ -141,17 +141,18 @@ def q_terms(e: ExponentData, x: complex):
 def eval_q(e: ExponentData, x) -> CoefficientValue:
     """q, Q, R, Q', R' at x (scalar or array); within _SING_TOL of 0 or 1,
     SingularPointError or NaN (see arrays.clip)."""
-    x = np.asarray(x, complex) if isinstance(x, np.ndarray) else complex(x)
-    x, = clip((abs(x) < _SING_TOL) | (abs(x - 1.0) < _SING_TOL),
-              getattr(x, "shape", ()), SingularPointError,
-              lambda: f"x={x} is a singular point of the equation", x)
+    shape, x = np.shape(x), flat(x)
+    x, = clip((abs(x) < _SING_TOL) | (abs(x - 1.0) < _SING_TOL), shape,
+              SingularPointError,
+              lambda: f"x={x[0]} is a singular point of the equation", x)
     Q, Qp, R, Rp, w, _ = q_terms(e, x)
-    return CoefficientValue(-Q / (4.0 * w * w), Q, R, x, Qp, Rp)
+    return CoefficientValue(*unflat(shape, -Q / (4.0 * w * w), Q, R, x, Qp,
+                                    Rp))
 
 
 def eval_q_derivatives(e: ExponentData, x):
     """(Q, Q', R, R') at x (scalar or array), for the swallowtail test."""
-    return q_terms(e, x if isinstance(x, np.ndarray) else complex(x))[:4]
+    return unflat(np.shape(x), *q_terms(e, flat(x))[:4])
 
 
 # --- standardness classification -------------------------------------------

@@ -94,20 +94,24 @@ def eval_inverse_on_tiles(inv, z0, matrices):
     z0: a point or an array; matrices: one (2, 2) matrix or an array of
     them, (..., 2, 2).  Results have shape matrices.shape[:-2] +
     z0.shape; a scalar call is one point and one matrix, and raises where
-    inv raises.
+    inv raises.  x, the same at every tile, is a read-only view of the
+    base grid's values.
     """
     shape = np.shape(matrices)[:-2] + np.shape(z0)
     m, n = np.reshape(matrices, (-1, 4)), np.size(z0)
     x, xd, xdd = inv.eval(z0 if shape == () else flat(z0))
+    if shape != ():
+        x = np.broadcast_to(np.reshape(x, np.shape(z0)), shape)
     # every operand is one contiguous value per point, tile by tile, so an
     # array call runs the loops a scalar call runs on one element (numpy
     # may round a product with a broadcast operand differently)
-    z0, x, xd, xdd = (np.tile(flat(v), len(m)) for v in (z0, x, xd, xdd))
+    z0, xd, xdd = (np.tile(flat(v), len(m)) for v in (z0, xd, xdd))
     a, b, c, d = (np.repeat(v, n) for v in m.T)
     j = c * z0 + d
     j2 = j * j
-    return unflat(shape, (a * z0 + b) / j, x, j2 * xd,
-                  j2 * (j2 * xdd + 2.0 * c * j * xd))
+    z, xd, xdd = unflat(shape, (a * z0 + b) / j, j2 * xd,
+                        j2 * (j2 * xdd + 2.0 * c * j * xd))
+    return z, x, xd, xdd
 
 
 def eval_front_on_tiles(inv, z0, matrices) -> FrontValue:
@@ -139,9 +143,7 @@ def eval_front_matrix(inv, z, sqrt_prev=None):
     U = (1j / s)[:, None, None] * np.stack(
         [np.stack([z * xd, 1.0 + 0.5 * z * r], axis=-1),
          np.stack([xd, 0.5 * r], axis=-1)], axis=-2)
-    if shape == ():
-        return U[0], complex(s[0])
-    return U.reshape(shape + (2, 2)), s.reshape(shape)
+    return unflat(shape, U, s)
 
 
 def _segment_distance(p, d, c):

@@ -55,8 +55,6 @@ class HermitianForm:
                            f"need h, k > 0 and h + k < {_REACH:.3g}, got "
                            f"h={h[0]}, k={k[0]}"), h, k, w)
         h, k, w = unflat(shape, h, k, w)
-        if shape == ():
-            h, k, w = float(h), float(k), complex(w)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "w", w)
@@ -81,29 +79,28 @@ class H3Point:
 
     @classmethod
     def upper_half_space(cls, z: complex, t: float) -> "H3Point":
-        z, t = clip(~(np.asarray(t) > 0), np.shape(t), ValueError,
-                    lambda: f"height must be positive, got {t}", z, t)
-        if np.ndim(t) == 0:
-            z, t = complex(z), float(t)
-        return cls("uhs", (z, t))
+        shape, z, t = np.shape(t), flat(z), flat(t, float)
+        z, t = clip(~(t > 0), shape, ValueError,
+                    lambda: f"height must be positive, got {t[0]}", z, t)
+        return cls("uhs", unflat(shape, z, t))
 
     @classmethod
     def lorentz(cls, x0: float, x1: float, x2: float, x3: float) -> "H3Point":
+        shape = np.shape(x0)
+        x0, x1, x2, x3 = (flat(c, float) for c in (x0, x1, x2, x3))
         q = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
-        q, *x = clip(~((np.asarray(x0) > 0) & (np.asarray(q) > 0)),
-                     np.shape(q), ValueError,
+        q, *x = clip(~((x0 > 0) & (q > 0)), shape, ValueError,
                      lambda: "not in the forward cone", q, x0, x1, x2, x3)
         r = 1.0 / np.sqrt(q)
-        x = tuple(c * r for c in x)
-        return cls("lorentz",
-                   tuple(map(float, x)) if np.ndim(q) == 0 else x)
+        return cls("lorentz", unflat(shape, *(c * r for c in x)))
 
     @classmethod
     def ball(cls, x1: float, x2: float, x3: float) -> "H3Point":
-        x = clip(x1 * x1 + x2 * x2 + x3 * x3 >= 1.0, np.shape(x1),
-                 ValueError, lambda: "ball point must have norm < 1",
-                 x1, x2, x3)
-        return cls("ball", tuple(map(float, x)) if np.ndim(x1) == 0 else x)
+        shape = np.shape(x1)
+        x1, x2, x3 = (flat(c, float) for c in (x1, x2, x3))
+        x = clip(x1 * x1 + x2 * x2 + x3 * x3 >= 1.0, shape, ValueError,
+                 lambda: "ball point must have norm < 1", x1, x2, x3)
+        return cls("ball", unflat(shape, *x))
 
 
 @np.errstate(invalid="ignore")    # complex w/k warns where k is NaN
@@ -125,8 +122,8 @@ def upper_half_space_to_hermitian(p: H3Point) -> HermitianForm:
 def hermitian_to_lorentz(H: HermitianForm) -> H3Point:
     """((h+k)/2, Re w, Im w, (h-k)/2), on L1 as det H = 1."""
     shape, h, k, w = H.flat()
-    x = unflat(shape, 0.5 * (h + k), w.real, w.imag, 0.5 * (h - k))
-    return H3Point("lorentz", tuple(map(float, x)) if shape == () else x)
+    return H3Point("lorentz", unflat(shape, 0.5 * (h + k), w.real, w.imag,
+                                     0.5 * (h - k)))
 
 
 def lorentz_to_hermitian(p: H3Point) -> HermitianForm:

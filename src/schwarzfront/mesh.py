@@ -63,7 +63,8 @@ class JobConfig:
     resolution: int = 16
     chart: str = "ball"               # "ball" | "uhs"
     fmt: str = "obj"                  # "obj" | "ply"
-    out: str | None = None            # None = front.<fmt>
+    out: str | None = None            # None = front.<fmt>; a .obj or .ply
+                                      # suffix must be fmt's
     with_singular: bool = True
     resolved: Case = field(init=False, repr=False)   # resolve_case(case, n)
 
@@ -76,6 +77,10 @@ class JobConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.out is None:
             self.out = f"front.{self.fmt}"
+        suffix = self.out[-4:].lower()
+        if suffix in (".obj", ".ply") and suffix != "." + self.fmt:
+            raise ValueError(f"out {self.out!r} ends in {suffix}, but the "
+                             f"format is {self.fmt}")
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
         self.resolved = resolve_case(self.case, self.n)

@@ -337,4 +337,4 @@ def fuchsian_z_from_x(x):
               lambda: f"no lambda preimage found for x={x[0]}", z)
     ok = ~np.isnan(z)
     z[ok] = reduce_level_two(z[ok])
-    return complex(z[0]) if shape == () else z.reshape(shape)
+    return unflat(shape, z)[0]

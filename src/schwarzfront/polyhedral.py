@@ -170,4 +170,4 @@ def dihedral_z_from_x(n: int, x):
     z = (1.0 / s / big) ** (1.0 / n)
     z, = clip(~np.isfinite(x), shape, ValueError,
               lambda: f"x={x[0]} is not finite", z)
-    return complex(z[0]) if shape == () else z.reshape(shape)
+    return unflat(shape, z)[0]

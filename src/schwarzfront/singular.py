@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import flat, unflat
 from .equation import ExponentData, eval_q, eval_q_derivatives, q_terms
 # unused here; kept because bench/spans.py wraps singular.hermitian_to_lorentz
 from .h3 import hermitian_to_lorentz  # noqa: F401
@@ -78,10 +79,12 @@ def classify_point(e: ExponentData, x) -> SingularPointClass:
 
     An array call returns arrays in every field; a point at x = 0 or 1 is
     NaN (see arrays.clip) and classed NotSingular.  A scalar call raises
-    SingularPointError there and returns Python scalars.
+    SingularPointError there, and is a one-element array call otherwise.
     """
     cv = eval_q(e, x)
-    x, Q, Qp, R, Rp = cv.x, cv.Q, cv.Qp, cv.R, cv.Rp
+    # a scalar call's Python values flatten back to the same bits
+    x, q, Q, Qp, R, Rp = (flat(v) for v in (cv.x, cv.q, cv.Q, cv.Qp, cv.R,
+                                            cv.Rp))
     zeta = Q ** 3 * R.conjugate() ** 2
     g = x * (1.0 - x)
     sw = (2.0 * abs(R) ** 4
@@ -89,16 +92,14 @@ def classify_point(e: ExponentData, x) -> SingularPointClass:
     sw_scale = (2.0 * abs(R) ** 4
                 + abs(g) * (2.0 * abs(Rp) * abs(Q) + abs(R) * abs(Qp))
                 * abs(R) ** 2)
-    absq = abs(cv.q)
+    absq = abs(q)
     cls = np.select(
         [~(np.abs(absq - 1.0) <= CLASSIFY_TOL),
          (np.abs(R) > 0.0) & ~_is_nonpositive_real(zeta),
          np.abs(sw) > NONPOS_REAL_TOL * np.maximum(sw_scale, 1.0)],
         [NOT_SINGULAR, CUSPIDAL_EDGE, SWALLOWTAIL], HIGHER_DEGENERATE)
-    if not isinstance(x, np.ndarray):
-        cls = str(cls)
-    return SingularPointClass(x=x, cls=cls, abs_q=absq, QRbar2=zeta,
-                              swallowtail_re=sw)
+    return SingularPointClass(*unflat(np.shape(cv.x), x, cls, absq, zeta,
+                                      sw))
 
 
 def _quartic_terms(e: ExponentData, a, x):
@@ -269,11 +270,8 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     xlo, xhi = ends
     x = np.where(np.abs(_im_zeta(e, xhi)) < np.abs(_im_zeta(e, xlo)),
                  xhi, xlo)
-    spc = classify_point(e, x)
-    return [SingularPointClass(spc.x[i].item(), str(spc.cls[i]),
-                               spc.abs_q[i].item(), spc.QRbar2[i].item(),
-                               spc.swallowtail_re[i].item())
-            for i in np.flatnonzero(spc.cls == SWALLOWTAIL)]
+    return [classify_point(e, xi)
+            for xi in x[classify_point(e, x).cls == SWALLOWTAIL]]
 
 
 def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from schwarzfront import cli
 from schwarzfront import front as fr
 from schwarzfront import selfcheck as sc
 from schwarzfront import singular as sg
@@ -148,6 +149,28 @@ def test_criterion_fails_on_a_nan_residual(number, monkeypatch):
     with np.errstate(invalid="ignore"):
         result = check(**kwargs)
     assert not result.passed, result.line()
+
+
+@pytest.mark.parametrize("number, search", [
+    (8, "swallowtail_by_newton"), (10, "trace_singular_curve")])
+def test_criterion_fails_when_its_search_gives_up(number, search,
+                                                  monkeypatch, capsys):
+    # the documented ValueError of the search is a failed criterion, and
+    # the battery still reports every criterion
+    def give_up(*args, **kwargs):
+        raise ValueError(f"{search} gave up")
+
+    monkeypatch.setattr(sg, search, give_up)
+    results = sc.run_all(quick=True)
+    assert [r.number for r in results] == list(range(1, 15))
+    failed = [r for r in results if not r.passed]
+    assert [r.number for r in failed] == [number]
+    assert failed[0].detail == f"{search} gave up"
+    assert "measured=nan" in failed[0].line()
+    assert cli.main(["selfcheck", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL criterion {number:2d} | " in out
+    assert out.count(" criterion ") == 14
 
 
 def test_criterion_14_mesh_export_roundtrip():

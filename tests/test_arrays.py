@@ -5,23 +5,31 @@ where the scalar call raises must come back clipped (NaN) from the array
 call, which raises nothing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from schwarzfront import mesh
+from schwarzfront import singular as sg
 from schwarzfront.cases import resolve_case
+from schwarzfront.elimination import swallowtail_t_exact
 from schwarzfront.equation import (SingularPointError, eval_q,
-                                   exponents_from_mu)
+                                   eval_q_derivatives, exponents_from_mu)
 from schwarzfront.front import (RamificationError, eval_front_closed_form,
-                                eval_front_on_tiles, front_hermitian)
+                                eval_front_matrix, eval_front_on_tiles,
+                                eval_inverse_on_tiles, front_hermitian)
 from schwarzfront.h3 import (H3Point, HermitianForm, NotPositiveDefiniteError,
                              ball_to_lorentz, hermitian_to_ball,
                              hermitian_to_lorentz,
-                             hermitian_to_upper_half_space,
+                             hermitian_to_upper_half_space, lorentz_to_ball,
                              lorentz_to_hermitian,
                              upper_half_space_to_hermitian)
-from schwarzfront.modular import DomainError, LambdaInverse
-from schwarzfront.polyhedral import PoleError, PolyhedralInverse
+from schwarzfront.modular import (DomainError, LambdaInverse, eval_lambda,
+                                  fuchsian_z_from_x, reduce_level_two,
+                                  theta_values)
+from schwarzfront.polyhedral import (PoleError, PolyhedralInverse,
+                                     dihedral_z_from_x)
 from schwarzfront.tiling import tile_parameter_domain
 
 # (case, tiles) at resolution 8; all but tetra and octa have clipped vertices
@@ -195,3 +203,117 @@ def test_chart_map_array_matches_scalar_calls(name):
     with pytest.raises(ValueError):
         chart_map(points[-1])
     assert all(np.isnan(g[-1]) for g in got)
+
+
+# --- one rule for every public numeric entry point --------------------------
+
+_ICOSA = resolve_case("icosa")
+_TILE = tile_parameter_domain(_ICOSA, max_count=5).elements[3]
+_FUCHSIAN = resolve_case("fuchsian").exponents
+
+
+def _form(map_):
+    return lambda h, k, w: map_(HermitianForm(h, k, w))
+
+
+# name: (call, points, points it cannot evaluate); a point is the call's
+# per-point arguments
+ENTRY_POINTS = {
+    "PolyhedralInverse.eval": (
+        _ICOSA.inverse.eval, [(0.1 + 0.05j,), (0.2 + 0.1j,)], [(0.0,)]),
+    "LambdaInverse.eval": (
+        LambdaInverse().eval, [(0.3 + 0.8j,), (-0.7 + 0.2j,), (5.1 + 0.01j,)],
+        [(0.5 - 0.1j,)]),
+    "eval_lambda": (eval_lambda, [(0.3 + 0.8j,)], [(0.5 - 0.1j,)]),
+    "theta_values": (
+        theta_values, [(0.2 + 1.1j,), (0.4 + 0.06j,)], [(0.1 + 0.01j,)]),
+    "eval_q": (lambda x: eval_q(_FUCHSIAN, x),
+               [(0.3 + 0.2j,), (0.5 + 0.35j,), (2.0,)], [(0.0,), (1.0,)]),
+    "eval_q_derivatives": (lambda x: eval_q_derivatives(_FUCHSIAN, x),
+                           [(0.3 + 0.2j,), (0.0,), (1.0,)], []),
+    "classify_point": (
+        lambda x: sg.classify_point(_FUCHSIAN, x),
+        [(0.3 + 0.2j,), (complex(0.5, swallowtail_t_exact()),)],
+        [(0.0,), (1.0 + 1e-13,)]),
+    "front_hermitian": (
+        front_hermitian, [(0.3 + 0.2j, 1.5 - 0.5j, 0.2 + 0.1j)],
+        [(0.3 + 0.2j, 0.0, 1.0)]),
+    "eval_front_closed_form": (
+        lambda z: eval_front_closed_form(_ICOSA.inverse, z),
+        [(0.1 + 0.05j,)], [(0.0,)]),
+    "eval_inverse_on_tiles": (
+        lambda z: eval_inverse_on_tiles(_ICOSA.inverse, z, _TILE),
+        [(0.1 + 0.05j,)], [(0.0,)]),
+    "eval_front_on_tiles": (
+        lambda z: eval_front_on_tiles(_ICOSA.inverse, z, _TILE),
+        [(0.1 + 0.05j,)], [(0.0,)]),
+    "eval_front_matrix": (
+        lambda z: eval_front_matrix(_ICOSA.inverse, z),
+        [(0.1 + 0.05j,)], [(0.0,)]),
+    "HermitianForm": (
+        HermitianForm, [(2.0, 1.0, 1.0j), (1.0, 1.0, 0.0)],
+        [(-1.0, -1.0, 0.0), (1e10, 1e-10, 0.0)]),
+    "H3Point.upper_half_space": (
+        H3Point.upper_half_space, [(0.3 + 0.4j, 1.2)],
+        [(0.5, 0.0), (0.5, -1.0)]),
+    "H3Point.ball": (
+        H3Point.ball, [(0.1, 0.2, -0.3)], [(1.2, 0.0, 0.0)]),
+    "hermitian_to_upper_half_space": (
+        _form(hermitian_to_upper_half_space), [(2.0, 1.0, 1.0j)],
+        [(-1.0, -1.0, 0.0)]),
+    "hermitian_to_lorentz": (
+        _form(hermitian_to_lorentz), [(2.0, 1.0, 1.0j)], [(-1.0, -1.0, 0.0)]),
+    "hermitian_to_ball": (
+        _form(hermitian_to_ball), [(2.0, 1.0, 1.0j)], [(-1.0, -1.0, 0.0)]),
+    "lorentz_to_ball": (
+        lambda *c: lorentz_to_ball(H3Point("lorentz", c)), [_LORENTZ],
+        [(-0.5, 1.0, 0.0, 0.0)]),
+    "fuchsian_z_from_x": (
+        fuchsian_z_from_x, [(0.3 + 0.2j,), (-2.0,), (3.0,)],
+        [(0.0,), (1.0,)]),
+    "dihedral_z_from_x": (
+        lambda x: dihedral_z_from_x(3, x), [(0.3 + 0.2j,), (-2.0,)],
+        [(complex("inf"),)]),
+    "reduce_level_two": (
+        reduce_level_two, [(0.3 + 0.8j,), (3.7 + 0.01j,)],
+        [(0.5 - 0.1j,), (1.0,)]),
+    # the inverse chart maps, whose last point lies outside their domain
+    **{name: (lambda *c, f=chart_map: f(c), points[:-1], points[-1:])
+       for name, (chart_map, points) in CHART_MAPS.items()},
+}
+
+
+def _leaves(result):
+    """The values of a result: its fields, coordinates or entries."""
+    if isinstance(result, H3Point):
+        return list(result.coords)
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [v for r in result for v in _leaves(r)]
+    return [result]
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_scalar_call_is_a_one_element_array_call(name):
+    # bit for bit, in Python types (eval_front_matrix's U is a 2x2 array),
+    # and a scalar call raises exactly where the array call gives NaN
+    call, points, refused = ENTRY_POINTS[name]
+    for point in points + refused:
+        got = _leaves(call(*(np.array([v]) for v in point)))
+        got = [v[0] for v in got]
+        nan = any(np.isnan(v).any() for v in got if not isinstance(v, str))
+        if point in refused:
+            with pytest.raises(ValueError):
+                call(*point)
+            assert nan, point
+            continue
+        want = _leaves(call(*point))
+        assert not nan, point
+        assert len(want) == len(got)
+        for w, g in zip(want, got):
+            if isinstance(w, np.ndarray):
+                assert w.shape == g.shape
+            else:
+                assert type(w) in (float, complex, str), (point, type(w))
+            assert np.asarray(w).tobytes() == np.asarray(g).tobytes(), point

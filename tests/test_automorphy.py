@@ -66,3 +66,27 @@ def test_chain_rule_matches_the_inverse_map_at_the_tile_point(text):
         ok = ~np.isnan(want)
         rel = abs(got[ok] - want[ok]) / abs(want[ok])
         assert rel.max() <= DERIVATIVE_TOL
+
+
+def test_tiled_x_is_a_view_of_the_base_grid():
+    # x(g z0) = x(z0): every tile reads the base grid's x, so x is a
+    # read-only broadcast view of it, not one copy per tile
+    case = resolve_case("fuchsian")
+    z0, _ = mesh.sample_triangle(case, 8)
+    z0 = z0[:16].reshape(4, 4)
+    gs = tile_parameter_domain(case, max_count=20).elements
+    base = []
+
+    class Recording:
+        def eval(self, z):
+            out = case.inverse.eval(z)
+            base.append(out[0])
+            return out
+
+    z, x, xd, xdd = eval_inverse_on_tiles(Recording(), z0, gs)
+    assert x.shape == z.shape == xd.shape == (len(gs), 4, 4)
+    assert np.array_equal(x, np.tile(base[0].reshape(4, 4), (len(gs), 1, 1)))
+    assert np.shares_memory(x, base[0])
+    assert not x.flags.writeable
+    z, x, xd, xdd = eval_inverse_on_tiles(case.inverse, z0[0, 0], gs[3])
+    assert type(x) is complex and x == base[0][0]

@@ -162,6 +162,13 @@ def test_job_config_rejects_bad_input():
     with pytest.raises(ValueError, match="at least one tile"):
         mesh.JobConfig(case="fuchsian", words=[])
     assert mesh.JobConfig(case="fuchsian", tiles=3).tiles == 3
+    # an .obj or .ply suffix names the format, and must be fmt's
+    for fmt, out in (("obj", "x.ply"), ("ply", "x.obj"), ("obj", "X.PLY")):
+        with pytest.raises(ValueError, match=f"^out '{out}' ends in "
+                           rf"\.{out[-3:].lower()}, but the format is {fmt}$"):
+            mesh.JobConfig(case="dihedral:3", fmt=fmt, out=out)
+    cfg = mesh.JobConfig(case="dihedral:3", out="x.obj.txt")
+    assert cfg.out == "x.obj.txt"
 
 
 def _fresh_python(args, cwd):
@@ -261,6 +268,9 @@ _BAD_INPUT = [
     (15, ["surface", "--case", "fuchsian", "--tiles", "10",
           "--words", "12,99"],
      r"^error: unknown tile words: \['99'\]; available: \['', '12', "),
+    # --out out.obj with --format ply used to write PLY text to out.obj
+    (16, ["surface", "--case", "dihedral:3", "--format", "ply"],
+     r"^error: out '.*out\.obj' ends in \.obj, but the format is ply$"),
 ]
 
 
