@@ -98,7 +98,7 @@ def _build_parser():
                    help="number of tiles (default: all of a finite group)")
     s.add_argument("--words", default=None,
                    type=lambda text: [w.strip() for w in text.split(",")],
-                   help="comma-separated tile words, e.g. ',21,31'")
+                   help="comma-separated distinct tile words, e.g. ',21,31'")
     s.add_argument("--resolution", type=int, default=None)
     s.add_argument("--chart", choices=("ball", "uhs"), default=None)
     s.add_argument("--format", choices=("obj", "ply"), default=None,

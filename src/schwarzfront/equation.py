@@ -124,8 +124,8 @@ class CoefficientValue:
 def q_terms(e: ExponentData, x: complex):
     """(Q, Q', R, R', w, w') at x, with w = x(1-x).
 
-    The one evaluation of the polynomial arithmetic behind eval_q,
-    eval_q_derivatives and the singular-locus function.
+    The one evaluation of the polynomial arithmetic behind eval_q and
+    eval_q_derivatives, and so behind the singular functions.
     """
     c2, c1, c0 = e.q_coeffs
     Q = c0 + c1 * x + c2 * x * x

@@ -59,7 +59,7 @@ class JobConfig:
     case: str = "dihedral"            # see cases.resolve_case
     n: int = 3
     tiles: int | None = None          # tile count; None = the whole group
-    words: list | None = None         # explicit word list overrides tiles
+    words: list | None = None         # distinct tile words; override tiles
     resolution: int = 16
     chart: str = "ball"               # "ball" | "uhs"
     fmt: str = "obj"                  # "obj" | "ply"
@@ -83,6 +83,9 @@ class JobConfig:
                              f"format is {self.fmt}")
         if self.words is not None and not self.words:
             raise ValueError("words must name at least one tile")
+        if self.words is not None and len(set(self.words)) < len(self.words):
+            twice = sorted({w for w in self.words if self.words.count(w) > 1})
+            raise ValueError(f"words name a tile more than once: {twice}")
         self.resolved = resolve_case(self.case, self.n)
         check_tile_count(self.case, self.resolved, self.tiles)
 

@@ -278,9 +278,8 @@ def check_fuchsian_swallowtail(cases=None) -> CheckResult:
     # the identity on the line x = 1/2 + it
     t = np.linspace(0.05, 0.9, 20)
     x = 0.5 + 1j * t
-    Q, Qp, R, Rp = eval_q_derivatives(e, x)
-    lhs = 2 * abs(R) ** 4 - x * (1 - x) * (2 * Rp * Q - R * Qp) \
-        * R.conjugate() ** 2
+    # the classifier's own second-order expression
+    lhs = sg._singular_terms(x, *eval_q_derivatives(e, x))[4]
     rhs = (t * t / 64.0) * (7 - 4 * t * t) ** 2 \
         * (21 + 440 * t * t - 560 * t ** 4 + 256 * t ** 6)
     worst_id = _worst(abs(lhs - rhs) / abs(rhs))
@@ -312,8 +311,9 @@ def check_dihedral_curve(cases=None) -> CheckResult:
     except ValueError as exc:           # the tracer gave up
         return CheckResult(10, name, math.nan, 1e-8, False, detail=str(exc))
     # first-order distance of each mirrored sample from the curve
-    f, gs, gt = sg._f_and_grad(e, 1.0 - curve.samples.conjugate())
-    asym = float(np.max(np.abs(f) / np.hypot(gs, gt)))
+    x = 1.0 - curve.samples.conjugate()
+    f, df = sg._singular_terms(x, *eval_q_derivatives(e, x))[:2]
+    asym = float(np.max(np.abs(f) / np.abs(df)))
     sws = sg.find_swallowtails(e, curve)
     upper = [p for p in sws if p.x.imag > 0]
     ok = (curve.closed and asym < 1e-8 and len(upper) == 1

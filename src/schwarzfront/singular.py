@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import flat, unflat
-from .equation import ExponentData, eval_q, eval_q_derivatives, q_terms
+from .equation import ExponentData, eval_q, eval_q_derivatives
 # unused here; kept because bench/spans.py wraps singular.hermitian_to_lorentz
 from .h3 import hermitian_to_lorentz  # noqa: F401
 
@@ -57,15 +57,22 @@ class TracedCurve:
     theta: np.ndarray            # arg q at each sample, unwrapped
 
 
-def _f_and_grad(e: ExponentData, x: complex):
-    """f = |Q|^2 - 16|x(1-x)|^4 and its gradient in (Re x, Im x)."""
-    Q, Qp, _, _, g, gp = q_terms(e, x)
-    f = abs(Q) ** 2 - 16.0 * abs(g) ** 4
-    a = Q.conjugate() * Qp
-    b = g.conjugate() * gp
-    gs = 2.0 * a.real - 64.0 * abs(g) ** 2 * b.real
-    gt = -2.0 * a.imag + 64.0 * abs(g) ** 2 * b.imag
-    return f, gs, gt
+def _singular_terms(x, Q, Qp, R, Rp):
+    """(f, df, zeta, d_im, sw) at x from Q, Q', R, R' there (scalars or
+    arrays): f = |Q|^2 - 16|w|^4 with w = x(1-x), zeta = Q^3 conj(R)^2,
+    the gradients df of f and d_im of Im zeta in x = s + it, each as the
+    complex d/ds + i d/dt, and the second-order expression
+    sw = 2|R|^4 - w(2R'Q - RQ') conj(R)^2.  zeta_s = A + B and zeta_t =
+    i(A - B) for A = 3Q^2 Q' conj(R)^2, B = 2Q^3 conj(R) conj(R')."""
+    w, Rb = x * (1.0 - x), R.conjugate()
+    Q3, Rb2 = Q ** 3, Rb ** 2
+    f = abs(Q) ** 2 - 16.0 * abs(w) ** 4
+    df = (2.0 * Q * Qp.conjugate()
+          - 64.0 * abs(w) ** 2 * (w * (1.0 - 2.0 * x).conjugate()))
+    d_im = 1j * ((3.0 * Q ** 2 * Qp * Rb2).conjugate()
+                 - 2.0 * Q3 * Rb * Rp.conjugate())
+    sw = 2.0 * abs(R) ** 4 - w * (2.0 * Rp * Q - R * Qp) * Rb2
+    return f, df, Q3 * Rb2, d_im, sw
 
 
 def _is_nonpositive_real(z, tol: float = NONPOS_REAL_TOL):
@@ -85,21 +92,17 @@ def classify_point(e: ExponentData, x) -> SingularPointClass:
     # a scalar call's Python values flatten back to the same bits
     x, q, Q, Qp, R, Rp = (flat(v) for v in (cv.x, cv.q, cv.Q, cv.Qp, cv.R,
                                             cv.Rp))
-    zeta = Q ** 3 * R.conjugate() ** 2
-    g = x * (1.0 - x)
-    sw = (2.0 * abs(R) ** 4
-          - g * (2.0 * Rp * Q - R * Qp) * R.conjugate() ** 2).real
-    sw_scale = (2.0 * abs(R) ** 4
-                + abs(g) * (2.0 * abs(Rp) * abs(Q) + abs(R) * abs(Qp))
-                * abs(R) ** 2)
+    _, _, zeta, _, sw = _singular_terms(x, Q, Qp, R, Rp)
+    sw_scale = (2.0 * abs(R) ** 4 + abs(x * (1.0 - x))
+                * (2.0 * abs(Rp) * abs(Q) + abs(R) * abs(Qp)) * abs(R) ** 2)
     absq = abs(q)
     cls = np.select(
         [~(np.abs(absq - 1.0) <= CLASSIFY_TOL),
          (np.abs(R) > 0.0) & ~_is_nonpositive_real(zeta),
-         np.abs(sw) > NONPOS_REAL_TOL * np.maximum(sw_scale, 1.0)],
+         np.abs(sw.real) > NONPOS_REAL_TOL * np.maximum(sw_scale, 1.0)],
         [NOT_SINGULAR, CUSPIDAL_EDGE, SWALLOWTAIL], HIGHER_DEGENERATE)
     return SingularPointClass(*unflat(np.shape(cv.x), x, cls, absq, zeta,
-                                      sw))
+                                      sw.real))
 
 
 def _quartic_terms(e: ExponentData, a, x):
@@ -215,11 +218,6 @@ def trace_singular_curve(e: ExponentData) -> TracedCurve:
                        theta=(theta + turns).ravel())
 
 
-def _im_zeta(e: ExponentData, x):
-    Q, _, R, _ = eval_q_derivatives(e, x)
-    return (Q ** 3 * R.conjugate() ** 2).imag
-
-
 def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     """Swallowtail points on a sampled singular curve.
 
@@ -230,10 +228,13 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     any family.  Each step follows each bracket's root from its lower end
     to the new theta (_follow_root: an Euler step in theta, then Newton
     steps on the quartic).  Keeps the end of each bracket nearer the zero
-    if it classifies as a swallowtail.
+    if it classifies as a swallowtail, all ends in one classification.
     """
+    def im_zeta(x):
+        return _singular_terms(x, *eval_q_derivatives(e, x))[2].imag
+
     xs, th = curve.samples, curve.theta
-    vals = _im_zeta(e, xs)
+    vals = im_zeta(xs)
     k = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
     lo, flo, xlo = th[k], vals[k], xs[k]
     hi = lo + 2.0 * np.pi / THETA_SAMPLES
@@ -254,7 +255,7 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
         # of its bracket ends the search in one more step
         mid = np.clip(mid, lo + 0.5 * THETA_TOL, hi - 0.5 * THETA_TOL)
         xm = _follow_root(e, lo, xlo, mid)
-        fm = _im_zeta(e, xm)
+        fm = im_zeta(xm)
         below = flo * fm <= 0.0         # the sign change is below mid
         moved = np.where(below, 1, -1)
         # Illinois: halve the value at an end kept twice running
@@ -267,37 +268,33 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
                         np.where(below, xm, xhi))
         side = moved
     ends[:, slot] = xlo, xhi
-    xlo, xhi = ends
-    x = np.where(np.abs(_im_zeta(e, xhi)) < np.abs(_im_zeta(e, xlo)),
-                 xhi, xlo)
-    return [classify_point(e, xi)
-            for xi in x[classify_point(e, x).cls == SWALLOWTAIL]]
+    near = np.abs(im_zeta(ends))
+    c = classify_point(e, np.where(near[1] < near[0], ends[1], ends[0]))
+    # each record in Python types, as a scalar call would give it
+    return [SingularPointClass(*(v[k].item() for v in vars(c).values()))
+            for k in np.flatnonzero(c.cls == SWALLOWTAIL)]
 
 
 def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
-    """Locate a swallowtail by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0.
+    """Locate a swallowtail by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0,
+    its Jacobian exact from one _singular_terms call a step.
 
     Independent of the curve tracer and of the polynomial elimination;
     the three routes are cross-checked in the test suite.
     """
     x = complex(x0)
-    h = 1e-7
     for _ in range(SWALLOWTAIL_MAX_ITER):
-        f, gs, gt = _f_and_grad(e, x)
-        g2 = _im_zeta(e, x)
+        f, df, zeta, d_im, _ = _singular_terms(x, *eval_q_derivatives(e, x))
         if abs(f) < SWALLOWTAIL_TOL and \
-           abs(g2) < SWALLOWTAIL_TOL * max(1.0, abs(x) ** 10):
-            break
-        d2s = (_im_zeta(e, x + h) - _im_zeta(e, x - h)) / (2 * h)
-        d2t = (_im_zeta(e, x + 1j * h) - _im_zeta(e, x - 1j * h)) / (2 * h)
-        J = np.array([[gs, gt], [d2s, d2t]])
+           abs(zeta.imag) < SWALLOWTAIL_TOL * max(1.0, abs(x) ** 10):
+            return x
+        J = np.array([[df.real, df.imag], [d_im.real, d_im.imag]])
         try:
-            ds, dt = np.linalg.solve(J, [f, g2])
+            ds, dt = np.linalg.solve(J, [f, zeta.imag])
         except np.linalg.LinAlgError:
             raise ValueError(f"singular Jacobian near x={x}")
         x -= complex(ds, dt)
-    f, _, _ = _f_and_grad(e, x)
-    if abs(f) > CURVE_TOL:
+    if abs(_singular_terms(x, *eval_q_derivatives(e, x))[0]) > CURVE_TOL:
         raise ValueError(f"Newton search did not converge from x0={x0}")
     return x
 

@@ -132,9 +132,9 @@ _NAN_INJECTIONS = {
     "07": (lambda **kw: sc.check_oracle_equivalence(count=40, **kw),
            _clip_every_front_point),
     "08": (sc.check_fuchsian_swallowtail, lambda mp: _wrap(
-        mp, sc, "eval_q_derivatives", lambda v: tuple(w * NAN for w in v))),
+        mp, sg, "_singular_terms", lambda v: (*v[:4], v[4] * NAN))),
     "10": (sc.check_dihedral_curve, lambda mp: _wrap(
-        mp, sg, "_f_and_grad", lambda v: (v[0] * NAN, v[1], v[2]))),
+        mp, sg, "_singular_terms", lambda v: (v[0] * NAN, *v[1:]))),
     "11": (sc.check_local_models, lambda mp: _wrap(
         mp, sg, "local_model_cusp", lambda v: (v[0] * NAN, v[1]))),
     "12": (sc.check_end_behavior, _clip_every_front_point),

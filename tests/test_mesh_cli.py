@@ -161,6 +161,12 @@ def test_job_config_rejects_bad_input():
             mesh.JobConfig(case="fuchsian", words=words)
     with pytest.raises(ValueError, match="at least one tile"):
         mesh.JobConfig(case="fuchsian", words=[])
+    # a repeated word used to export coincident copies of its tile
+    for words, twice in ((["21", "21"], "'21'"),
+                         (["", "1", "", "1"], "'', '1'")):
+        with pytest.raises(ValueError, match=rf"^words name a tile more "
+                           rf"than once: \[{twice}\]$"):
+            mesh.JobConfig(case="tetra", words=words)
     assert mesh.JobConfig(case="fuchsian", tiles=3).tiles == 3
     # an .obj or .ply suffix names the format, and must be fmt's
     for fmt, out in (("obj", "x.ply"), ("ply", "x.obj"), ("obj", "X.PLY")):
@@ -271,6 +277,10 @@ _BAD_INPUT = [
     # --out out.obj with --format ply used to write PLY text to out.obj
     (16, ["surface", "--case", "dihedral:3", "--format", "ply"],
      r"^error: out '.*out\.obj' ends in \.obj, but the format is ply$"),
+    # --words 21,21 used to write two coincident copies of one tile
+    (17, ["surface", "--case", "tetra", "--words", "21,21",
+          "--resolution", "8"],
+     r"^error: words name a tile more than once: \['21'\]$"),
 ]
 
 

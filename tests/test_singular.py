@@ -8,7 +8,12 @@ from schwarzfront import singular as sg
 from schwarzfront.cases import resolve_case
 from schwarzfront.elimination import swallowtail_t_exact
 from schwarzfront.equation import (SingularPointError, eval_q,
-                                   exponents_from_mu)
+                                   eval_q_derivatives, exponents_from_mu)
+
+
+def _terms(e, x):
+    """(f, grad f, zeta, grad Im zeta, second-order expression) at x."""
+    return sg._singular_terms(x, *eval_q_derivatives(e, x))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +70,7 @@ def test_curve_samples_satisfy_defining_equation(curve_name, request):
     assert curve.closed
     assert len(curve.samples) > 100
     for x in curve.samples[::7]:
-        f, _, _ = sg._f_and_grad(e, x)
+        f = _terms(e, x)[0]
         assert abs(f) < sg.CURVE_TOL
         assert abs(abs(eval_q(e, x).q) - 1.0) < 1e-8
 
@@ -73,8 +78,8 @@ def test_curve_samples_satisfy_defining_equation(curve_name, request):
 def test_curve_has_reflection_symmetry(fuchsian, fuchsian_curve):
     # mu0 = mu1 makes the curve symmetric about Re x = 1/2: each mirrored
     # sample lies on the curve to first order in f / |grad f|
-    f, gs, gt = sg._f_and_grad(fuchsian, 1.0 - fuchsian_curve.samples.conj())
-    assert np.max(np.abs(f) / np.hypot(gs, gt)) < 1e-8
+    f, df = _terms(fuchsian, 1.0 - fuchsian_curve.samples.conj())[:2]
+    assert np.max(np.abs(f) / np.abs(df)) < 1e-8
 
 
 def test_swallowtail_pipelines_agree(fuchsian, fuchsian_curve):
@@ -203,7 +208,7 @@ def test_sampler_goes_round_the_curve_once(traced, name):
     e, curve = traced[name]
     xs = curve.samples
     assert curve.closed and len(xs) == 4 * sg.THETA_SAMPLES == 512
-    assert np.max(np.abs(sg._f_and_grad(e, xs)[0])) <= 1e-12
+    assert np.max(np.abs(_terms(e, xs)[0])) <= 1e-12
     assert np.max(np.abs(xs - np.roll(xs, -1))) <= 0.015  # closing step too
     q = eval_q(e, xs).q
     assert np.max(np.abs(np.angle(q * np.exp(-1j * curve.theta)))) < 1e-12
@@ -231,6 +236,61 @@ def test_swallowtail_search_takes_few_steps(traced, name, monkeypatch):
                         lambda *args: calls.append(1) or follow(*args))
     assert len(sg.find_swallowtails(e, curve)) == 2
     assert 1 <= len(calls) <= 10
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_swallowtail_records_are_one_classification(traced, name,
+                                                    monkeypatch):
+    # every bracket end is classified in one call, and each record equals
+    # the scalar call at its point, field for field and in Python types
+    e, curve = traced[name]
+    calls = []
+    classify = sg.classify_point
+    monkeypatch.setattr(sg, "classify_point",
+                        lambda *args: calls.append(1) or classify(*args))
+    sws = sg.find_swallowtails(e, curve)
+    assert len(calls) == 1 and type(sws) is list and len(sws) == 2
+    for p in sws:
+        assert p == classify(e, p.x)
+        assert [type(v) for v in vars(p).values()] == [
+            complex, str, float, complex, float]
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_kernel_gradients_match_central_differences(traced, name):
+    # grad f and grad Im zeta, each as d/ds + i d/dt for x = s + it
+    e, curve = traced[name]
+    x, h = curve.samples, 1e-5
+    _, df, _, d_im, _ = _terms(e, x)
+
+    def central(d):
+        """f and Im zeta differenced along the direction d."""
+        p, m = _terms(e, x + h * d), _terms(e, x - h * d)
+        return (p[0] - m[0]) / (2 * h), (p[2] - m[2]).imag / (2 * h)
+
+    (fs, zs), (ft, zt) = central(1.0), central(1j)
+    assert np.max(np.abs(df - (fs + 1j * ft)) / np.abs(df)) <= 1e-7
+    assert np.max(np.abs(d_im - (zs + 1j * zt)) / np.abs(d_im)) <= 1e-7
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_swallowtail_newton_takes_few_steps(traced, name, monkeypatch):
+    # one kernel evaluation a step with the exact Jacobian, from
+    # criterion 8's start and from each printed swallowtail + 0.01
+    e, curve = traced[name]
+    tails = [p.x for p in sg.find_swallowtails(e, curve)]
+    starts = [x + 0.01 for x in tails]
+    if name == "fuchsian":
+        starts.append(0.5 + 0.35j)
+    calls = []
+    terms = sg._singular_terms
+    monkeypatch.setattr(sg, "_singular_terms",
+                        lambda *args: calls.append(1) or terms(*args))
+    for x0 in starts:
+        calls.clear()
+        x = sg.swallowtail_by_newton(e, x0)
+        assert min(abs(x - t) for t in tails) <= 1e-10
+        assert 1 <= len(calls) <= 5
 
 
 def test_fuchsian_swallowtails_are_exact(traced):
