@@ -5,11 +5,11 @@ exponents, its inverse Schwarz map x(z), the preimage x -> z on the base
 triangle where one is known, the order of its monodromy group (the number
 of tiles), the three mirrors bounding the base triangle and the probe
 points that tell tiles apart.  resolve_case() builds it from the user's
-text ("dihedral:3", "tetra", ...) or from a tag and n, and checks it
-against equation.is_standard.  The mirrors alone describe the base
-triangle (mesh.sample_triangle reads its grid from them): for a finite
-family, mirror 0 is the line arg z = 0, mirror 1 the line arg z = phi and
-mirror 2 a circle around the vertex z = 0.
+text ("dihedral:3", "tetra", ...; each tag is its family's name) or from
+"dihedral" and n, and checks it against equation.is_standard.  The
+mirrors alone describe the base triangle (mesh.sample_triangle reads its
+grid from them): for a finite family, mirror 0 is the line arg z = 0,
+mirror 1 the line arg z = phi and mirror 2 a circle around z = 0.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .equation import (INF, TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
                        exponents_from_mu, group_order, is_standard)
 from .polyhedral import PolyhedralInverse, dihedral_z_from_x
 from .tiling import Reflection
-
-_ALIASES = {"tetra": TAG_TETRAHEDRAL, "octa": TAG_OCTAHEDRAL,
-            "icosa": TAG_ICOSAHEDRAL, "fuchsian": TAG_FUCHSIAN_INF}
 
 # tile-dedup probes: generic points of the sphere, or of the upper
 # half-plane for the Fuchsian group
@@ -122,14 +119,13 @@ _FAMILIES = {TAG_DIHEDRAL: _dihedral, TAG_TETRAHEDRAL: _tetrahedral,
 
 
 def resolve_case(case: str, n: int | None = None) -> Case:
-    """Case for 'dihedral:n', 'tetra', 'octa', 'icosa', 'fuchsian' or a tag.
+    """Case for 'dihedral:n', 'tetra', 'octa', 'icosa' or 'fuchsian'.
 
-    A bare dihedral tag takes n from the argument, an int (not a bool);
+    A bare 'dihedral' takes n from the argument, an int (not a bool);
     the other families ignore it.  Raises ValueError for anything else.
     """
     text = case.strip().lower()
-    name, colon, arg = text.partition(":")
-    tag = _ALIASES.get(name, name)
+    tag, colon, arg = text.partition(":")
     if tag == TAG_DIHEDRAL:
         if colon:
             # isdigit alone accepts digits int() refuses, such as '²'

@@ -197,9 +197,8 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_tiles(args) -> int:
-    text = _case(args)
-    case = _or_exit(resolve_case, text)
-    _or_exit(check_tile_count, text, case, args.tiles)
+    case = _or_exit(resolve_case, _case(args))
+    _or_exit(check_tile_count, case, args.tiles)
     _check_out(args.out)
     ts = tile_parameter_domain(case, max_count=args.tiles)
     summary = f"{len(ts.elements)} elements (complete={ts.complete})"

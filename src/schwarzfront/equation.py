@@ -158,11 +158,10 @@ def eval_q_derivatives(e: ExponentData, x):
 # --- standardness classification -------------------------------------------
 
 TAG_DIHEDRAL = "dihedral"
-TAG_TETRAHEDRAL = "tetrahedral"
-TAG_OCTAHEDRAL = "octahedral"
-TAG_ICOSAHEDRAL = "icosahedral"
-TAG_FUCHSIAN_INF = "fuchsian-inf-inf-inf"
-TAG_FUCHSIAN = "fuchsian"
+TAG_TETRAHEDRAL = "tetra"
+TAG_OCTAHEDRAL = "octa"
+TAG_ICOSAHEDRAL = "icosa"
+TAG_FUCHSIAN_INF = "fuchsian"
 TAG_NONSTANDARD = "non-standard"
 
 
@@ -174,34 +173,23 @@ class StandardCase:
 
 
 def is_standard(e: ExponentData) -> StandardCase:
-    """Classify the parameter triple by its orders (k0, k1, kInf)."""
+    """The family this package draws whose orders (k0, k1, kInf) are the
+    triple's, in any order.  Standard means one of those families:
+    Schwarz's finite list, dihedral (2, 2, n) for n >= 1 (n = 1 is
+    (1, 2, 2)), tetra (2, 3, 3), octa (2, 3, 4) and icosa (2, 3, 5), and
+    fuchsian (inf, inf, inf).  Every other triple, Euclidean or
+    hyperbolic, is non-standard."""
     ks = e.orders
-    if any(k is None for k in ks):
-        return StandardCase(False, TAG_NONSTANDARD)
-    finite = sorted(k for k in ks if k is not INF)
-    if any(k is not INF and k < 2 for k in ks):
-        # (2,2,1) is the order-2 dihedral degeneration; anything else with
-        # an order-1 direction is outside the standard list.
-        if sorted(ks, key=lambda k: (k is INF, k)) != [1, 2, 2]:
-            return StandardCase(False, TAG_NONSTANDARD)
-        return StandardCase(True, TAG_DIHEDRAL, n=1)
     if all(k is INF for k in ks):
         return StandardCase(True, TAG_FUCHSIAN_INF)
-    if any(k is INF for k in ks):
-        return StandardCase(True, TAG_FUCHSIAN)
-    f = sorted(finite)
-    if f[:2] == [2, 2]:
-        return StandardCase(True, TAG_DIHEDRAL, n=f[2])
-    if f == [2, 3, 3]:
-        return StandardCase(True, TAG_TETRAHEDRAL)
-    if f == [2, 3, 4]:
-        return StandardCase(True, TAG_OCTAHEDRAL)
-    if f == [2, 3, 5]:
-        return StandardCase(True, TAG_ICOSAHEDRAL)
-    # all orders finite but angle sum <= pi: hyperbolic triangle group
-    if sum(Fraction(1, k) for k in f) < 1:
-        return StandardCase(True, TAG_FUCHSIAN)
-    return StandardCase(False, TAG_NONSTANDARD)
+    if any(k is None or k is INF for k in ks):
+        return StandardCase(False, TAG_NONSTANDARD)
+    f = sorted(ks)
+    if f.count(2) >= 2:                 # (2, 2, n), or (1, 2, 2) for n = 1
+        return StandardCase(True, TAG_DIHEDRAL, n=sum(f) - 4)
+    tag = {(2, 3, 3): TAG_TETRAHEDRAL, (2, 3, 4): TAG_OCTAHEDRAL,
+           (2, 3, 5): TAG_ICOSAHEDRAL}.get(tuple(f))
+    return StandardCase(tag is not None, tag or TAG_NONSTANDARD)
 
 
 def group_order(orders):

@@ -56,8 +56,8 @@ NEAR_SINGULAR_TOL = 1e-2
 
 @dataclass
 class JobConfig:
-    case: str = "dihedral"            # see cases.resolve_case
-    n: int = 3
+    case: str = "dihedral:3"          # see cases.resolve_case
+    n: int | None = None              # n of a bare "dihedral"
     tiles: int | None = None          # tile count; None = the whole group
     words: list | None = None         # distinct tile words; override tiles
     resolution: int = 16
@@ -87,7 +87,7 @@ class JobConfig:
             twice = sorted({w for w in self.words if self.words.count(w) > 1})
             raise ValueError(f"words name a tile more than once: {twice}")
         self.resolved = resolve_case(self.case, self.n)
-        check_tile_count(self.case, self.resolved, self.tiles)
+        check_tile_count(self.resolved, self.tiles)
 
 
 @dataclass

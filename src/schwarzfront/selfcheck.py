@@ -132,7 +132,7 @@ def check_lambda_series() -> CheckResult:
     ok = [int(c) for c in got] == want and all(c == int(c) for c in got)
     return CheckResult(2, "lambda q-expansion coefficients",
                        0.0 if ok else 1.0, 0.5, ok,
-                       detail=f"got {got}")
+                       detail=f"got {', '.join(map(str, got))}")
 
 
 def check_lambda_derivatives() -> CheckResult:

@@ -82,10 +82,11 @@ def apply(m: np.ndarray, z) -> np.ndarray:
     return (a * z + b) / (c * z + d)
 
 
-def check_tile_count(text: str, case, tiles):
-    """ValueError for a count below 1 or above the group order, or none
-    for an infinite group."""
+def check_tile_count(case, tiles):
+    """ValueError, naming the case as users write it, for a count below 1
+    or above the group order, or none for an infinite group."""
     cap = case.max_tiles
+    text = case.tag if case.n is None else f"{case.tag}:{case.n}"
     if tiles is None:
         if cap is None:
             raise ValueError(f"case {text} has infinitely many tiles; "
@@ -150,7 +151,7 @@ def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     # a count above the group order lists the whole group
     counts = [c for c in (max_count, case.max_tiles) if c is not None]
     limit = min(counts) if counts else None
-    check_tile_count(case.tag, case, limit)
+    check_tile_count(case, limit)
     refl = case.mirrors
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     gens = np.array([refl[j].then(refl[i]) for i, j in pairs])

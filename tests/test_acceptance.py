@@ -37,6 +37,12 @@ def test_criterion_02_lambda_series_and_special_values():
     _run(sc.check_lambda_series)
 
 
+def test_criterion_02_detail_lists_the_coefficients_as_numbers():
+    # each Fraction's str, not its repr
+    assert (sc.check_lambda_series().detail
+            == "got 1, -16, 128, -704, 3072, -11488, 38400")
+
+
 def test_criterion_03_lambda_derivative_closed_forms():
     _run(sc.check_lambda_derivatives)
 

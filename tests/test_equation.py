@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -85,6 +86,34 @@ def test_fuchsian_infinite_case():
     assert case.standard
     assert case.tag == TAG_FUCHSIAN_INF
     assert group_order(e.orders) == float("inf")
+
+
+INF = float("inf")
+
+
+# standard is a family the package draws: Schwarz's finite list, and the
+# ideal triangle (inf, inf, inf); no other Euclidean or hyperbolic triple
+@pytest.mark.parametrize("orders, standard, family, n", [
+    ((INF, INF, INF), True, "fuchsian", None),
+    ((1, 2, 2), True, "dihedral", 1),
+    ((2, 2, 7), True, "dihedral", 7),
+    ((2, 3, 3), True, "tetra", None),
+    ((2, 3, 4), True, "octa", None),
+    ((2, 3, 5), True, "icosa", None),
+    ((2, 2, INF), False, "non-standard", None),
+    ((2, 3, INF), False, "non-standard", None),
+    ((2, 3, 7), False, "non-standard", None),
+    ((3, 3, 3), False, "non-standard", None),
+    ((2, 4, 4), False, "non-standard", None),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_is_standard_names_exactly_the_drawn_families(orders, standard,
+                                                      family, n):
+    for ks in set(itertools.permutations(orders)):
+        e = exponents_from_mu(*(Fr(0) if k == INF else Fr(1, k)
+                                for k in ks))
+        assert e.orders == ks
+        std = is_standard(e)
+        assert (std.standard, std.tag, std.n) == (standard, family, n), ks
 
 
 def test_nonstandard_case():

@@ -297,6 +297,46 @@ def test_cli_rejects_bad_input(tmp_path, argv, message):
     assert not out.exists()
 
 
+# a family has one name: the long spellings are no case, and a bare
+# dihedral is no case on any command (surface and a config file used to
+# read it as dihedral:3)
+@pytest.mark.parametrize("text", ["dihedral", "tetrahedral", "octahedral",
+                                  "icosahedral", "fuchsian-inf-inf-inf"])
+@pytest.mark.parametrize("command", ["surface", "tiles", "singular-locus"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_refuses_a_case_that_is_no_family_name(tmp_path, capsys, via,
+                                                   command, text):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command == "surface":
+        argv += ["--tiles", "1", "--resolution", "8"]
+    if via == "flag":
+        argv += ["--case", text]
+    else:
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"case={text}\n")
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    # one line of text, which Python prints before it exits with status 1
+    assert exc.value.code == "error: " + (
+        "dihedral case must be written dihedral:n with n >= 1"
+        if text == "dihedral" else f"unknown case '{text}'; expected "
+        f"dihedral:n, tetra, octa, icosa or fuchsian")
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_cli_bare_dihedral_surface_is_one_error_line(tmp_path):
+    proc = _fresh_python(["-m", "schwarzfront.cli", "surface", "--case",
+                          "dihedral", "--tiles", "1", "--resolution", "8",
+                          "--out", "bare.obj"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: dihedral case must be written "
+                           "dihedral:n with n >= 1\n")
+    assert proc.stdout == "" and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["surface", "tiles"])
 def test_cli_refuses_a_tile_count_above_the_group_order(tmp_path, command):
     # one rule for both commands (tiles used to list the 12 elements and
@@ -354,13 +394,20 @@ def test_job_config_validation():
         mesh.JobConfig(chart="klein")
     with pytest.raises(ValueError):
         mesh.JobConfig(fmt="stl")
-    with pytest.raises(ValueError):
-        mesh.JobConfig(case="tetrahedral", tiles=100)
+    with pytest.raises(ValueError, match="^case tetra has at most 12 tiles$"):
+        mesh.JobConfig(case="tetra", tiles=100)
     with pytest.raises(ValueError, match="unknown case"):
         mesh.JobConfig(case="cube")
-    with pytest.raises(ValueError, match="at most 6 tiles"):
+    # the message names the case as users write it
+    with pytest.raises(ValueError,
+                       match="^case dihedral:3 has at most 6 tiles$"):
         mesh.JobConfig(case=TAG_DIHEDRAL, n=3, tiles=7)
     assert mesh.JobConfig(case="dihedral:3", tiles=6).tiles == 6
+    # a bare dihedral needs its n (the default n = 3 used to fill it in)
+    with pytest.raises(ValueError, match="^dihedral case must be written"):
+        mesh.JobConfig(case="dihedral")
+    default = mesh.JobConfig().resolved
+    assert (default.tag, default.n) == ("dihedral", 3)
     # the default output path follows the format
     assert mesh.JobConfig(case="dihedral:3").out == "front.obj"
     assert mesh.JobConfig(case="dihedral:3", fmt="ply").out == "front.ply"
@@ -688,7 +735,7 @@ def test_surface_job_resolves_its_case_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mesh, "resolve_case", counting)
     rc = cli.main(["surface", "--case", "fuchsian", "--tiles", "3",
                    "--resolution", "8", "--out", str(tmp_path / "f.obj")])
-    assert rc == 0 and calls == [("fuchsian", 3)]
+    assert rc == 0 and calls == [("fuchsian", None)]
 
 
 def test_cli_singular_locus(tmp_path, capsys):

@@ -12,7 +12,7 @@ PARTITION_TOL = 1e-10
 FD_TOL = 1e-6
 
 CASES = [("dihedral", 1), ("dihedral", 2), ("dihedral", 3), ("dihedral", 6),
-         ("tetrahedral", None), ("octahedral", None), ("icosahedral", None)]
+         ("tetra", None), ("octa", None), ("icosa", None)]
 
 
 @pytest.mark.parametrize("tag, n", CASES)
@@ -109,7 +109,7 @@ def test_dihedral_z_from_x_roundtrip(n):
 
 def test_icosahedral_invariant_expansions():
     # the factored mirror data reproduces the expanded invariants
-    d = build_polyhedral("icosahedral", None)
+    d = build_polyhedral("icosa", None)
     want0 = np.zeros(21)
     want0[[0, 5, 10, 15, 20]] = [1, -228, 494, 228, 1]
     assert np.allclose(d.f0, want0, rtol=0, atol=1e-8)
@@ -126,12 +126,12 @@ _SQRT3 = math.sqrt(3.0)
 
 # the expanded tetrahedral and octahedral tables against their factors
 @pytest.mark.parametrize("tag, name, factors", [
-    ("tetrahedral", "f1", [[1, 0, -2 + _SQRT3], [1, 0, 2 + _SQRT3]]),
-    ("tetrahedral", "fInf", [[1, 0, -2 - _SQRT3], [1, 0, 2 - _SQRT3]]),
-    ("octahedral", "f0", [[1, 2, 2, -2, 1], [1, -2, 2, 2, 1]]),
-    ("octahedral", "f1", [[1, 0, 0, 0, 1], [1, 2, -1], [1, -2, -1],
-                          [1, 0, 6, 0, 1]]),
-    ("octahedral", "fInf", [[1, 0], [1, 0, 1], [1, 0, -1]])])
+    ("tetra", "f1", [[1, 0, -2 + _SQRT3], [1, 0, 2 + _SQRT3]]),
+    ("tetra", "fInf", [[1, 0, -2 - _SQRT3], [1, 0, 2 - _SQRT3]]),
+    ("octa", "f0", [[1, 2, 2, -2, 1], [1, -2, 2, 2, 1]]),
+    ("octa", "f1", [[1, 0, 0, 0, 1], [1, 2, -1], [1, -2, -1],
+                    [1, 0, 6, 0, 1]]),
+    ("octa", "fInf", [[1, 0], [1, 0, 1], [1, 0, -1]])])
 def test_expanded_table_is_the_product_of_its_factors(tag, name, factors):
     assert np.allclose(getattr(build_polyhedral(tag), name),
                        polyhedral._expand(factors))

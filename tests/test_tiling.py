@@ -9,12 +9,12 @@ from schwarzfront.modular import eval_lambda
 from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
 from schwarzfront.tiling import (_DEDUP_TOL, Reflection, _new_rows, apply,
-                                 tile_parameter_domain)
+                                 check_tile_count, tile_parameter_domain)
 
 INVARIANCE_TOL = 1e-9
 
-ORDERS = [("dihedral", 3, 6), ("dihedral", 5, 10), ("tetrahedral", None, 12),
-          ("octahedral", None, 24), ("icosahedral", None, 60),
+ORDERS = [("dihedral", 3, 6), ("dihedral", 5, 10), ("tetra", None, 12),
+          ("octa", None, 24), ("icosa", None, 60),
           # words of up to 26 and 50 letters, 13 and 25 levels deep
           ("dihedral", 25, 50), ("dihedral", 50, 100)]
 
@@ -38,9 +38,8 @@ def test_reflections_are_involutions(tag, n):
         assert (abs(refl(refl(z)) - z) < 1e-10 * (1 + abs(z))).all()
 
 
-@pytest.mark.parametrize("tag, n", [("dihedral", 3), ("tetrahedral", None),
-                                    ("octahedral", None),
-                                    ("icosahedral", None)])
+@pytest.mark.parametrize("tag, n", [("dihedral", 3), ("tetra", None),
+                                    ("octa", None), ("icosa", None)])
 def test_inverse_map_invariance_under_tiles(tag, n):
     inv = PolyhedralInverse(tag, n)
     ts = tile_parameter_domain(resolve_case(tag, n))
@@ -53,8 +52,7 @@ def test_inverse_map_invariance_under_tiles(tag, n):
 
 
 def test_fuchsian_tiles_preserve_lambda():
-    ts = tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
-                               max_count=8)
+    ts = tile_parameter_domain(resolve_case("fuchsian"), max_count=8)
     zs = (0.3 + 0.8j, -0.2 + 1.3j)
     for gz in apply(ts.elements, zs):
         for z, w in zip(zs, gz):
@@ -64,8 +62,7 @@ def test_fuchsian_tiles_preserve_lambda():
 
 
 def test_fuchsian_enumeration_grows_without_repetition():
-    ts = tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
-                               max_count=25)
+    ts = tile_parameter_domain(resolve_case("fuchsian"), max_count=25)
     assert ts.elements.shape == (25, 2, 2) and len(ts.words) == 25
     assert len(set(ts.words)) == 25
 
@@ -79,9 +76,8 @@ def test_tile_words_compose_left_to_right():
     assert abs(apply(g, z)[0, 0] - refl[0](refl[1](z))) < 1e-10
 
 
-@pytest.mark.parametrize("tag, n", [("dihedral", 3), ("tetrahedral", None),
-                                    ("octahedral", None),
-                                    ("icosahedral", None)])
+@pytest.mark.parametrize("tag, n", [("dihedral", 3), ("tetra", None),
+                                    ("octa", None), ("icosa", None)])
 def test_base_triangle_vertices_hit_ramification_values(tag, n):
     # the corners of the sampler's fan, the apex 0 and the ends of its arc
     # before CORNER_MARGIN moves them in, map (in the limit) to x = 0, 1
@@ -102,7 +98,7 @@ def test_apply_composes_matrices_and_tiles_have_det_one():
     z = np.array([0.3 + 0.4j, -1.2 + 0.1j])
     assert apply(np.stack([a, b]), z).shape == (2, 2)
     assert abs(apply(a @ b, z) - apply(a, apply(b, z))).max() < 1e-12
-    for tag, n, _ in ORDERS + [("fuchsian-inf-inf-inf", None, 400)]:
+    for tag, n, _ in ORDERS + [("fuchsian", None, 400)]:
         ts = tile_parameter_domain(resolve_case(tag, n), max_count=400)
         assert abs(np.linalg.det(ts.elements) - 1.0).max() < 1e-12
 
@@ -118,11 +114,11 @@ def test_complete_only_when_no_limit_cut_enumeration():
     # a count above the group order lists the whole group
     ts = tile_parameter_domain(resolve_case("dihedral", 3), max_count=100)
     assert len(ts.elements) == 6 and ts.complete
-    icosa = resolve_case("icosahedral")
+    icosa = resolve_case("icosa")
     assert tile_parameter_domain(icosa, max_count=60).complete
     # a count below what the group needs cuts it short
     assert not tile_parameter_domain(icosa, max_count=40).complete
-    assert not tile_parameter_domain(resolve_case("fuchsian-inf-inf-inf"),
+    assert not tile_parameter_domain(resolve_case("fuchsian"),
                                      max_count=25).complete
 
 
@@ -132,6 +128,16 @@ def test_an_infinite_group_needs_a_count():
         tile_parameter_domain(resolve_case("fuchsian"))
     with pytest.raises(ValueError, match="tiles must be >= 1"):
         tile_parameter_domain(resolve_case("fuchsian"), max_count=0)
+
+
+def test_tile_count_messages_name_the_case_as_written():
+    with pytest.raises(ValueError, match="^case fuchsian has infinitely "
+                                         "many tiles; set a tile count"):
+        tile_parameter_domain(resolve_case("fuchsian"))
+    for case in (resolve_case("dihedral:3"), resolve_case("dihedral", 3)):
+        with pytest.raises(ValueError,
+                           match="^case dihedral:3 has at most 6 tiles$"):
+            check_tile_count(case, 7)
 
 
 def test_cli_tiles_reports_complete_group(capsys):
@@ -207,11 +213,9 @@ def _assert_matches_linear_scan(case, max_count):
 @pytest.mark.parametrize("tag, n, max_count", [
     ("dihedral", 1, None), ("dihedral", 3, None), ("dihedral", 8, None),
     ("dihedral", 50, None),
-    ("tetrahedral", None, None), ("octahedral", None, None),
-    ("octahedral", None, 17), ("icosahedral", None, None),
-    ("icosahedral", None, 40), ("fuchsian-inf-inf-inf", None, 7),
-    ("fuchsian-inf-inf-inf", None, 25), ("fuchsian-inf-inf-inf", None, 401),
-    ("fuchsian-inf-inf-inf", None, 2000)])
+    ("tetra", None, None), ("octa", None, None), ("octa", None, 17),
+    ("icosa", None, None), ("icosa", None, 40), ("fuchsian", None, 7),
+    ("fuchsian", None, 25), ("fuchsian", None, 401), ("fuchsian", None, 2000)])
 def test_hashed_dedup_matches_linear_scan(tag, n, max_count):
     _assert_matches_linear_scan(resolve_case(tag, n), max_count)
 
