@@ -68,6 +68,17 @@ def _check_out(path):
     raise SystemExit(f"error: {err}")
 
 
+def _write(text, out, summary):
+    """text into the file out, then the line `wrote out: summary`; text to
+    stdout when there is no out."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}: {summary}")
+    else:
+        sys.stdout.write(text)
+
+
 def _build_parser():
     # argparse makes a formatter for every add_argument call, and each one
     # reads the terminal size; this reads it once a build, with
@@ -171,13 +182,8 @@ def cmd_singular_locus(args) -> int:
     text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
             + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", x.real,
                     x.imag, spc.cls, spc.abs_q, zeta.real, zeta.imag))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}: {len(curve.samples)} samples, "
-              f"closed={curve.closed}")
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out,
+           f"{len(curve.samples)} samples, closed={curve.closed}")
     for spc in sg.find_swallowtails(e, curve):
         print(f"swallowtail at x = {spc.x.real:.12g} "
               f"{spc.x.imag:+.12g}i")
@@ -207,13 +213,7 @@ def cmd_tiles(args) -> int:
         label = word if word else "(identity)"
         rows.append(f"{label}\t[[{m[0, 0]:.6g}, {m[0, 1]:.6g}], "
                     f"[{m[1, 0]:.6g}, {m[1, 1]:.6g}]]")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}: {summary}")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(rows) + "\n", args.out, summary)
     return 0
 
 

@@ -75,8 +75,8 @@ def _singular_terms(x, Q, Qp, R, Rp):
     return f, df, Q3 * Rb2, d_im, sw
 
 
-def _is_nonpositive_real(z, tol: float = NONPOS_REAL_TOL):
-    m = np.abs(z)
+def _is_nonpositive_real(z):
+    m, tol = np.abs(z), NONPOS_REAL_TOL
     return (m == 0.0) | ((np.abs(z.imag) <= tol * m) & (z.real <= tol * m))
 
 

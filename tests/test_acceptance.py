@@ -5,6 +5,7 @@ prints the standard one-line PASS/FAIL record so the criterion status
 is visible in the pytest -s output.
 """
 
+import inspect
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from schwarzfront import selfcheck as sc
 from schwarzfront import singular as sg
 from schwarzfront.arrays import clip, flat, unflat
 from schwarzfront.cases import resolve_case
+from schwarzfront.h3 import H3Point
 from schwarzfront.modular import DomainError, LambdaInverse
 from schwarzfront.polyhedral import PolyhedralInverse
 
@@ -24,7 +26,7 @@ NAN = float("nan")
 
 
 def _run(check):
-    r = check()
+    r = check(sc._Run())
     print(r.line())
     assert r.passed, r.line() + (f" | {r.detail}" if r.detail else "")
 
@@ -39,7 +41,7 @@ def test_criterion_02_lambda_series_and_special_values():
 
 def test_criterion_02_detail_lists_the_coefficients_as_numbers():
     # each Fraction's str, not its repr
-    assert (sc.check_lambda_series().detail
+    assert (sc.check_lambda_series(sc._Run()).detail
             == "got 1, -16, 128, -704, 3072, -11488, 38400")
 
 
@@ -61,6 +63,15 @@ def test_criterion_06_closed_form_front_representation():
 
 def test_criterion_07_closed_form_matches_ode_oracle():
     _run(sc.check_oracle_equivalence)
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_criterion_07_detail_names_each_case_as_written(quick):
+    # the --case spelling, dihedral:3 with its n, then the residual
+    detail = sc.check_oracle_equivalence(sc._Run(quick)).detail
+    assert [w.split("=")[0] for w in detail.split()] == ["dihedral:3",
+                                                         "fuchsian"]
+    assert all(float(w.split("=")[1]) < 1e-6 for w in detail.split())
 
 
 def test_criterion_08_fuchsian_swallowtail_two_pipelines():
@@ -100,11 +111,11 @@ def _clip_every_front_point(monkeypatch):
 
 
 def _nan_tetra_f1(monkeypatch):
-    cases = sc._Cases()
-    d = cases["tetra"].inverse.data
+    run = sc._Run()
+    d = run["tetra"].inverse.data
     data = SimpleNamespace(**{**vars(d), "f1": d.f1 * NAN})
-    cases["tetra"] = SimpleNamespace(inverse=SimpleNamespace(data=data))
-    return {"cases": cases}
+    run["tetra"] = SimpleNamespace(inverse=SimpleNamespace(data=data))
+    return run
 
 
 def _nan_xd_right_of_half(monkeypatch):
@@ -118,13 +129,13 @@ def _nan_xd_right_of_half(monkeypatch):
 
 
 def _refusing_fuchsian():
-    """A table whose fuchsian case refuses about 40% of criterion 6's
+    """A run whose fuchsian case refuses about 40% of criterion 6's
     points."""
-    cases = sc._Cases()
-    cases["fuchsian"] = SimpleNamespace(
-        inverse=_RefusingInverse(), exponents=cases["fuchsian"].exponents,
+    run = sc._Run()
+    run["fuchsian"] = SimpleNamespace(
+        inverse=_RefusingInverse(), exponents=run["fuchsian"].exponents,
         max_tiles=None)
-    return {"cases": cases}
+    return run
 
 
 _NAN_INJECTIONS = {
@@ -135,8 +146,7 @@ _NAN_INJECTIONS = {
     "04": (sc.check_partition_of_unity, _nan_tetra_f1),
     "05": (sc.check_dx_dz, _nan_xd_right_of_half),
     "06": (sc.check_representation_formula, lambda mp: _refusing_fuchsian()),
-    "07": (lambda **kw: sc.check_oracle_equivalence(count=40, **kw),
-           _clip_every_front_point),
+    "07": (sc.check_oracle_equivalence, _clip_every_front_point),
     "08": (sc.check_fuchsian_swallowtail, lambda mp: _wrap(
         mp, sg, "_singular_terms", lambda v: (*v[:4], v[4] * NAN))),
     "10": (sc.check_dihedral_curve, lambda mp: _wrap(
@@ -151,10 +161,55 @@ _NAN_INJECTIONS = {
 @pytest.mark.parametrize("number", _NAN_INJECTIONS)
 def test_criterion_fails_on_a_nan_residual(number, monkeypatch):
     check, inject = _NAN_INJECTIONS[number]
-    kwargs = inject(monkeypatch) or {}
+    run = inject(monkeypatch) or sc._Run(quick=True)
     with np.errstate(invalid="ignore"):
-        result = check(**kwargs)
+        result = check(run)
     assert not result.passed, result.line()
+
+
+def _no_swallowtails(monkeypatch):
+    monkeypatch.setattr(sg, "find_swallowtails", lambda *args: [])
+
+
+def _dip_odd_ball_points(monkeypatch):
+    """Move every other point of each ray 1e-4 toward the ball's centre,
+    so no march increases monotonically, while each still ends near the
+    sphere at infinity."""
+    to_ball = sc.hermitian_to_ball
+
+    def dipped(H):
+        p = to_ball(H)
+        k = np.arange(np.size(p.coords[0]))
+        return H3Point(p.chart, tuple(c * (1.0 - 1e-4 * (k % 2))
+                                      for c in p.coords))
+
+    monkeypatch.setattr(sc, "hermitian_to_ball", dipped)
+
+
+@pytest.mark.parametrize("number, inject, reason", [
+    (10, _no_swallowtails, "upper_swallowtails=0"),
+    (12, _dip_odd_ball_points, "monotone=False"),
+])
+def test_criterion_fails_on_a_condition_its_residual_omits(
+        number, inject, reason, monkeypatch):
+    # the residual alone would pass: the condition makes it NaN, the
+    # detail says why, and the line never reads a passing value as FAIL
+    inject(monkeypatch)
+    result = sc.ALL_CHECKS[number - 1](sc._Run())
+    assert not result.passed
+    assert result.line().startswith(f"FAIL criterion {number} | ")
+    assert "measured=nan" in result.line()
+    assert reason in result.detail
+
+
+def test_every_criterion_is_check_of_run_and_passes_below_threshold():
+    for chk in sc.ALL_CHECKS:
+        assert list(inspect.signature(chk).parameters) == ["run"]
+    for measured, passed in [(0.0, True), (0.999, True), (1.0, False),
+                             (2.0, False), (NAN, False)]:
+        r = sc.CheckResult(1, "x", measured, 1.0)
+        assert r.passed is passed
+        assert r.line().startswith("PASS" if passed else "FAIL")
 
 
 @pytest.mark.parametrize("number, search", [
@@ -256,12 +311,12 @@ def test_criterion_06_reads_one_fixed_draw_and_fails_on_a_refused_point(
     # terms start, ..., start + 99 of each family's block and no others,
     # whether or not a point evaluates; a refused point fails the check
     calls = _recording_kronecker(monkeypatch)
-    assert sc.check_representation_formula().passed
+    assert sc.check_representation_formula(sc._Run()).passed
     want = [(sc._first_term(17, i), 100) for i in range(len(sc._FRONT_CASES))]
     assert calls == want
     calls.clear()
     with np.errstate(invalid="ignore"):
-        result = sc.check_representation_formula(**_refusing_fuchsian())
+        result = sc.check_representation_formula(_refusing_fuchsian())
     assert calls == want
     assert not result.passed and "nan" in result.detail
 

@@ -116,6 +116,32 @@ def test_is_standard_names_exactly_the_drawn_families(orders, standard,
         assert (std.standard, std.tag, std.n) == (standard, family, n), ks
 
 
+# float exponents take the rounding branch of the order test: an order
+# within _ORDER_TOL of an integer reads as that integer
+@pytest.mark.parametrize("mus, family, n, k0", [
+    ((1 / 3, 1 / 2, 1 / 5), TAG_ICOSAHEDRAL, None, 3),
+    ((0.5, 0.5, 1 / 7), TAG_DIHEDRAL, 7, 2),
+    ((1 / 3 + 1e-12, 0.5, 0.2), TAG_ICOSAHEDRAL, None, 3),
+    ((0.4, 0.5, 0.5), TAG_NONSTANDARD, None, None),
+])
+def test_float_exponents_read_their_orders(mus, family, n, k0):
+    e = exponents_from_mu(*mus)
+    assert isinstance(e.mu0, float)
+    assert e.k0 == k0
+    std = is_standard(e)
+    assert (std.standard, std.tag, std.n) == (family != TAG_NONSTANDARD,
+                                              family, n)
+
+
+@pytest.mark.parametrize("abc", [(0.25 + 0.1j, 0.75, 0.5),
+                                 (0.25, 0.75 + 0j, 0.5),
+                                 (0.25, 0.75, 0.5 - 1j)])
+def test_complex_parameter_is_refused(abc):
+    name = "abc"[[isinstance(v, complex) for v in abc].index(True)]
+    with pytest.raises(ValueError, match=f"^parameter {name} must be real$"):
+        exponents_from_abc(*abc)
+
+
 def test_nonstandard_case():
     case = is_standard(exponents_from_mu(Fr(2, 7), Fr(1, 2), Fr(1, 3)))
     assert not case.standard

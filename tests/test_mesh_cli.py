@@ -152,6 +152,34 @@ def test_finite_families_clip_no_vertex(text, resolution, chart):
     assert np.count_nonzero(m.flags & mesh.FLAG_CLIPPED) == 0
 
 
+@pytest.mark.parametrize("text, tiles, picks", [
+    ("tetra", None, [5, 0, 11, 3]),
+    ("icosa", None, [59, 1, 30, 2]),
+    ("fuchsian", 40, [39, 0, 17, 4]),
+])
+def test_words_build_is_the_whole_build_tile_by_tile(text, tiles, picks):
+    # words select rows of the tiling: each chosen tile, in the given
+    # order, is the whole build's tile bit for bit, its faces offset to
+    # the new rows
+    def build(words):
+        return mesh.build_mesh(mesh.JobConfig(
+            case=text, tiles=tiles, words=words, resolution=8,
+            with_singular=False))
+
+    all_words = tile_parameter_domain(resolve_case(text),
+                                      max_count=tiles).words
+    whole, part = build(None), build([all_words[k] for k in picks])
+    nz = len(whole.vertices) // len(all_words)
+    rows = np.concatenate([np.arange(k * nz, (k + 1) * nz) for k in picks])
+    for field in ("vertices", "flags", "source_z"):
+        got, want = getattr(part, field), getattr(whole, field)[rows]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    tris = whole.triangles
+    assert np.array_equal(part.triangles, np.concatenate(
+        [tris[tris[:, 0] // nz == k] + nz * (i - k)
+         for i, k in enumerate(picks)]))
+
+
 def test_job_config_rejects_bad_input():
     for tiles in (0, -3):
         with pytest.raises(ValueError, match="tiles must be >= 1"):
