@@ -3,13 +3,16 @@
 A Case holds what the pipeline needs to know about one family: its
 exponents, its inverse Schwarz map x(z), the preimage x -> z on the base
 triangle where one is known, the order of its monodromy group (the number
-of tiles), the three mirrors bounding the base triangle and the probe
-points that tell tiles apart.  resolve_case() builds it from the user's
-text ("dihedral:3", "tetra", ...; each tag is its family's name) or from
-"dihedral" and n, and checks it against equation.is_standard.  The
-mirrors alone describe the base triangle (mesh.sample_triangle reads its
-grid from them): for a finite family, mirror 0 is the line arg z = 0,
-mirror 1 the line arg z = phi and mirror 2 a circle around z = 0.
+of tiles) and the three mirrors bounding the base triangle.
+resolve_case() builds it from the user's text ("dihedral:3", "tetra",
+...; each tag is its family's name) or from "dihedral" and n, and checks
+it against equation.is_standard.  The mirrors are a family's whole
+geometry: they generate its group (tiling.tile_parameter_domain) and
+bound its base triangle, whose grid mesh.sample_triangle reads from
+them.  For a finite family, mirror 0 is the line arg z = 0, mirror 1 the
+line arg z = phi and mirror 2 a circle around z = 0; for the ideal
+triangle, mirrors 0 and 1 are the lines Re z = 0 and Re z = 1 and
+mirror 2 the circle |z - 1/2| = 1/2.
 """
 
 from __future__ import annotations
@@ -21,19 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import modular
 from .equation import (INF, TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
                        TAG_OCTAHEDRAL, TAG_TETRAHEDRAL, ExponentData,
                        exponents_from_mu, group_order, is_standard)
 from .polyhedral import PolyhedralInverse, dihedral_z_from_x
 from .tiling import Reflection
-
-# tile-dedup probes: generic points of the sphere, or of the upper
-# half-plane for the Fuchsian group
-_SPHERE_PROBES = (0.31 + 0.12j, -0.22 + 0.47j, 0.15 - 0.33j)
-_UHP_PROBES = (0.31 + 0.83j, -0.52 + 1.27j, 0.11 + 0.45j)
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,6 @@ class Case:
     z_from_x: Callable | None         # x -> z on the base triangle
     max_tiles: int | None             # group order; None when infinite
     mirrors: tuple                    # three Reflections of the group
-    probes: tuple                     # three points that tell tiles apart
 
 
 def _polyhedral(tag, n, mirrors, z_from_x=None):
@@ -55,8 +50,7 @@ def _polyhedral(tag, n, mirrors, z_from_x=None):
     d = inverse.data
     return dict(exponents=exponents_from_mu(*(Fraction(1, k)
                                               for k in (d.k0, d.k1, d.kInf))),
-                inverse=inverse, z_from_x=z_from_x, mirrors=mirrors,
-                probes=_SPHERE_PROBES)
+                inverse=inverse, z_from_x=z_from_x, mirrors=mirrors)
 
 
 def _dihedral(n):
@@ -64,8 +58,7 @@ def _dihedral(n):
         TAG_DIHEDRAL, n,
         (Reflection.conjugation_times(1.0),
          Reflection.conjugation_times(cmath.exp(2j * math.pi / n)),
-         Reflection(np.array([[0.0, 1.0], [1.0, 0.0]],
-                             dtype=complex))),  # z -> 1/conj(z)
+         Reflection.circle(0.0, 1.0)),
         functools.partial(dihedral_z_from_x, n))
 
 
@@ -109,8 +102,7 @@ def _fuchsian(n):
                 z_from_x=modular.fuchsian_z_from_x,
                 mirrors=(Reflection.line(0.0, 1.0j),
                          Reflection.line(1.0, 1.0j),
-                         Reflection.circle(0.5, 0.5)),
-                probes=_UHP_PROBES)
+                         Reflection.circle(0.5, 0.5)))
 
 
 _FAMILIES = {TAG_DIHEDRAL: _dihedral, TAG_TETRAHEDRAL: _tetrahedral,

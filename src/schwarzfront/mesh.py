@@ -2,12 +2,14 @@
 
 The front is evaluated on structured grids over copies of the base
 triangle, converted to the requested chart of H^3, and written as ASCII
-OBJ or PLY.  A finite family's base grid (sample_triangle) is a fan whose
-sides lie on the case's mirrors.  The inverse map x and q(x) are
-evaluated once, on the base triangle's grid: x is automorphic,
-x(g z) = x(z), so the surface vertices reach each tile g through the
-chain rule (front.eval_front_on_tiles), and the near-singular flag, which
-reads x alone, is the base grid's.  Criterion 13 of selfcheck checks that
+OBJ or PLY.  The base grid (sample_triangle) is read from the case's
+three mirrors: a finite family's is a fan whose sides lie on them, the
+ideal triangle's a rectangle between its two line mirrors, cut by its
+arc.  The inverse map x and q(x) are evaluated once, on the base
+triangle's grid: x is automorphic, x(g z) = x(z), so the surface
+vertices reach each tile g through the chain rule
+(front.eval_front_on_tiles), and the near-singular flag, which reads x
+alone, is the base grid's.  Criterion 13 of selfcheck checks that
 identity by evaluating x directly at g z.
 
 For the families with a known x -> z preimage, the cuspidal edge is
@@ -112,22 +114,27 @@ def sample_triangle(case, resolution: int):
     family's grid is a fan: rays from its vertex z = 0 between the mirrors
     arg z = 0 and arg z = phi, ending on the circle of case.mirrors[2], at
     radius fractions uniform in |z|^k, k = pi/phi the vertex's order.  The
-    ideal triangle keeps the cells of a rectangle that lie wholly outside
-    |z - 1/2| <= 1/2 + BOUNDARY_MARGIN, and the points they use.  R >= 2.
+    ideal triangle's grid is a rectangle between its line mirrors 0 and 1,
+    of which it keeps the cells that lie wholly outside the circle of
+    mirror 2 grown by BOUNDARY_MARGIN, and the points they use.  R >= 2.
     """
     R = int(resolution)
+    # mirror 2 is the circle |z - c|^2 = |c|^2 + b
+    c, b = case.mirrors[2].matrix[0]
     if case.max_tiles is None:
+        # mirrors 0 and 1 are z -> -conj(z) + b, fixing Re z = Re b / 2
+        lo, hi = (mirror.matrix[0, 1].real / 2.0
+                  for mirror in case.mirrors[:2])
         m = BOUNDARY_MARGIN
-        z = (np.linspace(m, 1.0 - m, R)
+        z = (np.linspace(lo + m, hi - m, R)
              + 1j * np.geomspace(m, FUCHSIAN_HEIGHT, R)[:, None])
-        out = np.abs(z - 0.5) <= 0.5 + m
+        out = np.abs(z - c) <= math.sqrt(abs(c) ** 2 + b.real) + m
     else:
         # mirror 1 is z -> e^{2i phi} conj(z), phi in (0, pi]: on
         # dihedral:1 it is mirror 0 again, and phi = pi
         phi = (np.angle(-case.mirrors[1].matrix[0, 0]) + math.pi) / 2.0
-        # mirror 2 is the circle |z - c|^2 = |c|^2 + b, with 0 inside it;
-        # the ray of angle theta meets it at rho = p + sqrt(p^2 + b)
-        c, b = case.mirrors[2].matrix[0]
+        # 0 lies inside mirror 2, and the ray of angle theta meets it at
+        # rho = p + sqrt(p^2 + b)
         ray = np.exp(1j * np.linspace(0.0, phi, R))
         p = (c * ray.conj()).real
         rho = p + np.sqrt(p * p + b.real)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -201,12 +200,11 @@ def eval_lambda(z: complex):
 def lambda_series_coeffs(count: int):
     """First `count` coefficients of lambda as a series in q^2, exactly.
 
-    lambda = 1 - 16 q^2 + 128 q^4 - 704 q^6 + ...
+    lambda = 1 - 16 q^2 + 128 q^4 - 704 q^6 + ...  theta_3 starts with 1,
+    so 1/theta_3 and (theta_0/theta_3)^4 have integer coefficients.
     """
     n = count
-    t3 = [Fraction(0)] * n
-    t0 = [Fraction(0)] * n
-    t3[0] = t0[0] = Fraction(1)
+    t3, t0 = [1] + [0] * (n - 1), [1] + [0] * (n - 1)
     k = 1
     while k * k < n:
         t3[k * k] += 2
@@ -214,22 +212,12 @@ def lambda_series_coeffs(count: int):
         k += 1
 
     def mul(a, b):
-        c = [Fraction(0)] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n - i):
-                    if b[j]:
-                        c[i + j] += ai * b[j]
-        return c
+        return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(n)]
 
-    def inv(a):
-        c = [Fraction(0)] * n
-        c[0] = 1 / a[0]
-        for k in range(1, n):
-            c[k] = -sum(a[j] * c[k - j] for j in range(1, k + 1)) / a[0]
-        return c
-
-    r = mul(t0, inv(t3))
+    inv = [1] + [0] * (n - 1)
+    for i in range(1, n):
+        inv[i] = -sum(t3[j] * inv[i - j] for j in range(1, i + 1))
+    r = mul(t0, inv)
     r2 = mul(r, r)
     return mul(r2, r2)
 

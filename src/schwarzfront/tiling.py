@@ -3,13 +3,15 @@
 Each case (cases.Case) carries three anti-holomorphic reflections of a
 Schwarz triangle group; the projective monodromy group is the group of
 even words in them.  This module knows no family: it takes the mirrors
-and the probe points from the case.  Group elements are enumerated
-breadth-first by word length, one level at a time: the frontier times the
-six generators is one batched product, normalized and mapped over the
-three probe points in one array expression.  Candidates are deduplicated
-by these probe images with a sorted search over the first probe image,
-one array pass per level.  The walk stops when a level adds nothing or
-the tile count is reached, so an infinite group needs a count.
+from the case, and tells the tiles of every group apart by their images
+of one fixed set of generic points, _PROBES.  Group elements are
+enumerated breadth-first by word length, one level at a time: the
+frontier times the six generators is one batched product, normalized and
+mapped over the three probe points in one array expression.  Candidates
+are deduplicated by these probe images with a sorted search over the
+first probe image, one array pass per level.  The walk stops when a
+level adds nothing or the tile count is reached, so an infinite group
+needs a count.
 
 A reflection z -> (a conj(z) + b) / (c conj(z) + d) is stored by its matrix;
 composing two reflections gives the Moebius map with matrix M1 @ conj(M2).
@@ -25,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _DEDUP_TOL = 1e-9
+# three generic points of the upper half-plane, where the Fuchsian group
+# acts; the finite groups act on the whole sphere, so the points tell the
+# tiles of every group apart
+_PROBES = (0.31 + 0.83j, -0.52 + 1.27j, 0.11 + 0.45j)
 
 
 @dataclass(frozen=True)
@@ -141,12 +147,12 @@ def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     check_tile_count).
 
     Words name the generators, e.g. "" (identity), "12" (R1 then R2).
-    case is a cases.Case; its mirrors generate the group and its probes
-    tell elements apart.  Applying each element to the base triangle pair
-    tiles the domain.  Each BFS level is one batched product of the
-    generators with the frontier, its candidates in (parent, generator)
-    order, and one array pass (_new_rows: a sorted search over the first
-    probe image) finds which of them are new.
+    case is a cases.Case; its mirrors generate the group, and the images
+    of _PROBES tell elements apart.  Applying each element to the base
+    triangle pair tiles the domain.  Each BFS level is one batched product
+    of the generators with the frontier, its candidates in (parent,
+    generator) order, and one array pass (_new_rows: a sorted search over
+    the first probe image) finds which of them are new.
     """
     # a count above the group order lists the whole group
     counts = [c for c in (max_count, case.max_tiles) if c is not None]
@@ -156,7 +162,7 @@ def tile_parameter_domain(case, max_count: int | None = None) -> TileSet:
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     gens = np.array([refl[j].then(refl[i]) for i, j in pairs])
     labels = [f"{j + 1}{i + 1}" for i, j in pairs]
-    probes = np.asarray(case.probes, dtype=complex)
+    probes = np.asarray(_PROBES, dtype=complex)
     frontier, words = np.eye(2, dtype=complex)[None], [""]
     levels, tile_words = [frontier], [""]
     known = apply(frontier, probes)

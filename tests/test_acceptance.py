@@ -40,7 +40,7 @@ def test_criterion_02_lambda_series_and_special_values():
 
 
 def test_criterion_02_detail_lists_the_coefficients_as_numbers():
-    # each Fraction's str, not its repr
+    # plain integers, as the criterion compares them
     assert (sc.check_lambda_series(sc._Run()).detail
             == "got 1, -16, 128, -704, 3072, -11488, 38400")
 
@@ -186,8 +186,15 @@ def _dip_odd_ball_points(monkeypatch):
     monkeypatch.setattr(sc, "hermitian_to_ball", dipped)
 
 
+def _one_swallowtail_off_the_axis(monkeypatch):
+    point = sg.SingularPointClass(0.6 + 0.3j, sg.SWALLOWTAIL, 1.0, 0j, 0.0)
+    monkeypatch.setattr(sg, "find_swallowtails", lambda *args: [point])
+
+
 @pytest.mark.parametrize("number, inject, reason", [
     (10, _no_swallowtails, "upper_swallowtails=0"),
+    (10, _one_swallowtail_off_the_axis,
+     "upper_swallowtails=1 upper_re_x=0.6"),
     (12, _dip_odd_ball_points, "monotone=False"),
 ])
 def test_criterion_fails_on_a_condition_its_residual_omits(

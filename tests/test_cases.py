@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzfront import cli, mesh
+from schwarzfront import cli, mesh, tiling
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF,
                                    TAG_ICOSAHEDRAL, TAG_OCTAHEDRAL,
@@ -53,6 +53,21 @@ def test_z_from_x_inverts_the_inverse_map(text, tag, n):
         return
     for x in (0.3 + 0.4j, 0.7 - 0.2j, -0.5 + 0.9j):
         assert abs(case.inverse.eval(case.z_from_x(x))[0] - x) < 1e-8
+
+
+@pytest.mark.parametrize("text, tag, n", CASES)
+def test_tiles_do_not_depend_on_the_probe_points(text, tag, n, monkeypatch):
+    # one probe set tells the tiles of every group apart: points of the
+    # sphere off the upper half-plane find the same words and matrices
+    case = resolve_case(text)
+    count = 2000 if case.max_tiles is None else None
+    ts = tile_parameter_domain(case, count)
+    monkeypatch.setattr(tiling, "_PROBES",
+                        (0.31 + 0.12j, -0.22 + 0.47j, 0.15 - 0.33j))
+    other = tile_parameter_domain(case, count)
+    assert other.words == ts.words
+    assert other.elements.tobytes() == ts.elements.tobytes()
+    assert other.complete == ts.complete
 
 
 def _vertex_params():

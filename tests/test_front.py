@@ -81,6 +81,12 @@ def test_integrate_rejects_paths_near_singularities():
         fr.integrate_sl_form(e, [-0.5 + 1e-5j, 0.5 + 1e-5j])
 
 
+def test_integrate_needs_two_path_points():
+    e = exponents_from_mu(0, 0, 0)
+    with pytest.raises(ValueError, match="path needs at least two points"):
+        fr.integrate_sl_form(e, [0.5 + 0.4j])
+
+
 def test_integration_is_path_independent():
     e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
     a, b = 0.4 + 0.5j, 0.7 + 0.3j
@@ -124,6 +130,12 @@ def test_match_isometry_residual_equals_the_loop(dihedral3):
                    for a, b, p in zip(Ha, Hb, np.broadcast_to(Ps, (9, 2, 2))))
         assert loop > 1e-3
         assert abs(resid - loop) <= 1e-15 * loop
+
+
+def test_match_isometry_refuses_grids_of_unequal_length(dihedral3):
+    Ha, Hb, P0 = _known_transform_grids(dihedral3)
+    with pytest.raises(ValueError, match="equal length"):
+        fr.match_isometry(_stack(Ha), _stack(Hb[:-1]), P0)
 
 
 def _integrate_per_segment(e, path):

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.equation import TAG_DIHEDRAL, TAG_FUCHSIAN_INF, eval_q
 from schwarzfront.front import eval_front_closed_form
 from schwarzfront.h3 import hermitian_to_ball, hermitian_to_upper_half_space
-from schwarzfront.tiling import apply, tile_parameter_domain
+from schwarzfront.tiling import Reflection, apply, tile_parameter_domain
 
 
 # --- minimal ASCII parsers used to round-trip the exports ---------------
@@ -80,6 +81,18 @@ def test_fuchsian_sampling_avoids_boundary_circle():
     zs, _ = mesh.sample_triangle(resolve_case(TAG_FUCHSIAN_INF), 12)
     assert np.all(np.abs(zs - 0.5) > 0.5)
     assert np.all(zs.imag > 0)
+
+
+def test_ideal_triangle_grid_is_read_from_its_mirrors():
+    # the same triangle moved 2 to the right has the same grid moved too
+    case = resolve_case(TAG_FUCHSIAN_INF)
+    moved = replace(case, mirrors=(Reflection.line(2.0, 1.0j),
+                                   Reflection.line(3.0, 1.0j),
+                                   Reflection.circle(2.5, 0.5)))
+    zs, tris = mesh.sample_triangle(case, 16)
+    zm, tm = mesh.sample_triangle(moved, 16)
+    assert np.array_equal(tm, tris)
+    assert np.abs(zm - (zs + 2.0)).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -564,6 +577,14 @@ def test_export_empty_overlay(tmp_path):
     assert "edge" not in data or len(data["edge"]) == 0
 
 
+def test_export_refuses_an_unknown_format_and_writes_nothing(
+        dihedral_mesh, tmp_path):
+    path = tmp_path / "front.stl"
+    with pytest.raises(ValueError, match="unknown format 'stl'"):
+        mesh.export_mesh(dihedral_mesh, str(path), fmt="stl")
+    assert not path.exists()
+
+
 # --- exporter bytes against a per-row reference ---------------------------
 
 def _ref_row(p):
@@ -812,6 +833,14 @@ def test_cli_singular_locus_reports_a_failed_sampler(tmp_path, monkeypatch):
     assert message.startswith("error: ") and "permutation" in message
     assert "\n" not in message
     assert not out.exists()
+
+
+def test_cli_selfcheck_out_writes_the_report_it_prints(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert cli.main(["selfcheck", "--quick", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("# acceptance self-check\n")
+    assert out.read_text() == printed
 
 
 def test_cli_tiles_out_writes_the_table(tmp_path, capsys):

@@ -79,8 +79,29 @@ def test_lambda_at_i_is_one_half():
 
 
 def test_lambda_series_coefficients():
-    assert [int(c) for c in lambda_series_coeffs(7)] == \
-        [1, -16, 128, -704, 3072, -11488, 38400]
+    assert lambda_series_coeffs(7) == [1, -16, 128, -704, 3072, -11488, 38400]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 30, 80])
+def test_lambda_series_times_theta3_to_the_fourth_is_theta0_to_the_fourth(
+        count):
+    # lambda = (theta_0 / theta_3)^4, checked by multiplication alone
+    def mul(a, b):
+        return [sum(a[j] * b[i - j] for j in range(i + 1))
+                for i in range(count)]
+
+    def theta_fourth_power(sign):
+        t = [1] + [0] * (count - 1)
+        k = 1
+        while k * k < count:
+            t[k * k] = 2 * sign ** k
+            k += 1
+        t2 = mul(t, t)
+        return mul(t2, t2)
+
+    lam = lambda_series_coeffs(count)
+    assert all(type(c) is int for c in lam)
+    assert mul(lam, theta_fourth_power(1)) == theta_fourth_power(-1)
 
 
 def test_modular_translation_and_inversion():

@@ -67,6 +67,11 @@ def test_pole_rejection():
         inv.eval(0.0)
 
 
+def test_build_polyhedral_refuses_a_tag_with_no_table():
+    with pytest.raises(ValueError, match="not a polyhedral tag: 'foo'"):
+        build_polyhedral("foo")
+
+
 def test_dihedral_ramification_values():
     # zeros of f1 map to x = 1, zeros of f0 map to x = 0
     d = build_polyhedral("dihedral", 4)

@@ -92,6 +92,17 @@ def test_swallowtail_pipelines_agree(fuchsian, fuchsian_curve):
     assert abs(upper[0] - complex(0.5, t_star)) < 1e-9
 
 
+def test_swallowtail_newton_without_steps_checks_its_start(fuchsian,
+                                                           monkeypatch):
+    # with no iteration left, a start off the curve is refused and a
+    # start on it is returned as it is
+    monkeypatch.setattr(sg, "SWALLOWTAIL_MAX_ITER", 0)
+    with pytest.raises(ValueError, match="did not converge"):
+        sg.swallowtail_by_newton(fuchsian, 0.5 + 0.35j)
+    x0 = complex(0.5, swallowtail_t_exact())
+    assert sg.swallowtail_by_newton(fuchsian, x0) == x0
+
+
 def test_curve_is_cuspidal_away_from_swallowtails(fuchsian, fuchsian_curve):
     sws = [p.x for p in sg.find_swallowtails(fuchsian, fuchsian_curve)]
     checked = kept = 0

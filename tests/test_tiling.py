@@ -8,8 +8,9 @@ from schwarzfront import cli, mesh
 from schwarzfront.modular import eval_lambda
 from schwarzfront.cases import resolve_case
 from schwarzfront.polyhedral import PolyhedralInverse
-from schwarzfront.tiling import (_DEDUP_TOL, Reflection, _new_rows, apply,
-                                 check_tile_count, tile_parameter_domain)
+from schwarzfront.tiling import (_DEDUP_TOL, _PROBES, Reflection, _new_rows,
+                                 apply, check_tile_count,
+                                 tile_parameter_domain)
 
 INVARIANCE_TOL = 1e-9
 
@@ -167,7 +168,7 @@ def _linear_scan(case, max_count=None):
     gens = [(_normalize(refl[i].matrix @ np.conj(refl[j].matrix)),
              f"{j + 1}{i + 1}")
             for i in range(3) for j in range(3) if i != j]
-    probes = case.probes
+    probes = _PROBES
     seen = np.empty((0, 3), dtype=complex)
 
     def known(g):
