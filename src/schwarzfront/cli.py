@@ -181,7 +181,8 @@ def cmd_singular_locus(args) -> int:
     x, zeta = curve.samples, spc.QRbar2
     text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
             + _rows("%.12g\t%.12g\t%s\t%.12g\t%.12g\t%.12g", x.real,
-                    x.imag, spc.cls, spc.abs_q, zeta.real, zeta.imag))
+                    x.imag, spc.cls, spc.abs_q, zeta.real,
+                    zeta.imag).decode("ascii"))
     _write(text, args.out,
            f"{len(curve.samples)} samples, closed={curve.closed}")
     for spc in sg.find_swallowtails(e, curve):

@@ -17,7 +17,10 @@ attached as a polyline record and the swallowtails as point records, so
 viewers can overlay them without slivering the triangulation.
 
 The ASCII rows are formatted on whole columns (_rows), byte for byte the
-text of Python's %-formatting.
+text of Python's %-formatting.  Each integer of a face, edge or flag
+column is formatted once per distinct value, into one table of vertex
+indices (_index_table) that the rows gather from, and the rows stay bytes
+until they reach the file, so every line ends in LF on every platform.
 """
 
 from __future__ import annotations
@@ -220,13 +223,13 @@ def _attach_singular_overlay(mesh: SurfaceMesh, chart: str, case):
 
 def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
     if fmt == "obj":
-        text = _to_obj(mesh)
+        data = _to_obj(mesh)
     elif fmt == "ply":
-        text = _to_ply(mesh)
+        data = _to_ply(mesh)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(data)
     return path
 
 
@@ -237,7 +240,6 @@ def export_mesh(mesh: SurfaceMesh, path: str, fmt: str = "obj") -> str:
 
 # _P10[i] is 10^(i - 300) rounded once
 _P10 = np.array([float(f"1e{k}") for k in range(-300, 310)])
-_I10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _quad_tables():
@@ -275,12 +277,6 @@ _G_FRAC = _masks([set(range(9 + e, 9 + last)) | ({2} if last > e else set())
                   for e in range(-4, 12) for last in range(-1, 12)], 20)
 _G_EXP = np.array([("" if -4 <= e < 12 else f"e{e:+03d}").encode()
                    for e in range(-300, 301)], "S8").view(np.uint64)
-# %d of an integer below 1e4k is cut from the word '\0\0.-' and k words
-# of digits: _D_LEAD[k][2 nd + negative] keeps the '-' and the last nd
-_D_LEAD = [None] + [_masks([({3} if neg else set())
-                            | set(range(4 * k + 4 - nd, 4 * k + 4))
-                            for nd in range(4 * k + 1) for neg in (0, 1)],
-                           4 * k + 4) for k in range(1, 6)]
 
 
 def _g_blocks(x) -> list:
@@ -328,39 +324,24 @@ def _g_blocks(x) -> list:
     return blocks
 
 
-def _d_blocks(v) -> list:
-    a = np.abs(v)
-    k = 1
-    while k < 5 and a.max(initial=0) >= _I10[4 * k]:
-        k += 1
-    words = np.empty((len(v), k + 1), np.uint32)
-    words[:, 0] = _G_HEAD[0]
-    r = a
-    for i in range(k, 1, -1):
-        r, q = np.divmod(r, 10 ** 4)
-        words[:, i] = _QUADS[q]
-    words[:, 1] = _QUADS[r]
-    nd = 1 + np.searchsorted(_I10[1:4 * k], a, side="right")
-    words &= _D_LEAD[k].take(2 * nd + (v < 0), axis=0)
-    return [words.view(np.uint8)]
-
-
 def _s_blocks(col) -> list:
     return [col.view(np.uint8).reshape(len(col), -1)]
 
 
-_SPEC = re.compile(r"%\.12g|%d|%s")
+_SPEC = re.compile(r"%\.12g|%s")
 _ROW_CHUNK = 2048
 # each conversion's column type and its blocks
-_BLOCKS = {"%.12g": (float, _g_blocks), "%d": (np.int64, _d_blocks),
-           "%s": (bytes, _s_blocks)}
+_BLOCKS = {"%.12g": (float, _g_blocks), "%s": (bytes, _s_blocks)}
 
 
-def _rows(row_fmt: str, *cols) -> str:
-    """(row_fmt + "\n") % row for each row, joined; row_fmt's k-th
-    conversion (%.12g, %d or %s) takes its values from the column cols[k].
-    Rows are built _ROW_CHUNK at a time, so that their arrays stay small,
-    and the columns of one conversion are formatted together."""
+def _rows(row_fmt: str, *cols) -> bytes:
+    """(row_fmt + "\n") % row for each row, joined, as ASCII bytes;
+    row_fmt's k-th conversion (%.12g or %s) takes its values from the
+    column cols[k].  A %s column holds bytes, whose NUL bytes are dropped;
+    the writers' integer columns are %s columns gathered from
+    _index_table.  Rows are built _ROW_CHUNK at a time, so that their
+    arrays stay small, and the columns of one conversion are formatted
+    together."""
     lits = [np.frombuffer(t.encode(), np.uint8)[None]
             for t in _SPEC.split(row_fmt + "\n")]
     specs = _SPEC.findall(row_fmt)
@@ -384,50 +365,76 @@ def _rows(row_fmt: str, *cols) -> str:
         for b in row:
             out[:, at:at + b.shape[1]] = b
             at += b.shape[1]
-        text.append(out.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+        text.append(out.tobytes().translate(None, b"\0"))
+    return b"".join(text)
 
 
-def _vertex_rows(pts, head: str = "", flags=None) -> str:
+def _index_table(n: int) -> np.ndarray:
+    """'%d' % i for i = 0 .. n - 1 as an S array, each entry's digits
+    NUL-padded on the left to the width of n - 1's.  An integer column of
+    the writers is a gather from it, a %s column of _rows, so each value
+    is formatted once however many rows hold it."""
+    width = len(str(max(n - 1, 0)))
+    k = -(-width // 4)
+    words = np.empty((n, k), np.uint32)
+    r = np.arange(n)
+    for j in range(k - 1, 0, -1):
+        r, q = np.divmod(r, 10 ** 4)
+        words[:, j] = _QUADS[q]
+    words[:, 0] = _QUADS[r]
+    digits = np.ascontiguousarray(words.view(np.uint8)[:, 4 * k - width:])
+    # digit p of i < 10^(width - 1 - p) is a leading zero
+    for p in range(width - 1):
+        digits[:10 ** (width - 1 - p), p] = 0
+    return digits.view(f"S{width}").ravel()
+
+
+def _vertex_rows(pts, head: str = "", flags=None) -> bytes:
     """'x y z' lines, 12 significant digits a coordinate, for the rows of
-    pts ((K, 3), or one 3-vector), after head and, if flags is given,
-    followed by each row's flag.  Adding 0.0 turns -0.0 into 0.0, which
-    prints as 0."""
+    pts ((K, 3), or one 3-vector), after head and, if flags is given (an
+    S column, see _index_table), followed by each row's flag.  Adding 0.0
+    turns -0.0 into 0.0, which prints as 0."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3) + 0.0
     if flags is None:
         return _rows(head + "%.12g %.12g %.12g", *pts.T)
-    return _rows(head + "%.12g %.12g %.12g %d", *pts.T, flags)
+    return _rows(head + "%.12g %.12g %.12g %s", *pts.T, flags)
 
 
-def _to_obj(mesh: SurfaceMesh) -> str:
+def _to_obj(mesh: SurfaceMesh) -> bytes:
     nv = len(mesh.vertices)
+    # ids[i] is i + 1, the OBJ index of vertex i
+    ids = _index_table(nv + 1)[1:]
     parts = [f"# front surface, chart={mesh.chart}\n"
-             f"# vertices={nv} faces={len(mesh.triangles)}\n",
+             f"# vertices={nv} faces={len(mesh.triangles)}\n".encode(),
              _vertex_rows(mesh.vertices, "v "),
-             _rows("f %d %d %d", *(mesh.triangles + 1).T)]
+             _rows("f %s %s %s", *ids[mesh.triangles].T)]
     for name, pts in mesh.polylines:
-        ids = range(nv + 1, nv + len(pts) + 1)
-        parts += [f"# polyline {name}\n", _vertex_rows(pts, "v "),
-                  "l " + " ".join(map(str, ids)) + "\n"]
+        line = " ".join(map(str, range(nv + 1, nv + len(pts) + 1)))
+        parts += [f"# polyline {name}\n".encode(), _vertex_rows(pts, "v "),
+                  f"l {line}\n".encode()]
         nv += len(pts)
     for name, p in mesh.markers:
         nv += 1
-        parts += [f"# marker {name}\n", _vertex_rows(p, "v "), f"p {nv}\n"]
-    return "".join(parts)
+        parts += [f"# marker {name}\n".encode(), _vertex_rows(p, "v "),
+                  f"p {nv}\n".encode()]
+    return b"".join(parts)
 
 
-def _to_ply(mesh: SurfaceMesh) -> str:
+def _to_ply(mesh: SurfaceMesh) -> bytes:
     # vertex rows: the surface with its flags, then the polyline points
     # flagged 4 and the markers flagged 8; an edge joins consecutive
     # points of a polyline
     pts = [mesh.vertices] + [p for _, p in mesh.polylines] \
         + [np.reshape([p for _, p in mesh.markers], (-1, 3))]
-    flags = [mesh.flags] + [np.full(len(p), 4) for _, p in mesh.polylines] \
-        + [np.full(len(mesh.markers), 8)]
+    flags = np.concatenate(
+        [mesh.flags] + [np.full(len(p), 4) for _, p in mesh.polylines]
+        + [np.full(len(mesh.markers), 8)])
     ends = np.cumsum([len(p) for p in pts])
     edges = np.concatenate([np.zeros((0, 2), dtype=int)] + [
         off + np.stack([np.arange(len(p) - 1), np.arange(1, len(p))], axis=1)
         for off, (_, p) in zip(ends, mesh.polylines)])
+    # every index and flag is an entry of one table
+    ids = _index_table(max(ends[-1], flags.max(initial=0) + 1))
     header = ["ply", "format ascii 1.0",
               f"comment front surface, chart={mesh.chart}",
               f"element vertex {ends[-1]}",
@@ -438,8 +445,7 @@ def _to_ply(mesh: SurfaceMesh) -> str:
               f"element edge {len(edges)}",
               "property int vertex1", "property int vertex2",
               "end_header", ""]
-    return "".join(["\n".join(header),
-                    _vertex_rows(np.concatenate(pts), "",
-                                 np.concatenate(flags)),
-                    _rows("3 %d %d %d", *mesh.triangles.T),
-                    _rows("%d %d", *edges.T)])
+    return b"".join(["\n".join(header).encode(),
+                     _vertex_rows(np.concatenate(pts), "", ids[flags]),
+                     _rows("3 %s %s %s", *ids[mesh.triangles].T),
+                     _rows("%s %s", *ids[edges].T)])

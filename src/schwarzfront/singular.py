@@ -57,22 +57,32 @@ class TracedCurve:
     theta: np.ndarray            # arg q at each sample, unwrapped
 
 
+def _zeta(Q, R):
+    """zeta = Q^3 conj(R)^2, from Q and R at x (scalars or arrays)."""
+    return Q ** 3 * R.conjugate() ** 2
+
+
+def _second_order(x, Q, Qp, R, Rp):
+    """The second-order expression sw = 2|R|^4 - w(2R'Q - RQ') conj(R)^2,
+    w = x(1-x), from Q, Q', R, R' at x (scalars or arrays)."""
+    w = x * (1.0 - x)
+    return 2.0 * abs(R) ** 4 - w * (2.0 * Rp * Q - R * Qp) * R.conjugate() ** 2
+
+
 def _singular_terms(x, Q, Qp, R, Rp):
     """(f, df, zeta, d_im, sw) at x from Q, Q', R, R' there (scalars or
-    arrays): f = |Q|^2 - 16|w|^4 with w = x(1-x), zeta = Q^3 conj(R)^2,
-    the gradients df of f and d_im of Im zeta in x = s + it, each as the
-    complex d/ds + i d/dt, and the second-order expression
-    sw = 2|R|^4 - w(2R'Q - RQ') conj(R)^2.  zeta_s = A + B and zeta_t =
-    i(A - B) for A = 3Q^2 Q' conj(R)^2, B = 2Q^3 conj(R) conj(R')."""
+    arrays): f = |Q|^2 - 16|w|^4 with w = x(1-x), zeta (_zeta), the
+    gradients df of f and d_im of Im zeta in x = s + it, each as the
+    complex d/ds + i d/dt, and sw (_second_order).  zeta_s = A + B and
+    zeta_t = i(A - B) for A = 3Q^2 Q' conj(R)^2, B = 2Q^3 conj(R) conj(R').
+    Callers that read only zeta and sw call those two kernels alone."""
     w, Rb = x * (1.0 - x), R.conjugate()
-    Q3, Rb2 = Q ** 3, Rb ** 2
     f = abs(Q) ** 2 - 16.0 * abs(w) ** 4
     df = (2.0 * Q * Qp.conjugate()
           - 64.0 * abs(w) ** 2 * (w * (1.0 - 2.0 * x).conjugate()))
-    d_im = 1j * ((3.0 * Q ** 2 * Qp * Rb2).conjugate()
-                 - 2.0 * Q3 * Rb * Rp.conjugate())
-    sw = 2.0 * abs(R) ** 4 - w * (2.0 * Rp * Q - R * Qp) * Rb2
-    return f, df, Q3 * Rb2, d_im, sw
+    d_im = 1j * ((3.0 * Q ** 2 * Qp * Rb ** 2).conjugate()
+                 - 2.0 * Q ** 3 * Rb * Rp.conjugate())
+    return f, df, _zeta(Q, R), d_im, _second_order(x, Q, Qp, R, Rp)
 
 
 def _is_nonpositive_real(z):
@@ -92,7 +102,7 @@ def classify_point(e: ExponentData, x) -> SingularPointClass:
     # a scalar call's Python values flatten back to the same bits
     x, q, Q, Qp, R, Rp = (flat(v) for v in (cv.x, cv.q, cv.Q, cv.Qp, cv.R,
                                             cv.Rp))
-    _, _, zeta, _, sw = _singular_terms(x, Q, Qp, R, Rp)
+    zeta, sw = _zeta(Q, R), _second_order(x, Q, Qp, R, Rp)
     sw_scale = (2.0 * abs(R) ** 4 + abs(x * (1.0 - x))
                 * (2.0 * abs(Rp) * abs(Q) + abs(R) * abs(Qp)) * abs(R) ** 2)
     absq = abs(q)
@@ -231,7 +241,8 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     if it classifies as a swallowtail, all ends in one classification.
     """
     def im_zeta(x):
-        return _singular_terms(x, *eval_q_derivatives(e, x))[2].imag
+        Q, _, R, _ = eval_q_derivatives(e, x)
+        return _zeta(Q, R).imag
 
     xs, th = curve.samples, curve.theta
     vals = im_zeta(xs)

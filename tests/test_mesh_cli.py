@@ -656,11 +656,44 @@ def _hand_mesh(triangles, polylines, markers):
 def test_export_bytes_match_per_row_reference(triangles, polylines, markers):
     m = _hand_mesh(triangles, polylines, markers)
     obj, ply = mesh._to_obj(m), mesh._to_ply(m)
-    assert obj == _ref_obj(m)
-    assert ply == _ref_ply(m)
+    assert obj == _ref_obj(m).encode()
+    assert ply == _ref_ply(m).encode()
     # no blank line where a block is empty
-    assert "\n\n" not in obj and "\n\n" not in ply
-    assert "-0 " not in obj and " -0\n" not in obj
+    assert b"\n\n" not in obj and b"\n\n" not in ply
+    assert b"-0 " not in obj and b" -0\n" not in obj
+
+
+# Each integer the writers put in a face, edge or flag column is an entry
+# of one index table; each of these meshes uses its last entry.
+
+def test_export_bytes_match_reference_across_index_widths():
+    # OBJ's 1-based indices reach 10, 100 and 1,000, and the overlay adds
+    # the edge rows and the flags 4 and 8
+    m = mesh.build_mesh(mesh.JobConfig(case="dihedral:3", resolution=16))
+    assert len(m.vertices) == 1536 and m.polylines and m.markers
+    assert mesh._to_obj(m) == _ref_obj(m).encode()
+    assert mesh._to_ply(m) == _ref_ply(m).encode()
+
+
+def test_export_bytes_match_reference_without_faces():
+    # the cuspidal edge ends the vertex rows, so its last edge holds the
+    # largest index
+    m = mesh.build_mesh(mesh.JobConfig(case="dihedral:3", tiles=1,
+                                       resolution=8))
+    m = replace(m, triangles=m.triangles[:0], markers=[])
+    ply = mesh._to_ply(m)
+    assert b"element face 0\n" in ply and m.polylines
+    assert mesh._to_obj(m) == _ref_obj(m).encode()
+    assert ply == _ref_ply(m).encode()
+
+
+def test_export_bytes_match_reference_without_edges():
+    m = mesh.build_mesh(mesh.JobConfig(case="tetra", tiles=3, resolution=8,
+                                       with_singular=False))
+    ply = mesh._to_ply(m)
+    assert b"element edge 0\n" in ply
+    assert ply == _ref_ply(m).encode()
+    assert mesh._to_obj(m) == _ref_obj(m).encode()
 
 
 def _hard_floats(rng, n):
@@ -688,23 +721,36 @@ def _hard_floats(rng, n):
 
 def test_rows_write_floats_as_percent_formatting():
     x = _hard_floats(np.random.default_rng(5), 4000)
-    assert mesh._rows("%.12g", x) == "".join("%.12g\n" % v for v in x)
+    assert mesh._rows("%.12g", x) == "".join("%.12g\n" % v
+                                             for v in x).encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 10 ** 4, 10 ** 4 + 1,
+                               10 ** 5 + 1])
+def test_index_table_writes_each_index_as_percent_formatting(n):
+    # each entry is as wide as n - 1's digits, up to two words of four
+    ids = mesh._index_table(n)
+    assert ids.dtype.itemsize == len(str(max(n - 1, 0)))
+    assert mesh._rows("%s", ids) == "".join("%d\n" % i
+                                            for i in range(n)).encode()
 
 
 def test_rows_write_ints_and_strings_as_percent_formatting():
+    # the writers' integers are %s columns gathered from the index table
     rng = np.random.default_rng(6)
-    big = np.iinfo(np.int64).max
-    ints = np.concatenate([rng.integers(-10 ** 5, 10 ** 5, 2000),
-                           rng.integers(-big, big, 2000),
-                           [0, -1, 9, 10, -9999, 10 ** 4, big, -big]])
-    assert mesh._rows("%d", ints) == "".join("%d\n" % v for v in ints)
+    ints = np.concatenate([rng.integers(0, 10 ** 5, 2000),
+                           [0, 9, 10, 9999, 10 ** 4, 10 ** 5 - 1]])
+    ids = mesh._index_table(10 ** 5)
+    assert mesh._rows("%s", ids[ints]) == "".join("%d\n" % v
+                                                  for v in ints).encode()
     # literals around and between the conversions, as the writers use them
     x = _hard_floats(rng, 20)
     cls = rng.choice([sg.CUSPIDAL_EDGE, sg.SWALLOWTAIL, ""], len(x))
-    row = "v %.12g\t%s %d;"
-    assert (mesh._rows(row, x, cls, ints[:len(x)])
-            == "".join((row + "\n") % r for r in zip(x, cls, ints)))
-    assert mesh._rows(row, [], [], []) == ""
+    row = "v %.12g\t%s %s;"
+    assert (mesh._rows(row, x, cls, ids[ints[:len(x)]])
+            == "".join("v %.12g\t%s %d;\n" % r
+                       for r in zip(x, cls, ints)).encode())
+    assert mesh._rows(row, [], [], []) == b""
 
 
 # --- command line --------------------------------------------------------
