@@ -74,6 +74,9 @@ class JobConfig:
     resolved: Case = field(init=False, repr=False)   # resolve_case(case, n)
 
     def __post_init__(self):
+        if type(self.resolution) is not int:     # nor a bool
+            raise ValueError(f"resolution must be an int, "
+                             f"got {self.resolution!r}")
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8")
         if self.chart not in ("ball", "uhs"):

@@ -27,7 +27,9 @@ from .equation import (TAG_DIHEDRAL, TAG_ICOSAHEDRAL, TAG_OCTAHEDRAL,
 
 _SQRT3 = math.sqrt(3.0)
 
-# evaluation is rejected within this distance of a pole of x(z)
+# evaluation is rejected where the Newton step fInf/fInf' to the nearest
+# root of fInf, to first order the distance to that pole of x(z), is
+# shorter than this
 POLE_MARGIN = 1e-8
 
 
@@ -40,9 +42,8 @@ class PolyhedralData:
     """Table data for one polyhedral case.
 
     f0, f1, fInf are coefficient arrays, highest degree first.  Derived
-    once: the roots of fInf (the poles of x), and a table whose columns
-    are f0, f1, fInf, f0', f1', fInf', zero-padded to one degree, so one
-    np.polyval evaluates all six.
+    once: a table whose columns are f0, f1, fInf, f0', f1', fInf',
+    zero-padded to one degree, so one np.polyval evaluates all six.
     """
 
     k0: int
@@ -54,7 +55,6 @@ class PolyhedralData:
     f0: np.ndarray
     f1: np.ndarray
     fInf: np.ndarray
-    pole_roots: np.ndarray = field(init=False, repr=False)
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -63,7 +63,6 @@ class PolyhedralData:
         table = np.zeros((max(map(len, polys)), 6, 1))
         for j, f in enumerate(polys):
             table[len(table) - len(f):, j, 0] = f
-        object.__setattr__(self, "pole_roots", np.roots(self.fInf))
         object.__setattr__(self, "table", table)
 
 
@@ -124,16 +123,14 @@ class PolyhedralInverse:
     def __init__(self, tag: str, n: int | None = None):
         self.data = build_polyhedral(tag, n)
 
-    @np.errstate(invalid="ignore")    # NaN marks clipped points
+    # NaN marks clipped points; overflow and division by zero are clipped
+    @np.errstate(invalid="ignore", over="ignore", divide="ignore")
     def eval(self, z):
-        """(x, dx/dz, d2x/dz2) at z (scalar or array); within POLE_MARGIN
-        of a pole, PoleError or NaN (see arrays.clip)."""
+        """(x, dx/dz, d2x/dz2) at z (scalar or array); PoleError or NaN
+        (see arrays.clip) where |fInf| < POLE_MARGIN |fInf'|, near a pole,
+        or where x, x' or x'' is not finite."""
         d = self.data
         shape, z = np.shape(z), flat(z)
-        dist = np.abs(np.subtract.outer(z, d.pole_roots))
-        z, = clip(dist.min(axis=-1) < POLE_MARGIN, shape, PoleError,
-                  lambda: (f"z={z[0]} is within {POLE_MARGIN} of the pole "
-                           f"at {d.pole_roots[np.argmin(dist)]}"), z)
         # leading zeros leave each Horner value as np.polyval(f, z) has it
         f0, f1, fi, f0p, f1p, fip = np.polyval(d.table, z)
 
@@ -144,7 +141,11 @@ class PolyhedralInverse:
         xdd = d.A * (a * f0 ** (a - 1) * f0p * f1 ** b * fi ** (-c)
                      + b * f0 ** a * f1 ** (b - 1) * f1p * fi ** (-c)
                      - c * f0 ** a * f1 ** b * fi ** (-c - 1) * fip)
-        return unflat(shape, x, xd, xdd)
+        bad = ((np.abs(fi) < POLE_MARGIN * np.abs(fip))
+               | ~np.isfinite([x, xd, xdd]).all(axis=0))
+        return unflat(shape, *clip(bad, shape, PoleError, lambda: (
+            f"z={z[0]} is within {POLE_MARGIN} of a pole, or x overflows"),
+            x, xd, xdd))
 
 
 @np.errstate(invalid="ignore")    # NaN marks clipped points

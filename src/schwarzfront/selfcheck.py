@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -210,7 +210,8 @@ def check_representation_formula(run) -> CheckResult:
     for i, name in enumerate(_FRONT_CASES):
         U, Up, Um, xd, q = _representation_points(
             run[name], _first_term(17, i), h)
-        worst_det = _worst(worst_det, abs(np.linalg.det(U) - 1.0))
+        det = U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]
+        worst_det = _worst(worst_det, abs(det - 1.0))
         dU = (Up - Um) / (2 * h)
         zero = np.zeros_like(xd)
         rhs = U @ np.stack([np.stack([zero, q * xd], axis=-1),
@@ -413,11 +414,10 @@ def check_export_roundtrip(run) -> CheckResult:
     detail = []
     with tempfile.TemporaryDirectory() as td:
         for fmt in ("obj", "ply"):
-            p1 = os.path.join(td, f"a.{fmt}")
-            p2 = os.path.join(td, f"b.{fmt}")
+            p1, p2 = Path(td, f"a.{fmt}"), Path(td, f"b.{fmt}")
             ms.export_mesh(mesh, p1, fmt)
             ms.export_mesh(again, p2, fmt)
-            t1, t2 = open(p1).read(), open(p2).read()
+            t1, t2 = p1.read_text(), p2.read_text()
             stable = t1 == t2
             verts = _parse_vertices(t1, fmt)
             lossless = (len(verts) >= len(mesh.vertices) and np.allclose(

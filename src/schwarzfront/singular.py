@@ -288,7 +288,8 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
 
 def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
     """Locate a swallowtail by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0,
-    its Jacobian exact from one _singular_terms call a step.
+    its Jacobian exact from one _singular_terms call a step; ValueError
+    where the Jacobian is singular or the search does not converge.
 
     Independent of the curve tracer and of the polynomial elimination;
     the three routes are cross-checked in the test suite.
@@ -299,12 +300,12 @@ def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
         if abs(f) < SWALLOWTAIL_TOL and \
            abs(zeta.imag) < SWALLOWTAIL_TOL * max(1.0, abs(x) ** 10):
             return x
-        J = np.array([[df.real, df.imag], [d_im.real, d_im.imag]])
-        try:
-            ds, dt = np.linalg.solve(J, [f, zeta.imag])
-        except np.linalg.LinAlgError:
+        # with x = s + it the Jacobian's rows are grad f and grad Im zeta
+        # as complex numbers: Cramer's rule on them, in complex form
+        det = (df.conjugate() * d_im).imag
+        if det == 0.0:
             raise ValueError(f"singular Jacobian near x={x}")
-        x -= complex(ds, dt)
+        x -= 1j * (zeta.imag * df - f * d_im) / det
     if abs(_singular_terms(x, *eval_q_derivatives(e, x))[0]) > CURVE_TOL:
         raise ValueError(f"Newton search did not converge from x0={x0}")
     return x

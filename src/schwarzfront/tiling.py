@@ -89,14 +89,17 @@ def apply(m: np.ndarray, z) -> np.ndarray:
 
 
 def check_tile_count(case, tiles):
-    """ValueError, naming the case as users write it, for a count below 1
-    or above the group order, or none for an infinite group."""
+    """ValueError, naming the case as users write it, for a count that is
+    not an int (a bool is not), below 1 or above the group order, or none
+    for an infinite group."""
     cap = case.max_tiles
     text = case.tag if case.n is None else f"{case.tag}:{case.n}"
     if tiles is None:
         if cap is None:
             raise ValueError(f"case {text} has infinitely many tiles; "
                              f"set a tile count (--tiles N)")
+    elif type(tiles) is not int:
+        raise ValueError(f"tiles must be an int, got {tiles!r}")
     elif tiles < 1:
         raise ValueError(f"tiles must be >= 1, got {tiles}")
     elif cap is not None and tiles > cap:

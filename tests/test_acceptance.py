@@ -5,7 +5,9 @@ prints the standard one-line PASS/FAIL record so the criterion status
 is visible in the pytest -s output.
 """
 
+import gc
 import inspect
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -243,6 +245,14 @@ def test_criterion_fails_when_its_search_gives_up(number, search,
 
 def test_criterion_14_mesh_export_roundtrip():
     _run(sc.check_export_roundtrip)
+
+
+def test_criterion_14_closes_the_files_it_reads():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        sc.check_export_roundtrip(sc._Run())
+        gc.collect()
+    assert not [w for w in caught if w.category is ResourceWarning]
 
 
 def test_full_battery_reports_no_failures():

@@ -197,6 +197,16 @@ def test_job_config_rejects_bad_input():
     for tiles in (0, -3):
         with pytest.raises(ValueError, match="tiles must be >= 1"):
             mesh.JobConfig(case="dihedral:3", tiles=tiles)
+    # a count or resolution is an int, as resolve_case's n is: 3.0 and 2.5
+    # used to fail deep in tiling, True built one tile and 8.7 became 8
+    for tiles in (3.0, 2.5, True):
+        with pytest.raises(ValueError,
+                           match=rf"^tiles must be an int, got {tiles!r}$"):
+            mesh.JobConfig(case="tetra", tiles=tiles)
+    for resolution in (8.7, 16.0, True):
+        with pytest.raises(ValueError, match=rf"^resolution must be an int, "
+                           rf"got {resolution!r}$"):
+            mesh.JobConfig(case="tetra", resolution=resolution)
     for words in (None, ["", "21"]):
         with pytest.raises(ValueError, match="infinitely many tiles"):
             mesh.JobConfig(case="fuchsian", words=words)
@@ -270,6 +280,30 @@ def test_cli_commands_leave_numpy_random_unloaded(tmp_path):
     proc = _fresh_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "RESULT [0, 0, 0] False"
+
+
+class _NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.linalg reached LAPACK ({name})")
+
+
+_FAMILIES = ["dihedral:3", "tetra", "octa", "icosa", "fuchsian"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["surface", "--case", c, "--resolution", "8", "--format", fmt]
+      + (["--tiles", "40"] if c == "fuchsian" else [])
+      for c in _FAMILIES for fmt in ("obj", "ply")),
+    *(["singular-locus", "--case", c] for c in _FAMILIES),
+    ["tiles", "--case", "icosa"],
+    ["selfcheck"], ["selfcheck", "--quick"]], ids=" ".join)
+def test_cli_commands_call_no_lapack(monkeypatch, tmp_path, argv):
+    # poles, the swallowtail Newton step and criterion 6's det U are read
+    # off values the code holds, so numpy's LAPACK module stays untouched
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(linalg, "_umath_linalg", _NoLapack())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
 
 
 def test_cli_help_wraps_to_the_terminal_width(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,44 @@ def test_pole_rejection():
     inv = PolyhedralInverse("dihedral", 3)
     with pytest.raises(PoleError):
         inv.eval(0.0)
+
+
+@pytest.mark.parametrize("tag, n", [("dihedral", n) for n in range(1, 9)]
+                         + [("tetra", None), ("octa", None), ("icosa", None)])
+def test_pole_rule_is_the_distance_to_the_nearest_pole(tag, n):
+    # |fInf| < POLE_MARGIN |fInf'| clips the points within POLE_MARGIN of
+    # a root of fInf, and only those, on both sides of the margin
+    inv = PolyhedralInverse(tag, n)
+    roots = np.roots(inv.data.fInf)
+    step = np.outer([0.5, 0.99, 1.01, 2.0], np.exp(2j * np.pi * np.arange(8)
+                                                   / 8)).ravel()
+    z = (roots[:, None] + polyhedral.POLE_MARGIN * step).ravel()
+    near = np.abs(z[:, None] - roots).min(axis=1) < polyhedral.POLE_MARGIN
+    assert near.sum() == len(z) // 2
+    x, xd, xdd = inv.eval(z)
+    assert np.array_equal(np.isnan(x), near)
+    assert np.isfinite(x[~near]).all()
+    for zk, nk in zip(z, near):
+        if nk:
+            with pytest.raises(PoleError, match="of a pole"):
+                inv.eval(zk)
+        else:
+            inv.eval(zk)
+
+
+def test_values_past_float64_reach_are_clipped_as_at_a_pole():
+    # just outside the margin x'' (and nearer in x) overflows: a PoleError
+    # in a scalar call, NaN in all three outputs of an array call, and no
+    # RuntimeWarning either way
+    inv = PolyhedralInverse("dihedral", 50)
+    z = np.array([2e-8, 1e-7, 5e-7, 1e-6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zk in z:
+            with pytest.raises(PoleError):
+                inv.eval(complex(zk))
+        for v in inv.eval(z):
+            assert np.isnan(v).all()
 
 
 def test_build_polyhedral_refuses_a_tag_with_no_table():

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from schwarzfront import selfcheck
 from schwarzfront import singular as sg
 from schwarzfront.cases import resolve_case
 from schwarzfront.elimination import swallowtail_t_exact
@@ -101,6 +102,24 @@ def test_swallowtail_newton_without_steps_checks_its_start(fuchsian,
         sg.swallowtail_by_newton(fuchsian, 0.5 + 0.35j)
     x0 = complex(0.5, swallowtail_t_exact())
     assert sg.swallowtail_by_newton(fuchsian, x0) == x0
+
+
+def test_swallowtail_newton_refuses_a_singular_jacobian(fuchsian,
+                                                       monkeypatch):
+    # with grad f parallel to grad Im zeta the Newton step is undefined:
+    # a ValueError, which criterion 8 reports as a FAIL that measures NaN
+    terms = sg._singular_terms
+
+    def parallel(*args):
+        f, _, zeta, _, second = terms(*args)
+        return f, 1.0 + 2.0j, zeta, 2.0 + 4.0j, second  # det exactly 0
+
+    monkeypatch.setattr(sg, "_singular_terms", parallel)
+    with pytest.raises(ValueError, match=r"^singular Jacobian near x="):
+        sg.swallowtail_by_newton(fuchsian, 0.5 + 0.35j)
+    result = selfcheck.check_fuchsian_swallowtail(selfcheck._Run())
+    assert math.isnan(result.measured) and not result.passed
+    assert result.detail.startswith("singular Jacobian near x=")
 
 
 def test_curve_is_cuspidal_away_from_swallowtails(fuchsian, fuchsian_curve):
