@@ -177,6 +177,7 @@ def cmd_singular_locus(args) -> int:
     e = _or_exit(resolve_case, _case(args)).exponents
     _check_out(args.out)
     curve = _or_exit(sg.trace_singular_curve, e)
+    tails = _or_exit(sg.find_swallowtails, e, curve)
     spc = sg.classify_point(e, curve.samples)
     x, zeta = curve.samples, spc.QRbar2
     text = ("x_re\tx_im\tclass\t|q|\tRe(Q3Rb2)\tIm(Q3Rb2)\n"
@@ -185,7 +186,7 @@ def cmd_singular_locus(args) -> int:
                     zeta.imag).decode("ascii"))
     _write(text, args.out,
            f"{len(curve.samples)} samples, closed={curve.closed}")
-    for spc in sg.find_swallowtails(e, curve):
+    for spc in tails:
         print(f"swallowtail at x = {spc.x.real:.12g} "
               f"{spc.x.imag:+.12g}i")
     return 0

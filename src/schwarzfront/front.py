@@ -165,10 +165,11 @@ def _step_matrix(e: ExponentData, c, h):
     qk = np.array([0.0 * h, g * v.Q, g * v.Qp * h, g * e.q_coeffs[0] * h * h])
     b = np.zeros((_TERMS + 2, len(c), 2), complex)    # b_-2 .. b_(N-1)
     b[2, :, 0], b[3, :, 1] = 1.0, h
-    k = np.arange(1, 5)[:, None]
+    k, m = np.arange(1, 5)[:, None], np.arange(2, _TERMS)[:, None, None]
+    # the factors of b_(m-k), k = 1..4, for every m at once: (m, k, path)
+    f = (((m - k) * (m - k - 1) * pk + qk) / (m * (1 - m)))[..., None]
     for m in range(2, _TERMS):
-        f = ((m - k) * (m - k - 1) * pk + qk) / (m * (1 - m))
-        b[m + 2] = (f[:, :, None] * b[m - 2:m + 2][::-1]).sum(axis=0)
+        b[m + 2] = (f[m - 2] * b[m - 2:m + 2][::-1]).sum(axis=0)
     m = np.arange(-2, _TERMS)[:, None, None]
     return np.stack([b.sum(axis=0), (m * b).sum(axis=0) / h[:, None]], -1)
 

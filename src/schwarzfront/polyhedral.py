@@ -42,8 +42,7 @@ class PolyhedralData:
     """Table data for one polyhedral case.
 
     f0, f1, fInf are coefficient arrays, highest degree first.  Derived
-    once: a table whose columns are f0, f1, fInf, f0', f1', fInf',
-    zero-padded to one degree, so one np.polyval evaluates all six.
+    once: the horner_table of f0, f1, fInf, f0', f1', fInf'.
     """
 
     k0: int
@@ -59,11 +58,17 @@ class PolyhedralData:
 
     def __post_init__(self):
         polys = [self.f0, self.f1, self.fInf]
-        polys += [np.polyder(f) for f in polys]
-        table = np.zeros((max(map(len, polys)), 6, 1))
-        for j, f in enumerate(polys):
-            table[len(table) - len(f):, j, 0] = f
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", horner_table(
+            polys + [np.polyder(f) for f in polys]))
+
+
+def horner_table(polys) -> np.ndarray:
+    """The coefficient arrays polys as the columns of one zero-padded
+    (D, len(polys), 1) table: one np.polyval gives each np.polyval(p, z)."""
+    table = np.zeros((max(map(len, polys)), len(polys), 1))
+    for j, p in enumerate(polys):
+        table[len(table) - len(p):, j, 0] = p
+    return table
 
 
 def _expand(factors) -> np.ndarray:
@@ -131,7 +136,6 @@ class PolyhedralInverse:
         or where x, x' or x'' is not finite."""
         d = self.data
         shape, z = np.shape(z), flat(z)
-        # leading zeros leave each Horner value as np.polyval(f, z) has it
         f0, f1, fi, f0p, f1p, fip = np.polyval(d.table, z)
 
         x = d.A0 * f0 ** d.k0 / fi ** d.kInf

@@ -10,9 +10,10 @@ threshold.  A point it cannot evaluate is NaN, and a NaN fails the check.
 The checks reduce their residuals by maxima and minima that keep a NaN
 (_worst, np.max, np.min), and run_all silences numpy's warning for one.
 A search that gives up (the ValueError of the swallowtail Newton in
-criterion 8, or of the curve tracer in criterion 10), or a condition the
-residual does not carry (criteria 10 and 12), measures NaN and fails its
-criterion, with the reason in the detail; no check raises.
+criterion 8, or of the curve tracer or the swallowtail search in
+criterion 10), or a condition the residual does not carry (criteria 10
+and 12), measures NaN and fails its criterion, with the reason in the
+detail; no check raises.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from . import singular as sg
 from .cases import resolve_case
 from .elimination import fuchsian_elimination, swallowtail_t_exact
 from .equation import eval_q, eval_q_derivatives
-from .h3 import (H3Point, ball_to_lorentz,
+from .h3 import (H3Point, HermitianForm, ball_to_lorentz,
                  hermitian_to_ball, hermitian_to_lorentz,
                  hermitian_to_upper_half_space, lorentz_to_ball,
                  lorentz_to_hermitian, upper_half_space_to_hermitian)
 from .modular import eval_lambda, lambda_series_coeffs, theta_values
 # unused here; kept because bench/spans.py wraps selfcheck.fuchsian_z_from_x
 from .modular import fuchsian_z_from_x  # noqa: F401
-from .polyhedral import _expand
+from .polyhedral import _expand, horner_table
 from .tiling import apply, tile_parameter_domain
 
 
@@ -140,11 +141,11 @@ def check_lambda_derivatives(run) -> CheckResult:
     h = 1e-5
     u = _kronecker(_first_term(5), 50, [-0.8, 0.6], [0.8, 1.8])
     z = u[:, 0] + 1j * u[:, 1]
-    _, xd, xdd = eval_lambda(z)
-    xp, dp, _ = eval_lambda(z + h)
-    xm, dm, _ = eval_lambda(z - h)
-    worst = _worst(abs(xd - (xp - xm) / (2 * h)) / abs(xd),
-                   abs(xdd - (dp - dm) / (2 * h)) / abs(xdd))
+    # rows z, z + h and z - h, from one call
+    x, xd, xdd = (v.reshape(3, -1) for v in eval_lambda(
+        np.concatenate([z, z + h, z - h])))
+    worst = _worst(abs(xd[0] - (x[1] - x[2]) / (2 * h)) / abs(xd[0]),
+                   abs(xdd[0] - (xd[1] - xd[2]) / (2 * h)) / abs(xdd[0]))
     return CheckResult(3, "lambda derivative closed forms vs FD", worst,
                        1e-8)
 
@@ -176,11 +177,12 @@ def check_dx_dz(run) -> CheckResult:
     worst = 0.0
     for i, name in enumerate(_POLY_CASES):
         inv = run[name].inverse
-        polys = _dx_dz_reference(inv.data)
+        # the four polynomials in one Horner pass
+        table = horner_table(_dx_dz_reference(inv.data))
         u = _kronecker(_first_term(13, i), 40, [0.15, 0.05], [1.2, 3.0])
         z = u[:, 0] * np.exp(1j * u[:, 1])
         _, xd, _ = inv.eval(z)          # NaN within POLE_MARGIN of a pole
-        num, den, dnum, dden = (np.polyval(p, z) for p in polys)
+        num, den, dnum, dden = np.polyval(table, z)
         exact = (dnum * den - num * dden) / den ** 2
         worst = _worst(worst, abs(xd - exact) / abs(exact))
     return CheckResult(5, "closed-form dx/dz vs polynomial derivative",
@@ -198,10 +200,10 @@ def _representation_points(case, start, h):
         u = _kronecker(start, 100, [0.2, 0.05], [0.9, 1.0])
         z = u[:, 0] * np.exp(1j * u[:, 1])
     U, s = fr.eval_front_matrix(inv, z)
-    Up, _ = fr.eval_front_matrix(inv, z + h, sqrt_prev=s)
-    Um, _ = fr.eval_front_matrix(inv, z - h, sqrt_prev=s)
+    Upm, _ = fr.eval_front_matrix(inv, np.concatenate([z + h, z - h]),
+                                  sqrt_prev=np.concatenate([s, s]))
     x, xd, _ = inv.eval(z)
-    return U, Up, Um, xd, eval_q(case.exponents, x).q
+    return (U, *np.split(Upm, 2), xd, eval_q(case.exponents, x).q)
 
 
 def check_representation_formula(run) -> CheckResult:
@@ -309,13 +311,13 @@ def check_dihedral_curve(run) -> CheckResult:
     e = run["dihedral:3"].exponents
     try:
         curve = sg.trace_singular_curve(e)
-    except ValueError as exc:           # the tracer gave up
+        sws = sg.find_swallowtails(e, curve)
+    except ValueError as exc:           # the tracer or the search gave up
         return CheckResult(10, name, math.nan, 1e-8, detail=str(exc))
     # first-order distance of each mirrored sample from the curve
     x = 1.0 - curve.samples.conjugate()
     f, df = sg._singular_terms(x, *eval_q_derivatives(e, x))[:2]
     asym = float(np.max(np.abs(f) / np.abs(df)))
-    sws = sg.find_swallowtails(e, curve)
     upper = [p for p in sws if p.x.imag > 0]
     ok = (curve.closed and len(upper) == 1
           and abs(upper[0].x.real - 0.5) < 1e-9)
@@ -350,16 +352,18 @@ def check_end_behavior(run) -> CheckResult:
         [0.03 * cmath.exp(0.9j) * (0.82 ** k) for k in range(60)],
         [1.0 + 0.04 * cmath.exp(-2.5j) * (0.82 ** k) for k in range(60)],
     ]
+    # the five rays in one call, a row each
+    H = fr.eval_front_closed_form(inv, np.ravel(rays)).H
+    ball = np.linalg.norm(np.stack(hermitian_to_ball(H).coords), axis=0)
     worst_norm = 1.0
     all_monotone = True
-    for zs in rays:
+    for norms in ball.reshape(len(rays), -1):
         # march toward the end until the target norm is cleared, or the
         # form passes float64 reach (h + k >= 2 h3.RESOLUTION/eps, NaN); a
         # march clipped at its first point keeps that NaN, and fails
-        H = fr.eval_front_closed_form(inv, np.array(zs)).H
-        norms = np.linalg.norm(np.stack(hermitian_to_ball(H).coords), axis=0)
         stop = np.flatnonzero(~(norms <= 1.0 - 2e-4))
-        n = stop[0] + (norms[stop[0]] > 1.0 - 2e-4) if stop.size else len(zs)
+        n = (stop[0] + (norms[stop[0]] > 1.0 - 2e-4) if stop.size
+             else len(norms))
         norms = norms[:max(n, 1)]
         # the ball norms increase on the last half of the march
         tail = norms[-max(2, int(0.5 * n)):]
@@ -379,8 +383,10 @@ def _tile_grids(case, zs):
     inv = case.inverse
     gs = tile_parameter_domain(case).elements[1:]
     gz = apply(gs, zs)
-    Hg = fr.eval_front_closed_form(inv, gz.ravel()).H
-    H = fr.eval_front_closed_form(inv, np.tile(zs, len(gs))).H
+    both = fr.eval_front_closed_form(
+        inv, np.concatenate([gz.ravel(), np.tile(zs, len(gs))])).H
+    Hg, H = (HermitianForm(both.h[part], both.k[part], both.w[part])
+             for part in (slice(gz.size), slice(gz.size, None)))
     U, _ = fr.eval_front_matrix(inv, np.concatenate([zs[:1], gz[:, 0]]))
     (a, b), (c, d) = U[0]
     P = U[1:] @ np.array([[d, -b], [-c, a]])    # U(z0)^-1, as det U = 1

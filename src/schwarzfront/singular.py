@@ -26,10 +26,7 @@ CURVE_TOL = 1e-10          # |f| at a swallowtail found by Newton
 NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
 CLASSIFY_TOL = 1e-8        # ||q| - 1| within which a point is singular
 THETA_SAMPLES = 128        # values of arg q in [0, 2 pi), 4 roots each
-THETA_TOL = 1e-13          # theta width that ends a swallowtail's search
-THETA_MAX_STEPS = 40       # Illinois steps per bracket at most
-FOLLOW_NEWTON_STEPS = 3    # Newton steps after each Euler step in theta
-# 2-D Newton of swallowtail_by_newton
+# 2-D Newton of swallowtail_by_newton and find_swallowtails
 SWALLOWTAIL_TOL = 1e-13
 SWALLOWTAIL_MAX_ITER = 60
 
@@ -170,14 +167,6 @@ def _quartic_roots(e: ExponentData, theta):
     return _newton(e, a[..., None], x, 2)
 
 
-def _follow_root(e: ExponentData, theta0, x0, theta):
-    """The root x0 at theta0 continued to theta: an Euler step along
-    dx/dtheta = i a Q / P', then FOLLOW_NEWTON_STEPS Newton steps at theta."""
-    _, aq, dp = _quartic_terms(e, 0.25 * np.exp(-1j * theta0), x0)
-    x = x0 + (theta - theta0) * (1j * aq / dp)
-    return _newton(e, 0.25 * np.exp(-1j * theta), x, FOLLOW_NEWTON_STEPS)
-
-
 def _nearest(a, b):
     """For each entry of a[..., i], the index of the nearest entry of
     b[..., j]."""
@@ -228,84 +217,83 @@ def trace_singular_curve(e: ExponentData) -> TracedCurve:
                        theta=(theta + turns).ravel())
 
 
+def _newton_step(e: ExponentData, x):
+    """The stop rule and the step of the 2-D Newton on (f, Im zeta) = 0 at
+    x (scalar or array), from one _singular_terms call: (done, det, num),
+    the step being x -> x - num / det.  With x = s + it the Jacobian's rows
+    are grad f and grad Im zeta as complex numbers: Cramer's rule on them,
+    in complex form."""
+    f, df, zeta, d_im, _ = _singular_terms(x, *eval_q_derivatives(e, x))
+    done = (abs(f) < SWALLOWTAIL_TOL) & (
+        abs(zeta.imag) < SWALLOWTAIL_TOL * np.maximum(1.0, abs(x) ** 10))
+    return done, (df.conjugate() * d_im).imag, 1j * (zeta.imag * df
+                                                     - f * d_im)
+
+
 def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     """Swallowtail points on a sampled singular curve.
 
     Brackets each sign change of Im(Q^3 conj(R)^2) between consecutive
-    samples (the closing segment included) and narrows all brackets
-    together in theta by the Illinois variant of regula falsi until a
-    bracket is THETA_TOL wide or hits an exact zero, at most 6 steps on
-    any family.  Each step follows each bracket's root from its lower end
-    to the new theta (_follow_root: an Euler step in theta, then Newton
-    steps on the quartic).  Keeps the end of each bracket nearer the zero
-    if it classifies as a swallowtail, all ends in one classification.
+    samples (the closing segment included).  Each bracket starts at its
+    sample where Im zeta is 0 there, else at the linear interpolate of Im
+    zeta between its samples, and all are refined together by
+    swallowtail_by_newton's step and stop rule (_newton_step), one
+    _singular_terms call a step.  ValueError, naming the bracket, where
+    the Jacobian is singular, where the search does not converge within
+    SWALLOWTAIL_MAX_ITER steps, or where the limit lies farther from its
+    start than the bracket's chord.  Classifies every limit in one call
+    and keeps the swallowtails.
     """
-    def im_zeta(x):
-        Q, _, R, _ = eval_q_derivatives(e, x)
-        return _zeta(Q, R).imag
-
-    xs, th = curve.samples, curve.theta
-    vals = im_zeta(xs)
+    xs = curve.samples
+    vals = _zeta(*eval_q_derivatives(e, xs)[::2]).imag     # Q, R
     k = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
-    lo, flo, xlo = th[k], vals[k], xs[k]
-    hi = lo + 2.0 * np.pi / THETA_SAMPLES
-    fhi, xhi = np.roll(vals, -1)[k], np.roll(xs, -1)[k]
-    side = np.zeros(len(k), int)    # the end moved last: -1 lo, 1 hi
-    # only the open brackets are carried; slot is each one's place in k,
-    # and ends[slot] holds its (lo, hi) ends as they are when it finishes
-    slot, ends = np.arange(len(k)), np.stack([xlo, xhi])
-    for _ in range(THETA_MAX_STEPS):
-        ends[:, slot] = xlo, xhi
-        keep = (hi - lo > THETA_TOL) & (flo != 0.0) & (fhi != 0.0)
-        lo, hi, flo, fhi, xlo, xhi, side, slot = (
-            a[keep] for a in (lo, hi, flo, fhi, xlo, xhi, side, slot))
-        if not len(slot):
-            break
-        mid = (lo * fhi - hi * flo) / (fhi - flo)
-        # a step at least THETA_TOL / 2 inside, so that a root at an end
-        # of its bracket ends the search in one more step
-        mid = np.clip(mid, lo + 0.5 * THETA_TOL, hi - 0.5 * THETA_TOL)
-        xm = _follow_root(e, lo, xlo, mid)
-        fm = im_zeta(xm)
-        below = flo * fm <= 0.0         # the sign change is below mid
-        moved = np.where(below, 1, -1)
-        # Illinois: halve the value at an end kept twice running
-        half = np.where(side == moved, 0.5, 1.0)
-        lo, flo, xlo = (np.where(below, lo, mid),
-                        np.where(below, flo * half, fm),
-                        np.where(below, xlo, xm))
-        hi, fhi, xhi = (np.where(below, mid, hi),
-                        np.where(below, fm, fhi * half),
-                        np.where(below, xm, xhi))
-        side = moved
-    ends[:, slot] = xlo, xhi
-    near = np.abs(im_zeta(ends))
-    c = classify_point(e, np.where(near[1] < near[0], ends[1], ends[0]))
+    x0, f0, x1, f1 = xs[k], vals[k], np.roll(xs, -1)[k], np.roll(vals, -1)[k]
+
+    def refused(bad, why):
+        i = np.flatnonzero(bad)[0]
+        return ValueError(f"swallowtail bracket {x0[i]} to {x1[i]}: {why}, "
+                          f"at x={x[i]}")
+
+    # a step where det = 0 is refused, and is not taken where x is done
+    with np.errstate(invalid="ignore", divide="ignore"):
+        start = np.where(f0 == 0.0, x0, x0 + (x1 - x0) * (f0 / (f0 - f1)))
+        x = start
+        for n in range(SWALLOWTAIL_MAX_ITER + 1):
+            done, det, num = _newton_step(e, x)
+            if done.all():
+                break
+            if n == SWALLOWTAIL_MAX_ITER:
+                raise refused(~done, f"no convergence in {n} steps")
+            if (~done & (det == 0.0)).any():
+                raise refused(~done & (det == 0.0), "singular Jacobian")
+            x = np.where(done, x, x - num / det)
+    far = abs(x - start) > abs(x1 - x0)
+    if far.any():
+        raise refused(far, "limit farther from its start than the chord")
+    c = classify_point(e, x)
     # each record in Python types, as a scalar call would give it
-    return [SingularPointClass(*(v[k].item() for v in vars(c).values()))
-            for k in np.flatnonzero(c.cls == SWALLOWTAIL)]
+    return [SingularPointClass(*(v[i].item() for v in vars(c).values()))
+            for i in np.flatnonzero(c.cls == SWALLOWTAIL)]
 
 
 def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
     """Locate a swallowtail by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0,
-    its Jacobian exact from one _singular_terms call a step; ValueError
-    where the Jacobian is singular or the search does not converge.
+    its Jacobian exact (_newton_step, the step find_swallowtails takes);
+    ValueError where the Jacobian is singular or the search does not
+    converge.
 
-    Independent of the curve tracer and of the polynomial elimination;
-    the three routes are cross-checked in the test suite.
+    Independent of the curve tracer; the census test in the test suite
+    checks the swallowtails of every family by exact elimination,
+    independently of both this and find_swallowtails.
     """
     x = complex(x0)
     for _ in range(SWALLOWTAIL_MAX_ITER):
-        f, df, zeta, d_im, _ = _singular_terms(x, *eval_q_derivatives(e, x))
-        if abs(f) < SWALLOWTAIL_TOL and \
-           abs(zeta.imag) < SWALLOWTAIL_TOL * max(1.0, abs(x) ** 10):
+        done, det, num = _newton_step(e, x)
+        if done:
             return x
-        # with x = s + it the Jacobian's rows are grad f and grad Im zeta
-        # as complex numbers: Cramer's rule on them, in complex form
-        det = (df.conjugate() * d_im).imag
         if det == 0.0:
             raise ValueError(f"singular Jacobian near x={x}")
-        x -= 1j * (zeta.imag * df - f * d_im) / det
+        x -= num / det
     if abs(_singular_terms(x, *eval_q_derivatives(e, x))[0]) > CURVE_TOL:
         raise ValueError(f"Newton search did not converge from x0={x0}")
     return x

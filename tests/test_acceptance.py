@@ -21,8 +21,9 @@ from schwarzfront import singular as sg
 from schwarzfront.arrays import clip, flat, unflat
 from schwarzfront.cases import resolve_case
 from schwarzfront.h3 import H3Point
-from schwarzfront.modular import DomainError, LambdaInverse
-from schwarzfront.polyhedral import PolyhedralInverse
+from schwarzfront.modular import DomainError, LambdaInverse, eval_lambda
+from schwarzfront.polyhedral import PolyhedralInverse, horner_table
+from schwarzfront.tiling import apply, tile_parameter_domain
 
 NAN = float("nan")
 
@@ -386,3 +387,79 @@ def test_battery_draws_share_no_terms(monkeypatch):
     assert all(a // sc._SITE_TERMS == (a + c - 1) // sc._SITE_TERMS
                for a, c in calls)
     assert len(blocks) == 30
+
+
+# --- each batched grid of the battery equals the calls it replaces --------
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by itself, recording each call's arguments and
+    result; returns the original and the record."""
+    f, seen = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        seen.append((args, kwargs, f(*args, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(owner, name, spy)
+    return f, seen
+
+
+def _same_forms(a, b, part=slice(None)):
+    """The entries `part` of the array HermitianForm a are b's, bit for
+    bit, a clipped point NaN in both."""
+    return all(np.array_equal(getattr(a, f)[part], getattr(b, f),
+                              equal_nan=True) for f in "hkw")
+
+
+def test_criterion_03_grid_equals_a_call_per_shift(monkeypatch):
+    _, seen = _spy(monkeypatch, sc, "eval_lambda")
+    sc.check_lambda_derivatives(sc._Run())
+    [((z,), _, got)] = seen
+    for k, part in enumerate(np.split(z, 3)):     # z, z + h, z - h
+        for v, want in zip(got, eval_lambda(part)):
+            assert np.array_equal(np.split(v, 3)[k], want)
+
+
+@pytest.mark.parametrize("i, name", enumerate(sc._POLY_CASES))
+def test_criterion_05_table_equals_a_polyval_per_polynomial(i, name):
+    polys = sc._dx_dz_reference(resolve_case(name).inverse.data)
+    u = sc._kronecker(sc._first_term(13, i), 40, [0.15, 0.05], [1.2, 3.0])
+    z = u[:, 0] * np.exp(1j * u[:, 1])
+    got = np.polyval(horner_table(polys), z)
+    assert got.shape == (4, len(z))
+    for row, p in zip(got, polys):
+        assert np.array_equal(row, np.polyval(p, z))
+
+
+@pytest.mark.parametrize("i, name", enumerate(sc._FRONT_CASES))
+def test_criterion_06_grid_equals_a_call_per_shift(i, name, monkeypatch):
+    case, h = resolve_case(name), 1e-6
+    matrix, seen = _spy(monkeypatch, fr, "eval_front_matrix")
+    U, Up, Um, _, _ = sc._representation_points(case, sc._first_term(17, i),
+                                                 h)
+    (_, z), _, (_, s) = seen[0]
+    for got, zh in ((Up, z + h), (Um, z - h)):
+        want, _ = matrix(case.inverse, zh, sqrt_prev=s)
+        assert np.array_equal(got, want)
+
+
+def test_criterion_12_grid_equals_a_call_per_ray(monkeypatch):
+    closed_form, fronts = _spy(monkeypatch, fr, "eval_front_closed_form")
+    to_ball, balls = _spy(monkeypatch, sc, "hermitian_to_ball")
+    sc.check_end_behavior(sc._Run())
+    [((inv, z), _, got)], [(_, _, ball)] = fronts, balls
+    for k, ray in enumerate(z.reshape(5, -1)):
+        part = slice(k * len(ray), (k + 1) * len(ray))
+        want = closed_form(inv, ray).H
+        assert _same_forms(got.H, want, part)
+        for a, b in zip(ball.coords, to_ball(want).coords):
+            assert np.array_equal(a[part], b, equal_nan=True)
+
+
+def test_criterion_13_grid_equals_a_call_per_grid():
+    case = resolve_case("dihedral:3")
+    zs = 0.55 * np.exp(1j * (0.15 + 0.1 * np.arange(8)))
+    Hg, H, _ = sc._tile_grids(case, zs)
+    gs = tile_parameter_domain(case).elements[1:]
+    for got, z in ((Hg, apply(gs, zs).ravel()), (H, np.tile(zs, len(gs)))):
+        assert _same_forms(got, fr.eval_front_closed_form(case.inverse, z).H)

@@ -331,3 +331,29 @@ def test_array_front_matrix_matches_scalar_calls(name):
         assert _close(Up[idx], Up1) and _close(sp[idx], sp1)
         # the branch nearer sqrt_prev was taken, per point
         assert abs(sp1 - flip[idx] * s1) < abs(sp1 + flip[idx] * s1)
+
+
+def _step_matrix_by_m(e, c, h):
+    """_step_matrix with the recurrence factors formed afresh for each m,
+    as the loop over m was written before they were one array."""
+    w, v = c * (1.0 - c), eval_q(e, c)
+    al, be, g = (1.0 - 2.0 * c) * h / w, -h * h / w, 0.25 * (h / w) ** 2
+    pk = np.array([2.0 * al, al * al + 2.0 * be, 2.0 * al * be, be * be])
+    qk = np.array([0.0 * h, g * v.Q, g * v.Qp * h, g * e.q_coeffs[0] * h * h])
+    b = np.zeros((fr._TERMS + 2, len(c), 2), complex)
+    b[2, :, 0], b[3, :, 1] = 1.0, h
+    k = np.arange(1, 5)[:, None]
+    for m in range(2, fr._TERMS):
+        f = ((m - k) * (m - k - 1) * pk + qk) / (m * (1 - m))
+        b[m + 2] = (f[:, :, None] * b[m - 2:m + 2][::-1]).sum(axis=0)
+    m = np.arange(-2, fr._TERMS)[:, None, None]
+    return np.stack([b.sum(axis=0), (m * b).sum(axis=0) / h[:, None]], -1)
+
+
+@pytest.mark.parametrize("name", _FRONT_CASES)
+def test_step_matrix_equals_the_loop_over_m(name):
+    # the first oracle step of criterion 7's grid, from its basepoint
+    e = resolve_case(name).exponents
+    xs = _oracle_points(200, 0)
+    c, h = np.full(len(xs) - 1, xs[0]), xs[1:] - xs[0]
+    assert np.array_equal(fr._step_matrix(e, c, h), _step_matrix_by_m(e, c, h))

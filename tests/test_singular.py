@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction as Fr
 
+import mpmath as mp
 import numpy as np
 import pytest
+import sympy as sp
 
 from schwarzfront import selfcheck
 from schwarzfront import singular as sg
@@ -104,17 +106,23 @@ def test_swallowtail_newton_without_steps_checks_its_start(fuchsian,
     assert sg.swallowtail_by_newton(fuchsian, x0) == x0
 
 
-def test_swallowtail_newton_refuses_a_singular_jacobian(fuchsian,
-                                                       monkeypatch):
-    # with grad f parallel to grad Im zeta the Newton step is undefined:
-    # a ValueError, which criterion 8 reports as a FAIL that measures NaN
+def _parallel_gradients(monkeypatch):
+    """Replace _singular_terms by one whose grad f is parallel to grad Im
+    zeta, so that every Newton step has det exactly 0."""
     terms = sg._singular_terms
 
     def parallel(*args):
         f, _, zeta, _, second = terms(*args)
-        return f, 1.0 + 2.0j, zeta, 2.0 + 4.0j, second  # det exactly 0
+        return f, 1.0 + 2.0j, zeta, 2.0 + 4.0j, second
 
     monkeypatch.setattr(sg, "_singular_terms", parallel)
+
+
+def test_swallowtail_newton_refuses_a_singular_jacobian(fuchsian,
+                                                       monkeypatch):
+    # with grad f parallel to grad Im zeta the Newton step is undefined:
+    # a ValueError, which criterion 8 reports as a FAIL that measures NaN
+    _parallel_gradients(monkeypatch)
     with pytest.raises(ValueError, match=r"^singular Jacobian near x="):
         sg.swallowtail_by_newton(fuchsian, 0.5 + 0.35j)
     result = selfcheck.check_fuchsian_swallowtail(selfcheck._Run())
@@ -258,14 +266,67 @@ def test_swallowtails_are_newton_fixed_points(traced, name):
 
 @pytest.mark.parametrize("name", _CURVE_CASES)
 def test_swallowtail_search_takes_few_steps(traced, name, monkeypatch):
-    # one root update a step; bisection to THETA_TOL would need 39
+    # one kernel call a Newton step for all brackets together, from the
+    # linear interpolate of Im zeta in each
     e, curve = traced[name]
     calls = []
-    follow = sg._follow_root
-    monkeypatch.setattr(sg, "_follow_root",
-                        lambda *args: calls.append(1) or follow(*args))
+    terms = sg._singular_terms
+    monkeypatch.setattr(sg, "_singular_terms",
+                        lambda *args: calls.append(1) or terms(*args))
     assert len(sg.find_swallowtails(e, curve)) == 2
-    assert 1 <= len(calls) <= 10
+    assert 1 <= len(calls) <= 4
+
+
+def test_swallowtail_search_refuses_a_singular_jacobian(traced,
+                                                        monkeypatch):
+    e, curve = traced["tetra"]
+    _parallel_gradients(monkeypatch)
+    with pytest.raises(ValueError, match=r"^swallowtail bracket .*: "
+                                         r"singular Jacobian, at x="):
+        sg.find_swallowtails(e, curve)
+
+
+def test_swallowtail_search_without_steps_checks_its_starts(traced,
+                                                           monkeypatch):
+    # with no step left, brackets that start off a swallowtail are
+    # refused, and starts that meet the stop rule are returned as they are
+    monkeypatch.setattr(sg, "SWALLOWTAIL_MAX_ITER", 0)
+    e, curve = traced["dihedral:3"]
+    with pytest.raises(ValueError, match=r"^swallowtail bracket .*: no "
+                                         r"convergence in 0 steps, at x="):
+        sg.find_swallowtails(e, curve)
+    e, curve = traced["fuchsian"]
+    assert len(sg.find_swallowtails(e, curve)) == 2
+
+
+def test_singular_locus_reports_a_refused_search(monkeypatch, capsys):
+    # one error line, before the table is written, and no traceback
+    from schwarzfront.cli import main
+    _parallel_gradients(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["singular-locus", "--case", "tetra"])
+    assert str(exc.value).startswith("error: swallowtail bracket ")
+    assert "\n" not in str(exc.value)
+    assert capsys.readouterr().out == ""
+
+
+def test_criterion_10_fails_on_a_refused_search(monkeypatch):
+    _parallel_gradients(monkeypatch)
+    result = selfcheck.check_dihedral_curve(selfcheck._Run())
+    assert math.isnan(result.measured) and not result.passed
+    assert result.detail.startswith("swallowtail bracket ")
+
+
+def test_swallowtail_search_refuses_a_limit_outside_its_chord(traced):
+    # the samples moved 0.05 off the curve, beyond a bracket's chord (at
+    # most 0.015, test_sampler_goes_round_the_curve_once): the brackets
+    # start off the curve, and Newton goes back to it, too far
+    e, curve = traced["tetra"]
+    moved = sg.TracedCurve(curve.samples + 0.05, True, curve.theta)
+    with pytest.raises(ValueError, match=r"^swallowtail bracket .*: limit "
+                                         r"farther from its start than the "
+                                         r"chord, at x="):
+        sg.find_swallowtails(e, moved)
 
 
 @pytest.mark.parametrize("name", _CURVE_CASES)
@@ -321,6 +382,110 @@ def test_swallowtail_newton_takes_few_steps(traced, name, monkeypatch):
         x = sg.swallowtail_by_newton(e, x0)
         assert min(abs(x - t) for t in tails) <= 1e-10
         assert 1 <= len(calls) <= 5
+
+
+# --- an exact census of the swallowtails ----------------------------------
+
+_s, _t, _U, _x = sp.symbols("s t U x")
+
+
+def _mpf(r):
+    """A sympy Rational as an mpmath number at the working precision."""
+    return mp.mpf(r.p) / r.q
+
+
+def _census_polynomials(mus):
+    """Q and R in x from the exact mu, and F(U, s), G(U, s) over QQ.
+
+    R comes from q = -Q / (4 w^2) and q' = -R / (4 w^3), w = x (1 - x),
+    by sympy's derivative.  With x = s + it, f = |Q|^2 - 16 |w|^4 is even
+    in t and Im Q^3 conj(R)^2 odd, so f = F(t^2, s) and Im zeta =
+    t G(t^2, s); a coefficient with an imaginary part would not convert
+    to QQ.
+    """
+    m0, m1, mi = (sp.Rational(Fr(m).numerator, Fr(m).denominator)
+                  for m in mus)
+    Q = 1 - m0 ** 2 + (mi ** 2 + m0 ** 2 - m1 ** 2 - 1) * _x \
+        + (1 - mi ** 2) * _x ** 2
+    w = _x * (1 - _x)
+    R = sp.cancel(-4 * w ** 3 * sp.diff(-Q / (4 * w ** 2), _x))
+
+    def at(p, sign):
+        """p(s + sign it) in t and s; conj p(x) = p(conj x), p real."""
+        return sp.Poly(p.subs(_x, _s + sign * sp.I * _t), _t, _s,
+                       domain=sp.QQ_I)
+
+    Qz, Qb, Rz, Rb, wz, wb = (at(p, g) for p in (Q, R, w) for g in (1, -1))
+    f = Qz * Qb - 16 * (wz * wb) ** 2
+    im = (Qz ** 3 * Rb ** 2 - Qb ** 3 * Rz ** 2) * at(-sp.I / 2, 1)
+
+    def in_u(p, odd):
+        assert all(k % 2 == odd for k, _ in p.monoms())
+        return sp.Poly.from_dict({(k // 2, j): c for (k, j), c in p.terms()},
+                                 _U, _s, domain=sp.QQ)
+
+    return sp.Poly(Q, _x), sp.Poly(R, _x), in_u(f, 0), in_u(im, 1)
+
+
+def _root_in(coeffs, a, b):
+    """The one root of a squarefree polynomial in its isolating interval
+    [a, b], by bisection to 1e-45."""
+    sign_a = mp.sign(mp.polyval(coeffs, a))
+    while b - a > mp.mpf(10) ** -45:
+        m = (a + b) / 2
+        sign_m = mp.sign(mp.polyval(coeffs, m))
+        if sign_m == 0:
+            return m
+        a, b = (m, b) if sign_m == sign_a else (a, m)
+    return (a + b) / 2
+
+
+def _swallowtail_census(mus):
+    """Every x = s + it with t > 0 where f = Im zeta = 0 and Re zeta <= 0.
+
+    s runs over the real roots of the resultant of F and G in U, isolated
+    exactly by sympy and bisected; at each, U runs over the positive real
+    roots of F(U, s) at which G vanishes.  At 50 digits a real common
+    root leaves |Im U| and |G| below 1e-44 on every family, any other
+    root 0.3 or more; the cut is 1e-30.
+    """
+    Q, R, F, G = _census_polynomials(mus)
+    res = F.resultant(G).sqf_part()
+    found = []
+    with mp.workdps(50):
+        rc = [_mpf(c) for c in res.all_coeffs()]
+        for (a, b), _ in res.intervals():
+            s = _root_in(rc, _mpf(a), _mpf(b))
+            in_u = [sum(_mpf(c) * s ** j for (i, j), c in F.terms() if i == d)
+                    for d in range(F.degree(_U), -1, -1)]
+            for u in mp.polyroots(in_u, extraprec=20):
+                if abs(mp.im(u)) > 1e-30 or mp.re(u) <= 0:
+                    continue
+                u = mp.re(u)
+                g = sum(_mpf(c) * u ** i * s ** j for (i, j), c in G.terms())
+                if abs(g) > 1e-30:
+                    continue
+                x = mp.mpc(s, mp.sqrt(u))
+                zeta = (mp.polyval([_mpf(c) for c in Q.all_coeffs()], x) ** 3
+                        * mp.conj(mp.polyval([_mpf(c) for c in R.all_coeffs()],
+                                             x)) ** 2)
+                if mp.re(zeta) <= 0:
+                    found.append(complex(x))
+    return found
+
+
+@pytest.mark.parametrize("name", _CURVE_CASES)
+def test_swallowtail_census_is_exact(traced, name):
+    # by exact elimination, independent of the tracer and of the Newton
+    # step that find_swallowtails and swallowtail_by_newton share: one
+    # swallowtail with t > 0, which find_swallowtails finds (the
+    # tolerance was fixed before measuring)
+    e, curve = traced[name]
+    census = _swallowtail_census(e.mus)
+    assert len(census) == 1
+    upper = [p.x for p in sg.find_swallowtails(e, curve) if p.x.imag > 0]
+    assert len(upper) == 1
+    assert abs(upper[0] - census[0]) <= 1e-9
 
 
 def test_fuchsian_swallowtails_are_exact(traced):
