@@ -9,8 +9,8 @@ maps (PolyhedralInverse.eval, LambdaInverse.eval, eval_lambda),
 theta_values, fuchsian_z_from_x, dihedral_z_from_x, reduce_level_two,
 eval_q, eval_q_derivatives, classify_point, the front (front_hermitian,
 eval_front_closed_form, eval_inverse_on_tiles, eval_front_on_tiles,
-eval_front_matrix), HermitianForm, the H3Point constructors and the h3
-chart maps.
+front_matrix, eval_front_matrix), HermitianForm, the H3Point
+constructors and the h3 chart maps.
 """
 
 from __future__ import annotations

@@ -116,6 +116,8 @@ def resolve_case(case: str, n: int | None = None) -> Case:
     A bare 'dihedral' takes n from the argument, an int (not a bool);
     the other families ignore it.  Raises ValueError for anything else.
     """
+    if not isinstance(case, str):
+        raise ValueError(f"case must be a str, got {case!r}")
     text = case.strip().lower()
     tag, colon, arg = text.partition(":")
     if tag == TAG_DIHEDRAL:

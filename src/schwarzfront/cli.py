@@ -13,7 +13,6 @@ import argparse
 import errno
 import functools
 import os
-import shutil
 import sys
 
 from . import singular as sg
@@ -79,20 +78,18 @@ def _write(text, out, summary):
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser():
-    # argparse makes a formatter for every add_argument call, and each one
-    # reads the terminal size; this reads it once a build, with
-    # HelpFormatter's own default width.  No parser takes an abbreviation,
-    # so a flag and a config key have one spelling.
-    fmt = functools.partial(argparse.HelpFormatter,
-                            width=shutil.get_terminal_size().columns - 2)
+    # the parser depends on no input, so a process builds it once, on its
+    # first main() call, not at import; argparse's HelpFormatter reads the
+    # terminal width when it formats help.  No parser takes an
+    # abbreviation, so a flag and a config key have one spelling.
     p = argparse.ArgumentParser(
-        prog="schwarzfront", formatter_class=fmt, allow_abbrev=False,
+        prog="schwarzfront", allow_abbrev=False,
         description="Flat-front images of the hypergeometric Schwarz map "
                     "in hyperbolic 3-space")
     sub = p.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, formatter_class=fmt,
-                            allow_abbrev=False)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(sp):
         sp.add_argument("--case", default=None,

@@ -123,15 +123,14 @@ def eval_front_on_tiles(inv, z0, matrices) -> FrontValue:
 
 
 @np.errstate(invalid="ignore")    # NaN marks clipped points
-def eval_front_matrix(inv, z, sqrt_prev=None):
-    """The matrix U at z (a point or an array), with the sqrt branch chosen
-    per point as the one nearer sqrt_prev.
+def front_matrix(z, xd, xdd, sqrt_prev=None):
+    """The matrix U from z, x', x'' (scalars or arrays), with the sqrt
+    branch chosen per point as the one nearer sqrt_prev.
 
     Returns (U, sqrt_xd), U of shape z.shape + (2, 2).  H = U conj(U)^t
-    equals eval_front_closed_form.  Where inv fails or |x'| <
-    RAMIFICATION_TOL, the error or NaN (see arrays.clip).
+    equals front_hermitian.  Where |x'| < RAMIFICATION_TOL,
+    RamificationError or NaN (see arrays.clip).
     """
-    _, xd, xdd = inv.eval(z)
     shape, z, xd, xdd = np.shape(z), flat(z), flat(xd), flat(xdd)
     xd, = clip(abs(xd) < RAMIFICATION_TOL, shape, RamificationError,
                lambda: f"dx/dz vanishes at z={z[0]}", xd)
@@ -144,6 +143,13 @@ def eval_front_matrix(inv, z, sqrt_prev=None):
         [np.stack([z * xd, 1.0 + 0.5 * z * r], axis=-1),
          np.stack([xd, 0.5 * r], axis=-1)], axis=-2)
     return unflat(shape, U, s)
+
+
+def eval_front_matrix(inv, z, sqrt_prev=None):
+    """front_matrix at z (a point or an array) for an inverse-map evaluator
+    `inv`; where inv fails, its error or NaN."""
+    _, xd, xdd = inv.eval(z)
+    return front_matrix(z, xd, xdd, sqrt_prev)
 
 
 def _segment_distance(p, d, c):

@@ -85,15 +85,26 @@ class JobConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.out is None:
             self.out = f"front.{self.fmt}"
+        elif not isinstance(self.out, str):
+            raise ValueError(f"out must be a str, got {self.out!r}")
         suffix = self.out[-4:].lower()
         if suffix in (".obj", ".ply") and suffix != "." + self.fmt:
             raise ValueError(f"out {self.out!r} ends in {suffix}, but the "
                              f"format is {self.fmt}")
-        if self.words is not None and not self.words:
-            raise ValueError("words must name at least one tile")
-        if self.words is not None and len(set(self.words)) < len(self.words):
-            twice = sorted({w for w in self.words if self.words.count(w) > 1})
-            raise ValueError(f"words name a tile more than once: {twice}")
+        words = self.words
+        if words is not None:
+            # a bare str would be read as one word per character
+            if (not isinstance(words, (list, tuple))
+                    or not all(isinstance(w, str) for w in words)):
+                raise ValueError(f"words must be a list of str, got {words!r}")
+            if not words:
+                raise ValueError("words must name at least one tile")
+            if len(set(words)) < len(words):
+                twice = sorted({w for w in words if words.count(w) > 1})
+                raise ValueError(f"words name a tile more than once: {twice}")
+        if type(self.with_singular) is not bool:
+            raise ValueError(f"with_singular must be a bool, "
+                             f"got {self.with_singular!r}")
         self.resolved = resolve_case(self.case, self.n)
         check_tile_count(self.resolved, self.tiles)
 

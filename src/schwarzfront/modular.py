@@ -253,18 +253,25 @@ def reduce_level_two(z):
     return unflat(shape, z)[0]
 
 
-# AGM steps: sqrt x of a finite double lies within 1e+-155 of 1, the
-# exponent of b / a halves each step and then the AGM converges
+# cap on the AGM steps: sqrt x of a finite double lies within 1e+-155 of
+# 1, the exponent of b / a halves each step and then the AGM converges
 # quadratically, so 12 steps reach full precision from the extremes
 _AGM_STEPS = 16
 
 
 def _agm(a, b) -> np.ndarray:
     """Arithmetic-geometric mean M(a, b) of arrays, keeping at each step
-    the square root nearer the arithmetic mean (|a - b| <= |a + b|)."""
+    the square root nearer the arithmetic mean (|a - b| <= |a + b|).
+
+    The steps stop at the fixed point, where a step leaves (a, b)
+    unchanged and so would every later one, or after _AGM_STEPS; a NaN
+    never compares equal, so an array holding one runs to the cap."""
     for _ in range(_AGM_STEPS):
+        a0, b0 = a, b
         a, b = 0.5 * (a + b), np.sqrt(a * b)
         b = np.where(np.abs(a - b) <= np.abs(a + b), b, -b)
+        if np.array_equal(a, a0) and np.array_equal(b, b0):
+            break
     return a
 
 

@@ -150,15 +150,29 @@ def check_lambda_derivatives(run) -> CheckResult:
                        1e-8)
 
 
+def _family_polyvals(polys, z):
+    """np.polyval(polys[i][j], z[i]) for every family i and polynomial j
+    of the (F, N) points z: one (F, P, N) array from one Horner pass over
+    the zero-padded horner_table of every family's polynomials."""
+    table = horner_table([p for ps in polys for p in ps])
+    # complex coefficients and z repeated for every polynomial, so each
+    # step multiplies and adds arrays of one type and shape, the fastest of
+    # numpy's loops; np.polyval adds a real coefficient as c + 0j too
+    table = table.reshape(len(table), len(polys), -1, 1).astype(complex)
+    return np.polyval(table, np.repeat(z[:, None, :], table.shape[2], 1))
+
+
 def check_partition_of_unity(run) -> CheckResult:
+    ds = [run[name].inverse.data for name in _POLY_CASES]
+    u = [_kronecker(_first_term(7, i), 100, [-1.5, -1.5], [1.5, 1.5])
+         for i in range(len(ds))]
+    z = np.stack([v[:, 0] + 1j * v[:, 1] for v in u])
     worst = 0.0
-    for i, name in enumerate(_POLY_CASES):
-        d = run[name].inverse.data
-        u = _kronecker(_first_term(7, i), 100, [-1.5, -1.5], [1.5, 1.5])
-        z = u[:, 0] + 1j * u[:, 1]
-        t0 = d.A0 * np.polyval(d.f0, z) ** d.k0
-        t1 = d.A1 * np.polyval(d.f1, z) ** d.k1
-        ti = np.polyval(d.fInf, z) ** d.kInf
+    for d, (f0, f1, fi) in zip(ds, _family_polyvals(
+            [(d.f0, d.f1, d.fInf) for d in ds], z)):
+        t0 = d.A0 * f0 ** d.k0
+        t1 = d.A1 * f1 ** d.k1
+        ti = fi ** d.kInf
         scale = np.abs([t0, t1, ti]).max(axis=0).clip(min=1e-30)
         worst = _worst(worst, abs(t0 + t1 - ti) / scale)
     return CheckResult(4, "polyhedral partition of unity", worst, 1e-10)
@@ -174,15 +188,14 @@ def _dx_dz_reference(d):
 
 
 def check_dx_dz(run) -> CheckResult:
+    invs = [run[name].inverse for name in _POLY_CASES]
+    u = [_kronecker(_first_term(13, i), 40, [0.15, 0.05], [1.2, 3.0])
+         for i in range(len(invs))]
+    z = np.stack([v[:, 0] * np.exp(1j * v[:, 1]) for v in u])
     worst = 0.0
-    for i, name in enumerate(_POLY_CASES):
-        inv = run[name].inverse
-        # the four polynomials in one Horner pass
-        table = horner_table(_dx_dz_reference(inv.data))
-        u = _kronecker(_first_term(13, i), 40, [0.15, 0.05], [1.2, 3.0])
-        z = u[:, 0] * np.exp(1j * u[:, 1])
-        _, xd, _ = inv.eval(z)          # NaN within POLE_MARGIN of a pole
-        num, den, dnum, dden = np.polyval(table, z)
+    for inv, zi, (num, den, dnum, dden) in zip(invs, z, _family_polyvals(
+            [_dx_dz_reference(inv.data) for inv in invs], z)):
+        _, xd, _ = inv.eval(zi)         # NaN within POLE_MARGIN of a pole
         exact = (dnum * den - num * dden) / den ** 2
         worst = _worst(worst, abs(xd - exact) / abs(exact))
     return CheckResult(5, "closed-form dx/dz vs polynomial derivative",
@@ -191,19 +204,20 @@ def check_dx_dz(run) -> CheckResult:
 
 def _representation_points(case, start, h):
     """U(z), U(z +- h), x'(z) and q(x(z)) at the 100 points z of terms
-    start, ..., start + 99 of the Kronecker sequence; NaN where one fails."""
-    inv = case.inverse
+    start, ..., start + 99 of the Kronecker sequence, from one inverse-map
+    call on z, z + h and z - h; NaN where one fails."""
     if case.max_tiles is None:          # infinite group: upper half-plane
         u = _kronecker(start, 100, [-0.8, 0.5], [0.8, 1.5])
         z = u[:, 0] + 1j * u[:, 1]
     else:
         u = _kronecker(start, 100, [0.2, 0.05], [0.9, 1.0])
         z = u[:, 0] * np.exp(1j * u[:, 1])
-    U, s = fr.eval_front_matrix(inv, z)
-    Upm, _ = fr.eval_front_matrix(inv, np.concatenate([z + h, z - h]),
-                                  sqrt_prev=np.concatenate([s, s]))
-    x, xd, _ = inv.eval(z)
-    return (U, *np.split(Upm, 2), xd, eval_q(case.exponents, x).q)
+    n, z = len(z), np.concatenate([z, z + h, z - h])
+    x, xd, xdd = case.inverse.eval(z)
+    U, s = fr.front_matrix(z[:n], xd[:n], xdd[:n])
+    Upm, _ = fr.front_matrix(z[n:], xd[n:], xdd[n:],
+                             sqrt_prev=np.concatenate([s, s]))
+    return (U, *np.split(Upm, 2), xd[:n], eval_q(case.exponents, x[:n]).q)
 
 
 def check_representation_formula(run) -> CheckResult:
@@ -241,16 +255,17 @@ def _oracle_grid(case, count, c):
     """(Ha, Hb, P): the closed-form and the ODE-transported H over the
     grid of draw c, each one array HermitianForm, and the closed-form U at
     the basepoint, where the transport starts at U = 1; so
-    Ha = P Hb conj(P)^t."""
+    Ha = P Hb conj(P)^t.  Ha and P come from one inverse-map call."""
     xs = _oracle_points(count, c)
-    # one preimage and one front call for the grid; a point without a
-    # preimage, or where the front fails, is NaN
+    # one preimage and one inverse-map call for the grid; a point without
+    # a preimage, or where the front fails, is NaN
     zs = case.z_from_x(xs)
-    Ha = fr.eval_front_closed_form(case.inverse, zs).H
+    _, xd, xdd = case.inverse.eval(zs)
+    Ha = fr.front_hermitian(zs, xd, xdd)
     # one solve for every segment x0 -> x; the basepoint's own segment
     # has length 0, so its U stays the identity
     U = fr.integrate_sl_form(case.exponents, [xs[0], xs])
-    P, _ = fr.eval_front_matrix(case.inverse, zs[:1])
+    P, _ = fr.front_matrix(zs[:1], xd[:1], xdd[:1])
     return Ha, fr.hermitian_of_solution(U), P
 
 
@@ -379,15 +394,19 @@ def _tile_grids(case, zs):
     H(g z), H(z) and P_g = U(g z0) U(z0)^-1, so Hg = P H conj(P)^t.
 
     x(g z) = x(z), so U(g z) and U(z) solve one equation in x and differ by
-    the constant left factor P_g."""
-    inv = case.inverse
+    the constant left factor P_g.  All three come from one inverse-map
+    call, which holds z0 and every g z0 among its points."""
     gs = tile_parameter_domain(case).elements[1:]
     gz = apply(gs, zs)
-    both = fr.eval_front_closed_form(
-        inv, np.concatenate([gz.ravel(), np.tile(zs, len(gs))])).H
+    z = np.concatenate([gz.ravel(), np.tile(zs, len(gs))])
+    _, xd, xdd = case.inverse.eval(z)
+    both = fr.front_hermitian(z, xd, xdd)
     Hg, H = (HermitianForm(both.h[part], both.k[part], both.w[part])
              for part in (slice(gz.size), slice(gz.size, None)))
-    U, _ = fr.eval_front_matrix(inv, np.concatenate([zs[:1], gz[:, 0]]))
+    # z0, then g z0 for every g: the first point of the tiled grid and of
+    # each row of gz
+    at = np.concatenate([[gz.size], np.arange(0, gz.size, len(zs))])
+    U, _ = fr.front_matrix(z[at], xd[at], xdd[at])
     (a, b), (c, d) = U[0]
     P = U[1:] @ np.array([[d, -b], [-c, a]])    # U(z0)^-1, as det U = 1
     return Hg, H, np.repeat(P, len(zs), axis=0)
@@ -418,6 +437,7 @@ def check_export_roundtrip(run) -> CheckResult:
     mesh, again = ms.build_mesh(cfg), ms.build_mesh(cfg)
     ok = True
     detail = []
+    rows = ms._vertex_rows(mesh.vertices)
     with tempfile.TemporaryDirectory() as td:
         for fmt in ("obj", "ply"):
             p1, p2 = Path(td, f"a.{fmt}"), Path(td, f"b.{fmt}")
@@ -430,8 +450,7 @@ def check_export_roundtrip(run) -> CheckResult:
                 verts[:len(mesh.vertices)], mesh.vertices,
                 rtol=0, atol=1e-9 * (1 + np.abs(mesh.vertices).max())))
             # reprinted by the exporter's own row formatter
-            reprint = (ms._vertex_rows(verts[:len(mesh.vertices)])
-                       == ms._vertex_rows(mesh.vertices))
+            reprint = ms._vertex_rows(verts[:len(mesh.vertices)]) == rows
             ok = ok and stable and lossless and reprint
             detail.append(f"{fmt}: stable={stable} lossless={lossless}")
     return CheckResult(14, "export round trip and determinism",

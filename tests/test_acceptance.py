@@ -20,6 +20,7 @@ from schwarzfront import selfcheck as sc
 from schwarzfront import singular as sg
 from schwarzfront.arrays import clip, flat, unflat
 from schwarzfront.cases import resolve_case
+from schwarzfront.equation import eval_q
 from schwarzfront.h3 import H3Point
 from schwarzfront.modular import DomainError, LambdaInverse, eval_lambda
 from schwarzfront.polyhedral import PolyhedralInverse, horner_table
@@ -434,12 +435,12 @@ def test_criterion_05_table_equals_a_polyval_per_polynomial(i, name):
 @pytest.mark.parametrize("i, name", enumerate(sc._FRONT_CASES))
 def test_criterion_06_grid_equals_a_call_per_shift(i, name, monkeypatch):
     case, h = resolve_case(name), 1e-6
-    matrix, seen = _spy(monkeypatch, fr, "eval_front_matrix")
+    _, seen = _spy(monkeypatch, fr, "front_matrix")
     U, Up, Um, _, _ = sc._representation_points(case, sc._first_term(17, i),
                                                  h)
-    (_, z), _, (_, s) = seen[0]
+    (z, _, _), _, (_, s) = seen[0]
     for got, zh in ((Up, z + h), (Um, z - h)):
-        want, _ = matrix(case.inverse, zh, sqrt_prev=s)
+        want, _ = fr.eval_front_matrix(case.inverse, zh, sqrt_prev=s)
         assert np.array_equal(got, want)
 
 
@@ -463,3 +464,89 @@ def test_criterion_13_grid_equals_a_call_per_grid():
     gs = tile_parameter_domain(case).elements[1:]
     for got, z in ((Hg, apply(gs, zs).ravel()), (H, np.tile(zs, len(gs)))):
         assert _same_forms(got, fr.eval_front_closed_form(case.inverse, z).H)
+
+
+# --- each check evaluates each family once --------------------------------
+
+class _RecordingInverse:
+    """An inverse map that records the points of each call."""
+
+    def __init__(self, inverse):
+        self.inverse, self.calls = inverse, []
+
+    def eval(self, z):
+        self.calls.append(np.copy(z))
+        return self.inverse.eval(z)
+
+
+def _recording(name):
+    case = resolve_case(name)
+    return replace(case, inverse=_RecordingInverse(case.inverse))
+
+
+@pytest.mark.parametrize("check, evaluated", [
+    (sc.check_representation_formula, sc._FRONT_CASES),
+    (sc.check_oracle_equivalence, ["dihedral:3", "fuchsian"]),
+    (sc.check_geometry_roundtrips, ["dihedral:3"])], ids=[6, 7, 13])
+def test_check_calls_each_inverse_map_once(check, evaluated):
+    # the front's families without a preimage are idle in criterion 7
+    run = sc._Run(quick=True)
+    for name in sc._FRONT_CASES:
+        run[name] = _recording(name)
+    assert check(run).passed
+    assert {name: len(run[name].inverse.calls)
+            for name in sc._FRONT_CASES} == {
+                name: int(name in evaluated) for name in sc._FRONT_CASES}
+
+
+@pytest.mark.parametrize("i, name", enumerate(sc._FRONT_CASES))
+def test_criterion_06_one_call_returns_the_arrays_of_three(i, name):
+    case, h = _recording(name), 1e-6
+    got = sc._representation_points(case, sc._first_term(17, i), h)
+    [z3], inv = case.inverse.calls, case.inverse.inverse
+    z = z3[:100]
+    assert np.array_equal(z3, np.concatenate([z, z + h, z - h]))
+    U, s = fr.eval_front_matrix(inv, z)
+    Upm, _ = fr.eval_front_matrix(inv, np.concatenate([z + h, z - h]),
+                                  sqrt_prev=np.concatenate([s, s]))
+    x, xd, _ = inv.eval(z)
+    want = (U, *np.split(Upm, 2), xd, eval_q(case.exponents, x).q)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("count", [40, 200])
+@pytest.mark.parametrize("name", ["dihedral:3", "fuchsian"])
+def test_criterion_07_one_call_returns_the_arrays_of_two(name, count):
+    case = _recording(name)
+    c = sc._FRONT_CASES.index(name)
+    Ha, Hb, P = sc._oracle_grid(case, count, c)
+    [zs], inv = case.inverse.calls, case.inverse.inverse
+    assert np.array_equal(zs, case.z_from_x(sc._oracle_points(count, c)))
+    assert _same_forms(Ha, fr.eval_front_closed_form(inv, zs).H)
+    assert np.array_equal(P, fr.eval_front_matrix(inv, zs[:1])[0])
+
+
+def test_criterion_13_one_call_returns_the_arrays_of_two():
+    case = _recording("dihedral:3")
+    zs = 0.55 * np.exp(1j * (0.15 + 0.1 * np.arange(8)))
+    _, _, P = sc._tile_grids(case, zs)
+    [_], inv = case.inverse.calls, case.inverse.inverse
+    gz = apply(tile_parameter_domain(case).elements[1:], zs)
+    U, _ = fr.eval_front_matrix(inv, np.concatenate([zs[:1], gz[:, 0]]))
+    (a, b), (c, d) = U[0]
+    want = U[1:] @ np.array([[d, -b], [-c, a]])
+    assert np.array_equal(P, np.repeat(want, len(zs), axis=0))
+
+
+@pytest.mark.parametrize("check", [sc.check_partition_of_unity,
+                                   sc.check_dx_dz], ids=["c04", "c05"])
+def test_criteria_04_05_nine_family_table_equals_a_polyval_each(
+        check, monkeypatch):
+    _, seen = _spy(monkeypatch, sc, "_family_polyvals")
+    assert check(sc._Run()).passed
+    [((polys, z), _, got)] = seen
+    assert got.shape == (len(sc._POLY_CASES), len(polys[0]), z.shape[1])
+    for rows, family, zi in zip(got, polys, z, strict=True):
+        for row, p in zip(rows, family, strict=True):
+            assert np.array_equal(row, np.polyval(p, zi))

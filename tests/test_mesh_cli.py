@@ -226,6 +226,21 @@ def test_job_config_rejects_bad_input():
             mesh.JobConfig(case="dihedral:3", fmt=fmt, out=out)
     cfg = mesh.JobConfig(case="dihedral:3", out="x.obj.txt")
     assert cfg.out == "x.obj.txt"
+    # a value of the wrong type is named: None used to die in .strip(), 3
+    # in a slice, '21' was read as the words '2' and '1', and 'no' drew
+    # the overlay
+    for kwargs, message in (
+            (dict(case=None), "case must be a str, got None"),
+            (dict(case=3), "case must be a str, got 3"),
+            (dict(out=3), "out must be a str, got 3"),
+            (dict(words="21"), "words must be a list of str, got '21'"),
+            (dict(words=["21", 3]),
+             r"words must be a list of str, got \['21', 3\]"),
+            (dict(with_singular="no"),
+             "with_singular must be a bool, got 'no'"),
+            (dict(with_singular=1), "with_singular must be a bool, got 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mesh.JobConfig(**{"case": "tetra", **kwargs})
 
 
 def _fresh_python(args, cwd):
@@ -317,6 +332,29 @@ def test_cli_help_wraps_to_the_terminal_width(monkeypatch, capsys):
         widths[columns] = max(map(len, lines))
         assert widths[columns] <= columns - 2
     assert widths[200] > 60 - 2
+
+
+def test_cli_builds_one_parser_a_process(monkeypatch, tmp_path):
+    # the parser depends on no input: the first main() call builds it, a
+    # refused call leaves it fit for the next, and import builds none
+    monkeypatch.chdir(tmp_path)
+    cli._build_parser.cache_clear()
+    assert cli.main(["singular-locus", "--case", "tetra", "--out",
+                     "a.tsv"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["singular-locus", "--case", "tetra", "--tiles", "3"])
+    assert exc.value.code == 2
+    assert cli.main(["singular-locus", "--case", "tetra", "--out",
+                     "b.tsv"]) == 0
+    assert cli.main(["tiles", "--case", "tetra"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert Path("a.tsv").read_bytes() == Path("b.tsv").read_bytes()
+    proc = _fresh_python(["-c", "import schwarzfront.cli as c; "
+                          "print(c._build_parser.cache_info().misses)"],
+                         tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("argv", [["surface", "--case", "fuchsian"],

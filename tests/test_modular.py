@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -295,6 +296,53 @@ def test_closed_form_lies_upstairs_and_maps_back():
     assert np.all(zs.imag > 0)
     for x, z in zip(xs, zs):
         assert _maps_back(z, x), (x, z)
+
+
+def _agm_capped(a, b):
+    """The AGM as _agm computes it, always to _AGM_STEPS steps."""
+    for _ in range(modular._AGM_STEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        b = np.where(np.abs(a - b) <= np.abs(a + b), b, -b)
+    return a
+
+
+def _agm_steps(monkeypatch, b):
+    """The number of steps _agm(1, b) takes."""
+    roots = []
+
+    def sqrt(v):
+        roots.append(1)
+        return np.sqrt(v)
+
+    monkeypatch.setattr(modular, "np", SimpleNamespace(
+        **{k: getattr(np, k) for k in ("where", "abs", "array_equal")},
+        sqrt=sqrt))
+    modular._agm(1.0, b)
+    return len(roots)
+
+
+def test_agm_stops_at_its_fixed_point_with_the_capped_value(monkeypatch):
+    x = np.concatenate([np.geomspace(1e-300, 1e300, 601),
+                        -np.geomspace(1e-300, 1e300, 601),
+                        np.geomspace(1e-300, 1e300, 121) * np.exp(2.5j),
+                        [0.0, 1.0, np.nan, np.inf, -np.inf,
+                         complex(np.nan, 1.0)]])
+    with np.errstate(all="ignore"):
+        for b in (np.sqrt(x), np.sqrt(1.0 - x)):
+            # the whole array holds NaN, and runs to the cap
+            want = _agm_capped(1.0, b)
+            assert modular._agm(1.0, b).tobytes() == want.tobytes()
+            # each finite point alone, and the finite ones together
+            finite = np.isfinite(want)
+            assert (modular._agm(1.0, b[finite]).tobytes()
+                    == want[finite].tobytes())
+            for bi in b:
+                assert (modular._agm(1.0, np.array([bi])).tobytes()
+                        == _agm_capped(1.0, np.array([bi])).tobytes())
+        # a point off the cusps stops early; a NaN runs to the cap
+        assert _agm_steps(monkeypatch, np.sqrt([0.3 + 0.4j])) < 10
+        assert (_agm_steps(monkeypatch, np.array([np.nan + 0j]))
+                == modular._AGM_STEPS)
 
 
 def test_preimage_maps_back_into_the_level_two_domain():
