@@ -7,10 +7,11 @@ point that cannot be evaluated is NaN in an array call, which raises
 nothing; a scalar call raises instead.  The entry points: the inverse
 maps (PolyhedralInverse.eval, LambdaInverse.eval, eval_lambda),
 theta_values, fuchsian_z_from_x, dihedral_z_from_x, reduce_level_two,
-eval_q, eval_q_derivatives, classify_point, the front (front_hermitian,
-eval_front_closed_form, eval_inverse_on_tiles, eval_front_on_tiles,
-front_matrix, eval_front_matrix), HermitianForm, the H3Point
-constructors and the h3 chart maps.
+eval_q, eval_q_derivatives, classify_point, swallowtail_by_newton (a
+search, which raises for a start that fails in an array call too), the
+front (front_hermitian, eval_front_closed_form, eval_inverse_on_tiles,
+eval_front_on_tiles, front_matrix, eval_front_matrix), HermitianForm,
+the H3Point constructors and the h3 chart maps.
 """
 
 from __future__ import annotations

@@ -53,7 +53,8 @@ class RamificationError(ValueError):
 
 
 class PathError(ValueError):
-    """Integration path too close to a singular point of the equation."""
+    """Integration path with a non-finite vertex, or too close to a
+    singular point of the equation."""
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,9 @@ def integrate_sl_form(e: ExponentData, path) -> np.ndarray:
 
     The vertices of `path` are points or arrays of one common shape (a
     point broadcasts); each element is its own polyline, and U has shape
-    shape + (2, 2).  Every segment must keep distance >= PATH_MARGIN
-    from x = 0 and x = 1.
+    shape + (2, 2).  Every vertex must be finite, and every segment keep
+    distance >= PATH_MARGIN from x = 0 and x = 1: PathError, naming the
+    segment, before any step otherwise.
 
     Each row of U is (a, a') for a solution of a'' = q a.  All paths step
     together, each step h at most r = STEP_RATIO of the way from its centre
@@ -202,14 +204,22 @@ def integrate_sl_form(e: ExponentData, path) -> np.ndarray:
     shape = np.broadcast_shapes(*(np.shape(p) for p in path))
     pts = [np.broadcast_to(np.asarray(p, complex), shape).ravel()
            for p in path]
-    U = np.tile(np.eye(2, dtype=complex), (pts[0].size, 1, 1))
-    for i, (p, end) in enumerate(zip(pts, pts[1:])):
+    segments = list(zip(pts, pts[1:]))
+    for i, (p, end) in enumerate(segments):
+        # a NaN step never reaches its end, and infinity has no distance
+        bad = ~(np.isfinite(p) & np.isfinite(end))
+        if bad.any():
+            j = np.flatnonzero(bad)[0]
+            raise PathError(f"segment {i}, {p[j]} -> {end[j]}, has a "
+                            f"non-finite vertex")
         for c in (0.0, 1.0):
             bad = _segment_distance(p, end - p, c) < PATH_MARGIN
             if bad.any():
                 j = np.flatnonzero(bad)[0]
                 raise PathError(f"segment {i}, {p[j]} -> {end[j]}, passes "
                                 f"within {PATH_MARGIN} of x = {c:g}")
+    U = np.tile(np.eye(2, dtype=complex), (pts[0].size, 1, 1))
+    for p, end in segments:
         x, live = p.copy(), np.flatnonzero(p != end)
         while live.size:
             c, d = x[live], end[live] - x[live]

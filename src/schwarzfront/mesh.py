@@ -68,8 +68,8 @@ class JobConfig:
     resolution: int = 16
     chart: str = "ball"               # "ball" | "uhs"
     fmt: str = "obj"                  # "obj" | "ply"
-    out: str | None = None            # None = front.<fmt>; a .obj or .ply
-                                      # suffix must be fmt's
+    out: str | None = None            # None = front.<fmt>; not ''; a .obj
+                                      # or .ply suffix must be fmt's
     with_singular: bool = True
     resolved: Case = field(init=False, repr=False)   # resolve_case(case, n)
 
@@ -87,6 +87,8 @@ class JobConfig:
             self.out = f"front.{self.fmt}"
         elif not isinstance(self.out, str):
             raise ValueError(f"out must be a str, got {self.out!r}")
+        elif not self.out:          # export would open '' at the end
+            raise ValueError(f"out must name a file, got {self.out!r}")
         suffix = self.out[-4:].lower()
         if suffix in (".obj", ".ply") and suffix != "." + self.fmt:
             raise ValueError(f"out {self.out!r} ends in {suffix}, but the "

@@ -22,11 +22,10 @@ from .equation import ExponentData, eval_q, eval_q_derivatives
 # unused here; kept because bench/spans.py wraps singular.hermitian_to_lorentz
 from .h3 import hermitian_to_lorentz  # noqa: F401
 
-CURVE_TOL = 1e-10          # |f| at a swallowtail found by Newton
 NONPOS_REAL_TOL = 1e-9     # scale-invariant test for "non-positive real"
 CLASSIFY_TOL = 1e-8        # ||q| - 1| within which a point is singular
 THETA_SAMPLES = 128        # values of arg q in [0, 2 pi), 4 roots each
-# 2-D Newton of swallowtail_by_newton and find_swallowtails
+# 2-D Newton of swallowtail_by_newton
 SWALLOWTAIL_TOL = 1e-13
 SWALLOWTAIL_MAX_ITER = 60
 
@@ -51,7 +50,6 @@ class SingularPointClass:
 class TracedCurve:
     samples: np.ndarray          # complex x values in order
     closed: bool
-    theta: np.ndarray            # arg q at each sample, unwrapped
 
 
 def _zeta(Q, R):
@@ -112,21 +110,15 @@ def classify_point(e: ExponentData, x) -> SingularPointClass:
                                       sw.real))
 
 
-def _quartic_terms(e: ExponentData, a, x):
-    """x^2 (1-x)^2, a Q(x) and the x-derivative of their sum P(x), the
-    quartic whose roots are the points with q(x) = e^{i theta}, for
+def _newton(e: ExponentData, a, x):
+    """x after two Newton steps on the quartic P = x^2 (1-x)^2 + a Q(x),
+    whose roots are the points with q(x) = e^{i theta}, for
     a = e^{-i theta} / 4."""
     c2, c1, c0 = e.q_coeffs
-    w = x * (x - 1.0)
-    return (w * w, a * ((c2 * x + c1) * x + c0),
-            2.0 * w * (2.0 * x - 1.0) + a * (2.0 * c2 * x + c1))
-
-
-def _newton(e: ExponentData, a, x, steps: int):
-    """x after `steps` Newton steps on P = x^2 (1-x)^2 + a Q(x)."""
-    for _ in range(steps):
-        w2, aq, dp = _quartic_terms(e, a, x)
-        x = x - (w2 + aq) / dp
+    for _ in range(2):
+        w = x * (x - 1.0)
+        x = x - ((w * w + a * ((c2 * x + c1) * x + c0))
+                 / (2.0 * w * (2.0 * x - 1.0) + a * (2.0 * c2 * x + c1)))
     return x
 
 
@@ -164,7 +156,7 @@ def _quartic_roots(e: ExponentData, theta):
     d = np.sqrt(b * b - 4.0 * c)
     big = 0.5 * np.where(np.abs(d - b) >= np.abs(d + b), d - b, -d - b)
     x = np.concatenate([big, c / big], axis=-1) + 0.5
-    return _newton(e, a[..., None], x, 2)
+    return _newton(e, a[..., None], x)
 
 
 def _nearest(a, b):
@@ -212,22 +204,53 @@ def trace_singular_curve(e: ExponentData) -> TracedCurve:
         raise ValueError("the singular curve's arcs do not close into one "
                          "cycle")
     samples = np.take_along_axis(roots, arc, axis=1)[:, order].T.ravel()
-    turns = 2.0 * np.pi * np.arange(4)[:, None]
-    return TracedCurve(samples=samples, closed=True,
-                       theta=(theta + turns).ravel())
+    return TracedCurve(samples=samples, closed=True)
 
 
 def _newton_step(e: ExponentData, x):
-    """The stop rule and the step of the 2-D Newton on (f, Im zeta) = 0 at
-    x (scalar or array), from one _singular_terms call: (done, det, num),
-    the step being x -> x - num / det.  With x = s + it the Jacobian's rows
-    are grad f and grad Im zeta as complex numbers: Cramer's rule on them,
-    in complex form."""
+    """The stop rule and the step of swallowtail_by_newton's 2-D Newton on
+    (f, Im zeta) = 0 at an array x, from one _singular_terms call:
+    (done, det, num), the step being x -> x - num / det.  With x = s + it
+    the Jacobian's rows are grad f and grad Im zeta as complex numbers:
+    Cramer's rule on them, in complex form."""
     f, df, zeta, d_im, _ = _singular_terms(x, *eval_q_derivatives(e, x))
     done = (abs(f) < SWALLOWTAIL_TOL) & (
         abs(zeta.imag) < SWALLOWTAIL_TOL * np.maximum(1.0, abs(x) ** 10))
     return done, (df.conjugate() * d_im).imag, 1j * (zeta.imag * df
                                                      - f * d_im)
+
+
+def swallowtail_by_newton(e: ExponentData, x0):
+    """Locate swallowtails by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0
+    from x0 (scalar or array; see arrays), its Jacobian exact
+    (_newton_step), every start refined together, one _singular_terms
+    call a step.
+
+    ValueError, naming the first point that failed, where the Jacobian is
+    singular (`singular Jacobian near x=...`, the iterate) or where the
+    stop rule does not hold within SWALLOWTAIL_MAX_ITER steps (`Newton
+    search did not converge from x0=...`, the start); an iterate that
+    goes non-finite fails the second way, and no NaN is returned.
+
+    Independent of the curve tracer; the census test in the test suite
+    checks the swallowtails of every family by exact elimination,
+    independently of this and of find_swallowtails.
+    """
+    start = x = flat(x0)
+    # a step where det = 0 is refused, and is not taken where x is done;
+    # a non-finite x fails the stop rule
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(SWALLOWTAIL_MAX_ITER + 1):
+            done, det, num = _newton_step(e, x)
+            if done.all():
+                return unflat(np.shape(x0), x)[0]
+            if n == SWALLOWTAIL_MAX_ITER:
+                raise ValueError(f"Newton search did not converge from "
+                                 f"x0={start[~done][0]}")
+            singular = ~done & (det == 0.0)
+            if singular.any():
+                raise ValueError(f"singular Jacobian near x={x[singular][0]}")
+            x = np.where(done, x, x - num / det)
 
 
 def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
@@ -236,11 +259,9 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     Brackets each sign change of Im(Q^3 conj(R)^2) between consecutive
     samples (the closing segment included).  Each bracket starts at its
     sample where Im zeta is 0 there, else at the linear interpolate of Im
-    zeta between its samples, and all are refined together by
-    swallowtail_by_newton's step and stop rule (_newton_step), one
-    _singular_terms call a step.  ValueError, naming the bracket, where
-    the Jacobian is singular, where the search does not converge within
-    SWALLOWTAIL_MAX_ITER steps, or where the limit lies farther from its
+    zeta between its samples, and all starts are refined in one
+    swallowtail_by_newton call, whose ValueError passes through.
+    ValueError, naming the bracket, where a limit lies farther from its
     start than the bracket's chord.  Classifies every limit in one call
     and keeps the swallowtails.
     """
@@ -248,55 +269,19 @@ def find_swallowtails(e: ExponentData, curve: TracedCurve) -> list:
     vals = _zeta(*eval_q_derivatives(e, xs)[::2]).imag     # Q, R
     k = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
     x0, f0, x1, f1 = xs[k], vals[k], np.roll(xs, -1)[k], np.roll(vals, -1)[k]
-
-    def refused(bad, why):
-        i = np.flatnonzero(bad)[0]
-        return ValueError(f"swallowtail bracket {x0[i]} to {x1[i]}: {why}, "
-                          f"at x={x[i]}")
-
-    # a step where det = 0 is refused, and is not taken where x is done
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):    # f0 = f1 = 0
         start = np.where(f0 == 0.0, x0, x0 + (x1 - x0) * (f0 / (f0 - f1)))
-        x = start
-        for n in range(SWALLOWTAIL_MAX_ITER + 1):
-            done, det, num = _newton_step(e, x)
-            if done.all():
-                break
-            if n == SWALLOWTAIL_MAX_ITER:
-                raise refused(~done, f"no convergence in {n} steps")
-            if (~done & (det == 0.0)).any():
-                raise refused(~done & (det == 0.0), "singular Jacobian")
-            x = np.where(done, x, x - num / det)
+    x = swallowtail_by_newton(e, start)
     far = abs(x - start) > abs(x1 - x0)
     if far.any():
-        raise refused(far, "limit farther from its start than the chord")
+        i = np.flatnonzero(far)[0]
+        raise ValueError(f"swallowtail bracket {x0[i]} to {x1[i]}: limit "
+                         f"farther from its start than the chord, "
+                         f"at x={x[i]}")
     c = classify_point(e, x)
     # each record in Python types, as a scalar call would give it
     return [SingularPointClass(*(v[i].item() for v in vars(c).values()))
             for i in np.flatnonzero(c.cls == SWALLOWTAIL)]
-
-
-def swallowtail_by_newton(e: ExponentData, x0: complex) -> complex:
-    """Locate a swallowtail by 2-D Newton on (f, Im(Q^3 conj(R)^2)) = 0,
-    its Jacobian exact (_newton_step, the step find_swallowtails takes);
-    ValueError where the Jacobian is singular or the search does not
-    converge.
-
-    Independent of the curve tracer; the census test in the test suite
-    checks the swallowtails of every family by exact elimination,
-    independently of both this and find_swallowtails.
-    """
-    x = complex(x0)
-    for _ in range(SWALLOWTAIL_MAX_ITER):
-        done, det, num = _newton_step(e, x)
-        if done:
-            return x
-        if det == 0.0:
-            raise ValueError(f"singular Jacobian near x={x}")
-        x -= num / det
-    if abs(_singular_terms(x, *eval_q_derivatives(e, x))[0]) > CURVE_TOL:
-        raise ValueError(f"Newton search did not converge from x0={x0}")
-    return x
 
 
 # --- local models -----------------------------------------------------------

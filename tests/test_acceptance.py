@@ -228,20 +228,25 @@ def test_every_criterion_is_check_of_run_and_passes_below_threshold():
 def test_criterion_fails_when_its_search_gives_up(number, search,
                                                   monkeypatch, capsys):
     # the documented ValueError of the search is a failed criterion, and
-    # the battery still reports every criterion
+    # the battery still reports every criterion; criterion 10's
+    # find_swallowtails refines its brackets by swallowtail_by_newton, so
+    # that search giving up fails criterion 10 as well
     def give_up(*args, **kwargs):
         raise ValueError(f"{search} gave up")
 
     monkeypatch.setattr(sg, search, give_up)
+    numbers = [8, 10] if number == 8 else [number]
     results = sc.run_all(quick=True)
     assert [r.number for r in results] == list(range(1, 15))
     failed = [r for r in results if not r.passed]
-    assert [r.number for r in failed] == [number]
-    assert failed[0].detail == f"{search} gave up"
-    assert "measured=nan" in failed[0].line()
+    assert [r.number for r in failed] == numbers
+    for r in failed:
+        assert r.detail == f"{search} gave up"
+        assert "measured=nan" in r.line()
     assert cli.main(["selfcheck", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert f"FAIL criterion {number:2d} | " in out
+    for n in numbers:
+        assert f"FAIL criterion {n:2d} | " in out
     assert out.count(" criterion ") == 14
 
 

@@ -1,10 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schwarzfront
 from schwarzfront import front as fr
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import eval_q, exponents_from_mu
@@ -248,6 +253,40 @@ def test_integrate_measures_segment_distance_to_singularities():
         fr.integrate_sl_form(e, [0.4 + 0.4j, -0.5 + 5e-4j, 0.52 + 5e-4j])
     with pytest.raises(fr.PathError, match="segment 0.*x = 0"):
         fr.integrate_sl_form(e, [-0.5 + 5e-4j, 0.52 + 5e-4j])
+
+
+def test_integrate_refuses_a_non_finite_vertex():
+    # a step toward NaN never reaches its end, so the transport used to
+    # run forever: it runs in a child process with a timeout, which fails
+    # the test instead of hanging it, and each vertex is refused before
+    # any step, naming its segment
+    code = """if True:
+        import numpy as np
+        from fractions import Fraction as Fr
+        from schwarzfront import front as fr
+        from schwarzfront.equation import exponents_from_mu
+        e = exponents_from_mu(Fr(1, 2), Fr(1, 2), Fr(1, 3))
+        nan, inf = float("nan"), float("inf")
+        for bad in (nan, inf, -inf, complex(0, -inf), complex(nan, 0.3)):
+            for path in ([0.5 + 0.45j, bad], [bad, 0.5 + 0.45j],
+                         [0.5 + 0.45j, 0.5 + 0.4j, np.array([0.3j, bad])]):
+                try:
+                    fr.integrate_sl_form(e, path)
+                except fr.PathError as exc:
+                    print(exc)
+        """
+    src = str(Path(schwarzfront.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 15
+    assert all(ln.endswith(", has a non-finite vertex") for ln in lines)
+    assert [ln.split(",")[0] for ln in lines[:3]] == [
+        "segment 0", "segment 0", "segment 1"]
 
 
 # x = center + radius e^(i turn k) (r0 + dr k) for k = 0..7: (radius, turn,

@@ -238,7 +238,9 @@ def test_job_config_rejects_bad_input():
              r"words must be a list of str, got \['21', 3\]"),
             (dict(with_singular="no"),
              "with_singular must be a bool, got 'no'"),
-            (dict(with_singular=1), "with_singular must be a bool, got 1")):
+            (dict(with_singular=1), "with_singular must be a bool, got 1"),
+            # export_mesh used to die on it after the whole build
+            (dict(out=""), "out must name a file, got ''")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             mesh.JobConfig(**{"case": "tetra", **kwargs})
 
@@ -889,6 +891,10 @@ def test_cli_surface_default_out_follows_format(tmp_path, monkeypatch):
     assert rc == 0
     assert (tmp_path / "front.ply").read_text().startswith("ply\n")
     assert not (tmp_path / "front.obj").exists()
+    # an empty --out is no path (JobConfig refuses out=''): the default
+    rc = cli.main(["surface", "--case", "dihedral:3", "--tiles", "1",
+                   "--resolution", "8", "--out", ""])
+    assert rc == 0 and (tmp_path / "front.obj").stat().st_size > 0
 
 
 def test_surface_job_resolves_its_case_once(tmp_path, monkeypatch):

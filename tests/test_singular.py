@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as Fr
 
 import mpmath as mp
@@ -12,6 +13,8 @@ from schwarzfront.cases import resolve_case
 from schwarzfront.elimination import swallowtail_t_exact
 from schwarzfront.equation import (SingularPointError, eval_q,
                                    eval_q_derivatives, exponents_from_mu)
+
+CURVE_TOL = 1e-10       # |f| at a sample of the singular curve
 
 
 def _terms(e, x):
@@ -74,7 +77,7 @@ def test_curve_samples_satisfy_defining_equation(curve_name, request):
     assert len(curve.samples) > 100
     for x in curve.samples[::7]:
         f = _terms(e, x)[0]
-        assert abs(f) < sg.CURVE_TOL
+        assert abs(f) < CURVE_TOL
         assert abs(abs(eval_q(e, x).q) - 1.0) < 1e-8
 
 
@@ -249,7 +252,9 @@ def test_sampler_goes_round_the_curve_once(traced, name):
     assert np.max(np.abs(_terms(e, xs)[0])) <= 1e-12
     assert np.max(np.abs(xs - np.roll(xs, -1))) <= 0.015  # closing step too
     q = eval_q(e, xs).q
-    assert np.max(np.abs(np.angle(q * np.exp(-1j * curve.theta)))) < 1e-12
+    # sample j lies at theta = 2 pi j / THETA_SAMPLES, mod 2 pi
+    theta = 2.0 * np.pi * np.arange(len(xs)) / sg.THETA_SAMPLES
+    assert np.max(np.abs(np.angle(q * np.exp(-1j * theta)))) < 1e-12
     steps = np.angle(np.roll(q, -1) / q)
     assert (steps > 0).all()
     assert abs(steps.sum() - 8.0 * math.pi) < 1e-9   # arg q turns 4 times
@@ -261,7 +266,7 @@ def test_swallowtails_are_newton_fixed_points(traced, name):
     sws = sg.find_swallowtails(e, curve)
     assert len(sws) == 2
     for p in sws:
-        assert abs(sg.swallowtail_by_newton(e, p.x) - p.x) <= 1e-10
+        assert sg.swallowtail_by_newton(e, p.x) == p.x
 
 
 @pytest.mark.parametrize("name", _CURVE_CASES)
@@ -281,8 +286,7 @@ def test_swallowtail_search_refuses_a_singular_jacobian(traced,
                                                         monkeypatch):
     e, curve = traced["tetra"]
     _parallel_gradients(monkeypatch)
-    with pytest.raises(ValueError, match=r"^swallowtail bracket .*: "
-                                         r"singular Jacobian, at x="):
+    with pytest.raises(ValueError, match=r"^singular Jacobian near x="):
         sg.find_swallowtails(e, curve)
 
 
@@ -292,8 +296,8 @@ def test_swallowtail_search_without_steps_checks_its_starts(traced,
     # refused, and starts that meet the stop rule are returned as they are
     monkeypatch.setattr(sg, "SWALLOWTAIL_MAX_ITER", 0)
     e, curve = traced["dihedral:3"]
-    with pytest.raises(ValueError, match=r"^swallowtail bracket .*: no "
-                                         r"convergence in 0 steps, at x="):
+    with pytest.raises(ValueError, match=r"^Newton search did not converge "
+                                         r"from x0="):
         sg.find_swallowtails(e, curve)
     e, curve = traced["fuchsian"]
     assert len(sg.find_swallowtails(e, curve)) == 2
@@ -305,7 +309,7 @@ def test_singular_locus_reports_a_refused_search(monkeypatch, capsys):
     _parallel_gradients(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["singular-locus", "--case", "tetra"])
-    assert str(exc.value).startswith("error: swallowtail bracket ")
+    assert str(exc.value).startswith("error: singular Jacobian near x=")
     assert "\n" not in str(exc.value)
     assert capsys.readouterr().out == ""
 
@@ -314,7 +318,7 @@ def test_criterion_10_fails_on_a_refused_search(monkeypatch):
     _parallel_gradients(monkeypatch)
     result = selfcheck.check_dihedral_curve(selfcheck._Run())
     assert math.isnan(result.measured) and not result.passed
-    assert result.detail.startswith("swallowtail bracket ")
+    assert result.detail.startswith("singular Jacobian near x=")
 
 
 def test_swallowtail_search_refuses_a_limit_outside_its_chord(traced):
@@ -322,7 +326,7 @@ def test_swallowtail_search_refuses_a_limit_outside_its_chord(traced):
     # most 0.015, test_sampler_goes_round_the_curve_once): the brackets
     # start off the curve, and Newton goes back to it, too far
     e, curve = traced["tetra"]
-    moved = sg.TracedCurve(curve.samples + 0.05, True, curve.theta)
+    moved = sg.TracedCurve(curve.samples + 0.05, True)
     with pytest.raises(ValueError, match=r"^swallowtail bracket .*: limit "
                                          r"farther from its start than the "
                                          r"chord, at x="):
@@ -382,6 +386,81 @@ def test_swallowtail_newton_takes_few_steps(traced, name, monkeypatch):
         x = sg.swallowtail_by_newton(e, x0)
         assert min(abs(x - t) for t in tails) <= 1e-10
         assert 1 <= len(calls) <= 5
+
+
+_BRACKET_CASES = ([f"dihedral:{n}" for n in (1, 2, 3, 4, 5, 6, 8, 26, 50)]
+                  + ["tetra", "octa", "icosa", "fuchsian"])
+
+
+def _search_starts_and_limits(e, monkeypatch):
+    """find_swallowtails' bracket starts and their Newton limits, as the
+    one swallowtail_by_newton call it makes receives and returns them."""
+    calls, newton = [], sg.swallowtail_by_newton
+
+    def recorded(e, x0):
+        calls.append((x0, newton(e, x0)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sg, "swallowtail_by_newton", recorded)
+    assert len(sg.find_swallowtails(e, sg.trace_singular_curve(e))) == 2
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("name", _BRACKET_CASES)
+def test_newton_from_each_bracket_start_is_the_search_limit(name,
+                                                           monkeypatch):
+    # one Newton loop: a scalar call from a start of find_swallowtails
+    # lands on its limit bit for bit (35 of the 84 brackets differed in
+    # the last ulps while the scalar call had its own Python loop)
+    e = resolve_case(name).exponents
+    starts, limits = _search_starts_and_limits(e, monkeypatch)
+    assert starts.dtype == limits.dtype == complex and len(starts) >= 2
+    for x0, want in zip(starts, limits):
+        got = sg.swallowtail_by_newton(e, complex(x0))
+        assert type(got) is complex
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "icosa", "fuchsian"])
+def test_newton_array_call_is_its_scalar_calls(name, monkeypatch):
+    # a scalar call is a one-element array call (arrays): an array of
+    # starts, in its shape, equals the call at each start bit for bit
+    e = resolve_case(name).exponents
+    starts, _ = _search_starts_and_limits(e, monkeypatch)
+    starts = np.concatenate([starts, starts + 0.01, [0.5 + 0.35j]])
+    grid = np.resize(starts, (3, -(-len(starts) // 3)))
+    got = sg.swallowtail_by_newton(e, grid)
+    assert got.shape == grid.shape and got.dtype == complex
+    want = np.array([sg.swallowtail_by_newton(e, complex(x))
+                     for x in grid.ravel()])
+    assert got.tobytes() == want.tobytes()
+    empty = sg.swallowtail_by_newton(e, np.zeros((0,), complex))
+    assert empty.shape == (0,) and empty.dtype == complex
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf,
+                                complex(0.0, -math.inf), 1e200 + 1e200j])
+def test_newton_refuses_a_start_that_goes_non_finite(fuchsian, x0,
+                                                     monkeypatch):
+    # a non-finite iterate is a search that does not converge: a
+    # ValueError, with no RuntimeWarning and no NaN returned, within
+    # SWALLOWTAIL_MAX_ITER + 1 kernel calls
+    calls = []
+    terms = sg._singular_terms
+    monkeypatch.setattr(sg, "_singular_terms",
+                        lambda *args: calls.append(1) or terms(*args))
+    # alone, and after a start that converges: the message names it
+    for starts in (x0, [0.5 + 0.35j, x0]):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                sg.swallowtail_by_newton(fuchsian, starts)
+        assert str(exc.value) == (f"Newton search did not converge from "
+                                  f"x0={np.complex128(x0)}")
+        assert 1 <= len(calls) <= sg.SWALLOWTAIL_MAX_ITER + 1
 
 
 # --- an exact census of the swallowtails ----------------------------------
@@ -518,12 +597,11 @@ def test_sampler_starts_at_the_documented_root(traced, name):
     # the quartic is real at theta = 0, so its roots there come in
     # conjugate pairs (and, for mu0 = mu1, in mirror pairs x, 1 - conj x)
     e, curve = traced[name]
-    assert curve.theta[0] == 0.0
     at_zero = curve.samples[::sg.THETA_SAMPLES]     # theta = 0 mod 2 pi
+    assert np.max(np.abs(eval_q(e, at_zero).q - 1.0)) < 1e-12
     assert np.argmin(at_zero.real + at_zero.imag) == 0
     again = sg.trace_singular_curve(e)
     assert again.samples.tobytes() == curve.samples.tobytes()
-    assert again.theta.tobytes() == curve.theta.tobytes()
 
 
 # --- the closed-form quartic against LAPACK --------------------------------
