@@ -7,8 +7,8 @@ of the image front, and exports tiled surface meshes.
 """
 
 from .cases import Case, resolve_case
-from .equation import (ExponentData, exponents_from_abc, exponents_from_mu,
-                       eval_q, eval_q_derivatives, is_standard)
+from .equation import (ExponentData, eval_q, eval_q_derivatives,
+                       exponents_from_mu)
 from .front import (eval_front_closed_form, eval_front_matrix,
                     integrate_sl_form, match_isometry)
 from .h3 import H3Point, HermitianForm

@@ -5,14 +5,18 @@ exponents, its inverse Schwarz map x(z), the preimage x -> z on the base
 triangle where one is known, the order of its monodromy group (the number
 of tiles) and the three mirrors bounding the base triangle.
 resolve_case() builds it from the user's text ("dihedral:3", "tetra",
-...; each tag is its family's name) or from "dihedral" and n, and checks
-it against equation.is_standard.  The mirrors are a family's whole
-geometry: they generate its group (tiling.tile_parameter_domain) and
-bound its base triangle, whose grid mesh.sample_triangle reads from
-them.  For a finite family, mirror 0 is the line arg z = 0, mirror 1 the
-line arg z = phi and mirror 2 a circle around z = 0; for the ideal
-triangle, mirrors 0 and 1 are the lines Re z = 0 and Re z = 1 and
-mirror 2 the circle |z - 1/2| = 1/2.
+...; each tag is its family's name) or from "dihedral" and n.  A finite
+family's exponents are 1/k0, 1/k1 and 1/kInf for the orders of its
+rational map, and its group order N solves 2/N = 1/k0 + 1/k1 + 1/kInf - 1;
+the fuchsian family's exponents are 0 and its group is infinite.
+Outside this module, only polyhedral's table of rational maps branches
+on a family name.  The mirrors are a family's whole geometry: they
+generate its group (tiling.tile_parameter_domain) and bound its base
+triangle, whose grid mesh.sample_triangle reads from them.  For a finite
+family, mirror 0 is the line arg z = 0, mirror 1 the line arg z = phi
+and mirror 2 a circle around z = 0; for the ideal triangle, mirrors 0
+and 1 are the lines Re z = 0 and Re z = 1 and mirror 2 the circle
+|z - 1/2| = 1/2.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from fractions import Fraction
 from typing import Callable
 
 from . import modular
-from .equation import (INF, TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
+from .equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF, TAG_ICOSAHEDRAL,
                        TAG_OCTAHEDRAL, TAG_TETRAHEDRAL, ExponentData,
-                       exponents_from_mu, group_order, is_standard)
+                       exponents_from_mu)
 from .polyhedral import PolyhedralInverse, dihedral_z_from_x
 from .tiling import Reflection
 
@@ -48,9 +52,10 @@ class Case:
 def _polyhedral(tag, n, mirrors, z_from_x=None):
     inverse = PolyhedralInverse(tag, n)
     d = inverse.data
-    return dict(exponents=exponents_from_mu(*(Fraction(1, k)
-                                              for k in (d.k0, d.k1, d.kInf))),
-                inverse=inverse, z_from_x=z_from_x, mirrors=mirrors)
+    mus = [Fraction(1, k) for k in (d.k0, d.k1, d.kInf)]
+    return dict(exponents=exponents_from_mu(*mus), inverse=inverse,
+                z_from_x=z_from_x, max_tiles=int(2 / (sum(mus) - 1)),
+                mirrors=mirrors)
 
 
 def _dihedral(n):
@@ -99,7 +104,7 @@ def _fuchsian(n):
                 # bound at each resolve_case, so a Case resolved while a
                 # wrapper sits on modular.fuchsian_z_from_x (bench/spans.py)
                 # calls the wrapper
-                z_from_x=modular.fuchsian_z_from_x,
+                z_from_x=modular.fuchsian_z_from_x, max_tiles=None,
                 mirrors=(Reflection.line(0.0, 1.0j),
                          Reflection.line(1.0, 1.0j),
                          Reflection.circle(0.5, 0.5)))
@@ -132,10 +137,4 @@ def resolve_case(case: str, n: int | None = None) -> Case:
                          f"tetra, octa, icosa or fuchsian")
     else:
         n = None
-    fields = _FAMILIES[tag](n)
-    e = fields["exponents"]
-    std = is_standard(e)
-    assert std.tag == tag and std.n == n, (std, tag, n)
-    order = group_order(e.orders)
-    return Case(tag=tag, n=n, max_tiles=None if order == INF else order,
-                **fields)
+    return Case(tag=tag, n=n, **_FAMILIES[tag](n))

@@ -59,3 +59,35 @@ def test_every_unused_import_is_a_wrap_target(spans):
             names = (f"{path.stem}.{a.asname or a.name}" for a in node.names)
             stray += [name for name in names if name not in targets]
     assert stray == []
+
+
+def _imports(tree, lines):
+    """(name, line) for each name an import statement binds, but those of
+    __future__ imports and of statements marked `# noqa: F401`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        if not any("# noqa: F401" in line
+                   for line in lines[node.lineno - 1:node.end_lineno]):
+            yield from ((name, node.lineno) for name in names)
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so a module that keeps an import it
+    # no longer reads (say `math` after a deletion) fails here; the
+    # package __init__ imports only to re-export
+    unused = []
+    for path in sorted((_ROOT / "src" / "schwarzfront").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imports(tree, text.splitlines())
+                   if name not in used]
+    assert unused == []

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from schwarzfront import cli, mesh, tiling
 from schwarzfront.cases import resolve_case
 from schwarzfront.equation import (TAG_DIHEDRAL, TAG_FUCHSIAN_INF,
                                    TAG_ICOSAHEDRAL, TAG_OCTAHEDRAL,
-                                   TAG_TETRAHEDRAL, is_standard)
+                                   TAG_TETRAHEDRAL)
 from schwarzfront.mesh import JobConfig
 from schwarzfront.tiling import tile_parameter_domain
 
@@ -29,9 +30,19 @@ def test_aliases_and_tags_resolve(text, tag, n):
 
 @pytest.mark.parametrize("text, tag, n", CASES)
 def test_exponents_are_standard_for_the_tag(text, tag, n):
+    # the exponents are 1/k for the orders (k0, k1, kInf) of the rational
+    # map, and 2/N = 1/k0 + 1/k1 + 1/kInf - 1 for the group order N; the
+    # ideal triangle's exponents are 0 and its group is infinite
     case = resolve_case(text)
-    std = is_standard(case.exponents)
-    assert std.standard and std.tag == case.tag
+    mus = case.exponents.mus
+    if tag == TAG_FUCHSIAN_INF:
+        assert mus == (0, 0, 0) and case.max_tiles is None
+        return
+    d = case.inverse.data
+    assert mus == tuple(Fraction(1, k) for k in (d.k0, d.k1, d.kInf))
+    assert all(type(m) is Fraction for m in mus)
+    assert case.max_tiles == 2 / (sum(mus) - 1)
+    assert type(case.max_tiles) is int
 
 
 @pytest.mark.parametrize("text, tag, n", CASES)
