@@ -54,10 +54,11 @@ class ExponentData:
 
 def exponents_from_mu(mu0, mu1, muInf) -> ExponentData:
     """ExponentData for the exponent differences, each a finite real
-    number (an int, float or Fraction); a complex, NaN or infinite one is
-    a ValueError that names it."""
+    number (an int, float or Fraction); a bool, complex, NaN or infinite
+    one is a ValueError that names it."""
     for name, mu in (("mu0", mu0), ("mu1", mu1), ("muInf", muInf)):
-        if not isinstance(mu, numbers.Real) or not math.isfinite(mu):
+        if (isinstance(mu, bool) or not isinstance(mu, numbers.Real)
+                or not math.isfinite(mu)):
             raise ValueError(f"{name} must be a finite real number, "
                              f"got {mu!r}")
     return ExponentData(mu0, mu1, muInf)

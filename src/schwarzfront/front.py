@@ -13,8 +13,10 @@ x(g z) = x(z), so for g = [[a, b], [c, d]] of det 1 and j = c z + d,
     x'(g z) = j^2 x'(z),    x''(g z) = j^4 x''(z) + 2c j^3 x'(z),
 
 and the front over every tile of a mesh follows from one evaluation of x
-on the base triangle (eval_front_on_tiles).  Criterion 13 of selfcheck
-checks the identity by evaluating x directly at g z.
+on the base triangle (eval_front_on_tiles).  In U these give
+U(g z) = +-g U(z), so H(g z) = g H(z) conj(g)^t: the tile matrix is the
+front's isometry.  Criterion 13 of selfcheck checks that identity by
+evaluating x directly at g z.
 
 Independent oracle: transport dU/dx = U [[0, q],[1, 0]] by power series
 along a path in the x-plane from U = 1 at x0, using neither x(z) nor U(z).
@@ -124,9 +126,9 @@ def eval_front_on_tiles(inv, z0, matrices) -> FrontValue:
 
 
 @np.errstate(invalid="ignore")    # NaN marks clipped points
-def front_matrix(z, xd, xdd, sqrt_prev=None):
-    """The matrix U from z, x', x'' (scalars or arrays), with the sqrt
-    branch chosen per point as the one nearer sqrt_prev.
+def front_matrix(z, xd, xdd):
+    """The matrix U from z, x', x'' (scalars or arrays), on the principal
+    branch of sqrt(x').
 
     Returns (U, sqrt_xd), U of shape z.shape + (2, 2).  H = U conj(U)^t
     equals front_hermitian.  Where |x'| < RAMIFICATION_TOL,
@@ -136,9 +138,6 @@ def front_matrix(z, xd, xdd, sqrt_prev=None):
     xd, = clip(abs(xd) < RAMIFICATION_TOL, shape, RamificationError,
                lambda: f"dx/dz vanishes at z={z[0]}", xd)
     s = np.sqrt(xd)
-    if sqrt_prev is not None:
-        prev = flat(sqrt_prev)
-        s = np.where(abs(s - prev) > abs(-s - prev), -s, s)
     r = xdd / xd
     U = (1j / s)[:, None, None] * np.stack(
         [np.stack([z * xd, 1.0 + 0.5 * z * r], axis=-1),
@@ -146,11 +145,11 @@ def front_matrix(z, xd, xdd, sqrt_prev=None):
     return unflat(shape, U, s)
 
 
-def eval_front_matrix(inv, z, sqrt_prev=None):
+def eval_front_matrix(inv, z):
     """front_matrix at z (a point or an array) for an inverse-map evaluator
     `inv`; where inv fails, its error or NaN."""
     _, xd, xdd = inv.eval(z)
-    return front_matrix(z, xd, xdd, sqrt_prev)
+    return front_matrix(z, xd, xdd)
 
 
 def _segment_distance(p, d, c):

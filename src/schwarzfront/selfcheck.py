@@ -205,19 +205,20 @@ def check_dx_dz(run) -> CheckResult:
 def _representation_points(case, start, h):
     """U(z), U(z +- h), x'(z) and q(x(z)) at the 100 points z of terms
     start, ..., start + 99 of the Kronecker sequence, from one inverse-map
-    call on z, z + h and z - h; NaN where one fails."""
+    and one front_matrix call on z, z + h and z - h, U(z +- h) negated
+    where that puts its sqrt(x') nearer the one at z; NaN where one fails."""
     if case.max_tiles is None:          # infinite group: upper half-plane
         u = _kronecker(start, 100, [-0.8, 0.5], [0.8, 1.5])
         z = u[:, 0] + 1j * u[:, 1]
     else:
         u = _kronecker(start, 100, [0.2, 0.05], [0.9, 1.0])
         z = u[:, 0] * np.exp(1j * u[:, 1])
-    n, z = len(z), np.concatenate([z, z + h, z - h])
+    z = np.stack([z, z + h, z - h])
     x, xd, xdd = case.inverse.eval(z)
-    U, s = fr.front_matrix(z[:n], xd[:n], xdd[:n])
-    Upm, _ = fr.front_matrix(z[n:], xd[n:], xdd[n:],
-                             sqrt_prev=np.concatenate([s, s]))
-    return (U, *np.split(Upm, 2), xd[:n], eval_q(case.exponents, x[:n]).q)
+    U, s = fr.front_matrix(z, xd, xdd)
+    with np.errstate(invalid="ignore"):     # NaN marks clipped points
+        U[1:][abs(s[1:] - s[0]) > abs(s[1:] + s[0])] *= -1.0
+    return (*U, xd[0], eval_q(case.exponents, x[0]).q)
 
 
 def check_representation_formula(run) -> CheckResult:
@@ -391,11 +392,9 @@ def check_end_behavior(run) -> CheckResult:
 
 def _tile_grids(case, zs):
     """(Hg, H, P) over every tile g but the identity and every z of zs:
-    H(g z), H(z) and P_g = U(g z0) U(z0)^-1, so Hg = P H conj(P)^t.
-
-    x(g z) = x(z), so U(g z) and U(z) solve one equation in x and differ by
-    the constant left factor P_g.  All three come from one inverse-map
-    call, which holds z0 and every g z0 among its points."""
+    H(g z), H(z) and P = g, so Hg = P H conj(P)^t as U(g z) = +-g U(z)
+    (see front).  Hg and H come from one inverse-map call on every g z
+    and z."""
     gs = tile_parameter_domain(case).elements[1:]
     gz = apply(gs, zs)
     z = np.concatenate([gz.ravel(), np.tile(zs, len(gs))])
@@ -403,13 +402,7 @@ def _tile_grids(case, zs):
     both = fr.front_hermitian(z, xd, xdd)
     Hg, H = (HermitianForm(both.h[part], both.k[part], both.w[part])
              for part in (slice(gz.size), slice(gz.size, None)))
-    # z0, then g z0 for every g: the first point of the tiled grid and of
-    # each row of gz
-    at = np.concatenate([[gz.size], np.arange(0, gz.size, len(zs))])
-    U, _ = fr.front_matrix(z[at], xd[at], xdd[at])
-    (a, b), (c, d) = U[0]
-    P = U[1:] @ np.array([[d, -b], [-c, a]])    # U(z0)^-1, as det U = 1
-    return Hg, H, np.repeat(P, len(zs), axis=0)
+    return Hg, H, np.repeat(gs, len(zs), axis=0)
 
 
 def check_geometry_roundtrips(run) -> CheckResult:

@@ -176,14 +176,19 @@ def trace_singular_curve(e: ExponentData) -> TracedCurve:
     The polygon starts at the theta = 0 root of least Re x + Im x: there
     the quartic is real, so its roots come in conjugate pairs (and for
     mu0 = mu1 in mirror pairs x, 1 - conj x too), and neither part alone
-    picks one.  Raises ValueError if a continuation step is not a
-    permutation of the roots or the arcs do not form a single cycle: the
-    monotone rise of arg q that this relies on is measured on every
-    family, not proved.
+    picks one.  Raises ValueError if a root is not finite, a continuation
+    step is not a permutation of the roots or the arcs do not form a
+    single cycle: the monotone rise of arg q that this relies on is
+    measured on every family, not proved.
     """
     n = THETA_SAMPLES
     theta = 2.0 * np.pi * np.arange(n) / n
-    roots = _quartic_roots(e, theta)
+    # mu0 = 1 or mu1 = 1 make x = 0 or x = 1 a double root of the quartic,
+    # where the Newton polish divides 0 by 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        roots = _quartic_roots(e, theta)
+    if not np.isfinite(roots).all():
+        raise ValueError("the singular curve's quartic has a non-finite root")
     steps = _nearest(roots, np.roll(roots, -1, axis=0))  # k -> k + 1 mod n
     if not (np.sort(steps, axis=1) == np.arange(4)).all():
         raise ValueError("nearest-root continuation of the singular curve "

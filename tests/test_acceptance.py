@@ -437,16 +437,66 @@ def test_criterion_05_table_equals_a_polyval_per_polynomial(i, name):
         assert np.array_equal(row, np.polyval(p, z))
 
 
+def _branch_continued(inv, z, prev):
+    """U at the points z on the branch of sqrt(x') nearer prev, per
+    point: front_matrix's formula with that branch taken before U is
+    formed (no point here is clipped)."""
+    _, xd, xdd = inv.eval(z)
+    s = np.sqrt(xd)
+    s = np.where(abs(s - prev) > abs(-s - prev), -s, s)
+    r = xdd / xd
+    return (1j / s)[:, None, None] * np.stack(
+        [np.stack([z * xd, 1.0 + 0.5 * z * r], axis=-1),
+         np.stack([xd, 0.5 * r], axis=-1)], axis=-2)
+
+
 @pytest.mark.parametrize("i, name", enumerate(sc._FRONT_CASES))
 def test_criterion_06_grid_equals_a_call_per_shift(i, name, monkeypatch):
     case, h = resolve_case(name), 1e-6
     _, seen = _spy(monkeypatch, fr, "front_matrix")
     U, Up, Um, _, _ = sc._representation_points(case, sc._first_term(17, i),
                                                  h)
-    (z, _, _), _, (_, s) = seen[0]
+    # one call on z, z + h and z - h
+    [((z3, _, _), _, _)] = seen
+    z = z3[0]
+    assert np.array_equal(z3, np.stack([z, z + h, z - h]))
+    want, s = fr.eval_front_matrix(case.inverse, z)
+    assert np.array_equal(U, want)
     for got, zh in ((Up, z + h), (Um, z - h)):
-        want, _ = fr.eval_front_matrix(case.inverse, zh, sqrt_prev=s)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _branch_continued(case.inverse, zh, s))
+
+
+class _TurnedInverse:
+    """An inverse map whose x' and x'' are turned by one phase, which puts
+    x' at the point z0 on the cut of the principal sqrt."""
+
+    def __init__(self, inverse, z0):
+        self.inverse = inverse
+        xd0 = inverse.eval(z0)[1]
+        self.phase = -abs(xd0) / xd0
+
+    def eval(self, z):
+        x, xd, xdd = self.inverse.eval(z)
+        return x, self.phase * xd, self.phase * xdd
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "fuchsian"])
+def test_criterion_06_continues_the_branch_across_the_cut(name):
+    # sqrt(x') jumps sign across the cut between z0 and one of z0 +- h;
+    # U there is negated, equal bit for bit to U on the continued branch
+    i, h = sc._FRONT_CASES.index(name), 1e-6
+    case = _recording(name)
+    sc._representation_points(case, sc._first_term(17, i), h)
+    z = case.inverse.calls[0][0]
+    inv = _TurnedInverse(case.inverse.inverse, z[0])
+    _, Up, Um, _, _ = sc._representation_points(
+        replace(case, inverse=inv), sc._first_term(17, i), h)
+    principal = [fr.eval_front_matrix(inv, z + d)[0] for d in (h, -h)]
+    assert sorted(np.array_equal(got[0], -p[0])
+                  for got, p in zip((Up, Um), principal)) == [False, True]
+    _, s = fr.eval_front_matrix(inv, z)
+    for got, zh in ((Up, z + h), (Um, z - h)):
+        assert np.array_equal(got, _branch_continued(inv, zh, s))
 
 
 def test_criterion_12_grid_equals_a_call_per_ray(monkeypatch):
@@ -509,13 +559,13 @@ def test_criterion_06_one_call_returns_the_arrays_of_three(i, name):
     case, h = _recording(name), 1e-6
     got = sc._representation_points(case, sc._first_term(17, i), h)
     [z3], inv = case.inverse.calls, case.inverse.inverse
-    z = z3[:100]
-    assert np.array_equal(z3, np.concatenate([z, z + h, z - h]))
+    z = z3[0]
+    assert z.shape == (100,)
+    assert np.array_equal(z3, np.stack([z, z + h, z - h]))
     U, s = fr.eval_front_matrix(inv, z)
-    Upm, _ = fr.eval_front_matrix(inv, np.concatenate([z + h, z - h]),
-                                  sqrt_prev=np.concatenate([s, s]))
     x, xd, _ = inv.eval(z)
-    want = (U, *np.split(Upm, 2), xd, eval_q(case.exponents, x).q)
+    want = (U, _branch_continued(inv, z + h, s),
+            _branch_continued(inv, z - h, s), xd, eval_q(case.exponents, x).q)
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
 
@@ -536,12 +586,10 @@ def test_criterion_13_one_call_returns_the_arrays_of_two():
     case = _recording("dihedral:3")
     zs = 0.55 * np.exp(1j * (0.15 + 0.1 * np.arange(8)))
     _, _, P = sc._tile_grids(case, zs)
-    [_], inv = case.inverse.calls, case.inverse.inverse
-    gz = apply(tile_parameter_domain(case).elements[1:], zs)
-    U, _ = fr.eval_front_matrix(inv, np.concatenate([zs[:1], gz[:, 0]]))
-    (a, b), (c, d) = U[0]
-    want = U[1:] @ np.array([[d, -b], [-c, a]])
-    assert np.array_equal(P, np.repeat(want, len(zs), axis=0))
+    assert len(case.inverse.calls) == 1
+    # the tile matrices themselves, each repeated for every point
+    gs = tile_parameter_domain(case).elements[1:]
+    assert np.array_equal(P, np.repeat(gs, len(zs), axis=0))
 
 
 @pytest.mark.parametrize("check", [sc.check_partition_of_unity,

@@ -80,10 +80,13 @@ def test_r_is_scaled_derivative_of_q():
                                  (0.25, 0.75, 0.5 - 1j),
                                  (math.nan, 0.5, 0.5),
                                  (0.5, math.inf, 0.5),
-                                 (0.5, 0.5, -math.inf)])
+                                 (0.5, 0.5, -math.inf),
+                                 (True, 0, 0),
+                                 (0.5, False, 0.5)])
 def test_complex_parameter_is_refused(mus):
-    # a complex, NaN or infinite exponent is refused by name, with its value
-    i = [isinstance(m, complex) or not math.isfinite(m)
+    # a bool, complex, NaN or infinite exponent is refused by name, with
+    # its value
+    i = [isinstance(m, (bool, complex)) or not math.isfinite(m)
          for m in mus].index(True)
     name, bad = ("mu0", "mu1", "muInf")[i], mus[i]
     message = f"{name} must be a finite real number, got {bad!r}"

@@ -585,6 +585,19 @@ def test_sampler_rejects_a_continuation_that_is_not_a_permutation(
         sg.trace_singular_curve(dihedral3)
 
 
+@pytest.mark.parametrize("mus", [(1, 1, 1), (1, 0, 0), (0, 1, 0),
+                                 (1, 1, 0)])
+def test_sampler_refuses_a_double_root_at_zero_or_one(mus):
+    # mu0 = 1 or mu1 = 1 make x = 0 or x = 1 a double root of the quartic,
+    # where the Newton polish divides 0 by 0: a ValueError, and no
+    # RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the singular curve's "
+                                             "quartic has a non-finite root$"):
+            sg.trace_singular_curve(exponents_from_mu(*mus))
+
+
 def test_sampler_rejects_arcs_that_are_not_one_cycle(dihedral3, monkeypatch):
     monkeypatch.setattr(sg, "_nearest", lambda a, b: np.broadcast_to(
         np.arange(b.shape[-1]), np.broadcast_shapes(a.shape, b.shape)))
